@@ -1,17 +1,18 @@
 """Finite-temperature adiabaticity diagnostics for driven spin-1/2 chains.
 
-Two independent routes to the same physics: dense exact diagonalization of
-the 2**N Hilbert space, and closed-form 2x2 transfer-matrix expressions for
-the drive fluctuation deltaV, the fidelity susceptibility chi_F, and the
-threshold driving rate.  The package cross-checks the two routes to machine
-precision and exercises the mixed-state quantum-speed-limit fidelity bounds
-along unitary thermal-state evolution.
+Two independent routes to the same physics: exact enumeration or dense
+diagonalization of the 2**N Hilbert space, and closed-form 2x2
+transfer-matrix expressions for the drive fluctuation deltaV, the fidelity
+susceptibility chi_F, and the threshold driving rate.  The package
+cross-checks the two routes to machine precision and exercises the
+mixed-state quantum-speed-limit fidelity bounds along unitary thermal-state
+evolution.
 """
 
 __version__ = "0.1.0"
 
 from .dynamics import BoundTrace, MeanFreePath, adiabatic_mean_free_path, evolve
-from .models import SpinChainModel, build_h0, build_v, hamiltonian_at
+from .models import SpinChainModel, build_h0, build_v, flip_terms, hamiltonian_at
 from .operators import (
     DensityMatrix,
     HermitianOperator,
@@ -36,6 +37,7 @@ from .susceptibility import (
     ThresholdReport,
     chi_f_ground,
     chi_f_thermal,
+    flip_sums,
     high_temp_coefficient,
     low_temp_coefficients,
     threshold_report,
@@ -74,6 +76,8 @@ __all__ = [
     "eigh",
     "escort_state",
     "evolve",
+    "flip_sums",
+    "flip_terms",
     "gibbs_state",
     "hamiltonian_at",
     "high_temp_coefficient",

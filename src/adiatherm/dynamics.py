@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import SpinChainModel, build_h0, build_v
+from .models import SpinChainModel, build_h0, build_v, require_finite
 from .operators import eigh, hs_norm, real_if_exactly_real
 from .qsl import bound_strong, bound_weak, qsl_radius_constant_rate
 from .susceptibility import delta_v_thermal
@@ -175,6 +175,8 @@ def evolve(
     carrying the adiabatic fidelity F, thermal-state overlap C, QSL radius R,
     Hilbert-Schmidt angle Theta, both fidelity bounds, and the purity.
     """
+    for name, value in (("beta", beta), ("gamma", gamma), ("lambda_max", lambda_max)):
+        require_finite(name, value)
     if gamma <= 0:
         raise ValueError("drive rate Gamma must be positive")
     if lambda_max < 0:

@@ -12,11 +12,12 @@ and the driven Hamiltonian is H_lambda = H0 + lambda * V.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import HermitianOperator, build_pauli_string
+from .operators import HermitianOperator
 
 KINDS = ("tfic", "qxyc", "mfic")
 
@@ -55,24 +56,60 @@ class SpinChainModel:
         return 2**self.n_sites
 
 
-def classical_energies(model: SpinChainModel) -> np.ndarray:
-    """Diagonal of H0 in the computational Z-product basis.
+def require_finite(name, value):
+    """Raise ValueError when an input parameter is NaN or infinite.
+
+    Shared by the API entry points, so the CLI reports such input as an
+    ordinary ``error:`` line instead of writing NaN rows.
+    """
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _site_bits(n_sites):
+    """Bit of each site over the computational basis, one array per site, site 1 first.
 
     Basis index bit k (from the most significant bit) is site k+1, matching
-    the tensor order of build_pauli_string; spin values are s = +1 for bit 0
-    and s = -1 for bit 1.
+    the tensor order of build_pauli_string; spin values are s = 1 - 2 * bit.
     """
-    n = model.n_sites
-    idx = np.arange(model.dim, dtype=np.int64)
-    spins = np.empty((model.dim, n), dtype=np.int64)
-    for site in range(n):
-        bit = (idx >> (n - 1 - site)) & 1
-        spins[:, site] = 1 - 2 * bit
-    bonds = np.sum(spins * np.roll(spins, -1, axis=1), axis=1)
+    idx = np.arange(2**n_sites, dtype=np.int64)
+    for site in range(n_sites):
+        yield (idx >> (n_sites - 1 - site)) & 1
+
+
+def _bond_products(n_sites):
+    """s_j s_{j+1} over the computational basis for each ring bond j = 1..N, in order."""
+    idx = np.arange(2**n_sites, dtype=np.int64)
+    for site in range(n_sites):
+        differ = (idx >> (n_sites - 1 - site)) ^ (idx >> (n_sites - 1 - (site + 1) % n_sites))
+        yield 1 - 2 * (differ & 1)
+
+
+def classical_energies(model: SpinChainModel) -> np.ndarray:
+    """Diagonal of H0 in the computational Z-product basis (see _site_bits)."""
+    bonds = sum(_bond_products(model.n_sites))
     energies = -model.J * bonds.astype(float)
     if model.kind == "mfic":
-        energies = energies + model.B * np.sum(spins, axis=1)
+        energies = energies + model.B * sum(1 - 2 * bit for bit in _site_bits(model.n_sites))
     return energies
+
+
+def flip_terms(model: SpinChainModel) -> tuple[tuple[int, float], ...]:
+    """Off-diagonal part of V in the computational basis as (XOR mask, amplitude).
+
+    <s ^ mask| V |s> = amplitude for every basis index s, and V has no other
+    off-diagonal entries.  tfic and mfic flip one site per term, qxyc an
+    adjacent pair; terms that flip the same bits are merged by summing their
+    amplitudes (the N = 2 ring, whose two bonds both flip sites 1 and 2).
+    qxyc's diagonal ZZ part is not included.
+    """
+    n = model.n_sites
+    bit = [1 << (n - 1 - site) for site in range(n)]
+    amplitudes = {}
+    for site in range(n):
+        mask = bit[site] if model.kind != "qxyc" else bit[site] | bit[(site + 1) % n]
+        amplitudes[mask] = amplitudes.get(mask, 0.0) - model.J
+    return tuple(amplitudes.items())
 
 
 def build_h0(model: SpinChainModel) -> HermitianOperator:
@@ -83,17 +120,21 @@ def build_h0(model: SpinChainModel) -> HermitianOperator:
 
 
 def build_v(model: SpinChainModel) -> HermitianOperator:
-    """Driving term; Hermitian and traceless for all three kinds."""
+    """Driving term; Hermitian and traceless for all three kinds.
+
+    Scattered from flip_terms, plus the diagonal +J sum Z_j Z_{j+1} of qxyc
+    accumulated bond by bond.
+    """
     n = model.n_sites
+    idx = np.arange(model.dim)
     total = np.zeros((model.dim, model.dim), dtype=complex)
-    if model.kind in ("tfic", "mfic"):
-        for j in range(1, n + 1):
-            total -= model.J * build_pauli_string(n, [(j, "X")]).mat
-    else:
-        for j in range(1, n + 1):
-            k = j % n + 1
-            total -= model.J * build_pauli_string(n, [(j, "X"), (k, "X")]).mat
-            total += model.J * build_pauli_string(n, [(j, "Z"), (k, "Z")]).mat
+    for mask, amplitude in flip_terms(model):
+        total[idx ^ mask, idx] = amplitude
+    if model.kind == "qxyc":
+        diag = np.zeros(model.dim)
+        for bond in _bond_products(n):
+            diag += model.J * bond
+        total[idx, idx] = diag
     return HermitianOperator(n_sites=n, mat=total)
 
 

@@ -1,9 +1,12 @@
 """Dense Hermitian-operator algebra on the 2**N spin-1/2 Hilbert space.
 
-Everything is stored as a dense complex matrix: the desk-scale targets
-(N <= 12, d <= 4096) keep full eigendecompositions cheap, so no sparse or
-iterative machinery is used anywhere.  hbar = 1 throughout and the Ising
-coupling J sets the energy unit.
+Everything is stored as a dense complex matrix: the routes that need one
+(evolution, continuation, the operator-level susceptibility functions) run
+at desk scale (N <= 12, d <= 4096), where full eigendecompositions stay
+cheap, so no sparse or iterative machinery is used anywhere.  The threshold
+route builds no operator at all: it enumerates flip pairs
+(susceptibility.flip_sums) and has been measured up to N = 18.  hbar = 1
+throughout and the Ising coupling J sets the energy unit.
 """
 
 from __future__ import annotations

@@ -5,24 +5,28 @@ chi_F is the curvature of the log thermal-state overlap at lambda = 0 and
 comes out of the spectrum as a degeneracy-excluded double sum; the
 threshold rate Gamma_th = alpha deltaV / chi_F compares against its
 zero-temperature reference Gamma_N through f_N = Gamma_th / Gamma_N.
+
+The functions taking a SpectralDecomposition and an operator work for any
+drive and form the dense route; threshold_report evaluates the same sums for
+the chain models over their flip pairs (flip_sums) without building either.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ._kernels import chi_pair_sum, pair_weight_sum
-from .models import SpinChainModel, build_h0, build_v
+from .models import SpinChainModel, classical_energies, flip_terms, require_finite
 from .operators import (
     HermitianOperator,
     SpectralDecomposition,
     commutator_hs_norm,
     degeneracy_tolerance,
     degenerate_blocks,
-    eigh,
 )
 
 COUPLING_FLOOR = 1e-10
@@ -261,19 +265,73 @@ def high_temp_coefficient(
     return numer / denom
 
 
+class FlipSums(NamedTuple):
+    """deltaV, chi_F and their beta -> infinity limits deltaV0, chi_F0."""
+
+    delta_v: float
+    chi_f: float
+    ground_delta_v: float
+    ground_chi_f: float
+
+
+def flip_sums(model: SpinChainModel, beta) -> FlipSums:
+    """Thermal and ground-level deltaV and chi_F of a chain from its N 2^N flip pairs.
+
+    The four values equal delta_v_thermal, chi_f_thermal, ground_delta_v and
+    ground_chi_f of the chain's H0 spectrum and V, but no matrix is built.
+    H0 is diagonal in the computational basis, and V couples basis state s
+    only to s ^ mask for the masks of flip_terms.  A pair sum over whole
+    degenerate levels does not depend on the basis chosen inside them, so
+    every spectral pair sum of the dense route becomes a sum over (s, s ^ mask)
+    with |V|^2 = amplitude^2.  V's diagonal part never enters a pair sum.
+    Degenerate pairs and the ground level use degeneracy_tolerance as the
+    dense route does.
+    """
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
+    e = classical_energies(model)
+    shifted = e - e.min()
+    tol = degeneracy_tolerance(e)
+    ground = shifted <= tol
+    g0 = int(np.count_nonzero(ground))
+    w = np.exp(-beta * shifted)
+    z2 = float(np.sum(np.exp(-2.0 * beta * shifted)))
+    idx = np.arange(model.dim)
+    dv2 = chi = dv0_2 = chi0 = 0.0
+    for mask, amplitude in flip_terms(model):
+        partner = idx ^ mask
+        a2 = amplitude * amplitude
+        de = shifted[partner] - shifted
+        dw2 = (w[partner] - w) ** 2
+        coupled = np.abs(de) > tol
+        dv2 += a2 * float(np.sum(dw2))
+        chi += a2 * float(np.sum(dw2[coupled] / de[coupled] ** 2))
+        leaves_ground = ground & ~ground[partner]
+        dv0_2 += a2 * float(np.count_nonzero(leaves_ground))
+        chi0 += a2 * float(np.sum(shifted[partner[leaves_ground]] ** -2.0))
+    return FlipSums(
+        delta_v=math.sqrt(dv2 / z2),
+        chi_f=2.0 * chi / z2,
+        ground_delta_v=math.sqrt(2.0 * dv0_2 / g0),
+        ground_chi_f=4.0 / g0 * chi0,
+    )
+
+
 def threshold_report(model: SpinChainModel, beta, alpha: float = 1.0) -> ThresholdReport:
     """Assemble deltaV, chi_F, Gamma_th, Gamma_N and f_N for one temperature.
 
-    deltaV comes from the weight-exact spectral route (delta_v_thermal) so
-    the report stays accurate into the deep low-temperature regime.
+    Every ingredient comes from flip_sums, in O(N 2^N) time and O(2^N)
+    memory.  beta = inf is an error, not the ground limit: that limit is
+    ground_delta_v and ground_chi_f (flip_sums' ground fields), whose ratio
+    times alpha is Gamma_N.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    spec = eigh(build_h0(model))
-    v = build_v(model)
-    dv0 = ground_delta_v(spec, v)
-    chi0 = ground_chi_f(spec, v)
-    gamma_n = alpha * dv0 / chi0
+    require_finite("beta", beta)
+    sums = flip_sums(model, beta)
+    if sums.ground_chi_f == 0:
+        raise ValueError("V does not couple the ground level to any other level; Gamma_N undefined")
+    gamma_n = alpha * sums.ground_delta_v / sums.ground_chi_f
     if beta == 0:
         return ThresholdReport(
             beta=0.0,
@@ -285,13 +343,11 @@ def threshold_report(model: SpinChainModel, beta, alpha: float = 1.0) -> Thresho
             alpha=alpha,
             undefined_at_infinite_temperature=True,
         )
-    dv = delta_v_thermal(spec, v, beta)
-    chi = chi_f_thermal(spec, v, beta)
-    gamma_th = alpha * dv / chi
+    gamma_th = alpha * sums.delta_v / sums.chi_f
     return ThresholdReport(
         beta=float(beta),
-        delta_v=dv,
-        chi_f=chi,
+        delta_v=sums.delta_v,
+        chi_f=sums.chi_f,
         gamma_th=gamma_th,
         gamma_n=gamma_n,
         f_n=gamma_th / gamma_n,

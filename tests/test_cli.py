@@ -313,3 +313,19 @@ class TestErrorPaths:
         code = main(["threshold", "--model", "tfic", "--n-sites", "3", "--beta", ""])
         assert code == 2
         assert "non-empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta", ["nan", "inf", "0.5,nan"])
+    def test_non_finite_beta_rejected(self, tmp_path, capsys, beta):
+        out = tmp_path / "thr.csv"
+        code = main(["threshold", "--model", "tfic", "--n-sites", "4", "--beta", beta, "--out", str(out)])
+        assert code == 2
+        assert "error: beta must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--gamma", "--lambda-max"])
+    def test_non_finite_dynamics_input_rejected(self, tmp_path, capsys, flag):
+        out = tmp_path / "dyn.csv"
+        code = main(["dynamics", "--model", "tfic", "--n-sites", "3", flag, "nan", "--out", str(out)])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()

@@ -69,6 +69,20 @@ class TestEvolve:
         with pytest.raises(ValueError, match="n_records"):
             evolve(model, 1.0, 1.0, 0.1, 0)
 
+    @pytest.mark.parametrize(
+        "name,args",
+        [
+            ("beta", (math.nan, 1.0, 0.1)),
+            ("beta", (math.inf, 1.0, 0.1)),
+            ("gamma", (1.0, math.nan, 0.1)),
+            ("gamma", (1.0, math.inf, 0.1)),
+            ("lambda_max", (1.0, 1.0, math.nan)),
+        ],
+    )
+    def test_rejects_non_finite_arguments(self, name, args):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            evolve(SpinChainModel("tfic", 3), *args, 10)
+
     @pytest.mark.parametrize("kind,b", [("qxyc", None), ("mfic", 0.7)])
     def test_other_drives_satisfy_bounds(self, kind, b):
         trace = evolve(SpinChainModel(kind, 4, B=b), 1.0, 1.5, 0.1, 15)

@@ -6,6 +6,7 @@ from adiatherm.models import (
     build_h0,
     build_v,
     classical_energies,
+    flip_terms,
     hamiltonian_at,
     translation_operator,
 )
@@ -92,6 +93,13 @@ class TestDrive:
         model = SpinChainModel(kind, 4, B=b)
         assert np.allclose(build_v(model).mat, oracle.dense_v(kind, 4), atol=1e-14)
 
+    @pytest.mark.parametrize("j", [1.0, 0.7])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
+    def test_bitwise_equal_to_kron_oracle(self, kind, b, n, j):
+        model = SpinChainModel(kind, n, J=j, B=b)
+        assert np.array_equal(build_v(model).mat, oracle.dense_v(kind, n, j=j))
+
     @pytest.mark.parametrize("n", [3, 4, 6])
     @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
     def test_drive_does_not_commute_with_h0(self, kind, b, n):
@@ -112,6 +120,23 @@ class TestDrive:
         t = translation_operator(5)
         for op in (build_h0(model).mat, build_v(model).mat):
             assert np.abs(t @ op - op @ t).max() <= 1e-12
+
+
+class TestFlipTerms:
+    @pytest.mark.parametrize("kind,b", [("tfic", None), ("mfic", 0.7)])
+    def test_single_site_flips(self, kind, b):
+        terms = flip_terms(SpinChainModel(kind, 5, J=0.5, B=b))
+        assert sorted(mask for mask, _ in terms) == [1, 2, 4, 8, 16]
+        assert all(amplitude == -0.5 for _, amplitude in terms)
+
+    def test_qxyc_adjacent_pair_flips(self):
+        terms = flip_terms(SpinChainModel("qxyc", 4))
+        assert sorted(mask for mask, _ in terms) == [0b0011, 0b0110, 0b1001, 0b1100]
+        assert all(amplitude == -1.0 for _, amplitude in terms)
+
+    def test_qxyc_two_site_bonds_merge(self):
+        # both bonds of the 2-ring flip sites 1 and 2: |V_mn|^2 = 4 J^2
+        assert flip_terms(SpinChainModel("qxyc", 2, J=0.5)) == ((0b11, -1.0),)
 
 
 class TestHamiltonianAt:

@@ -1,9 +1,13 @@
 import logging
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adiatherm import closed_forms as cf
 from adiatherm.closed_forms import chi_f_tfic_closed, gamma_n_mfic, gamma_n_tfic
 from adiatherm.models import SpinChainModel, build_h0, build_v
 from adiatherm.operators import HermitianOperator, degeneracy_tolerance, eigh
@@ -12,6 +16,7 @@ from adiatherm.susceptibility import (
     chi_f_ground,
     chi_f_thermal,
     delta_v_thermal,
+    flip_sums,
     ground_chi_f,
     ground_delta_v,
     high_temp_coefficient,
@@ -239,3 +244,86 @@ class TestThresholdReport:
     def test_rejects_non_positive_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
             threshold_report(SpinChainModel("tfic", 4), 1.0, alpha=0.0)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_beta(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            threshold_report(SpinChainModel("tfic", 4), beta)
+
+    def test_rejects_negative_beta(self):
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            threshold_report(SpinChainModel("tfic", 4), -1.0)
+
+    def test_uncoupled_ground_level_rejected(self):
+        # the 2-ring qxyc drive commutes with H0, so Gamma_N = 0/0
+        with pytest.raises(ValueError, match="Gamma_N undefined"):
+            threshold_report(SpinChainModel("qxyc", 2), 1.0)
+
+
+DRIVES = [("tfic", None), ("qxyc", None), ("mfic", 0.7), ("mfic", 1.0)]
+
+
+def dense_sums(model, betas):
+    spec, v = eigh(build_h0(model)), build_v(model)
+    ground = (ground_delta_v(spec, v), ground_chi_f(spec, v))
+    return [(delta_v_thermal(spec, v, b), chi_f_thermal(spec, v, b)) + ground for b in betas]
+
+
+def closed_sums(model, beta):
+    n, j, b = model.n_sites, model.J, model.B
+    if model.kind == "mfic":
+        return (
+            cf.delta_v_mfic_closed(n, beta, j, b),
+            cf.chi_f_mfic_closed(n, beta, j, b),
+            cf.gamma_n_mfic(n, j, b),
+        )
+    return cf.delta_v_tfic_closed(n, beta, j), cf.chi_f_tfic_closed(n, beta, j), cf.gamma_n_tfic(n, j)
+
+
+def assert_rel_close(got, expected, rel):
+    for g, e in zip(got, expected):
+        assert abs(g - e) <= rel * abs(e), (got, expected)
+
+
+class TestFlipSums:
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("kind,b", DRIVES)
+    def test_match_dense_route(self, kind, b, n):
+        model = SpinChainModel(kind, n, B=b)
+        betas = (0.0, 0.3, 1.0, 3.0, 40.0)
+        for beta, dense in zip(betas, dense_sums(model, betas)):
+            assert_rel_close(flip_sums(model, beta), dense, 1e-12)
+
+    @pytest.mark.parametrize("n", [14, 16])
+    @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
+    def test_threshold_report_builds_no_dense_matrix(self, monkeypatch, kind, b, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense path taken")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("adiatherm"):
+                for attr in ("build_h0", "build_v", "eigh"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        model = SpinChainModel(kind, n, B=b)
+        for beta in (0.3, 1.0, 3.0):
+            report = threshold_report(model, beta)
+            got = (report.delta_v, report.chi_f, report.gamma_n)
+            assert_rel_close(got, closed_sums(model, beta), 1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(["tfic", "qxyc", "mfic"]),
+        n=st.integers(3, 7),
+        beta=st.floats(0.05, 5.0),
+        j=st.floats(0.5, 2.0),
+        b_over_j=st.floats(0.1, 1.9),
+    )
+    def test_flip_dense_and_closed_forms_agree(self, kind, n, beta, j, b_over_j):
+        model = SpinChainModel(kind, n, J=j, B=b_over_j * j if kind == "mfic" else None)
+        flip = flip_sums(model, beta)
+        assert_rel_close(flip, dense_sums(model, [beta])[0], 1e-12)
+        closed = closed_sums(model, beta)
+        assert_rel_close(flip[:2], closed[:2], 1e-9)
+        assert_rel_close([flip.ground_delta_v / flip.ground_chi_f], closed[2:], 1e-12)

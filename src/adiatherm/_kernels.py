@@ -1,33 +1,34 @@
-"""Hot numeric kernels: numba-jitted versions with pure-numpy fallbacks.
+"""Dense pair-sum and column-matching kernels, in numpy.
 
-Backend selection via the ADIATHERM_KERNELS environment variable:
-
-* ``auto``  (default) use numba when importable, else numpy
-* ``numba`` require numba, fail loudly if missing
-* ``numpy`` force the pure-numpy path
-
-Both backends use a fixed summation / scan order, so results are
-deterministic and agree to rounding.
+The pair sums back the operator-level chi_f_thermal / delta_v_thermal, the
+dense oracle of the flip-sum route.  The package no longer calls the
+column matching (match_columns, greedy_match): the eigenbasis continuation
+transports whole levels by projector mass.  It stays as a tested
+maximal-overlap assignment whose names perfbench's tracer reports.
+Summation and scan orders are fixed, so results are deterministic.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_REQUESTED = os.environ.get("ADIATHERM_KERNELS", "auto").strip().lower()
-if _REQUESTED not in ("auto", "numba", "numpy"):
-    raise ValueError(f"ADIATHERM_KERNELS must be auto|numba|numpy, got {_REQUESTED!r}")
 
 _ROW_BLOCK = 256
 
 
-def _numpy_chi_pair_sum(energies, weights, v2, tol):
-    """sum_{m != n, |E_m - E_n| > tol} (w_m - w_n)^2 V2[m, n] / (E_m - E_n)^2.
+def backend_name():
+    """The kernel backend; numpy is the only one."""
+    return "numpy"
+
+
+def chi_pair_sum(energies, weights, v2, tol):
+    """Degeneracy-excluded spectral pair sum behind the fidelity susceptibility:
+    sum_{m != n, |E_m - E_n| > tol} (w_m - w_n)^2 V2[m, n] / (E_m - E_n)^2.
 
     Row-blocked to bound temporaries at 2**12 dimensions.
     """
+    energies = np.ascontiguousarray(energies, dtype=np.float64)
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    v2 = np.ascontiguousarray(v2, dtype=np.float64)
     n = energies.shape[0]
     total = 0.0
     for start in range(0, n, _ROW_BLOCK):
@@ -41,8 +42,10 @@ def _numpy_chi_pair_sum(energies, weights, v2, tol):
     return total
 
 
-def _numpy_pair_weight_sum(weights, v2):
-    """sum_{m, n} (w_m - w_n)^2 V2[m, n], row-blocked."""
+def pair_weight_sum(weights, v2):
+    """Plain weighted pair sum sum_{m,n} (w_m - w_n)^2 V2[m, n], row-blocked."""
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    v2 = np.ascontiguousarray(v2, dtype=np.float64)
     n = weights.shape[0]
     total = 0.0
     for start in range(0, n, _ROW_BLOCK):
@@ -52,7 +55,7 @@ def _numpy_pair_weight_sum(weights, v2):
     return total
 
 
-def _numpy_greedy_sweep(order_rows, order_cols, d):
+def _greedy_sweep(order_rows, order_cols, d):
     """Assign entries in descending-overlap order, skipping used rows/columns.
 
     Equivalent to repeatedly taking the global argmax of the remaining
@@ -73,84 +76,6 @@ def _numpy_greedy_sweep(order_rows, order_cols, d):
     return perm
 
 
-_BACKEND = "numpy"
-_chi_pair_sum_impl = _numpy_chi_pair_sum
-_pair_weight_sum_impl = _numpy_pair_weight_sum
-_greedy_sweep_impl = _numpy_greedy_sweep
-
-if _REQUESTED in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _numba_chi_pair_sum(energies, weights, v2, tol):
-            n = energies.shape[0]
-            total = 0.0
-            for m in range(n):
-                for k in range(n):
-                    de = energies[m] - energies[k]
-                    if abs(de) > tol:
-                        dw = weights[m] - weights[k]
-                        total += dw * dw * v2[m, k] / (de * de)
-            return total
-
-        @njit(cache=True)
-        def _numba_pair_weight_sum(weights, v2):
-            n = weights.shape[0]
-            total = 0.0
-            for m in range(n):
-                for k in range(n):
-                    dw = weights[m] - weights[k]
-                    total += dw * dw * v2[m, k]
-            return total
-
-        @njit(cache=True)
-        def _numba_greedy_sweep(order_rows, order_cols, d):
-            perm = np.full(d, -1, dtype=np.int64)
-            row_used = np.zeros(d, dtype=np.bool_)
-            col_used = np.zeros(d, dtype=np.bool_)
-            assigned = 0
-            for k in range(order_rows.shape[0]):
-                i = order_rows[k]
-                j = order_cols[k]
-                if not row_used[i] and not col_used[j]:
-                    perm[j] = i
-                    row_used[i] = True
-                    col_used[j] = True
-                    assigned += 1
-                    if assigned == d:
-                        break
-            return perm
-
-        _chi_pair_sum_impl = _numba_chi_pair_sum
-        _pair_weight_sum_impl = _numba_pair_weight_sum
-        _greedy_sweep_impl = _numba_greedy_sweep
-        _BACKEND = "numba"
-    except ImportError:
-        if _REQUESTED == "numba":
-            raise
-
-
-def backend_name():
-    """Active kernel backend: 'numba' or 'numpy'."""
-    return _BACKEND
-
-
-def chi_pair_sum(energies, weights, v2, tol):
-    """Degeneracy-excluded spectral pair sum behind the fidelity susceptibility."""
-    energies = np.ascontiguousarray(energies, dtype=np.float64)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    v2 = np.ascontiguousarray(v2, dtype=np.float64)
-    return float(_chi_pair_sum_impl(energies, weights, v2, float(tol)))
-
-
-def pair_weight_sum(weights, v2):
-    """Plain weighted pair sum sum_{m,n} (w_m - w_n)^2 V2[m, n]."""
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    v2 = np.ascontiguousarray(v2, dtype=np.float64)
-    return float(_pair_weight_sum_impl(weights, v2))
-
-
 def greedy_match(absolute_overlap):
     """Greedy maximal-overlap assignment on |<new_i|old_j>|.
 
@@ -165,7 +90,7 @@ def greedy_match(absolute_overlap):
     order = np.argsort(-a, axis=None, kind="stable")
     rows = (order // d).astype(np.int64)
     cols = (order % d).astype(np.int64)
-    return np.asarray(_greedy_sweep_impl(rows, cols, d))
+    return _greedy_sweep(rows, cols, d)
 
 
 def count_ambiguous_labels(absolute_overlap, ambiguity_tol=1e-6):

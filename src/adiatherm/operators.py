@@ -228,19 +228,22 @@ def degeneracy_tolerance(eigenvalues) -> float:
     return 1e-9 * span
 
 
+def level_edges(eigenvalues, tol=None):
+    """Boundaries of the degenerate levels of ascending eigenvalues.
+
+    Level k covers indices edges[k]:edges[k + 1]; the first edge is 0 and
+    the last is the number of eigenvalues.
+    """
+    ev = np.asarray(eigenvalues, dtype=float)
+    if tol is None:
+        tol = degeneracy_tolerance(ev)
+    return np.concatenate(([0], np.flatnonzero(np.diff(ev) > tol) + 1, [ev.size]))
+
+
 def degenerate_blocks(eigenvalues, tol=None):
     """Group ascending eigenvalues into blocks of equal values within tol.
 
     Returns a list of ``slice`` objects covering the index range.
     """
-    ev = np.asarray(eigenvalues, dtype=float)
-    if tol is None:
-        tol = degeneracy_tolerance(ev)
-    blocks = []
-    start = 0
-    for i in range(1, ev.size):
-        if ev[i] - ev[i - 1] > tol:
-            blocks.append(slice(start, i))
-            start = i
-    blocks.append(slice(start, ev.size))
-    return blocks
+    edges = level_edges(eigenvalues, tol).tolist()
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]

@@ -3,9 +3,11 @@ adiabatic continuation of the initial eigenbasis, thermal-state overlap.
 
 The quasi-Gibbs target keeps the initial Boltzmann weights while its
 eigenvectors follow the instantaneous eigenbasis of H_lambda.  Labels are
-transported step by step with a greedy maximal-overlap match; level
-crossings therefore trigger a ContinuationWarning instead of failing
-silently.
+transported level by level, by the projector mass each fresh degenerate
+level takes from the previous columns (adiabatic transport of spectral
+projectors, Kato 1950), so the basis eigh picks inside a level never
+matters.  A tie between labels of different weight triggers a
+ContinuationWarning instead of failing silently.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import match_columns
 from .models import SpinChainModel, build_h0, build_v
 from .operators import (
     DensityMatrix,
     SpectralDecomposition,
     degeneracy_tolerance,
     degenerate_blocks,
+    level_edges,
     hs_fidelity,
     hs_norm,
     eigh,
@@ -107,57 +109,110 @@ class EigenbasisContinuation:
     At lambda = 0 every degenerate H0 eigenspace is rotated to diagonalize
     the projected drive P V P (first-order degenerate perturbation theory),
     which fixes the basis the non-degenerate perturbative formulas assume.
-    Each advance() matches fresh eigenvectors to the previous labels by
-    greedy maximal overlap and fixes phases so successive overlaps are real
-    positive.
+
+    Labels are transported level by level, by adiabatic transport of the
+    spectral projectors (Kato 1950).  Each advance() clusters the fresh
+    eigenvalues into levels; a level of multiplicity g takes the labels of
+    the g old columns with the largest projector mass
+    sum_{i in level} |<new_i|old_j>|^2, which does not depend on the basis
+    eigh returns inside the level.  The columns are the fresh eigenvectors,
+    so the quasi-Gibbs state sum_level w P_level at a lambda depends only on
+    the eigendecomposition there and on the labels.  A level that receives
+    labels of different origin energies (an exact crossing) is rotated onto
+    the transported old columns, because only there does the basis inside
+    the level matter.  A level whose g-th and (g+1)-th masses tie within
+    AMBIGUITY_TOL between labels of different origin energies, or a step
+    that loses a label to another level, is ambiguous: it raises a
+    ContinuationWarning and is recorded on ambiguous_steps.
     """
 
     def __init__(self, model: SpinChainModel):
         self.model = model
-        self._h0 = real_if_exactly_real(build_h0(model).mat)
-        self._v = real_if_exactly_real(build_v(model).mat)
-        evals, evecs = np.linalg.eigh(self._h0)
-        tol = degeneracy_tolerance(evals)
-        for block in degenerate_blocks(evals, tol):
+        self._start(
+            real_if_exactly_real(build_h0(model).mat), real_if_exactly_real(build_v(model).mat)
+        )
+
+    def _start(self, h0, v):
+        """Label the eigenbasis of H0 + lambda V at lambda = 0."""
+        self._h0 = h0
+        self._v = v
+        evals, evecs = np.linalg.eigh(h0)
+        blocks = degenerate_blocks(evals)
+        for block in blocks:
             if block.stop - block.start > 1:
                 ub = evecs[:, block]
-                proj = _hermitize(ub.conj().T @ self._v @ ub)
+                proj = _hermitize(ub.conj().T @ v @ ub)
                 _, w = np.linalg.eigh(proj)
                 evecs[:, block] = ub @ w
         self.lam = 0.0
         self.vectors = evecs
-        self.origin_energies = evals.copy()
+        self._origin = evals.copy()
+        # every column of an H0 level carries the index of the level's first
+        # column, so labels of equal origin energy are interchangeable
+        self.labels = np.repeat(
+            [b.start for b in blocks], [b.stop - b.start for b in blocks]
+        )
+        self.rotated = False  # whether the last step rotated a level's columns
         self.ambiguous_steps = []
+
+    @property
+    def origin_energies(self):
+        """The lambda = 0 energy carried by each column."""
+        return self._origin[self.labels]
 
     def advance(self, lam: float) -> None:
         """Step the labeled basis to the eigenbasis of H at the given lambda."""
-        _, fresh = np.linalg.eigh(self._h0 + lam * self._v)
+        evals, fresh = np.linalg.eigh(self._h0 + lam * self._v)
+        d = evals.size
+        edges = level_edges(evals)
+        starts, sizes = edges[:-1], np.diff(edges)
+        level = np.repeat(np.arange(starts.size), sizes)
         overlap = fresh.conj().T @ self.vectors
-        perm, n_ambiguous = match_columns(np.abs(overlap), AMBIGUITY_TOL)
+        mass = np.add.reduceat((overlap * overlap.conj()).real, starts, axis=0)
+        order = np.argsort(-mass, axis=1, kind="stable")
+        # fresh column i takes the label of the old column ranked
+        # (i - level start) in its level's projector masses
+        source = order[level, np.arange(d) - starts[level]]
+        labels = self.labels[source]
+
+        # ambiguous: a level's g-th and (g+1)-th masses tie between labels
+        # of different origin energy, or a label went to two levels
+        rows = np.flatnonzero(sizes < d)
+        last, after = order[rows, sizes[rows] - 1], order[rows, sizes[rows]]
+        tied = mass[rows, last] - mass[rows, after] < AMBIGUITY_TOL
+        n_ambiguous = int(np.count_nonzero(tied & (self.labels[last] != self.labels[after])))
+        if not np.array_equal(np.sort(labels), np.sort(self.labels)):
+            n_ambiguous += 1
         if n_ambiguous:
             # every step is recorded; the warning fires once per continuation
             # to keep long sweeps through persistent degeneracies readable
             if not self.ambiguous_steps:
                 warnings.warn(
-                    f"{n_ambiguous} ambiguous eigenvector match(es) at "
-                    f"lambda={lam:.6g}; resolved by the greedy rule "
-                    "(further steps recorded on ambiguous_steps)",
+                    f"{n_ambiguous} ambiguous level match(es) at lambda={lam:.6g}; "
+                    "resolved by the larger projector mass (further steps "
+                    "recorded on ambiguous_steps)",
                     ContinuationWarning,
                     stacklevel=2,
                 )
             self.ambiguous_steps.append((lam, n_ambiguous))
-        cols = fresh[:, perm]
-        raw = overlap[perm, np.arange(overlap.shape[0])]
-        mag = np.abs(raw)
-        phase = np.where(mag > 0, raw / np.where(mag > 0, mag, 1.0), 1.0)
-        self.vectors = cols * phase[None, :]
+
+        mixed = np.minimum.reduceat(labels, starts) != np.maximum.reduceat(labels, starts)
+        self.rotated = bool(mixed.any())
+        for lev in np.flatnonzero(mixed):
+            block = slice(starts[lev], edges[lev + 1])
+            # polar factor of the level's overlaps: the orthonormal basis of
+            # the level closest to the projected old columns
+            u, _, vh = np.linalg.svd(overlap[block][:, source[block]])
+            fresh[:, block] = fresh[:, block] @ (u @ vh)
+        self.vectors = fresh
+        self.labels = labels
         self.lam = lam
 
     def basis(self) -> LabeledEigenbasis:
         return LabeledEigenbasis(
             lam=self.lam,
             vectors=self.vectors.copy(),
-            origin_energies=self.origin_energies.copy(),
+            origin_energies=self.origin_energies,
         )
 
 

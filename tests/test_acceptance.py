@@ -13,8 +13,6 @@ import pytest
 
 from adiatherm import acceptance
 
-pytestmark = pytest.mark.filterwarnings("ignore::adiatherm.thermal.ContinuationWarning")
-
 
 def report(result):
     status = "PASS" if result.passed else "FAIL"

@@ -15,8 +15,6 @@ from adiatherm.cli import (
 
 import oracle
 
-pytestmark = pytest.mark.filterwarnings("ignore::adiatherm.thermal.ContinuationWarning")
-
 
 def read_csv(path):
     meta, header, rows = [], None, []

@@ -4,12 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from adiatherm.dynamics import BoundTrace, MeanFreePath, adiabatic_mean_free_path, evolve
-from adiatherm.models import SpinChainModel
+from adiatherm.dynamics import (
+    BoundTrace,
+    MeanFreePath,
+    _SigmaSweep,
+    adiabatic_mean_free_path,
+    cfm4_propagator,
+    evolve,
+)
+from adiatherm.models import SpinChainModel, build_h0, build_v
+from adiatherm.operators import eigh, hs_norm, real_if_exactly_real
+from adiatherm.thermal import boltzmann_weights, gibbs_state
 
 logger = logging.getLogger(__name__)
-
-pytestmark = pytest.mark.filterwarnings("ignore::adiatherm.thermal.ContinuationWarning")
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +107,48 @@ class TestEvolve:
         regenerated = evolve(model, 1.0, 2.0, 0.08, 9)
         assert np.allclose(cached.adiabatic_fidelity, regenerated.adiabatic_fidelity, atol=1e-13)
         assert np.allclose(cached.thermal_overlap, regenerated.thermal_overlap, atol=1e-13)
+
+
+class TestCFM4:
+    def test_fourth_order_convergence(self):
+        # halving the step must cut the state error by about 2^4; with the
+        # two exponentials applied in the other order the ratio is 2^2
+        model = SpinChainModel("tfic", 4)
+        h0 = real_if_exactly_real(build_h0(model).mat)
+        v = real_if_exactly_real(build_v(model).mat)
+        rho0 = gibbs_state(eigh(build_h0(model)), 0.5).mat
+
+        def evolved(n_steps):
+            u = cfm4_propagator(h0, v, 0.0, 0.4, 0.5, n_steps)
+            return u @ rho0 @ u.conj().T
+
+        reference = evolved(512)
+        errors = [hs_norm(evolved(n) - reference) for n in (2, 4, 8, 16)]
+        ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+        logger.info("CFM4 errors %s, ratios %s", errors, ratios)
+        assert min(ratios) >= 12.0
+
+    def test_propagator_is_unitary(self):
+        model = SpinChainModel("mfic", 4, B=0.7)
+        h0 = real_if_exactly_real(build_h0(model).mat)
+        v = real_if_exactly_real(build_v(model).mat)
+        u = cfm4_propagator(h0, v, 0.1, 0.3, 0.7, 3)
+        assert np.abs(u.conj().T @ u - np.eye(16)).max() <= 1e-13
+
+
+class TestSigmaSweep:
+    def test_continuous_into_exact_crossing(self):
+        # qxyc N=4 has an exact crossing of levels of different weight at
+        # lambda = 1: sigma there must be the limit from below, not the
+        # weights spread over an arbitrary basis of the merged level
+        model = SpinChainModel("qxyc", 4)
+        weights = boltzmann_weights(eigh(build_h0(model)).eigenvalues, 1.0)
+
+        def last_sigma(lambda_max):
+            sweep = _SigmaSweep(model, np.linspace(0.0, lambda_max, 11), weights)
+            return list(sweep.records())[-1]
+
+        assert hs_norm(last_sigma(1.0) - last_sigma(1.0 - 1e-6)) <= 1e-5
 
 
 def synthetic_trace(lambdas, fidelities):

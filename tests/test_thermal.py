@@ -22,8 +22,6 @@ from adiatherm.thermal import (
 
 import oracle
 
-pytestmark = pytest.mark.filterwarnings("ignore::adiatherm.thermal.ContinuationWarning")
-
 
 def spec_for(model):
     return eigh(build_h0(model))
@@ -123,19 +121,62 @@ class TestContinuation:
             continued_eigenbasis(SpinChainModel("tfic", 3), 0.1, 0)
 
     def test_ambiguous_steps_recorded_with_warning(self):
-        # N=4 ring has persistent equal-weight degeneracies, so tiny steps
-        # produce ambiguous matches by construction
-        model = SpinChainModel("tfic", 4)
-        cont = EigenbasisContinuation(model)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for lam in np.linspace(0.0, 0.01, 21)[1:]:
-                cont.advance(float(lam))
-        if cont.ambiguous_steps:
-            assert any(issubclass(w.category, ContinuationWarning) for w in caught)
-            lam_step, count = cont.ambiguous_steps[0]
-            assert 0 < lam_step <= 0.01
-            assert count >= 1
+        # one step from lambda = 0 rotates the states of labels 0 and 1
+        # (different weights) by 45 degrees + 1e-8: each fresh level takes
+        # a different label, but its two projector masses tie within
+        # AMBIGUITY_TOL, so both levels are ambiguous
+        angle = math.pi / 4 + 1e-8
+        rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        h1 = np.zeros((3, 3))
+        h1[:2, :2] = rot @ np.diag([-0.5, 1.5]) @ rot.T
+        h1[2, 2] = 3.0
+        h0 = np.diag([0.0, 1.0, 3.0])
+        cont = EigenbasisContinuation(SpinChainModel("tfic", 2))
+        cont._start(h0, h1 - h0)
+        with pytest.warns(ContinuationWarning, match="ambiguous level match"):
+            cont.advance(1.0)
+        assert cont.ambiguous_steps == [(1.0, 2)]
+        assert sorted(cont.origin_energies) == [0.0, 1.0, 3.0]
+
+    def test_exact_crossing_keeps_labels_on_their_states(self):
+        # V commutes with H0 in a rotated basis, so every eigenvector of H0
+        # stays an eigenvector and the quasi-Gibbs state never changes.  At
+        # lambda = 0.5 the first two levels cross exactly and eigh returns an
+        # arbitrary basis of the merged level; the labels must still follow
+        # their states through the crossing.
+        q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))
+        h0 = q @ np.diag([0.0, 1.0, 5.0]) @ q.T
+        v = q @ np.diag([1.0, -1.0, 0.0]) @ q.T
+        cont = EigenbasisContinuation(SpinChainModel("tfic", 2))
+        cont._start(h0, v)
+        expected = q @ np.diag(boltzmann_weights([0.0, 1.0, 5.0], 1.0)) @ q.T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ContinuationWarning)
+            for lam in (0.25, 0.5, 0.75, 1.0):
+                cont.advance(lam)
+                assert hs_norm(quasi_gibbs(cont.basis(), 1.0).mat - expected) <= 1e-12
+                assert cont.rotated == (lam == 0.5)
+
+    @pytest.mark.parametrize("n_sites", [4, 5, 6])
+    @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
+    def test_records_independent_of_step_count(self, kind, b, n_sites):
+        # sigma at a record comes from the eigendecomposition there and the
+        # labels, so the steps between records only have to resolve labels
+        model = SpinChainModel(kind, n_sites, B=b)
+        records = np.linspace(0.0, 0.2, 11)
+        marches = []
+        for per_interval in (1, 2, 6):
+            cont = EigenbasisContinuation(model)
+            sigmas = []
+            for a, end in zip(records[:-1], records[1:]):
+                for s in range(1, per_interval):
+                    cont.advance(a + (end - a) * s / per_interval)
+                cont.advance(end)
+                sigmas.append(quasi_gibbs(cont.basis(), 1.0).mat)
+            assert not cont.ambiguous_steps
+            marches.append(sigmas)
+        for sigmas in marches[1:]:
+            assert max(hs_norm(x - y) for x, y in zip(sigmas, marches[0])) <= 1e-14
 
 
 class TestQuasiGibbs:

@@ -42,20 +42,12 @@ from .susceptibility import (
     low_temp_coefficients,
     threshold_report,
 )
-from .thermal import (
-    LabeledEigenbasis,
-    continued_eigenbasis,
-    escort_state,
-    gibbs_state,
-    quasi_gibbs,
-    thermal_overlap,
-)
+from .thermal import escort_state, gibbs_state, quasi_gibbs_at, thermal_overlap
 
 __all__ = [
     "BoundTrace",
     "DensityMatrix",
     "HermitianOperator",
-    "LabeledEigenbasis",
     "LowTempCoefficients",
     "MeanFreePath",
     "QslRadius",
@@ -71,7 +63,6 @@ __all__ = [
     "chi_f_ground",
     "chi_f_thermal",
     "commutator_hs_norm",
-    "continued_eigenbasis",
     "delta_v",
     "eigh",
     "escort_state",
@@ -86,7 +77,7 @@ __all__ = [
     "low_temp_coefficients",
     "qsl_radius_constant_rate",
     "qsl_radius_general",
-    "quasi_gibbs",
+    "quasi_gibbs_at",
     "thermal_overlap",
     "threshold_report",
     "wy_skew_info",

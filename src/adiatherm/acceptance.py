@@ -31,7 +31,7 @@ from .susceptibility import (
     low_temp_coefficients,
     offdiag_square_sum,
 )
-from .thermal import continued_eigenbasis, escort_state, gibbs_state, quasi_gibbs_mat
+from .thermal import escort_state, gibbs_state, quasi_gibbs_at
 
 
 @dataclass(frozen=True)
@@ -316,7 +316,7 @@ def criterion_11():
         rho0 = gibbs_state(spec, beta).mat
 
         def log_s(lam):
-            sigma = quasi_gibbs_mat(continued_eigenbasis(model, lam, 50), beta)
+            sigma = quasi_gibbs_at(model, beta, lam).mat
             return math.log(float(np.real(np.vdot(rho0, sigma))))
 
         chi_fd = -2.0 * (log_s(h) - 2.0 * log_s(0.0) + log_s(-h)) / h**2

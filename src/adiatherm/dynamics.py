@@ -6,10 +6,11 @@ The stepper is the fourth-order commutator-free Magnus scheme CFM4
 lambda, so a step is two exponentials exp(-i H(lambda_eff) dt / 2), each
 built by eigendecomposition: every step is exactly unitary and purity
 conservation is structural rather than an accuracy accident.  The step is
-halved until F and C are stable to 1e-8 at every record.  Quasi-Gibbs
-targets come from one step-doubled continuation sweep, stable to 1e-8 at
-every record, whose record snapshots are cached (and shared by F and C)
-when they fit in memory.
+halved until F is stable to 1e-8 at every record.  The quasi-Gibbs targets
+come from one thermal.QuasiGibbsSweep, stable to 1e-8 at every record and
+started from the H0 and V matrices evolve already holds.  C, R and both
+bounds do not depend on the CFM4 step, so they are computed once per call,
+outside the halving loop.
 """
 
 from __future__ import annotations
@@ -22,23 +23,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .models import SpinChainModel, build_h0, build_v, require_finite
-from .operators import eigh, hs_norm, real_if_exactly_real
+from .operators import eigh, hs_angle_mat, real_if_exactly_real
 from .qsl import bound_strong, bound_weak, qsl_radius_constant_rate
 from .susceptibility import flip_sums
-from .thermal import (
-    CONTINUATION_STABILITY_TOL,
-    EigenbasisContinuation,
-    boltzmann_weights,
-    gibbs_state,
-)
+from .thermal import QuasiGibbsSweep, gibbs_state
 
 logger = logging.getLogger(__name__)
 
 FINAL_FIDELITY_TOL = 1e-8
 _MAX_HALVINGS = 12
-_MAX_SWEEP_DOUBLINGS = 7
 _INITIAL_DELTA_LAMBDA = 1e-2
-_SIGMA_CACHE_BYTES = 6e8
 
 
 @dataclass(frozen=True)
@@ -115,7 +109,7 @@ def _propagator(hmat, dt):
     return cos_part + 1j * sin_part
 
 
-def cfm4_propagator(h0, v, lam_start, lam_stop, gamma, n_steps):
+def cfm4_propagator(h0, v, lam_start, lam_stop, gamma, steps):
     """Propagator over [lam_start, lam_stop] of the ramp lambda = Gamma t, by CFM4.
 
     Fourth-order commutator-free Magnus scheme (Alvermann & Fehske 2011).
@@ -124,96 +118,15 @@ def cfm4_propagator(h0, v, lam_start, lam_stop, gamma, n_steps):
     H(lambda0 + h/6)), then exp(-i (h / 2 Gamma) H(lambda0 + 5h/6)).  Applied
     in the other order the scheme drops to second order.
     """
-    h = (lam_stop - lam_start) / n_steps
+    h = (lam_stop - lam_start) / steps
     dt = h / (2.0 * gamma)
     u = None
-    for s in range(n_steps):
+    for s in range(steps):
         lam0 = lam_start + s * h
         for node in (lam0 + h / 6.0, lam0 + 5.0 * h / 6.0):
             factor = _propagator(h0 + node * v, dt)
             u = factor if u is None else factor @ u
     return u
-
-
-def _sigma(vectors, column_weights):
-    return (vectors * column_weights) @ vectors.conj().T
-
-
-class _SigmaSweep:
-    """Quasi-Gibbs targets at the record grid from one converged continuation.
-
-    sigma at a record is sum_level w P_level(lambda_k), built from the
-    continuation's eigendecomposition at lambda_k, so the step count only
-    decides whether the labels are resolved.  Starting at one step per
-    record interval, the count is doubled until sigma at every record is
-    stable to CONTINUATION_STABILITY_TOL in HS norm.  Where the previous
-    march rotated no level at a record, that change is exactly the 2-norm of
-    the change in column weights.  Snapshots are cached when they fit in
-    _SIGMA_CACHE_BYTES; otherwise each request re-marches the continuation.
-    """
-
-    def __init__(self, model, lambdas, weights):
-        self.model = model
-        self.lambdas = lambdas
-        self.weights = weights
-        dim = weights.shape[0]
-        caching = len(lambdas) * dim * dim * 16 <= _SIGMA_CACHE_BYTES
-        per_interval = 1
-        previous = None
-        for _ in range(_MAX_SWEEP_DOUBLINGS):
-            snapshots = [] if caching else None
-            states, change = self._march(per_interval, snapshots, previous)
-            if change <= CONTINUATION_STABILITY_TOL:
-                break
-            previous = states
-            per_interval *= 2
-        else:
-            raise RuntimeError(
-                "eigenbasis continuation did not stabilize to "
-                f"{CONTINUATION_STABILITY_TOL} at every record"
-            )
-        self.per_interval = per_interval
-        self._cache = snapshots
-
-    def _walk(self, per_interval):
-        """Yield the continuation at each record lambda, in order."""
-        cont = EigenbasisContinuation(self.model)
-        yield cont
-        for k in range(1, len(self.lambdas)):
-            a, b = self.lambdas[k - 1], self.lambdas[k]
-            for s in range(1, per_interval):
-                cont.advance(a + (b - a) * s / per_interval)
-            cont.advance(b)
-            yield cont
-
-    def _march(self, per_interval, snapshots, previous):
-        """Per-record (column weights, rotated columns or None) and the largest
-        HS change of sigma against the previous march (inf without one)."""
-        states, change = [], math.inf if previous is None else 0.0
-        for k, cont in enumerate(self._walk(per_interval)):
-            w = self.weights[cont.labels]
-            u = cont.vectors
-            states.append((w, u.copy() if cont.rotated else None))
-            if previous is not None:
-                w_prev, u_prev = previous[k]
-                if u_prev is None:
-                    # the previous levels carried one weight each, so its sigma
-                    # is diagonal in any basis of them, this march's included
-                    delta = float(np.linalg.norm(w - w_prev))
-                else:
-                    delta = hs_norm(_sigma(u, w) - _sigma(u_prev, w_prev))
-                change = max(change, delta)
-            if snapshots is not None:
-                snapshots.append(_sigma(u, w))
-        return states, change
-
-    def records(self):
-        """Yield the quasi-Gibbs matrix at each record lambda, in order."""
-        if self._cache is not None:
-            yield from self._cache
-            return
-        for cont in self._walk(self.per_interval):
-            yield _sigma(cont.vectors, self.weights[cont.labels])
 
 
 def evolve(
@@ -243,8 +156,6 @@ def evolve(
     spec0 = eigh(h0)
     rho0 = gibbs_state(spec0, beta)
     dv = flip_sums(model, beta).delta_v
-    weights = boltzmann_weights(spec0.eigenvalues, beta)
-    sigma_purity = float(np.sum(weights**2))
     rho0_purity = rho0.purity
 
     if lambda_max == 0 or n_records == 1:
@@ -267,36 +178,37 @@ def evolve(
 
     lambdas = np.linspace(0.0, lambda_max, n_records)
     interval = lambdas[1] - lambdas[0]
-    sweep = _SigmaSweep(model, lambdas, weights)
-
     h0m = real_if_exactly_real(h0.mat)
     vm = real_if_exactly_real(v.mat)
     rho0m = rho0.mat
+    sweep = QuasiGibbsSweep(h0m, vm, lambdas, beta)
+    sigma_purity = float(np.sum(sweep.weights**2))
+
+    # C, R and both bounds do not depend on the propagator's step count
+    overlap = np.ones(n_records)
+    radius, weak, strong = np.zeros((3, n_records))
+    sigma_iter = sweep.records()
+    next(sigma_iter)
+    for k, sigma in enumerate(sigma_iter, start=1):
+        overlap[k] = _hs_fid_raw(sigma, sigma_purity, rho0m, rho0_purity)
+        qsl = qsl_radius_constant_rate(dv, lambdas[k], gamma)
+        radius[k] = qsl.value
+        weak[k] = bound_weak(qsl)
+        strong[k] = bound_strong(qsl, overlap[k])
 
     def run_level(steps):
         rho = rho0m.copy()
-        rec = {
-            name: np.zeros(n_records)
-            for name in ("F", "C", "R", "theta", "weak", "strong", "purity", "trace", "herm")
-        }
+        rec = {name: np.zeros(n_records) for name in ("F", "theta", "purity", "trace", "herm")}
         sigma_iter = sweep.records()
         next(sigma_iter)
-        rec["F"][0] = rec["C"][0] = 1.0
+        rec["F"][0] = 1.0
         rec["purity"][0] = rho0_purity
         for k in range(1, n_records):
             u = cfm4_propagator(h0m, vm, lambdas[k - 1], lambdas[k], gamma, steps)
             rho = u @ rho @ u.conj().T
-            sigma = next(sigma_iter)
             rho_purity = float(np.real(np.vdot(rho, rho)))
-            rec["F"][k] = _hs_fid_raw(sigma, sigma_purity, rho, rho_purity)
-            rec["C"][k] = _hs_fid_raw(sigma, sigma_purity, rho0m, rho0_purity)
-            radius = qsl_radius_constant_rate(dv, lambdas[k], gamma)
-            rec["R"][k] = radius.value
-            rec["theta"][k] = math.acos(
-                math.sqrt(_hs_fid_raw(rho0m, rho0_purity, rho, rho_purity))
-            )
-            rec["weak"][k] = bound_weak(radius)
-            rec["strong"][k] = bound_strong(radius, rec["C"][k])
+            rec["F"][k] = _hs_fid_raw(next(sigma_iter), sigma_purity, rho, rho_purity)
+            rec["theta"][k] = hs_angle_mat(rho0m, rho)
             rec["purity"][k] = rho_purity
             tr = complex(np.trace(rho))
             rec["trace"][k] = abs(tr.real - 1.0) + abs(tr.imag)
@@ -310,10 +222,7 @@ def evolve(
         steps *= 2
         finer = run_level(steps)
         history.append(finer["F"][-1])
-        change = max(
-            float(np.max(np.abs(finer["F"] - rec["F"]))),
-            float(np.max(np.abs(finer["C"] - rec["C"]))),
-        )
+        change = float(np.max(np.abs(finer["F"] - rec["F"])))
         rec = finer
         if change < FINAL_FIDELITY_TOL:
             break
@@ -327,11 +236,11 @@ def evolve(
     trace = BoundTrace(
         lambdas=lambdas,
         adiabatic_fidelity=rec["F"],
-        thermal_overlap=rec["C"],
-        qsl_radius=rec["R"],
+        thermal_overlap=overlap,
+        qsl_radius=radius,
         hs_angle=rec["theta"],
-        bound_weak=rec["weak"],
-        bound_strong=rec["strong"],
+        bound_weak=weak,
+        bound_strong=strong,
         purity=rec["purity"],
         trace_defect=rec["trace"],
         herm_defect=rec["herm"],

@@ -13,6 +13,7 @@ and the driven Hamiltonian is H_lambda = H0 + lambda * V.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,13 @@ import numpy as np
 from .operators import HermitianOperator
 
 KINDS = ("tfic", "qxyc", "mfic")
+
+# Complex d x d matrices evolve holds at once: H0, V, the eigenvectors of H0,
+# rho0, the real copies of H0 and V (one together), the continuation's
+# columns, the quasi-Gibbs target, the evolved state and the propagator
+# with its CFM4 factor, eigenvectors, two real parts, product and sandwich
+# temporaries.
+_DENSE_MATRICES = 14
 
 
 @dataclass(frozen=True)
@@ -112,8 +120,25 @@ def flip_terms(model: SpinChainModel) -> tuple[tuple[int, float], ...]:
     return tuple(amplitudes.items())
 
 
+def require_dense_fits(model: SpinChainModel):
+    """Raise ValueError when the dense route would not fit in physical memory.
+
+    The estimate is _DENSE_MATRICES complex 2^N x 2^N matrices, the most
+    that evolve holds at once; it is checked before anything is allocated.
+    """
+    needed = _DENSE_MATRICES * 16 * 4**model.n_sites
+    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > available:
+        raise ValueError(
+            f"N={model.n_sites} is too large for the dense route: it needs about "
+            f"{needed / 1e9:.3g} GB ({_DENSE_MATRICES} complex {model.dim}x{model.dim} "
+            f"matrices), more than the {available / 1e9:.3g} GB of physical memory"
+        )
+
+
 def build_h0(model: SpinChainModel) -> HermitianOperator:
     """Initial Hamiltonian, diagonal in the computational basis (exactly)."""
+    require_dense_fits(model)
     return HermitianOperator(
         n_sites=model.n_sites, mat=np.diag(classical_energies(model).astype(complex))
     )
@@ -125,6 +150,7 @@ def build_v(model: SpinChainModel) -> HermitianOperator:
     Scattered from flip_terms, plus the diagonal +J sum Z_j Z_{j+1} of qxyc
     accumulated bond by bond.
     """
+    require_dense_fits(model)
     n = model.n_sites
     idx = np.arange(model.dim)
     total = np.zeros((model.dim, model.dim), dtype=complex)

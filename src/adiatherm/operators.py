@@ -187,9 +187,21 @@ def hs_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(min(max(value, 0.0), 1.0))
 
 
+def hs_angle_mat(a, b) -> float:
+    """Angle between two matrices with Tr(a^dag b) >= 0, seen as HS vectors.
+
+    2 asin(||a/||a|| - b/||b|| || / 2) equals arccos sqrt(F[a, b]) but keeps
+    full relative precision at small angles, where arccos of a fidelity
+    rounded near 1 does not.
+    """
+    return 2.0 * math.asin(hs_norm(a / hs_norm(a) - b / hs_norm(b)) / 2.0)
+
+
 def hs_angle(rho0: DensityMatrix, rho: DensityMatrix) -> float:
     """Hilbert-Schmidt angle arccos sqrt(F[rho0, rho]) in [0, pi/2]."""
-    return float(math.acos(math.sqrt(hs_fidelity(rho0, rho))))
+    if rho0.dim != rho.dim:
+        raise ValueError(f"dimension mismatch {rho0.dim} vs {rho.dim}")
+    return hs_angle_mat(rho0.mat, rho.mat)
 
 
 def commutator_hs_norm(a: HermitianOperator, b: HermitianOperator) -> float:

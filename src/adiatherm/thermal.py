@@ -1,20 +1,24 @@
-"""Thermal-state machinery: Gibbs and quasi-Gibbs states, escort state,
-adiabatic continuation of the initial eigenbasis, thermal-state overlap.
+"""Thermal-state machinery: Gibbs and escort states, and the quasi-Gibbs
+target along an adiabatic continuation of the initial eigenbasis.
 
 The quasi-Gibbs target keeps the initial Boltzmann weights while its
 eigenvectors follow the instantaneous eigenbasis of H_lambda.  Labels are
 transported level by level, by the projector mass each fresh degenerate
 level takes from the previous columns (adiabatic transport of spectral
 projectors, Kato 1950), so the basis eigh picks inside a level never
-matters.  A tie between labels of different weight triggers a
-ContinuationWarning instead of failing silently.
+matters.  QuasiGibbsSweep is the only code that marches the continuation:
+it walks one labeled lambda = 0 basis over a grid of records and doubles
+the steps per record interval until the target is stable at every record.
+quasi_gibbs_at and thermal_overlap are its two-record case over
+[0, lambda], and evolve takes its targets from it.  A tie between labels of
+different weight in the accepted march triggers a ContinuationWarning
+instead of failing silently.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +31,6 @@ from .operators import (
     level_edges,
     hs_fidelity,
     hs_norm,
-    eigh,
     real_if_exactly_real,
 )
 
@@ -37,11 +40,12 @@ _BETA_SPAN_CAP = 700.0
 
 AMBIGUITY_TOL = 1e-6
 CONTINUATION_STABILITY_TOL = 1e-8
-_MAX_DOUBLINGS = 6
+_MAX_SWEEP_DOUBLINGS = 7
+_SIGMA_CACHE_BYTES = 6e8
 
 
 class ContinuationWarning(UserWarning):
-    """Ambiguous eigenvector matching during eigenbasis continuation."""
+    """Ambiguous level matching in the accepted march of a QuasiGibbsSweep."""
 
 
 def boltzmann_weights(energies, beta) -> np.ndarray:
@@ -80,35 +84,17 @@ def escort_state(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(mat=_hermitize(sq / np.real(np.trace(sq))))
 
 
-@dataclass(frozen=True)
-class LabeledEigenbasis:
-    """Instantaneous eigenvectors of H_lambda labeled by their lambda=0 energies."""
-
-    lam: float
-    vectors: np.ndarray
-    origin_energies: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vectors", np.asarray(self.vectors, dtype=complex))
-        object.__setattr__(
-            self, "origin_energies", np.asarray(self.origin_energies, dtype=float)
-        )
-        u = self.vectors
-        defect = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-        if defect > 1e-10:
-            raise ValueError(f"basis columns not orthonormal (defect {defect:.3e})")
-
-    @property
-    def dim(self):
-        return self.vectors.shape[0]
 
 
 class EigenbasisContinuation:
-    """Marches the labeled eigenbasis of H_lambda along a lambda path.
+    """Marches the labeled eigenbasis of H_lambda = h0 + lambda v along a lambda path.
 
+    h0 and v are the dense matrices of H0 and V, real symmetric or Hermitian.
     At lambda = 0 every degenerate H0 eigenspace is rotated to diagonalize
     the projected drive P V P (first-order degenerate perturbation theory),
     which fixes the basis the non-degenerate perturbative formulas assume.
+    restart() returns to that labeled basis, so one continuation serves any
+    number of marches.
 
     Labels are transported level by level, by adiabatic transport of the
     spectral projectors (Kato 1950).  Each advance() clusters the fresh
@@ -122,18 +108,11 @@ class EigenbasisContinuation:
     the transported old columns, because only there does the basis inside
     the level matter.  A level whose g-th and (g+1)-th masses tie within
     AMBIGUITY_TOL between labels of different origin energies, or a step
-    that loses a label to another level, is ambiguous: it raises a
-    ContinuationWarning and is recorded on ambiguous_steps.
+    that loses a label to another level, is ambiguous and is recorded on
+    ambiguous_steps as (lambda, number of ambiguous matches).
     """
 
-    def __init__(self, model: SpinChainModel):
-        self.model = model
-        self._start(
-            real_if_exactly_real(build_h0(model).mat), real_if_exactly_real(build_v(model).mat)
-        )
-
-    def _start(self, h0, v):
-        """Label the eigenbasis of H0 + lambda V at lambda = 0."""
+    def __init__(self, h0, v):
         self._h0 = h0
         self._v = v
         evals, evecs = np.linalg.eigh(h0)
@@ -144,14 +123,17 @@ class EigenbasisContinuation:
                 proj = _hermitize(ub.conj().T @ v @ ub)
                 _, w = np.linalg.eigh(proj)
                 evecs[:, block] = ub @ w
-        self.lam = 0.0
-        self.vectors = evecs
-        self._origin = evals.copy()
+        self._origin = evals
         # every column of an H0 level carries the index of the level's first
         # column, so labels of equal origin energy are interchangeable
-        self.labels = np.repeat(
-            [b.start for b in blocks], [b.stop - b.start for b in blocks]
-        )
+        labels = np.repeat([b.start for b in blocks], [b.stop - b.start for b in blocks])
+        self._at_zero = (evecs, labels)
+        self.restart()
+
+    def restart(self) -> None:
+        """Return to the labeled eigenbasis at lambda = 0."""
+        self.lam = 0.0
+        self.vectors, self.labels = self._at_zero
         self.rotated = False  # whether the last step rotated a level's columns
         self.ambiguous_steps = []
 
@@ -184,17 +166,7 @@ class EigenbasisContinuation:
         if not np.array_equal(np.sort(labels), np.sort(self.labels)):
             n_ambiguous += 1
         if n_ambiguous:
-            # every step is recorded; the warning fires once per continuation
-            # to keep long sweeps through persistent degeneracies readable
-            if not self.ambiguous_steps:
-                warnings.warn(
-                    f"{n_ambiguous} ambiguous level match(es) at lambda={lam:.6g}; "
-                    "resolved by the larger projector mass (further steps "
-                    "recorded on ambiguous_steps)",
-                    ContinuationWarning,
-                    stacklevel=2,
-                )
-            self.ambiguous_steps.append((lam, n_ambiguous))
+            self.ambiguous_steps.append((float(lam), n_ambiguous))
 
         mixed = np.minimum.reduceat(labels, starts) != np.maximum.reduceat(labels, starts)
         self.rotated = bool(mixed.any())
@@ -208,77 +180,136 @@ class EigenbasisContinuation:
         self.labels = labels
         self.lam = lam
 
-    def basis(self) -> LabeledEigenbasis:
-        return LabeledEigenbasis(
-            lam=self.lam,
-            vectors=self.vectors.copy(),
-            origin_energies=self.origin_energies,
-        )
+
+def _sigma(vectors, column_weights):
+    """Quasi-Gibbs matrix sum_j w_j |u_j><u_j| of weighted columns (no validation)."""
+    return (vectors * column_weights) @ vectors.conj().T
 
 
-def default_continuation_steps(lambda_target) -> int:
-    return max(50, int(math.ceil(2000.0 * abs(lambda_target))))
+class QuasiGibbsSweep:
+    """Quasi-Gibbs targets at a grid of records from one converged continuation.
 
+    The targets keep the Boltzmann weights of H0 at inverse temperature beta
+    on the continued eigenbasis of h0 + lambda v, at each lambda of the
+    monotonic grid lambdas, which starts at 0.  One EigenbasisContinuation
+    is started per sweep, and every march restarts from its labeled
+    lambda = 0 basis.  sigma at a record is sum_level w P_level(lambda_k),
+    built from the continuation's eigendecomposition at lambda_k, so the
+    step count only decides whether the labels are resolved.  Starting at
+    one step per record interval, the count is doubled until sigma at every
+    record is stable to CONTINUATION_STABILITY_TOL in HS norm.  Where the
+    previous march rotated no level at a record, that change is exactly the
+    2-norm of the change in column weights.
 
-def continued_eigenbasis(
-    model: SpinChainModel, lambda_target: float, n_steps: int
-) -> LabeledEigenbasis:
-    """Transport the H0 eigenbasis to lambda_target in n_steps increments.
-
-    Negative targets are allowed (used by symmetric finite differences of the
-    overlap); the path is still a straight march from 0.
+    Only the accepted march counts: its ambiguous steps are kept on
+    ambiguous_steps and raise one ContinuationWarning, while a coarser march
+    that the doubling rejected is discarded together with its ties.
+    Snapshots are cached when they fit in _SIGMA_CACHE_BYTES; otherwise each
+    request re-marches the continuation.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    cont = EigenbasisContinuation(model)
-    if lambda_target != 0.0:
-        for lam in np.linspace(0.0, lambda_target, n_steps + 1)[1:]:
-            cont.advance(float(lam))
-    return cont.basis()
+
+    def __init__(self, h0, v, lambdas, beta):
+        self.lambdas = lambdas
+        self._cont = EigenbasisContinuation(h0, v)
+        self.weights = boltzmann_weights(self._cont._origin, beta)
+        dim = self.weights.size
+        caching = len(lambdas) * dim * dim * 16 <= _SIGMA_CACHE_BYTES
+        per_interval = 1
+        previous = None
+        for _ in range(_MAX_SWEEP_DOUBLINGS):
+            snapshots = [] if caching else None
+            states, change = self._march(per_interval, snapshots, previous)
+            if change <= CONTINUATION_STABILITY_TOL:
+                break
+            previous = states
+            per_interval *= 2
+        else:
+            raise RuntimeError(
+                "eigenbasis continuation did not stabilize to "
+                f"{CONTINUATION_STABILITY_TOL} at every record"
+            )
+        self.per_interval = per_interval
+        self.ambiguous_steps = self._cont.ambiguous_steps
+        if self.ambiguous_steps:
+            lam, count = self.ambiguous_steps[0]
+            warnings.warn(
+                f"{count} ambiguous level match(es) at lambda={lam:.6g}; resolved by the "
+                f"larger projector mass ({len(self.ambiguous_steps)} ambiguous step(s) "
+                "recorded on ambiguous_steps)",
+                ContinuationWarning,
+                stacklevel=2,
+            )
+        self._cache = snapshots
+
+    def _walk(self, per_interval):
+        """Yield the continuation at each record lambda, in order."""
+        cont = self._cont
+        cont.restart()
+        yield cont
+        for k in range(1, len(self.lambdas)):
+            a, b = self.lambdas[k - 1], self.lambdas[k]
+            for s in range(1, per_interval):
+                cont.advance(a + (b - a) * s / per_interval)
+            cont.advance(b)
+            yield cont
+
+    def _march(self, per_interval, snapshots, previous):
+        """Per-record (column weights, rotated columns or None) and the largest
+        HS change of sigma against the previous march (inf without one)."""
+        states, change = [], math.inf if previous is None else 0.0
+        for k, cont in enumerate(self._walk(per_interval)):
+            w = self.weights[cont.labels]
+            u = cont.vectors
+            states.append((w, u.copy() if cont.rotated else None))
+            if previous is not None:
+                w_prev, u_prev = previous[k]
+                if u_prev is None:
+                    # the previous levels carried one weight each, so its sigma
+                    # is diagonal in any basis of them, this march's included
+                    delta = float(np.linalg.norm(w - w_prev))
+                else:
+                    delta = hs_norm(_sigma(u, w) - _sigma(u_prev, w_prev))
+                change = max(change, delta)
+            if snapshots is not None:
+                snapshots.append(_sigma(u, w))
+        return states, change
+
+    def records(self):
+        """Yield the quasi-Gibbs matrix at each record lambda, in order."""
+        if self._cache is not None:
+            yield from self._cache
+            return
+        for cont in self._walk(self.per_interval):
+            yield _sigma(cont.vectors, self.weights[cont.labels])
 
 
-def quasi_gibbs_mat(basis: LabeledEigenbasis, beta) -> np.ndarray:
-    """Raw matrix of the quasi-Gibbs state (no DensityMatrix validation)."""
-    p = boltzmann_weights(basis.origin_energies, beta)
-    u = basis.vectors
-    return _hermitize((u * p) @ u.conj().T)
-
-
-def quasi_gibbs(basis: LabeledEigenbasis, beta) -> DensityMatrix:
-    """Quasi-Gibbs state: initial Boltzmann weights on the transported basis.
-
-    Its purity equals the initial Gibbs purity because the weights never
-    change along the continuation.
-    """
-    return DensityMatrix(mat=quasi_gibbs_mat(basis, beta))
-
-
-def quasi_gibbs_at(
-    model: SpinChainModel, beta, lam, n_steps: int | None = None
-) -> DensityMatrix:
-    """Quasi-Gibbs state at lambda, with step-doubling when n_steps is None.
-
-    The step count starts at max(50, ceil(2000 |lambda|)) and doubles until
-    the state is stable to 1e-8 in Hilbert-Schmidt norm.
-    """
-    if n_steps is not None:
-        return quasi_gibbs(continued_eigenbasis(model, lam, n_steps), beta)
-    steps = default_continuation_steps(lam)
-    current = quasi_gibbs_mat(continued_eigenbasis(model, lam, steps), beta)
-    for _ in range(_MAX_DOUBLINGS):
-        steps *= 2
-        finer = quasi_gibbs_mat(continued_eigenbasis(model, lam, steps), beta)
-        if hs_norm(finer - current) <= CONTINUATION_STABILITY_TOL:
-            return DensityMatrix(mat=finer)
-        current = finer
-    raise RuntimeError(
-        f"quasi-Gibbs state did not stabilize to {CONTINUATION_STABILITY_TOL} "
-        f"after {_MAX_DOUBLINGS} step doublings (lambda={lam}, beta={beta})"
+def _endpoints(model: SpinChainModel, beta, lam):
+    """Quasi-Gibbs matrices at 0 and lam from a two-record sweep over [0, lam]."""
+    sweep = QuasiGibbsSweep(
+        real_if_exactly_real(build_h0(model).mat),
+        real_if_exactly_real(build_v(model).mat),
+        np.array([0.0, lam]),
+        beta,
     )
+    return tuple(sweep.records())
 
 
-def thermal_overlap(model: SpinChainModel, beta, lam, n_steps: int | None = None) -> float:
-    """Hilbert-Schmidt fidelity between Gibbs(beta) and the quasi-Gibbs target."""
-    rho0 = gibbs_state(eigh(build_h0(model)), beta)
-    sigma = quasi_gibbs_at(model, beta, lam, n_steps)
-    return hs_fidelity(rho0, sigma)
+def quasi_gibbs_at(model: SpinChainModel, beta, lam) -> DensityMatrix:
+    """Quasi-Gibbs state at lambda: initial Boltzmann weights on the continued basis.
+
+    The last record of a two-record QuasiGibbsSweep over [0, lambda];
+    negative lambda is allowed (symmetric finite differences of the overlap
+    use it).  Its purity equals the initial Gibbs purity because the
+    weights never change along the continuation.
+    """
+    return DensityMatrix(mat=_endpoints(model, beta, lam)[1])
+
+
+def thermal_overlap(model: SpinChainModel, beta, lam) -> float:
+    """Hilbert-Schmidt fidelity between Gibbs(beta) and the quasi-Gibbs target.
+
+    Both come from one two-record sweep: its lambda = 0 record is the Gibbs
+    state.
+    """
+    rho0, sigma = _endpoints(model, beta, lam)
+    return hs_fidelity(DensityMatrix(mat=rho0), DensityMatrix(mat=sigma))

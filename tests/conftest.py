@@ -3,3 +3,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+
+def pytest_configure(config):
+    # an ambiguous continuation must be expected (pytest.warns) or it fails
+    config.addinivalue_line("filterwarnings", "error::adiatherm.thermal.ContinuationWarning")

@@ -327,3 +327,10 @@ class TestErrorPaths:
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_oversized_dynamics_refused(self, tmp_path, capsys):
+        out = tmp_path / "dyn.csv"
+        code = main(["dynamics", "--model", "tfic", "--n-sites", "40", "--out", str(out)])
+        assert code == 2
+        assert "too large for the dense route" in capsys.readouterr().err
+        assert not out.exists()

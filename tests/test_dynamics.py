@@ -7,14 +7,13 @@ import pytest
 from adiatherm.dynamics import (
     BoundTrace,
     MeanFreePath,
-    _SigmaSweep,
     adiabatic_mean_free_path,
     cfm4_propagator,
     evolve,
 )
 from adiatherm.models import SpinChainModel, build_h0, build_v
 from adiatherm.operators import eigh, hs_norm, real_if_exactly_real
-from adiatherm.thermal import boltzmann_weights, gibbs_state
+from adiatherm.thermal import QuasiGibbsSweep, gibbs_state
 
 logger = logging.getLogger(__name__)
 
@@ -99,11 +98,11 @@ class TestEvolve:
         assert np.max(np.abs(trace.purity - trace.purity[0])) <= 1e-9
 
     def test_sigma_regeneration_path_matches_cache(self, monkeypatch):
-        import adiatherm.dynamics as dyn
+        import adiatherm.thermal as thermal
 
         model = SpinChainModel("tfic", 4)
         cached = evolve(model, 1.0, 2.0, 0.08, 9)
-        monkeypatch.setattr(dyn, "_SIGMA_CACHE_BYTES", 0)
+        monkeypatch.setattr(thermal, "_SIGMA_CACHE_BYTES", 0)
         regenerated = evolve(model, 1.0, 2.0, 0.08, 9)
         assert np.allclose(cached.adiabatic_fidelity, regenerated.adiabatic_fidelity, atol=1e-13)
         assert np.allclose(cached.thermal_overlap, regenerated.thermal_overlap, atol=1e-13)
@@ -118,8 +117,8 @@ class TestCFM4:
         v = real_if_exactly_real(build_v(model).mat)
         rho0 = gibbs_state(eigh(build_h0(model)), 0.5).mat
 
-        def evolved(n_steps):
-            u = cfm4_propagator(h0, v, 0.0, 0.4, 0.5, n_steps)
+        def evolved(steps):
+            u = cfm4_propagator(h0, v, 0.0, 0.4, 0.5, steps)
             return u @ rho0 @ u.conj().T
 
         reference = evolved(512)
@@ -142,10 +141,11 @@ class TestSigmaSweep:
         # lambda = 1: sigma there must be the limit from below, not the
         # weights spread over an arbitrary basis of the merged level
         model = SpinChainModel("qxyc", 4)
-        weights = boltzmann_weights(eigh(build_h0(model)).eigenvalues, 1.0)
+        h0 = real_if_exactly_real(build_h0(model).mat)
+        v = real_if_exactly_real(build_v(model).mat)
 
         def last_sigma(lambda_max):
-            sweep = _SigmaSweep(model, np.linspace(0.0, lambda_max, 11), weights)
+            sweep = QuasiGibbsSweep(h0, v, np.linspace(0.0, lambda_max, 11), 1.0)
             return list(sweep.records())[-1]
 
         assert hs_norm(last_sigma(1.0) - last_sigma(1.0 - 1e-6)) <= 1e-5

@@ -37,6 +37,19 @@ class TestModelInvariants:
             SpinChainModel("xyz", 4)
 
 
+class TestDenseMemoryGuard:
+    def test_refuses_before_allocating(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated an array")
+
+        for name in ("arange", "zeros", "empty", "diag"):
+            monkeypatch.setattr(np, name, no_allocation)
+        model = SpinChainModel("tfic", 40)
+        for build in (build_h0, build_v):
+            with pytest.raises(ValueError, match=r"N=40 .* GB \(14 complex"):
+                build(model)
+
+
 class TestH0:
     def test_two_site_ring_double_counts_bond(self):
         # N=2 ring: E = -2 J s1 s2, so {-2J, +2J, +2J, -2J} over the basis

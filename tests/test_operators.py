@@ -165,6 +165,21 @@ class TestHsAngle:
         mixed = DensityMatrix(mat=np.eye(2) / 2.0)
         assert abs(hs_angle(mixed, pure_state([1, 0])) - math.pi / 4) < 1e-14
 
+    def test_small_rotation_keeps_precision(self):
+        # rotating rho by exp(-i H eps) moves it through the angle
+        # ||[H, rho]|| eps / sqrt(Tr rho^2) to first order; arccos sqrt(F)
+        # is 4 % off here, because F = 1 - 4e-15 keeps only two digits of it
+        rng = np.random.default_rng(8)
+        rho = DensityMatrix(mat=oracle.random_density_matrix(32, rng))
+        a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+        h = (a + a.conj().T) / 2.0
+        eps = 1e-8
+        evals, evecs = np.linalg.eigh(h)
+        u = (evecs * np.exp(-1j * eps * evals)) @ evecs.conj().T
+        rotated = DensityMatrix(mat=u @ rho.mat @ u.conj().T)
+        first_order = hs_norm(h @ rho.mat - rho.mat @ h) * eps / math.sqrt(rho.purity)
+        assert hs_angle(rho, rotated) == pytest.approx(first_order, rel=1e-6)
+
 
 class TestEigh:
     def test_already_diagonal(self):

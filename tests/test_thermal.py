@@ -5,17 +5,15 @@ import numpy as np
 import pytest
 
 from adiatherm.models import SpinChainModel, build_h0, build_v
-from adiatherm.operators import DensityMatrix, eigh, hs_norm
+from adiatherm.operators import DensityMatrix, eigh, hs_norm, real_if_exactly_real
 from adiatherm.susceptibility import chi_f_thermal
 from adiatherm.thermal import (
     ContinuationWarning,
     EigenbasisContinuation,
+    QuasiGibbsSweep,
     boltzmann_weights,
-    continued_eigenbasis,
-    default_continuation_steps,
     escort_state,
     gibbs_state,
-    quasi_gibbs,
     quasi_gibbs_at,
     thermal_overlap,
 )
@@ -25,6 +23,18 @@ import oracle
 
 def spec_for(model):
     return eigh(build_h0(model))
+
+
+def continuation_for(model):
+    return EigenbasisContinuation(
+        real_if_exactly_real(build_h0(model).mat), real_if_exactly_real(build_v(model).mat)
+    )
+
+
+def sigma_of(cont, beta):
+    """Quasi-Gibbs matrix of the continuation's current labeled basis."""
+    u = cont.vectors
+    return (u * boltzmann_weights(cont.origin_energies, beta)) @ u.conj().T
 
 
 class TestGibbsState:
@@ -85,13 +95,13 @@ class TestEscortState:
 class TestContinuation:
     def test_zero_target_resolves_degenerate_blocks(self):
         model = SpinChainModel("tfic", 4)
-        basis = continued_eigenbasis(model, 0.0, 1)
+        cont = continuation_for(model)
         spec = spec_for(model)
-        assert np.allclose(np.sort(basis.origin_energies), spec.eigenvalues, atol=1e-9)
+        assert np.allclose(np.sort(cont.origin_energies), spec.eigenvalues, atol=1e-9)
         # projected drive is diagonal inside each degenerate block
         v = build_v(model).mat
-        vm = basis.vectors.conj().T @ v @ basis.vectors
-        e = basis.origin_energies
+        vm = cont.vectors.conj().T @ v @ cont.vectors
+        e = cont.origin_energies
         for i in range(len(e)):
             for j in range(i + 1, len(e)):
                 if abs(e[i] - e[j]) < 1e-9:
@@ -100,27 +110,24 @@ class TestContinuation:
     def test_weights_reproduce_partition_function_at_any_lambda(self):
         model = SpinChainModel("tfic", 3)
         beta = 0.7
-        basis = continued_eigenbasis(model, 0.08, 60)
-        z_from_labels = np.sum(np.exp(-beta * basis.origin_energies))
+        cont = continuation_for(model)
+        for lam in np.linspace(0.0, 0.08, 61)[1:]:
+            cont.advance(lam)
+        z_from_labels = np.sum(np.exp(-beta * cont.origin_energies))
         assert z_from_labels == pytest.approx(oracle.ring_partition_function(3, beta), rel=1e-12)
 
-    def test_step_doubling_stability(self):
-        model = SpinChainModel("tfic", 4)
-        beta = 1.0
-        sigma_a = quasi_gibbs(continued_eigenbasis(model, 0.05, 50), beta)
-        sigma_b = quasi_gibbs(continued_eigenbasis(model, 0.05, 100), beta)
-        assert hs_norm(sigma_a.mat - sigma_b.mat) <= 1e-8
-
     def test_negative_lambda_target(self):
-        model = SpinChainModel("mfic", 3, B=0.7)
-        basis = continued_eigenbasis(model, -0.02, 50)
-        assert basis.lam == pytest.approx(-0.02)
+        # P = prod Z commutes with the diagonal H0 and takes X to -X, so it
+        # maps H0 + lambda V to H0 - lambda V and sigma(lambda) to sigma(-lambda)
+        parity = np.diag([(-1.0) ** bin(s).count("1") for s in range(16)])
+        for model in (SpinChainModel("tfic", 4), SpinChainModel("mfic", 4, B=0.7)):
+            for lam in (0.02, 0.3):
+                forward = quasi_gibbs_at(model, 1.0, lam).mat
+                backward = quasi_gibbs_at(model, 1.0, -lam).mat
+                assert hs_norm(backward - parity @ forward @ parity) <= 1e-12
+                assert hs_norm(backward - forward) > 1e-4
 
-    def test_requires_at_least_one_step(self):
-        with pytest.raises(ValueError, match="n_steps"):
-            continued_eigenbasis(SpinChainModel("tfic", 3), 0.1, 0)
-
-    def test_ambiguous_steps_recorded_with_warning(self):
+    def test_advance_records_ties(self):
         # one step from lambda = 0 rotates the states of labels 0 and 1
         # (different weights) by 45 degrees + 1e-8: each fresh level takes
         # a different label, but its two projector masses tie within
@@ -131,48 +138,63 @@ class TestContinuation:
         h1[:2, :2] = rot @ np.diag([-0.5, 1.5]) @ rot.T
         h1[2, 2] = 3.0
         h0 = np.diag([0.0, 1.0, 3.0])
-        cont = EigenbasisContinuation(SpinChainModel("tfic", 2))
-        cont._start(h0, h1 - h0)
-        with pytest.warns(ContinuationWarning, match="ambiguous level match"):
-            cont.advance(1.0)
+        cont = EigenbasisContinuation(h0, h1 - h0)
+        cont.advance(1.0)
         assert cont.ambiguous_steps == [(1.0, 2)]
         assert sorted(cont.origin_energies) == [0.0, 1.0, 3.0]
+        cont.restart()
+        assert cont.ambiguous_steps == [] and cont.lam == 0.0
+
+    def test_ambiguous_steps_recorded_with_warning(self):
+        # two levels of different weight meet in a narrow avoided crossing
+        # at lambda = 0.5, where eigh's columns sit at 45 degrees to the ones
+        # just before, so every march ties there; the accepted one warns
+        # once, and the ties of the rejected coarser marches are not kept
+        h0 = np.diag([0.0, 1.0, 3.0])
+        v = np.diag([1.0, -1.0, 0.0])
+        v[0, 1] = v[1, 0] = 5e-9
+        with pytest.warns(ContinuationWarning, match="ambiguous level match") as caught:
+            sweep = QuasiGibbsSweep(h0, v, np.array([0.0, 0.5, 1.0]), 1.0)
+        assert len(caught) == 1
+        assert sweep.per_interval > 1
+        tied_at = [lam for lam, _ in sweep.ambiguous_steps]
+        assert 0.5 in tied_at and tied_at == sorted(set(tied_at))
 
     def test_exact_crossing_keeps_labels_on_their_states(self):
         # V commutes with H0 in a rotated basis, so every eigenvector of H0
         # stays an eigenvector and the quasi-Gibbs state never changes.  At
         # lambda = 0.5 the first two levels cross exactly and eigh returns an
         # arbitrary basis of the merged level; the labels must still follow
-        # their states through the crossing.
+        # their states through the crossing, on orthonormal columns.
         q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))
         h0 = q @ np.diag([0.0, 1.0, 5.0]) @ q.T
         v = q @ np.diag([1.0, -1.0, 0.0]) @ q.T
-        cont = EigenbasisContinuation(SpinChainModel("tfic", 2))
-        cont._start(h0, v)
+        cont = EigenbasisContinuation(h0, v)
         expected = q @ np.diag(boltzmann_weights([0.0, 1.0, 5.0], 1.0)) @ q.T
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ContinuationWarning)
-            for lam in (0.25, 0.5, 0.75, 1.0):
-                cont.advance(lam)
-                assert hs_norm(quasi_gibbs(cont.basis(), 1.0).mat - expected) <= 1e-12
-                assert cont.rotated == (lam == 0.5)
+        for lam in (0.25, 0.5, 0.75, 1.0):
+            cont.advance(lam)
+            assert hs_norm(sigma_of(cont, 1.0) - expected) <= 1e-12
+            assert cont.rotated == (lam == 0.5)
+            u = cont.vectors
+            assert np.abs(u.conj().T @ u - np.eye(3)).max() <= 1e-12
+        assert not cont.ambiguous_steps
 
     @pytest.mark.parametrize("n_sites", [4, 5, 6])
     @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
     def test_records_independent_of_step_count(self, kind, b, n_sites):
         # sigma at a record comes from the eigendecomposition there and the
         # labels, so the steps between records only have to resolve labels
-        model = SpinChainModel(kind, n_sites, B=b)
+        cont = continuation_for(SpinChainModel(kind, n_sites, B=b))
         records = np.linspace(0.0, 0.2, 11)
         marches = []
         for per_interval in (1, 2, 6):
-            cont = EigenbasisContinuation(model)
+            cont.restart()
             sigmas = []
             for a, end in zip(records[:-1], records[1:]):
                 for s in range(1, per_interval):
                     cont.advance(a + (end - a) * s / per_interval)
                 cont.advance(end)
-                sigmas.append(quasi_gibbs(cont.basis(), 1.0).mat)
+                sigmas.append(sigma_of(cont, 1.0))
             assert not cont.ambiguous_steps
             marches.append(sigmas)
         for sigmas in marches[1:]:
@@ -183,12 +205,11 @@ class TestQuasiGibbs:
     def test_lambda_zero_recovers_gibbs(self):
         model = SpinChainModel("mfic", 4, B=0.7)
         beta = 1.3
-        sigma = quasi_gibbs(continued_eigenbasis(model, 0.0, 1), beta)
+        sigma = quasi_gibbs_at(model, beta, 0.0)
         assert hs_norm(sigma.mat - gibbs_state(spec_for(model), beta).mat) <= 1e-12
 
     def test_infinite_temperature_stays_maximally_mixed(self):
-        model = SpinChainModel("tfic", 3)
-        sigma = quasi_gibbs(continued_eigenbasis(model, 0.3, 50), 0.0)
+        sigma = quasi_gibbs_at(SpinChainModel("tfic", 3), 0.0, 0.3)
         assert hs_norm(sigma.mat - np.eye(8) / 8.0) <= 1e-12
 
     def test_unit_trace_and_purity_preserved_along_path(self):
@@ -196,34 +217,45 @@ class TestQuasiGibbs:
         beta = 0.8
         base_purity = gibbs_state(spec_for(model), beta).purity
         for lam in (0.02, 0.05, 0.1):
-            sigma = quasi_gibbs(continued_eigenbasis(model, lam, 60), beta)
+            sigma = quasi_gibbs_at(model, beta, lam)
             assert abs(np.trace(sigma.mat) - 1.0) < 1e-12
             assert abs(sigma.purity - base_purity) <= 1e-10
 
     def test_adaptive_step_doubling_wrapper(self):
+        # the doubled two-record sweep agrees with a fine fixed-step march
         model = SpinChainModel("tfic", 3)
+        cont = continuation_for(model)
+        for lam in np.linspace(0.0, 0.05, 201)[1:]:
+            cont.advance(lam)
         sigma = quasi_gibbs_at(model, 1.0, 0.05)
-        explicit = quasi_gibbs_at(model, 1.0, 0.05, n_steps=200)
-        assert hs_norm(sigma.mat - explicit.mat) <= 1e-8
+        assert hs_norm(sigma.mat - sigma_of(cont, 1.0)) <= 1e-8
 
-    def test_default_step_rule(self):
-        assert default_continuation_steps(0.001) == 50
-        assert default_continuation_steps(0.2) == 400
+    @pytest.mark.parametrize("n_sites,lam", [(5, 0.3), (6, 0.25), (6, 0.3)])
+    def test_rejected_coarse_march_does_not_warn(self, n_sites, lam):
+        # the one-step march ties here and is rejected; the accepted
+        # two-step march has no tie, so no ContinuationWarning may escape
+        model = SpinChainModel("mfic", n_sites, B=0.7)
+        one_step = continuation_for(model)
+        one_step.advance(lam)
+        assert one_step.ambiguous_steps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ContinuationWarning)
+            quasi_gibbs_at(model, 1.0, lam)
 
 
 class TestThermalOverlap:
     def test_unity_at_lambda_zero(self):
-        assert thermal_overlap(SpinChainModel("tfic", 3), 1.0, 0.0, n_steps=1) == pytest.approx(
+        assert thermal_overlap(SpinChainModel("tfic", 3), 1.0, 0.0) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_unity_at_infinite_temperature(self):
-        assert thermal_overlap(SpinChainModel("tfic", 3), 0.0, 0.25, n_steps=60) == pytest.approx(
+        assert thermal_overlap(SpinChainModel("tfic", 3), 0.0, 0.25) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_bounded_by_one(self):
-        c = thermal_overlap(SpinChainModel("mfic", 3, B=0.7), 1.0, 0.1, n_steps=100)
+        c = thermal_overlap(SpinChainModel("mfic", 3, B=0.7), 1.0, 0.1)
         assert 0.0 < c <= 1.0
 
     def test_quadratic_decay_rate_matches_susceptibility(self):
@@ -245,7 +277,7 @@ class TestThermalOverlap:
         beta = 1.0
         h = 1e-4
         rho0 = gibbs_state(spec_for(model), beta).mat
-        s_plus = np.real(np.vdot(rho0, quasi_gibbs_at(model, beta, h, n_steps=50).mat))
-        s_minus = np.real(np.vdot(rho0, quasi_gibbs_at(model, beta, -h, n_steps=50).mat))
+        s_plus = np.real(np.vdot(rho0, quasi_gibbs_at(model, beta, h).mat))
+        s_minus = np.real(np.vdot(rho0, quasi_gibbs_at(model, beta, -h).mat))
         s_zero = np.real(np.vdot(rho0, rho0))
         assert abs(s_plus - s_minus) / (2 * h) <= 1e-8 * s_zero

@@ -35,7 +35,6 @@ from .qsl import (
 from .susceptibility import (
     LowTempCoefficients,
     ThresholdReport,
-    chi_f_ground,
     chi_f_thermal,
     flip_sums,
     high_temp_coefficient,
@@ -60,7 +59,6 @@ __all__ = [
     "build_h0",
     "build_pauli_string",
     "build_v",
-    "chi_f_ground",
     "chi_f_thermal",
     "commutator_hs_norm",
     "delta_v",

@@ -1,8 +1,10 @@
 """Dense pair-sum and column-matching kernels, in numpy.
 
 The pair sums back the operator-level chi_f_thermal / delta_v_thermal, the
-dense oracle of the flip-sum route.  The package no longer calls the
-column matching (match_columns, greedy_match): the eigenbasis continuation
+dense oracle of the flip-sum route.  They take the whole d x d pair array
+at once: the oracle runs at d <= 256, where that is a few megabytes, so
+they carry no row blocking.  The package no longer calls the column
+matching (match_columns, greedy_match): the eigenbasis continuation
 transports whole levels by projector mass.  It stays as a tested
 maximal-overlap assignment whose names perfbench's tracer reports.
 Summation and scan orders are fixed, so results are deterministic.
@@ -11,8 +13,6 @@ Summation and scan orders are fixed, so results are deterministic.
 from __future__ import annotations
 
 import numpy as np
-
-_ROW_BLOCK = 256
 
 
 def backend_name():
@@ -23,36 +23,21 @@ def backend_name():
 def chi_pair_sum(energies, weights, v2, tol):
     """Degeneracy-excluded spectral pair sum behind the fidelity susceptibility:
     sum_{m != n, |E_m - E_n| > tol} (w_m - w_n)^2 V2[m, n] / (E_m - E_n)^2.
-
-    Row-blocked to bound temporaries at 2**12 dimensions.
     """
-    energies = np.ascontiguousarray(energies, dtype=np.float64)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    v2 = np.ascontiguousarray(v2, dtype=np.float64)
-    n = energies.shape[0]
-    total = 0.0
-    for start in range(0, n, _ROW_BLOCK):
-        rows = slice(start, min(start + _ROW_BLOCK, n))
-        de = energies[rows, None] - energies[None, :]
-        dw = weights[rows, None] - weights[None, :]
-        keep = np.abs(de) > tol
-        contrib = np.zeros_like(de)
-        np.divide(dw * dw * v2[rows, :], de * de, out=contrib, where=keep)
-        total += float(contrib.sum())
-    return total
+    energies = np.asarray(energies, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    de = energies[:, None] - energies[None, :]
+    dw = weights[:, None] - weights[None, :]
+    contrib = np.zeros_like(de)
+    np.divide(dw * dw * v2, de * de, out=contrib, where=np.abs(de) > tol)
+    return float(contrib.sum())
 
 
 def pair_weight_sum(weights, v2):
-    """Plain weighted pair sum sum_{m,n} (w_m - w_n)^2 V2[m, n], row-blocked."""
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    v2 = np.ascontiguousarray(v2, dtype=np.float64)
-    n = weights.shape[0]
-    total = 0.0
-    for start in range(0, n, _ROW_BLOCK):
-        rows = slice(start, min(start + _ROW_BLOCK, n))
-        dw = weights[rows, None] - weights[None, :]
-        total += float(np.sum(dw * dw * v2[rows, :]))
-    return total
+    """Plain weighted pair sum sum_{m,n} (w_m - w_n)^2 V2[m, n]."""
+    weights = np.asarray(weights, dtype=np.float64)
+    dw = weights[:, None] - weights[None, :]
+    return float(np.sum(dw * dw * v2))
 
 
 def _greedy_sweep(order_rows, order_cols, d):

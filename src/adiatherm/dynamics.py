@@ -8,7 +8,8 @@ built by eigendecomposition: every step is exactly unitary and purity
 conservation is structural rather than an accuracy accident.  The step is
 halved until F is stable to 1e-8 at every record.  The quasi-Gibbs targets
 come from one thermal.QuasiGibbsSweep, stable to 1e-8 at every record and
-started from the H0 and V matrices evolve already holds.  C, R and both
+started from the H0 and V matrices evolve already holds; its lambda = 0
+record is the initial Gibbs state, so H0 is diagonalized once.  C, R and both
 bounds do not depend on the CFM4 step, so they are computed once per call,
 outside the halving loop.
 """
@@ -23,10 +24,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .models import SpinChainModel, build_h0, build_v, require_finite
-from .operators import eigh, hs_angle_mat, real_if_exactly_real
+from .operators import hs_angle_mat, real_if_exactly_real
 from .qsl import bound_strong, bound_weak, qsl_radius_constant_rate
 from .susceptibility import flip_sums
-from .thermal import QuasiGibbsSweep, gibbs_state
+from .thermal import QuasiGibbsSweep
 
 logger = logging.getLogger(__name__)
 
@@ -151,17 +152,20 @@ def evolve(
     if n_records < 1:
         raise ValueError("n_records must be >= 1")
 
-    h0 = build_h0(model)
-    v = build_v(model)
-    spec0 = eigh(h0)
-    rho0 = gibbs_state(spec0, beta)
+    h0m = real_if_exactly_real(build_h0(model).mat)
+    vm = real_if_exactly_real(build_v(model).mat)
     dv = flip_sums(model, beta).delta_v
-    rho0_purity = rho0.purity
+    lambdas = np.linspace(0.0, lambda_max, n_records if lambda_max > 0 else 1)
+    # the lambda = 0 record is the Gibbs state sum_n w_n |n><n| of purity sum w^2
+    sweep = QuasiGibbsSweep(h0m, vm, lambdas, beta)
+    sigma_iter = sweep.records()
+    rho0m = next(sigma_iter)
+    rho0_purity = float(np.sum(sweep.weights**2))
 
-    if lambda_max == 0 or n_records == 1:
+    if lambdas.size == 1:
         zeros = np.zeros(1)
         return BoundTrace(
-            lambdas=zeros.copy(),
+            lambdas=lambdas,
             adiabatic_fidelity=np.ones(1),
             thermal_overlap=np.ones(1),
             qsl_radius=zeros.copy(),
@@ -176,21 +180,13 @@ def evolve(
             delta_v_value=dv,
         )
 
-    lambdas = np.linspace(0.0, lambda_max, n_records)
     interval = lambdas[1] - lambdas[0]
-    h0m = real_if_exactly_real(h0.mat)
-    vm = real_if_exactly_real(v.mat)
-    rho0m = rho0.mat
-    sweep = QuasiGibbsSweep(h0m, vm, lambdas, beta)
-    sigma_purity = float(np.sum(sweep.weights**2))
 
     # C, R and both bounds do not depend on the propagator's step count
     overlap = np.ones(n_records)
     radius, weak, strong = np.zeros((3, n_records))
-    sigma_iter = sweep.records()
-    next(sigma_iter)
     for k, sigma in enumerate(sigma_iter, start=1):
-        overlap[k] = _hs_fid_raw(sigma, sigma_purity, rho0m, rho0_purity)
+        overlap[k] = _hs_fid_raw(sigma, rho0_purity, rho0m, rho0_purity)
         qsl = qsl_radius_constant_rate(dv, lambdas[k], gamma)
         radius[k] = qsl.value
         weak[k] = bound_weak(qsl)
@@ -207,7 +203,7 @@ def evolve(
             u = cfm4_propagator(h0m, vm, lambdas[k - 1], lambdas[k], gamma, steps)
             rho = u @ rho @ u.conj().T
             rho_purity = float(np.real(np.vdot(rho, rho)))
-            rec["F"][k] = _hs_fid_raw(next(sigma_iter), sigma_purity, rho, rho_purity)
+            rec["F"][k] = _hs_fid_raw(next(sigma_iter), rho0_purity, rho, rho_purity)
             rec["theta"][k] = hs_angle_mat(rho0m, rho)
             rec["purity"][k] = rho_purity
             tr = complex(np.trace(rho))

@@ -28,6 +28,11 @@ KINDS = ("tfic", "qxyc", "mfic")
 # with its CFM4 factor, eigenvectors, two real parts, product and sandwich
 # temporaries.
 _DENSE_MATRICES = 14
+# Arrays of 2^N 8-byte values flip_sums holds at once: the energies, their
+# shifted copy, the weights, the basis indices, the ground mask, and per
+# flip mask the partners, energy and weight differences, the coupled mask
+# and up to three expression temporaries.
+_FLIP_ARRAYS = 12
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,17 @@ def _bond_products(n_sites):
 
 
 def classical_energies(model: SpinChainModel) -> np.ndarray:
-    """Diagonal of H0 in the computational Z-product basis (see _site_bits)."""
+    """Diagonal of H0 in the computational Z-product basis (see _site_bits).
+
+    Refuses, before allocating, an N whose flip route (flip_sums, with
+    _FLIP_ARRAYS arrays of 2^N values) would not fit in physical memory.
+    """
+    _require_memory(
+        model,
+        "flip route",
+        _FLIP_ARRAYS * 8 * model.dim,
+        f"{_FLIP_ARRAYS} arrays of {model.dim} 8-byte values",
+    )
     bonds = sum(_bond_products(model.n_sites))
     energies = -model.J * bonds.astype(float)
     if model.kind == "mfic":
@@ -120,20 +135,29 @@ def flip_terms(model: SpinChainModel) -> tuple[tuple[int, float], ...]:
     return tuple(amplitudes.items())
 
 
+def _require_memory(model: SpinChainModel, route, needed, arrays):
+    """Raise ValueError when needed bytes (held as arrays) exceed physical memory."""
+    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > available:
+        raise ValueError(
+            f"N={model.n_sites} is too large for the {route}: it needs about "
+            f"{needed / 1e9:.3g} GB ({arrays}), more than the "
+            f"{available / 1e9:.3g} GB of physical memory"
+        )
+
+
 def require_dense_fits(model: SpinChainModel):
     """Raise ValueError when the dense route would not fit in physical memory.
 
     The estimate is _DENSE_MATRICES complex 2^N x 2^N matrices, the most
     that evolve holds at once; it is checked before anything is allocated.
     """
-    needed = _DENSE_MATRICES * 16 * 4**model.n_sites
-    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if needed > available:
-        raise ValueError(
-            f"N={model.n_sites} is too large for the dense route: it needs about "
-            f"{needed / 1e9:.3g} GB ({_DENSE_MATRICES} complex {model.dim}x{model.dim} "
-            f"matrices), more than the {available / 1e9:.3g} GB of physical memory"
-        )
+    _require_memory(
+        model,
+        "dense route",
+        _DENSE_MATRICES * 16 * 4**model.n_sites,
+        f"{_DENSE_MATRICES} complex {model.dim}x{model.dim} matrices",
+    )
 
 
 def build_h0(model: SpinChainModel) -> HermitianOperator:

@@ -6,9 +6,13 @@ comes out of the spectrum as a degeneracy-excluded double sum; the
 threshold rate Gamma_th = alpha deltaV / chi_F compares against its
 zero-temperature reference Gamma_N through f_N = Gamma_th / Gamma_N.
 
-The functions taking a SpectralDecomposition and an operator work for any
-drive and form the dense route; threshold_report evaluates the same sums for
-the chain models over their flip pairs (flip_sums) without building either.
+Every chain quantity (threshold_report and the low- and high-temperature
+coefficients) comes from one preparation, the classical energies and the
+flip pairs of V (flip_sums), without building a matrix.  The functions
+taking a SpectralDecomposition and an operator are the dense oracle that
+tests compare the flip route against.  Each of them sums over whole
+degenerate levels, so it takes V in whatever eigenbasis eigh returns and
+never rotates a level.
 """
 
 from __future__ import annotations
@@ -24,12 +28,10 @@ from .models import SpinChainModel, classical_energies, flip_terms, require_fini
 from .operators import (
     HermitianOperator,
     SpectralDecomposition,
-    commutator_hs_norm,
     degeneracy_tolerance,
     degenerate_blocks,
 )
 
-COUPLING_FLOOR = 1e-10
 _IDENTITY_TOL = 1e-12
 
 
@@ -93,17 +95,9 @@ class LowTempCoefficients:
 
 
 def _v_in_eigenbasis(spec: SpectralDecomposition, v: HermitianOperator) -> np.ndarray:
-    """<m|V|n> with degenerate blocks rotated to diagonalize P V P."""
+    """<m|V|n> in the eigenbasis of spec, as eigh returned it."""
     u = spec.eigenvectors
-    tol = degeneracy_tolerance(spec.eigenvalues)
-    vm = u.conj().T @ v.mat @ u
-    for block in degenerate_blocks(spec.eigenvalues, tol):
-        if block.stop - block.start > 1:
-            sub = 0.5 * (vm[block, block] + vm[block, block].conj().T)
-            _, w = np.linalg.eigh(sub)
-            vm[:, block] = vm[:, block] @ w
-            vm[block, :] = w.conj().T @ vm[block, :]
-    return vm
+    return u.conj().T @ v.mat @ u
 
 
 def chi_f_thermal(spec: SpectralDecomposition, v: HermitianOperator, beta) -> float:
@@ -148,8 +142,7 @@ def delta_v_thermal(spec: SpectralDecomposition, v: HermitianOperator, beta) -> 
 
 
 def _ground_block(spec: SpectralDecomposition):
-    tol = degeneracy_tolerance(spec.eigenvalues)
-    return degenerate_blocks(spec.eigenvalues, tol)[0], tol
+    return degenerate_blocks(spec.eigenvalues)[0]
 
 
 def ground_chi_f(spec: SpectralDecomposition, v: HermitianOperator) -> float:
@@ -158,7 +151,7 @@ def ground_chi_f(spec: SpectralDecomposition, v: HermitianOperator) -> float:
     Equals (4/g0) sum over ground states g and excited n of
     |V_ng|^2 / (E_n - E_0)^2 where g0 is the ground multiplicity.
     """
-    block, _ = _ground_block(spec)
+    block = _ground_block(spec)
     g0 = block.stop - block.start
     e = spec.eigenvalues
     gaps = e[block.stop :] - e[block.start]
@@ -173,7 +166,7 @@ def ground_delta_v(spec: SpectralDecomposition, v: HermitianOperator) -> float:
     With rho the normalized ground-multiplet projector P/g0,
     (deltaV0)^2 = 2 [Tr(P V^2) - Tr(P V P V)] / g0.
     """
-    block, _ = _ground_block(spec)
+    block = _ground_block(spec)
     g0 = block.stop - block.start
     vm = _v_in_eigenbasis(spec, v)
     vg = vm[:, block]
@@ -182,110 +175,32 @@ def ground_delta_v(spec: SpectralDecomposition, v: HermitianOperator) -> float:
     return math.sqrt(max(2.0 * (t1 - t2) / g0, 0.0))
 
 
-def chi_f_ground(spec: SpectralDecomposition, v: HermitianOperator) -> float:
-    """Zero-temperature fidelity susceptibility 4 sum_{n>0} |V_n0|^2 / Delta_n^2.
-
-    Requires a unique ground state; a degenerate ground multiplet has no
-    canonical single ground-state susceptibility, so use a symmetry-resolved
-    or field-split model (e.g. the mixed-field chain with B != 0) instead.
-    """
-    block, _ = _ground_block(spec)
-    if block.stop - block.start != 1:
-        raise ValueError(
-            "degenerate ground state: chi_f_ground needs a unique ground state; "
-            "use a field-split model such as mfic with B != 0"
-        )
-    return ground_chi_f(spec, v)
-
-
-def low_temp_coefficients(spec: SpectralDecomposition, v: HermitianOperator) -> LowTempCoefficients:
-    """Extract a, b, W, c1 and the coupled gap Delta from the spectrum.
-
-    Delta is the smallest excitation gap among states with |V_n0| above the
-    coupling floor; the full degenerate multiplet at that energy is pooled
-    into |V_10|^2 (translation symmetry makes the coupled level a multiplet).
-    """
-    block, tol = _ground_block(spec)
-    if block.stop - block.start != 1:
-        raise ValueError("degenerate ground state: low-temperature coefficients undefined")
-    e = spec.eigenvalues
-    vm = _v_in_eigenbasis(spec, v)
-    v0 = np.abs(vm[:, 0])
-    coupled = np.where(v0[1:] > COUPLING_FLOOR)[0] + 1
-    if coupled.size == 0:
-        raise ValueError("no excited state couples to the ground state through V")
-    gaps = e[coupled] - e[0]
-    delta = float(gaps.min())
-    multiplet = coupled[np.abs(gaps - delta) <= tol]
-    v10_sq = float(np.sum(v0[multiplet] ** 2))
-    above = gaps[gaps > delta + tol]
-    delta2 = float(above.min()) if above.size else None
-    dv0_sq = 2.0 * float(np.sum(v0[1:] ** 2))
-    chi0 = ground_chi_f(spec, v)
-    a = v10_sq / dv0_sq
-    b = v10_sq / (chi0 * delta**2)
-    w = -a + 4.0 * b
-    return LowTempCoefficients(a=a, b=b, W=w, c1=2.0 * w, gap_delta=delta, gap_delta2=delta2)
-
-
-def offdiag_square_sum(spec: SpectralDecomposition, v: HermitianOperator) -> float:
-    """sum over non-degenerate pairs m != n of |V_mn|^2.
-
-    Computed as Tr(V^2) minus the within-block squares in the block-resolved
-    eigenbasis, matching the pair exclusion of chi_f_thermal.
-    """
-    vm = _v_in_eigenbasis(spec, v)
-    total = float(np.sum(np.abs(vm) ** 2))
-    tol = degeneracy_tolerance(spec.eigenvalues)
-    within = 0.0
-    for block in degenerate_blocks(spec.eigenvalues, tol):
-        within += float(np.sum(np.abs(vm[block, block]) ** 2))
-    return total - within
-
-
-def high_temp_coefficient(
-    spec: SpectralDecomposition, v: HermitianOperator, h0: HermitianOperator
-) -> float:
-    """Model-dependent coefficient c2 of the high-temperature law f ~ c2/beta.
-
-    c2 = [ d^{-1/2} ||[H0, V]||_HS / deltaV0 ] /
-         [ (2/d) sum_{m != n} |V_mn|^2 / chi_F0 ],
-    with H0 shifted traceless and the off-diagonal sum excluding degenerate
-    pairs.  Units: inverse energy.
-    """
-    d = spec.dim
-    h0_shift = HermitianOperator(
-        n_sites=h0.n_sites, mat=h0.mat - (np.trace(h0.mat) / d) * np.eye(d)
-    )
-    offdiag = offdiag_square_sum(spec, v)
-    if offdiag <= 0:
-        raise ValueError("vanishing off-diagonal drive weight; c2 undefined")
-    numer = commutator_hs_norm(h0_shift, v) / math.sqrt(d) / ground_delta_v(spec, v)
-    denom = (2.0 / d) * offdiag / ground_chi_f(spec, v)
-    return numer / denom
-
-
 class FlipSums(NamedTuple):
-    """deltaV, chi_F and their beta -> infinity limits deltaV0, chi_F0."""
+    """deltaV, chi_F, their beta -> infinity limits deltaV0, chi_F0, and the
+    beta-independent sums behind the high-temperature laws: the
+    degeneracy-excluded sum_{m != n} |V_mn|^2 and ||[H0, V]||_HS."""
 
     delta_v: float
     chi_f: float
     ground_delta_v: float
     ground_chi_f: float
+    offdiag_square_sum: float
+    commutator_norm: float
 
 
 def flip_sums(model: SpinChainModel, beta) -> FlipSums:
-    """Thermal and ground-level deltaV and chi_F of a chain from its N 2^N flip pairs.
+    """Spectral pair sums of a chain from its N 2^N flip pairs.
 
-    The four values equal delta_v_thermal, chi_f_thermal, ground_delta_v and
-    ground_chi_f of the chain's H0 spectrum and V, but no matrix is built.
-    H0 is diagonal in the computational basis, and V couples basis state s
-    only to s ^ mask for the masks of flip_terms.  A pair sum over whole
-    degenerate levels does not depend on the basis chosen inside them, so
-    every spectral pair sum of the dense route becomes a sum over (s, s ^ mask)
-    with |V|^2 = amplitude^2.  V's diagonal part never enters a pair sum.
-    Degenerate pairs and the ground level use degeneracy_tolerance as the
-    dense route does.
+    delta_v, chi_f, ground_delta_v and ground_chi_f equal delta_v_thermal,
+    chi_f_thermal, ground_delta_v and ground_chi_f of the chain's H0
+    spectrum and V, but no matrix is built.  H0 is diagonal in the
+    computational basis, and V couples basis state s only to s ^ mask for
+    the masks of flip_terms.  A pair sum over whole degenerate levels does
+    not depend on the basis chosen inside them, so every spectral pair sum
+    of the dense route becomes a sum over (s, s ^ mask) with
+    |V|^2 = amplitude^2.  V's diagonal part never enters a pair sum, and it
+    commutes with H0.  Degenerate pairs and the ground level use
+    degeneracy_tolerance as the dense route does.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
@@ -297,7 +212,7 @@ def flip_sums(model: SpinChainModel, beta) -> FlipSums:
     w = np.exp(-beta * shifted)
     z2 = float(np.sum(np.exp(-2.0 * beta * shifted)))
     idx = np.arange(model.dim)
-    dv2 = chi = dv0_2 = chi0 = 0.0
+    dv2 = chi = dv0_2 = chi0 = offdiag = commutator = 0.0
     for mask, amplitude in flip_terms(model):
         partner = idx ^ mask
         a2 = amplitude * amplitude
@@ -309,12 +224,61 @@ def flip_sums(model: SpinChainModel, beta) -> FlipSums:
         leaves_ground = ground & ~ground[partner]
         dv0_2 += a2 * float(np.count_nonzero(leaves_ground))
         chi0 += a2 * float(np.sum(shifted[partner[leaves_ground]] ** -2.0))
+        offdiag += a2 * float(np.count_nonzero(coupled))
+        commutator += a2 * float(de @ de)
     return FlipSums(
         delta_v=math.sqrt(dv2 / z2),
         chi_f=2.0 * chi / z2,
         ground_delta_v=math.sqrt(2.0 * dv0_2 / g0),
         ground_chi_f=4.0 / g0 * chi0,
+        offdiag_square_sum=offdiag,
+        commutator_norm=math.sqrt(commutator),
     )
+
+
+def low_temp_coefficients(model: SpinChainModel) -> LowTempCoefficients:
+    """Extract a, b, W, c1 and the coupled gap Delta of a chain.
+
+    Needs a unique ground state g.  V couples g only to its flip partners
+    g ^ mask, so Delta is the smallest partner gap, and |V_10|^2 pools the
+    partners of the whole level at Delta, whatever basis is chosen inside
+    it.  deltaV0 and chi_F0 are the ground fields of flip_sums.
+    """
+    e = classical_energies(model)
+    shifted = e - e.min()
+    tol = degeneracy_tolerance(e)
+    ground = np.flatnonzero(shifted <= tol)
+    if ground.size != 1:
+        raise ValueError("degenerate ground state: low-temperature coefficients undefined")
+    terms = flip_terms(model)
+    gaps = np.array([shifted[ground[0] ^ mask] for mask, _ in terms])
+    v2 = np.array([amplitude * amplitude for _, amplitude in terms])
+    delta = float(gaps.min())
+    v10_sq = float(np.sum(v2[gaps <= delta + tol]))
+    above = gaps[gaps > delta + tol]
+    delta2 = float(above.min()) if above.size else None
+    sums = flip_sums(model, 0.0)  # the ground fields do not depend on beta
+    a = v10_sq / sums.ground_delta_v**2
+    b = v10_sq / (sums.ground_chi_f * delta**2)
+    w = -a + 4.0 * b
+    return LowTempCoefficients(a=a, b=b, W=w, c1=2.0 * w, gap_delta=delta, gap_delta2=delta2)
+
+
+def high_temp_coefficient(model: SpinChainModel) -> float:
+    """Model-dependent coefficient c2 of the high-temperature law f ~ c2/beta.
+
+    c2 = [ d^{-1/2} ||[H0, V]||_HS / deltaV0 ] /
+         [ (2/d) sum_{m != n} |V_mn|^2 / chi_F0 ],
+    with the off-diagonal sum excluding degenerate pairs, all from
+    flip_sums.  Units: inverse energy.
+    """
+    sums = flip_sums(model, 0.0)  # only beta-independent fields are used
+    if sums.offdiag_square_sum <= 0:
+        raise ValueError("vanishing off-diagonal drive weight; c2 undefined")
+    d = model.dim
+    numer = sums.commutator_norm / math.sqrt(d) / sums.ground_delta_v
+    denom = (2.0 / d) * sums.offdiag_square_sum / sums.ground_chi_f
+    return numer / denom
 
 
 def threshold_report(model: SpinChainModel, beta, alpha: float = 1.0) -> ThresholdReport:

@@ -334,3 +334,14 @@ class TestErrorPaths:
         assert code == 2
         assert "too large for the dense route" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_oversized_threshold_refused(self, tmp_path, capsys, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated an array")
+
+        monkeypatch.setattr(np, "arange", no_allocation)
+        out = tmp_path / "thr.csv"
+        code = main(["threshold", "--model", "tfic", "--n-sites", "40", "--out", str(out)])
+        assert code == 2
+        assert "too large for the flip route" in capsys.readouterr().err
+        assert not out.exists()

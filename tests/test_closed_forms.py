@@ -27,7 +27,7 @@ from adiatherm.closed_forms import (
 )
 from adiatherm.models import SpinChainModel, build_h0, build_v
 from adiatherm.operators import eigh
-from adiatherm.susceptibility import chi_f_ground, chi_f_thermal, delta_v_thermal
+from adiatherm.susceptibility import chi_f_thermal, delta_v_thermal, ground_chi_f
 
 import oracle
 
@@ -235,7 +235,7 @@ class TestMficClosedForms:
         model = SpinChainModel("mfic", 5, B=0.7)
         spec = eigh(build_h0(model))
         assert chi_f_mfic_closed(5, 40.0, 1.0, 0.7) == pytest.approx(
-            chi_f_ground(spec, build_v(model)), rel=1e-6
+            ground_chi_f(spec, build_v(model)), rel=1e-6
         )
 
 

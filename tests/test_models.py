@@ -11,6 +11,12 @@ from adiatherm.models import (
     translation_operator,
 )
 from adiatherm.operators import hs_norm
+from adiatherm.susceptibility import (
+    flip_sums,
+    high_temp_coefficient,
+    low_temp_coefficients,
+    threshold_report,
+)
 
 import oracle
 
@@ -48,6 +54,25 @@ class TestDenseMemoryGuard:
         for build in (build_h0, build_v):
             with pytest.raises(ValueError, match=r"N=40 .* GB \(14 complex"):
                 build(model)
+
+
+class TestFlipMemoryGuard:
+    def test_refuses_before_allocating(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated an array")
+
+        for name in ("arange", "zeros", "empty", "diag"):
+            monkeypatch.setattr(np, name, no_allocation)
+        model = SpinChainModel("mfic", 40, B=0.7)
+        for route in (
+            classical_energies,
+            lambda m: flip_sums(m, 1.0),
+            lambda m: threshold_report(m, 1.0),
+            low_temp_coefficients,
+            high_temp_coefficient,
+        ):
+            with pytest.raises(ValueError, match=r"N=40 .* flip route: .* GB \(12 arrays"):
+                route(model)
 
 
 class TestH0:

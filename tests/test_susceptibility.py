@@ -10,10 +10,16 @@ from hypothesis import strategies as st
 from adiatherm import closed_forms as cf
 from adiatherm.closed_forms import chi_f_tfic_closed, gamma_n_mfic, gamma_n_tfic
 from adiatherm.models import SpinChainModel, build_h0, build_v
-from adiatherm.operators import HermitianOperator, degeneracy_tolerance, eigh
+from adiatherm.operators import (
+    HermitianOperator,
+    SpectralDecomposition,
+    commutator_hs_norm,
+    degeneracy_tolerance,
+    degenerate_blocks,
+    eigh,
+)
 from adiatherm.qsl import delta_v
 from adiatherm.susceptibility import (
-    chi_f_ground,
     chi_f_thermal,
     delta_v_thermal,
     flip_sums,
@@ -21,7 +27,6 @@ from adiatherm.susceptibility import (
     ground_delta_v,
     high_temp_coefficient,
     low_temp_coefficients,
-    offdiag_square_sum,
     threshold_report,
 )
 from adiatherm.thermal import gibbs_state
@@ -67,8 +72,6 @@ class TestChiThermal:
         base = chi_f_thermal(spec, v, 1.0)
         rng = np.random.default_rng(31)
         jitter = rng.choice([-1e-12, 1e-12], size=spec.eigenvalues.size)
-        from adiatherm.operators import SpectralDecomposition
-
         bumped = SpectralDecomposition(
             eigenvalues=np.sort(spec.eigenvalues + jitter), eigenvectors=spec.eigenvectors
         )
@@ -99,21 +102,16 @@ class TestDeltaVThermal:
 class TestChiGround:
     def test_matches_large_beta_thermal(self):
         _, spec, v = setup("mfic", 4, b=0.7)
-        assert chi_f_ground(spec, v) == pytest.approx(chi_f_thermal(spec, v, 40.0), rel=1e-8)
+        assert ground_chi_f(spec, v) == pytest.approx(chi_f_thermal(spec, v, 40.0), rel=1e-8)
 
     def test_mfic_closed_value(self):
         # N single-flip states at gap 2(2J + B): chi0 = N J^2 / (2J + B)^2
         _, spec, v = setup("mfic", 5, b=0.7)
-        assert chi_f_ground(spec, v) == pytest.approx(5.0 / 2.7**2, rel=1e-12)
+        assert ground_chi_f(spec, v) == pytest.approx(5.0 / 2.7**2, rel=1e-12)
 
     def test_diagonal_drive_gives_zero(self):
         model, spec, _ = setup("mfic", 3, b=0.7)
-        assert chi_f_ground(spec, build_h0(model)) == 0.0
-
-    def test_degenerate_ground_rejected(self):
-        _, spec, v = setup("tfic", 4)
-        with pytest.raises(ValueError, match="degenerate ground state"):
-            chi_f_ground(spec, v)
+        assert ground_chi_f(spec, build_h0(model)) == 0.0
 
     def test_matches_overlap_curvature(self):
         # -d^2/dlambda^2 ln |<E0|E0(lambda)>|^4 by central difference
@@ -128,7 +126,7 @@ class TestChiGround:
             return 4.0 * math.log(overlap)
 
         chi_fd = -(log_c0(h) - 2.0 * log_c0(0.0) + log_c0(-h)) / h**2
-        assert chi_f_ground(spec, v) == pytest.approx(chi_fd, rel=1e-4)
+        assert ground_chi_f(spec, v) == pytest.approx(chi_fd, rel=1e-4)
 
 
 class TestGroundLimitsDegenerate:
@@ -139,33 +137,52 @@ class TestGroundLimitsDegenerate:
         assert ground_delta_v(spec, v) == pytest.approx(math.sqrt(12.0), rel=1e-12)
 
 
+class TestDenseOracle:
+    @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
+    def test_invariant_under_rotation_inside_levels(self, kind, b):
+        # the dense sums run over whole degenerate levels, so any orthonormal
+        # basis eigh might return inside a level gives the same values
+        _, spec, v = setup(kind, 5, b=b)
+        rng = np.random.default_rng(17)
+        rotated = spec.eigenvectors.copy()
+        for block in degenerate_blocks(spec.eigenvalues):
+            size = block.stop - block.start
+            rotated[:, block] = rotated[:, block] @ oracle.random_unitary(size, rng)
+        other = SpectralDecomposition(eigenvalues=spec.eigenvalues, eigenvectors=rotated)
+        for beta in (0.3, 1.0, 3.0):
+            for fn in (chi_f_thermal, delta_v_thermal):
+                assert fn(other, v, beta) == pytest.approx(fn(spec, v, beta), rel=1e-12)
+        for fn in (ground_chi_f, ground_delta_v):
+            assert fn(other, v) == pytest.approx(fn(spec, v), rel=1e-12)
+
+
 class TestLowTempCoefficients:
     def test_mfic_exact_ratios(self):
-        # all ground-coupled weight sits in the single-flip multiplet:
-        # a = 1/2, b = 1/4, W = 1/2, c1 = 1, Delta = 2(2J + B)
-        _, spec, v = setup("mfic", 4, b=0.7)
-        co = low_temp_coefficients(spec, v)
-        assert co.a == pytest.approx(0.5, abs=1e-12)
-        assert co.b == pytest.approx(0.25, abs=1e-12)
-        assert co.W == pytest.approx(0.5, abs=1e-12)
-        assert co.c1 == pytest.approx(1.0, abs=1e-12)
-        assert co.gap_delta == pytest.approx(2 * 2.7, rel=1e-12)
-        # the single-flip drive couples the ground state to exactly one
-        # multiplet, so there is no second coupled gap
-        assert co.gap_delta2 is None
+        # all ground-coupled weight sits in the single-flip level:
+        # a = 1/2, b = 1/4, W = 1/2, c1 = 1, Delta = 2(2J + |B|)
+        for n in range(3, 9):
+            for b in (0.7, 1.0, -0.4, 2.5):
+                co = low_temp_coefficients(SpinChainModel("mfic", n, B=b))
+                assert co.a == pytest.approx(0.5, abs=1e-12)
+                assert co.b == pytest.approx(0.25, abs=1e-12)
+                assert co.W == pytest.approx(0.5, abs=1e-12)
+                assert co.c1 == pytest.approx(1.0, abs=1e-12)
+                assert co.gap_delta == pytest.approx(2 * (2.0 + abs(b)), rel=1e-12)
+                # the single-flip drive couples the ground state to exactly
+                # one level, so there is no second coupled gap
+                assert co.gap_delta2 is None
 
-    def test_uncoupled_drive_rejected(self):
-        model, spec, _ = setup("mfic", 3, b=0.7)
-        with pytest.raises(ValueError, match="couples"):
-            low_temp_coefficients(spec, build_h0(model))
+    @pytest.mark.parametrize("kind", ["tfic", "qxyc"])
+    def test_degenerate_ground_rejected(self, kind):
+        with pytest.raises(ValueError, match="degenerate ground state"):
+            low_temp_coefficients(SpinChainModel(kind, 4))
 
     def test_tiny_field_exploratory(self):
         # near-degenerate ground: the two-level ratios stay at c1 = 1 even as
         # B -> 0, while the thermodynamic ferromagnet carries coefficient 2;
         # logged rather than asserted because the fixed-N expansion regime
         # collapses with the splitting
-        _, spec, v = setup("mfic", 4, b=1e-3)
-        co = low_temp_coefficients(spec, v)
+        co = low_temp_coefficients(SpinChainModel("mfic", 4, B=1e-3))
         logger.info("tiny-splitting c1 = %.6f (thermodynamic ferromagnet: 2)", co.c1)
         assert 0.0 < co.c1 <= 2.0
 
@@ -173,32 +190,28 @@ class TestLowTempCoefficients:
 class TestHighTempCoefficient:
     @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
     def test_positive(self, kind, b):
-        _, spec, v = setup(kind, 4, b=b)
-        model = SpinChainModel(kind, 4, B=b)
-        assert high_temp_coefficient(spec, v, build_h0(model)) > 0.0
+        assert high_temp_coefficient(SpinChainModel(kind, 4, B=b)) > 0.0
 
     def test_tfic_value_matches_asymptote(self):
         # high-T law f ~ c2 / beta with c2 = 1/(2J) for the transverse drive
-        model, spec, v = setup("tfic", 6)
-        c2 = high_temp_coefficient(spec, v, build_h0(model))
-        assert c2 == pytest.approx(0.5, rel=1e-12)
+        for j in (1.0, 0.5, 2.0):
+            c2 = high_temp_coefficient(SpinChainModel("tfic", 6, J=j))
+            assert c2 == pytest.approx(0.5 / j, rel=1e-12)
+
+    def test_vanishing_offdiagonal_weight_rejected(self):
+        # the 2-ring qxyc drive only couples states of equal energy
+        with pytest.raises(ValueError, match="off-diagonal"):
+            high_temp_coefficient(SpinChainModel("qxyc", 2))
 
     def test_high_temperature_laws(self):
-        from adiatherm.operators import commutator_hs_norm
-
         beta = 0.01
         for kind, b in (("tfic", None), ("mfic", 0.7)):
             model, spec, v = setup(kind, 4, b=b)
             d = model.dim
+            sums = flip_sums(model, beta)
             chi = chi_f_thermal(spec, v, beta)
-            assert chi == pytest.approx(
-                beta**2 * (2.0 / d) * offdiag_square_sum(spec, v), rel=1e-3
-            )
-            h0 = build_h0(model)
-            shifted = HermitianOperator(
-                model.n_sites, h0.mat - np.trace(h0.mat) / d * np.eye(d)
-            )
-            law = lambda bb: bb / math.sqrt(d) * commutator_hs_norm(shifted, v)
+            assert chi == pytest.approx(beta**2 * (2.0 / d) * sums.offdiag_square_sum, rel=1e-3)
+            law = lambda bb: bb / math.sqrt(d) * sums.commutator_norm
             rel = abs(delta_v_thermal(spec, v, beta) / law(beta) - 1.0)
             if kind == "tfic":
                 # symmetric spectrum: leading correction is O(beta^2)
@@ -264,9 +277,23 @@ DRIVES = [("tfic", None), ("qxyc", None), ("mfic", 0.7), ("mfic", 1.0)]
 
 
 def dense_sums(model, betas):
+    """The six flip_sums fields from the dense route and the oracle matrices."""
     spec, v = eigh(build_h0(model)), build_v(model)
-    ground = (ground_delta_v(spec, v), ground_chi_f(spec, v))
-    return [(delta_v_thermal(spec, v, b), chi_f_thermal(spec, v, b)) + ground for b in betas]
+    h0 = oracle.dense_h0(model.kind, model.n_sites, j=model.J, b=model.B or 0.0)
+    vm = oracle.dense_v(model.kind, model.n_sites, j=model.J)
+    # H0 is diagonal, so a pair sum over whole levels needs no eigenbasis
+    e = np.real(np.diag(h0))
+    coupled = np.abs(e[:, None] - e[None, :]) > degeneracy_tolerance(e)
+    commutator = commutator_hs_norm(
+        HermitianOperator(model.n_sites, h0), HermitianOperator(model.n_sites, vm)
+    )
+    fixed = (
+        ground_delta_v(spec, v),
+        ground_chi_f(spec, v),
+        float(np.sum(np.abs(vm[coupled]) ** 2)),
+        commutator,
+    )
+    return [(delta_v_thermal(spec, v, b), chi_f_thermal(spec, v, b)) + fixed for b in betas]
 
 
 def closed_sums(model, beta):

@@ -1,9 +1,12 @@
 """Command-line front end: spectrum | threshold | dynamics | verify.
 
-Configuration is a flat key=value text file with dotted sections
-(e.g. ``model.kind = tfic``) that any CLI flag can override; all outputs are
-deterministic (17-significant-digit floats, fixed row order), so CSV files
-diff cleanly across runs and serve as regression baselines.
+Every run option is declared once, in OPTIONS: its config key, its
+RunConfig attribute, its flag, its parser, its default and its help.  The
+config file (flat key=value lines with dotted sections, e.g.
+``model.kind = tfic``), the flags that override it and the config echo in
+every output all read that table.  All outputs are deterministic
+(17-significant-digit floats, fixed row order), so CSV files diff cleanly
+across runs and serve as regression baselines.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,61 +66,75 @@ def parse_grid(text):
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-@dataclass
+@dataclass(frozen=True)
+class Option:
+    """One run option: config key, RunConfig attribute, flag, parser, default, help.
+
+    The default is config-file text, parsed like any other value; None
+    leaves the attribute unset.
+    """
+
+    key: str
+    attr: str
+    flag: str
+    parse: Callable
+    default: str | None
+    help: str
+    choices: tuple | None = None
+
+
+OPTIONS = (
+    Option("model.kind", "kind", "--model", str, "tfic", "tfic | qxyc | mfic"),
+    Option("model.n_sites", "n_sites", "--n-sites", int, "6", "ring size N"),
+    Option("model.J", "J", "--J", float, "1.0", "Ising coupling J > 0, the energy unit"),
+    Option("model.B", "B", "--B", float, None, "longitudinal field of mfic"),
+    Option("sweep.beta_grid", "beta_grid", "--beta", parse_grid, "1.0",
+           "beta grid: list or start:stop:count[:log]"),
+    Option("sweep.gamma_grid", "gamma_grid", "--gamma", parse_grid, "2.0",
+           "drive-rate grid, same syntax as --beta"),
+    Option("sweep.lambda_grid", "lambda_grid", "--lambda-grid", parse_grid, "",
+           "lambda values for the spectrum command"),
+    Option("sweep.lambda_max", "lambda_max", "--lambda-max", float, "0.12",
+           "end of the dynamics ramp"),
+    Option("sweep.n_records", "n_records", "--n-records", int, "60",
+           "records along the dynamics ramp"),
+    Option("alpha", "alpha", "--alpha", float, "1.0", "threshold prefactor alpha > 0"),
+    Option("output.path", "out", "--out", str, None, "output file"),
+    Option("output.format", "fmt", "--format", str, "csv", "csv | json", ("csv", "json")),
+    Option("jobs", "jobs", "--jobs", int, "1", "worker processes for threshold rows"),
+)
+_BY_KEY = {opt.key.lower(): opt for opt in OPTIONS}
+
+
 class RunConfig:
-    kind: str = "tfic"
-    n_sites: int = 6
-    J: float = 1.0
-    B: float | None = None
-    beta_grid: list = field(default_factory=lambda: [1.0])
-    gamma_grid: list = field(default_factory=lambda: [2.0])
-    lambda_grid: list = field(default_factory=list)
-    lambda_max: float = 0.12
-    n_records: int = 60
-    alpha: float = 1.0
-    out: str | None = None
-    fmt: str = "csv"
-    jobs: int = 1
+    """The settings of one run: one attribute per OPTIONS entry."""
+
+    def __init__(self):
+        for opt in OPTIONS:
+            setattr(self, opt.attr, None if opt.default is None else opt.parse(opt.default))
 
     def model(self) -> SpinChainModel:
         return SpinChainModel(self.kind, self.n_sites, self.J, self.B)
 
     def echo_items(self):
-        items = {
-            "model.kind": self.kind,
-            "model.n_sites": self.n_sites,
-            "model.J": self.J,
-            "model.B": "" if self.B is None else self.B,
-            "sweep.beta_grid": ",".join(_fmt(x) for x in self.beta_grid),
-            "sweep.gamma_grid": ",".join(_fmt(x) for x in self.gamma_grid),
-            "sweep.lambda_grid": ",".join(_fmt(x) for x in self.lambda_grid),
-            "sweep.lambda_max": self.lambda_max,
-            "sweep.n_records": self.n_records,
-            "alpha": self.alpha,
-            "output.format": self.fmt,
-            "jobs": self.jobs,
-        }
-        return sorted(items.items())
+        """(key, value) pairs of the config echo, sorted by key.
 
-
-_CONFIG_KEYS = {
-    "model.kind": ("kind", str),
-    "model.n_sites": ("n_sites", int),
-    "model.j": ("J", float),
-    "model.b": ("B", float),
-    "sweep.beta_grid": ("beta_grid", parse_grid),
-    "sweep.gamma_grid": ("gamma_grid", parse_grid),
-    "sweep.lambda_grid": ("lambda_grid", parse_grid),
-    "sweep.lambda_max": ("lambda_max", float),
-    "sweep.n_records": ("n_records", int),
-    "alpha": ("alpha", float),
-    "output.path": ("out", str),
-    "output.format": ("fmt", str),
-    "jobs": ("jobs", int),
-}
+        Grids are joined with commas, and an unset value is "" in the CSV
+        and the JSON echo alike.
+        """
+        items = []
+        for opt in OPTIONS:
+            if opt.key == "output.path":  # a table does not depend on where it is written
+                continue
+            value = getattr(self, opt.attr)
+            if isinstance(value, list):
+                value = ",".join(_fmt(x) for x in value)
+            items.append((opt.key, "" if value is None else value))
+        return sorted(items)
 
 
 def load_config(path) -> RunConfig:
+    """RunConfig from a key = value file; keys are case-insensitive, 'none' unsets."""
     cfg = RunConfig()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -128,10 +146,10 @@ def load_config(path) -> RunConfig:
             key, _, value = line.partition("=")
             key = key.strip().lower()
             value = value.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _BY_KEY:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            attr, conv = _CONFIG_KEYS[key]
-            setattr(cfg, attr, None if value.lower() == "none" else conv(value))
+            opt = _BY_KEY[key]
+            setattr(cfg, opt.attr, None if value.lower() == "none" else opt.parse(value))
     return cfg
 
 
@@ -244,6 +262,8 @@ def _threshold_row(payload):
 
 def cmd_threshold(config: RunConfig) -> int:
     model = config.model()  # validates the model block up front
+    if config.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {config.jobs}")
     payloads = [
         (model.kind, model.n_sites, model.J, model.B, beta, config.alpha)
         for beta in config.beta_grid
@@ -314,19 +334,15 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--model", dest="kind", help="tfic | qxyc | mfic")
-    common.add_argument("--n-sites", type=int)
-    common.add_argument("--J", type=float, dest="J")
-    common.add_argument("--B", type=float, dest="B")
-    common.add_argument("--beta", help="beta grid: list or start:stop:count[:log]")
-    common.add_argument("--gamma", help="drive-rate grid, same syntax as --beta")
-    common.add_argument("--lambda-grid", help="lambda values for the spectrum command")
-    common.add_argument("--lambda-max", type=float)
-    common.add_argument("--n-records", type=int)
-    common.add_argument("--alpha", type=float)
-    common.add_argument("--out")
-    common.add_argument("--format", dest="fmt", choices=("csv", "json"))
-    common.add_argument("--jobs", type=int)
+    for opt in OPTIONS:
+        # grids stay text here, so a bad spec reports parse_grid's own message
+        common.add_argument(
+            opt.flag,
+            dest=opt.attr,
+            type=None if opt.parse is parse_grid else opt.parse,
+            choices=opt.choices,
+            help=f"{opt.help} (config key {opt.key})",
+        )
     for name, help_text in (
         ("spectrum", "eigenvalues of H0 and H_lambda at requested lambda values"),
         ("threshold", "deltaV, chi_F, Gamma_th and f_N per beta, ED and closed-form routes"),
@@ -344,16 +360,10 @@ def build_parser():
 
 def _config_from_args(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    for attr in ("kind", "n_sites", "J", "B", "lambda_max", "n_records", "alpha", "out", "fmt", "jobs"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(cfg, attr, value)
-    if args.beta is not None:
-        cfg.beta_grid = parse_grid(args.beta)
-    if args.gamma is not None:
-        cfg.gamma_grid = parse_grid(args.gamma)
-    if args.lambda_grid is not None:
-        cfg.lambda_grid = parse_grid(args.lambda_grid)
+    for opt in OPTIONS:
+        value = getattr(args, opt.attr)
+        if value is not None:  # argparse parsed all but the grids; a second parse is a no-op
+            setattr(cfg, opt.attr, opt.parse(value))
     if not cfg.beta_grid or not cfg.gamma_grid:
         raise ValueError("beta and gamma grids must be non-empty")
     return cfg

@@ -6,8 +6,11 @@ finite-temperature factor f_N(beta), exactly at any N.  Everything here is
 independent of the exact-diagonalization route and serves as its oracle
 (and vice versa).
 
-Large powers Lambda^N only ever appear through the ratio
-r = Lambda_-/Lambda_+ < 1, so nothing overflows at desk scale.
+The zero-field chains (tfic, qxyc) reduce to powers of t = tanh(2 beta J).
+The mixed-field forms split each trace Tr(T^n M) over the two eigenvalues
+of the field transfer matrix (_split_coefficients), so large powers
+Lambda^N only ever appear through the ratio r = Lambda_-/Lambda_+ < 1 and
+nothing overflows at desk scale.
 """
 
 from __future__ import annotations
@@ -46,42 +49,6 @@ class TransferMatrix2:
             raise ValueError("eigenvalue product does not match determinant")
         if not self.eigen_plus > self.eigen_minus >= -1e-15:
             raise ValueError("need eigen_plus > eigen_minus >= 0")
-
-
-def _transfer_from_entries(mat) -> TransferMatrix2:
-    t = np.asarray(mat, dtype=float)
-    half_tr = 0.5 * (t[0, 0] + t[1, 1])
-    disc = math.sqrt(0.25 * (t[0, 0] - t[1, 1]) ** 2 + t[0, 1] * t[1, 0])
-    return TransferMatrix2(entries=t, eigen_plus=half_tr + disc, eigen_minus=half_tr - disc)
-
-
-def ising_transfer_matrix(coupling_k) -> TransferMatrix2:
-    """T_{s,s'} = exp(K s s') with eigenvalues 2 cosh K, 2 sinh K."""
-    k = float(coupling_k)
-    t = np.array([[math.exp(k), math.exp(-k)], [math.exp(-k), math.exp(k)]])
-    return TransferMatrix2(
-        entries=t, eigen_plus=2.0 * math.cosh(k), eigen_minus=2.0 * math.sinh(k)
-    )
-
-
-def z0_ising(n_sites, beta, j) -> float:
-    """Ring Ising partition function 2^N (cosh^N(beta J) + sinh^N(beta J)).
-
-    Evaluated as exp(N log(2 cosh)) * (1 + tanh^N) so large N stays in range
-    as long as the final value itself is representable.
-    """
-    if n_sites < 2:
-        raise ValueError("n_sites must be >= 2")
-    k = beta * j
-    log_lead = n_sites * (math.log(2.0) + math.log(math.cosh(k)))
-    return math.exp(log_lead) * (1.0 + math.tanh(k) ** n_sites)
-
-
-def q_open_chain(n_sites, two_beta_j) -> float:
-    """Open-chain partition function Q_{N-1}(2 beta) = 2 (2 cosh(2 beta J))^{N-2}."""
-    if n_sites < 3:
-        raise ValueError("n_sites must be >= 3")
-    return math.exp(math.log(2.0) + (n_sites - 2) * math.log(2.0 * math.cosh(two_beta_j)))
 
 
 def delta_v_tfic_closed(n_sites, beta, j) -> float:
@@ -132,6 +99,7 @@ def f_tfic_asymptotics(beta, j, regime) -> float:
 
 
 def _split_coefficients(t: TransferMatrix2, m) -> tuple[float, float]:
+    """(a_+, a_-) with Tr(T^n M) = a_+ Lambda_+^n + a_- Lambda_-^n for every n >= 0."""
     m = np.asarray(m, dtype=float)
     lp, lm = t.eigen_plus, t.eigen_minus
     if abs(lp - lm) <= _EIGEN_SPLIT_TOL * max(1.0, abs(lp)):
@@ -141,26 +109,6 @@ def _split_coefficients(t: TransferMatrix2, m) -> tuple[float, float]:
     a_plus = (tr_tm - lm * tr_m) / (lp - lm)
     a_minus = (lp * tr_m - tr_tm) / (lp - lm)
     return float(a_plus), float(a_minus)
-
-
-def two_eig_trace(t: TransferMatrix2, m, n) -> float:
-    """Tr(T^n M) = a_+(M) L_+^n + a_-(M) L_-^n for a 2x2 T with split spectrum."""
-    if n < 0:
-        raise ValueError("power n must be >= 0")
-    a_plus, a_minus = _split_coefficients(t, m)
-    return a_plus * t.eigen_plus**n + a_minus * t.eigen_minus**n
-
-
-def two_eig_trace_log(t: TransferMatrix2, m, n) -> tuple[float, float]:
-    """(sign, log|Tr(T^n M)|) evaluated without forming Lambda^n directly."""
-    if n < 0:
-        raise ValueError("power n must be >= 0")
-    a_plus, a_minus = _split_coefficients(t, m)
-    r = t.eigen_minus / t.eigen_plus
-    bracket = a_plus + a_minus * r**n
-    if bracket == 0.0:
-        return 0.0, -math.inf
-    return math.copysign(1.0, bracket), n * math.log(t.eigen_plus) + math.log(abs(bracket))
 
 
 @dataclass(frozen=True)
@@ -184,12 +132,6 @@ class MficCoefficients:
     m_pp: float
     m_mm: float
     m_pm: float
-
-    def __post_init__(self):
-        want_plus, want_minus = _mfic_eigenvalues(self.K, self.H)
-        for got, want in ((self.lambda_plus, want_plus), (self.lambda_minus, want_minus)):
-            if abs(got - want) > 1e-12 * max(1.0, abs(want)):
-                raise ValueError("transfer eigenvalues do not match K, H")
 
 
 def _mfic_eigenvalues(k, h):

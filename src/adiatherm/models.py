@@ -39,10 +39,11 @@ _FLIP_ARRAYS = 12
 class SpinChainModel:
     """Model selector: kind in {'tfic', 'qxyc', 'mfic'}, ring size, couplings.
 
-    B is the longitudinal field of the mixed-field chain and is ignored for
-    the other two kinds.  The B not-in {0, +-2J} restriction is enforced only
-    at the closed-form boundary, where those values make transfer-matrix
-    denominators vanish; exact diagonalization itself is fine at any B.
+    J and, when given, B must be finite.  B is the longitudinal field of the
+    mixed-field chain and is ignored for the other two kinds.  The
+    B not-in {0, +-2J} restriction is enforced only at the closed-form
+    boundary, where those values make transfer-matrix denominators vanish;
+    exact diagonalization itself is fine at any finite B.
     """
 
     kind: str
@@ -56,8 +57,11 @@ class SpinChainModel:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.n_sites < 2:
             raise ValueError("n_sites must be >= 2")
+        require_finite("J", self.J)
         if not self.J > 0:
             raise ValueError("coupling J must be positive")
+        if self.B is not None:
+            require_finite("B", self.B)
         if self.kind == "mfic":
             if self.B is None:
                 raise ValueError("mfic requires a longitudinal field B")
@@ -190,6 +194,7 @@ def build_v(model: SpinChainModel) -> HermitianOperator:
 
 def hamiltonian_at(model: SpinChainModel, lam: float) -> HermitianOperator:
     """Interpolating Hamiltonian H0 + lambda * V."""
+    require_finite("lambda", lam)
     h0 = build_h0(model)
     v = build_v(model)
     return HermitianOperator(n_sites=model.n_sites, mat=h0.mat + lam * v.mat)

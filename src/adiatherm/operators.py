@@ -157,21 +157,20 @@ def build_pauli_string(n_sites, factors):
     return HermitianOperator(n_sites=n_sites, mat=out)
 
 
-def eigh(op: HermitianOperator, validate=True) -> SpectralDecomposition:
+def eigh(op: HermitianOperator) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian operator, eigenvalues ascending.
 
-    With ``validate`` the reconstruction ||H - U diag(E) U^dag|| is checked
-    against RECONSTRUCTION_RTOL * ||H||; eigensolver failures propagate as
+    The reconstruction ||H - U diag(E) U^dag|| is checked against
+    RECONSTRUCTION_RTOL * ||H||; eigensolver failures propagate as
     numpy.linalg.LinAlgError.
     """
     evals, evecs = np.linalg.eigh(op.mat)
     dec = SpectralDecomposition(eigenvalues=evals, eigenvectors=evecs)
-    if validate:
-        rebuilt = (evecs * evals) @ evecs.conj().T
-        err = hs_norm(op.mat - rebuilt)
-        scale = max(hs_norm(op.mat), 1e-300)
-        if err > RECONSTRUCTION_RTOL * scale:
-            raise ValueError(f"eigh reconstruction error {err:.3e} too large")
+    rebuilt = (evecs * evals) @ evecs.conj().T
+    err = hs_norm(op.mat - rebuilt)
+    scale = max(hs_norm(op.mat), 1e-300)
+    if err > RECONSTRUCTION_RTOL * scale:
+        raise ValueError(f"eigh reconstruction error {err:.3e} too large")
     return dec
 
 
@@ -240,22 +239,13 @@ def degeneracy_tolerance(eigenvalues) -> float:
     return 1e-9 * span
 
 
-def level_edges(eigenvalues, tol=None):
+def level_edges(eigenvalues):
     """Boundaries of the degenerate levels of ascending eigenvalues.
 
-    Level k covers indices edges[k]:edges[k + 1]; the first edge is 0 and
-    the last is the number of eigenvalues.
+    Eigenvalues within degeneracy_tolerance share a level.  Level k covers
+    indices edges[k]:edges[k + 1]; the first edge is 0 and the last is the
+    number of eigenvalues.
     """
     ev = np.asarray(eigenvalues, dtype=float)
-    if tol is None:
-        tol = degeneracy_tolerance(ev)
+    tol = degeneracy_tolerance(ev)
     return np.concatenate(([0], np.flatnonzero(np.diff(ev) > tol) + 1, [ev.size]))
-
-
-def degenerate_blocks(eigenvalues, tol=None):
-    """Group ascending eigenvalues into blocks of equal values within tol.
-
-    Returns a list of ``slice`` objects covering the index range.
-    """
-    edges = level_edges(eigenvalues, tol).tolist()
-    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]

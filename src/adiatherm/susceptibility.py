@@ -29,7 +29,7 @@ from .operators import (
     HermitianOperator,
     SpectralDecomposition,
     degeneracy_tolerance,
-    degenerate_blocks,
+    level_edges,
 )
 
 _IDENTITY_TOL = 1e-12
@@ -142,7 +142,7 @@ def delta_v_thermal(spec: SpectralDecomposition, v: HermitianOperator, beta) -> 
 
 
 def _ground_block(spec: SpectralDecomposition):
-    return degenerate_blocks(spec.eigenvalues)[0]
+    return slice(0, int(level_edges(spec.eigenvalues)[1]))
 
 
 def ground_chi_f(spec: SpectralDecomposition, v: HermitianOperator) -> float:
@@ -289,6 +289,7 @@ def threshold_report(model: SpinChainModel, beta, alpha: float = 1.0) -> Thresho
     ground_delta_v and ground_chi_f (flip_sums' ground fields), whose ratio
     times alpha is Gamma_N.
     """
+    require_finite("alpha", alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     require_finite("beta", beta)

@@ -27,7 +27,6 @@ from .operators import (
     DensityMatrix,
     SpectralDecomposition,
     degeneracy_tolerance,
-    degenerate_blocks,
     level_edges,
     hs_fidelity,
     hs_norm,
@@ -116,17 +115,17 @@ class EigenbasisContinuation:
         self._h0 = h0
         self._v = v
         evals, evecs = np.linalg.eigh(h0)
-        blocks = degenerate_blocks(evals)
-        for block in blocks:
-            if block.stop - block.start > 1:
-                ub = evecs[:, block]
+        edges = level_edges(evals)
+        for start, stop in zip(edges[:-1], edges[1:]):
+            if stop - start > 1:
+                ub = evecs[:, start:stop]
                 proj = _hermitize(ub.conj().T @ v @ ub)
                 _, w = np.linalg.eigh(proj)
-                evecs[:, block] = ub @ w
+                evecs[:, start:stop] = ub @ w
         self._origin = evals
         # every column of an H0 level carries the index of the level's first
         # column, so labels of equal origin energy are interchangeable
-        labels = np.repeat([b.start for b in blocks], [b.stop - b.start for b in blocks])
+        labels = np.repeat(edges[:-1], np.diff(edges))
         self._at_zero = (evecs, labels)
         self.restart()
 

@@ -72,15 +72,6 @@ def ring_partition_function(n, beta, j=1.0, b=0.0):
     return total
 
 
-def open_chain_partition_function(n_spins, coupling, field=0.0):
-    """sum over n_spins of exp(coupling * sum bonds - field * sum spins)."""
-    total = 0.0
-    for spins in product((1, -1), repeat=n_spins):
-        bond = sum(spins[i] * spins[i + 1] for i in range(n_spins - 1))
-        total += np.exp(coupling * bond - field * sum(spins))
-    return total
-
-
 def brute_chi_f(h0, v, beta, tol):
     """Spectral double sum for chi_F with degenerate pairs excluded."""
     evals, evecs = np.linalg.eigh(h0)

@@ -24,6 +24,13 @@ def report(result):
     return result
 
 
+def test_check_ok_defaults_to_measured_within_tolerance():
+    assert acceptance.Check("at tolerance", 1e-9, 1e-9).ok
+    assert not acceptance.Check("above tolerance", 1.0000001e-9, 1e-9).ok
+    assert acceptance.Check("explicit pass", 2.0, 1.0, True).ok
+    assert not acceptance.Check("explicit fail", 0.0, 1.0, False).ok
+
+
 def test_criterion_01_tfic_ed_vs_closed_forms():
     assert report(acceptance.criterion_01()).passed
 

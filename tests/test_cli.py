@@ -6,8 +6,12 @@ import pytest
 
 from adiatherm.cli import (
     DYNAMICS_COLUMNS,
+    OPTIONS,
     THRESHOLD_COLUMNS,
     RunConfig,
+    _config_from_args,
+    _meta_lines,
+    build_parser,
     load_config,
     main,
     parse_grid,
@@ -51,6 +55,41 @@ class TestConfigParsing:
         cfg = load_config(cfg_file)
         assert cfg.kind == "mfic" and cfg.n_sites == 4 and cfg.B == 0.7
         assert cfg.beta_grid == [0.5, 1.0] and cfg.alpha == 2.0
+
+    # a value for each option, different from its default
+    OPTION_SAMPLES = {
+        "model.kind": "mfic",
+        "model.n_sites": "5",
+        "model.J": "1.5",
+        "model.B": "0.7",
+        "sweep.beta_grid": "0.5:2:3",
+        "sweep.gamma_grid": "0.5,3",
+        "sweep.lambda_grid": "0.1,0.2",
+        "sweep.lambda_max": "0.3",
+        "sweep.n_records": "7",
+        "alpha": "2.5",
+        "output.path": "x.csv",
+        "output.format": "json",
+        "jobs": "2",
+    }
+
+    @pytest.mark.parametrize("opt", OPTIONS, ids=lambda opt: opt.key)
+    def test_config_key_and_flag_agree(self, tmp_path, opt):
+        text = self.OPTION_SAMPLES[opt.key]
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{opt.key.upper()} = {text}\n")  # keys are case-insensitive
+        parser = build_parser()
+        from_file = _config_from_args(parser.parse_args(["threshold", "--config", str(cfg_file)]))
+        from_flag = _config_from_args(parser.parse_args(["threshold", opt.flag, text]))
+        value = getattr(from_file, opt.attr)
+        assert value == getattr(from_flag, opt.attr) == opt.parse(text)
+        assert value != getattr(RunConfig(), opt.attr)
+
+        def echo(cfg):
+            return [line for line in _meta_lines(cfg) if line.startswith(f"# config: {opt.key} =")]
+
+        assert echo(from_file) == echo(from_flag)
+        assert len(echo(from_file)) == (0 if opt.key == "output.path" else 1)
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
@@ -160,6 +199,8 @@ class TestThresholdCommand:
         assert payload["tool"] == "adiatherm"
         assert set(payload["columns"]) == set(THRESHOLD_COLUMNS)
         assert payload["columns"]["beta"] == [1.0]
+        assert payload["config"]["model.B"] == ""  # unset, as in the CSV echo
+        assert "output.path" not in payload["config"]
 
 
 class TestDynamicsCommand:
@@ -270,9 +311,11 @@ class TestEntryPoints:
         assert out.exists()
 
     def test_criterion_ids_are_stable(self):
-        from adiatherm.acceptance import ALL_CRITERIA
+        from adiatherm import acceptance
 
-        assert sorted(ALL_CRITERIA) == [f"AC{k:02d}" for k in range(1, 14)]
+        assert list(acceptance.ALL_CRITERIA) == [f"AC{k:02d}" for k in range(1, 14)]
+        for cid, run in acceptance.ALL_CRITERIA.items():
+            assert getattr(acceptance, f"criterion_{cid[2:]}") is run
 
     def test_golden_header_block(self, tmp_path):
         # the metadata block is part of the output contract
@@ -326,6 +369,29 @@ class TestErrorPaths:
         code = main(["dynamics", "--model", "tfic", "--n-sites", "3", flag, "nan", "--out", str(out)])
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["threshold", "--alpha", "nan"],
+            ["threshold", "--alpha", "inf"],
+            ["threshold", "--model", "mfic", "--B", "nan"],
+            ["threshold", "--model", "mfic", "--B", "inf"],
+            ["threshold", "--J", "inf"],
+            ["dynamics", "--model", "mfic", "--B", "nan"],
+            ["spectrum", "--lambda-grid", "nan"],
+            ["threshold", "--jobs", "0"],
+            ["threshold", "--jobs", "-3"],
+        ],
+        ids=lambda args: " ".join(args),
+    )
+    def test_bad_input_rejected_before_output(self, tmp_path, capsys, args):
+        out = tmp_path / "out.csv"
+        code = main(args + ["--n-sites", "3", "--n-records", "4", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and " must be " in err
         assert not out.exists()
 
     def test_oversized_dynamics_refused(self, tmp_path, capsys):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from adiatherm.closed_forms import (
-    MficCoefficients,
     TransferMatrix2,
+    _split_coefficients,
     chi_f_mfic_closed,
     chi_f_tfic_closed,
     delta_v_mfic_closed,
@@ -17,56 +17,20 @@ from adiatherm.closed_forms import (
     f_tfic_asymptotics,
     gamma_n_mfic,
     gamma_n_tfic,
-    ising_transfer_matrix,
     mfic_coefficients,
     mfic_transfer_matrix,
-    q_open_chain,
-    two_eig_trace,
-    two_eig_trace_log,
-    z0_ising,
 )
 from adiatherm.models import SpinChainModel, build_h0, build_v
 from adiatherm.operators import eigh
 from adiatherm.susceptibility import chi_f_thermal, delta_v_thermal, ground_chi_f
 
-import oracle
-
 logger = logging.getLogger(__name__)
 
 
 class TestPartitionFunctions:
-    def test_z0_free_spins(self):
-        assert z0_ising(2, 0.0, 1.0) == pytest.approx(4.0)
-
-    def test_z0_against_enumeration(self):
-        assert z0_ising(3, 0.5, 1.0) == pytest.approx(
-            oracle.ring_partition_function(3, 0.5), rel=1e-13
-        )
-
-    def test_z0_log_path_matches_direct(self):
-        n, beta = 20, 1.0
-        direct = 2.0**n * (math.cosh(beta) ** n + math.sinh(beta) ** n)
-        assert z0_ising(n, beta, 1.0) == pytest.approx(direct, rel=1e-12)
-
-    def test_q_open_free_spins(self):
-        assert q_open_chain(3, 0.0) == pytest.approx(4.0)
-
-    def test_q_open_against_enumeration(self):
-        # three open spins coupled at 2K with K = beta J = 0.3
-        expected = oracle.open_chain_partition_function(3, 0.6)
-        assert q_open_chain(4, 0.6) == pytest.approx(expected, rel=1e-13)
-
-    def test_fluctuation_bracket_in_unit_interval(self):
-        for n in (3, 5, 9):
-            for beta in (0.1, 0.8, 2.5):
-                ratio = 2.0 * q_open_chain(n, 2 * beta) / z0_ising(n, 2 * beta, 1.0)
-                assert 0.0 < ratio < 1.0
+    """The closed forms are partition-function ratios of rings with N >= 3."""
 
     def test_size_validation(self):
-        with pytest.raises(ValueError, match="n_sites"):
-            z0_ising(1, 1.0, 1.0)
-        with pytest.raises(ValueError, match="n_sites"):
-            q_open_chain(2, 1.0)
         with pytest.raises(ValueError, match="n_sites"):
             delta_v_tfic_closed(2, 1.0, 1.0)
         with pytest.raises(ValueError, match="n_sites"):
@@ -133,41 +97,12 @@ class TestTficClosedForms:
 
 
 class TestTwoEigTrace:
-    def test_power_zero_gives_trace(self):
-        t = ising_transfer_matrix(0.7)
-        m = np.array([[1.0, 2.0], [2.0, -0.5]])
-        assert two_eig_trace(t, m, 0) == pytest.approx(0.5, rel=1e-14)
-
-    def test_power_one_gives_tm_trace(self):
-        t = ising_transfer_matrix(0.7)
-        m = np.array([[1.0, 2.0], [2.0, -0.5]])
-        assert two_eig_trace(t, m, 1) == pytest.approx(np.trace(t.entries @ m), rel=1e-13)
-
-    def test_random_power_against_dense(self):
-        rng = np.random.default_rng(41)
-        g = rng.uniform(0.5, 2.0, size=(2, 2))
-        sym = (g + g.T) / 2.0
-        from adiatherm.closed_forms import _transfer_from_entries
-
-        t = _transfer_from_entries(sym)
-        m = rng.standard_normal((2, 2))
-        dense = np.trace(np.linalg.matrix_power(sym, 7) @ m)
-        assert two_eig_trace(t, m, 7) == pytest.approx(dense, rel=1e-12)
-
-    def test_log_path_matches_rescaled_dense_at_large_power(self):
-        n, beta = 200, 2.0
-        t = ising_transfer_matrix(2 * beta)
-        m = np.array([[0.3, 1.1], [1.1, 2.0]])
-        sign, log_abs = two_eig_trace_log(t, m, n - 2)
-        scaled = t.entries / t.eigen_plus
-        dense = np.trace(np.linalg.matrix_power(scaled, n - 2) @ m)
-        log_dense = (n - 2) * math.log(t.eigen_plus) + math.log(abs(dense))
-        assert sign == math.copysign(1.0, dense)
-        assert log_abs == pytest.approx(log_dense, rel=1e-10)
+    """_split_coefficients: Tr(T^n M) = a_+ Lambda_+^n + a_- Lambda_-^n."""
 
     def test_degenerate_eigenvalues_rejected(self):
         t = TransferMatrix2(entries=np.eye(2) + 1.0, eigen_plus=3.0, eigen_minus=1.0)
-        assert two_eig_trace(t, np.eye(2), 3) == pytest.approx(28.0)
+        a_plus, a_minus = _split_coefficients(t, np.eye(2))
+        assert a_plus * 3.0**3 + a_minus * 1.0**3 == pytest.approx(28.0)  # Tr(T^3)
         split = 1e-14
         nearly = TransferMatrix2(
             entries=np.array([[2.0 + split, 1e-200], [1e-200, 2.0 - split]]),
@@ -175,7 +110,7 @@ class TestTwoEigTrace:
             eigen_minus=2.0 - split,
         )
         with pytest.raises(ValueError, match="degenerate"):
-            two_eig_trace(nearly, np.eye(2), 3)
+            _split_coefficients(nearly, np.eye(2))
 
 
 class TestMficCoefficients:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,20 @@ class TestModelInvariants:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             SpinChainModel("xyz", 4)
+
+    @pytest.mark.parametrize(
+        "name,kwargs",
+        [
+            ("J", {"J": math.nan}),
+            ("J", {"J": math.inf}),
+            ("B", {"B": math.nan}),
+            ("B", {"B": math.inf}),
+            ("B", {"B": -math.inf}),
+        ],
+    )
+    def test_rejects_non_finite_couplings(self, name, kwargs):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SpinChainModel("mfic", 4, **{"B": 0.7, **kwargs})
 
 
 class TestDenseMemoryGuard:
@@ -198,6 +214,11 @@ class TestHamiltonianAt:
             expected -= 0.5 * oracle.site_op(oracle.SX, site, 3) @ oracle.site_op(oracle.SX, nxt, 3)
             expected -= 0.5 * oracle.site_op(oracle.SZ, site, 3) @ oracle.site_op(oracle.SZ, nxt, 3)
         assert np.allclose(hamiltonian_at(model, 0.5).mat, expected, atol=1e-14)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_rejects_non_finite_lambda(self, lam):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            hamiltonian_at(SpinChainModel("tfic", 3), lam)
 
     def test_negative_lambda_allowed_for_finite_differences(self):
         model = SpinChainModel("tfic", 3)

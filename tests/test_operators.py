@@ -9,11 +9,11 @@ from adiatherm.operators import (
     build_pauli_string,
     commutator_hs_norm,
     degeneracy_tolerance,
-    degenerate_blocks,
     eigh,
     hs_angle,
     hs_fidelity,
     hs_norm,
+    level_edges,
 )
 
 import oracle
@@ -240,8 +240,7 @@ class TestCommutatorNorm:
 class TestDegeneracyGrouping:
     def test_blocks_on_exact_spectrum(self):
         ev = np.array([-3.0, -3.0, 1.0, 1.0, 1.0, 2.0])
-        blocks = degenerate_blocks(ev)
-        assert [(b.start, b.stop) for b in blocks] == [(0, 2), (2, 5), (5, 6)]
+        assert level_edges(ev).tolist() == [0, 2, 5, 6]
 
     def test_tolerance_scales_with_span(self):
         ev = np.array([0.0, 4.0])

@@ -15,8 +15,8 @@ from adiatherm.operators import (
     SpectralDecomposition,
     commutator_hs_norm,
     degeneracy_tolerance,
-    degenerate_blocks,
     eigh,
+    level_edges,
 )
 from adiatherm.qsl import delta_v
 from adiatherm.susceptibility import (
@@ -145,9 +145,10 @@ class TestDenseOracle:
         _, spec, v = setup(kind, 5, b=b)
         rng = np.random.default_rng(17)
         rotated = spec.eigenvectors.copy()
-        for block in degenerate_blocks(spec.eigenvalues):
-            size = block.stop - block.start
-            rotated[:, block] = rotated[:, block] @ oracle.random_unitary(size, rng)
+        edges = level_edges(spec.eigenvalues)
+        for start, stop in zip(edges[:-1], edges[1:]):
+            unitary = oracle.random_unitary(stop - start, rng)
+            rotated[:, start:stop] = rotated[:, start:stop] @ unitary
         other = SpectralDecomposition(eigenvalues=spec.eigenvalues, eigenvectors=rotated)
         for beta in (0.3, 1.0, 3.0):
             for fn in (chi_f_thermal, delta_v_thermal):
@@ -257,6 +258,11 @@ class TestThresholdReport:
     def test_rejects_non_positive_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
             threshold_report(SpinChainModel("tfic", 4), 1.0, alpha=0.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            threshold_report(SpinChainModel("tfic", 4), 1.0, alpha=alpha)
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_beta(self, beta):

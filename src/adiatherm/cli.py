@@ -134,7 +134,11 @@ class RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """RunConfig from a key = value file; keys are case-insensitive, 'none' unsets."""
+    """RunConfig from a key = value file; keys are case-insensitive.
+
+    'none' unsets a key whose default is unset (model.B, output.path) and
+    is an error for any other key.
+    """
     cfg = RunConfig()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -149,7 +153,12 @@ def load_config(path) -> RunConfig:
             if key not in _BY_KEY:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             opt = _BY_KEY[key]
-            setattr(cfg, opt.attr, None if value.lower() == "none" else opt.parse(value))
+            if value.lower() != "none":
+                setattr(cfg, opt.attr, opt.parse(value))
+            elif opt.default is None:
+                setattr(cfg, opt.attr, None)
+            else:
+                raise ValueError(f"{path}:{lineno}: {opt.key} cannot be none")
     return cfg
 
 
@@ -277,19 +286,31 @@ def cmd_threshold(config: RunConfig) -> int:
     return 0
 
 
+def _dynamics_paths(base, combos):
+    """Output path of each (beta, gamma) point; two points may not share one."""
+    if len(combos) == 1:
+        return [base]
+    stem, dot, ext = base.rpartition(".")
+    stem = stem if dot else base
+    ext = ext if dot else "csv"
+    owner = {}
+    for beta, gamma in combos:
+        path = f"{stem}_beta{beta:g}_gamma{gamma:g}.{ext}"
+        if path in owner:
+            raise ValueError(
+                f"grid points (beta={owner[path][0]}, gamma={owner[path][1]}) and "
+                f"(beta={beta}, gamma={gamma}) would both write {path}"
+            )
+        owner[path] = (beta, gamma)
+    return list(owner)
+
+
 def cmd_dynamics(config: RunConfig) -> int:
     model = config.model()
     combos = [(beta, gamma) for beta in config.beta_grid for gamma in config.gamma_grid]
-    base = config.out or "dynamics.csv"
-    for beta, gamma in combos:
+    paths = _dynamics_paths(config.out or "dynamics.csv", combos)
+    for (beta, gamma), path in zip(combos, paths):
         trace = evolve(model, beta, gamma, config.lambda_max, config.n_records)
-        if len(combos) == 1:
-            path = base
-        else:
-            stem, dot, ext = base.rpartition(".")
-            stem = stem if dot else base
-            ext = ext if dot else "csv"
-            path = f"{stem}_beta{beta:g}_gamma{gamma:g}.{ext}"
         write_table(path, config, DYNAMICS_COLUMNS, list(trace.rows()), config.fmt)
     return 0
 

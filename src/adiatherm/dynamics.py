@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .models import SpinChainModel, build_h0, build_v, require_finite
-from .operators import hs_angle_mat, real_if_exactly_real
+from .operators import hs_angle_mat
 from .qsl import bound_strong, bound_weak, qsl_radius_constant_rate
 from .susceptibility import flip_sums
 from .thermal import QuasiGibbsSweep
@@ -152,8 +152,8 @@ def evolve(
     if n_records < 1:
         raise ValueError("n_records must be >= 1")
 
-    h0m = real_if_exactly_real(build_h0(model).mat)
-    vm = real_if_exactly_real(build_v(model).mat)
+    h0m = build_h0(model).mat
+    vm = build_v(model).mat
     dv = flip_sums(model, beta).delta_v
     lambdas = np.linspace(0.0, lambda_max, n_records if lambda_max > 0 else 1)
     # the lambda = 0 record is the Gibbs state sum_n w_n |n><n| of purity sum w^2

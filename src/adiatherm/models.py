@@ -22,12 +22,11 @@ from .operators import HermitianOperator
 
 KINDS = ("tfic", "qxyc", "mfic")
 
-# Complex d x d matrices evolve holds at once: H0, V, the eigenvectors of H0,
-# rho0, the real copies of H0 and V (one together), the continuation's
-# columns, the quasi-Gibbs target, the evolved state and the propagator
-# with its CFM4 factor, eigenvectors, two real parts, product and sandwich
-# temporaries.
-_DENSE_MATRICES = 14
+# d x d matrices evolve holds at once, each counted at complex size: H0, V,
+# the eigenvectors of H0, rho0, the continuation's columns, the quasi-Gibbs
+# target, the evolved state and the propagator with its CFM4 factor,
+# eigenvectors, two real parts, product and sandwich temporaries.
+_DENSE_MATRICES = 13
 # Arrays of 2^N 8-byte values flip_sums holds at once: the energies, their
 # shifted copy, the weights, the basis indices, the ground mask, and per
 # flip mask the partners, energy and weight differences, the coupled mask
@@ -153,8 +152,9 @@ def _require_memory(model: SpinChainModel, route, needed, arrays):
 def require_dense_fits(model: SpinChainModel):
     """Raise ValueError when the dense route would not fit in physical memory.
 
-    The estimate is _DENSE_MATRICES complex 2^N x 2^N matrices, the most
-    that evolve holds at once; it is checked before anything is allocated.
+    The estimate is _DENSE_MATRICES 2^N x 2^N matrices at complex size, the
+    most that evolve holds at once; it is checked before anything is
+    allocated.
     """
     _require_memory(
         model,
@@ -167,9 +167,7 @@ def require_dense_fits(model: SpinChainModel):
 def build_h0(model: SpinChainModel) -> HermitianOperator:
     """Initial Hamiltonian, diagonal in the computational basis (exactly)."""
     require_dense_fits(model)
-    return HermitianOperator(
-        n_sites=model.n_sites, mat=np.diag(classical_energies(model).astype(complex))
-    )
+    return HermitianOperator(n_sites=model.n_sites, mat=np.diag(classical_energies(model)))
 
 
 def build_v(model: SpinChainModel) -> HermitianOperator:
@@ -181,7 +179,7 @@ def build_v(model: SpinChainModel) -> HermitianOperator:
     require_dense_fits(model)
     n = model.n_sites
     idx = np.arange(model.dim)
-    total = np.zeros((model.dim, model.dim), dtype=complex)
+    total = np.zeros((model.dim, model.dim))
     for mask, amplitude in flip_terms(model):
         total[idx ^ mask, idx] = amplitude
     if model.kind == "qxyc":
@@ -207,6 +205,6 @@ def translation_operator(n_sites) -> np.ndarray:
     for idx in range(dim):
         low = idx & 1
         perm[idx] = (idx >> 1) | (low << (n_sites - 1))
-    op = np.zeros((dim, dim), dtype=complex)
+    op = np.zeros((dim, dim))
     op[perm, np.arange(dim)] = 1.0
     return op

@@ -1,12 +1,16 @@
 """Dense Hermitian-operator algebra on the 2**N spin-1/2 Hilbert space.
 
-Everything is stored as a dense complex matrix: the routes that need one
-(evolution, continuation, the operator-level susceptibility functions) run
-at desk scale (N <= 12, d <= 4096), where full eigendecompositions stay
-cheap, so no sparse or iterative machinery is used anywhere.  The threshold
-route builds no operator at all: it enumerates flip pairs
-(susceptibility.flip_sums) and has been measured up to N = 18.  hbar = 1
-throughout and the Ising coupling J sets the energy unit.
+Every operator is a dense matrix that keeps the dtype it is built with:
+the chain Hamiltonians and drives are real (models.build_h0, build_v), so
+their eigendecompositions, Gibbs states and oracle sums run in real
+arithmetic, while Pauli strings and evolved states are complex.  The
+routes that need a matrix (evolution, continuation, the operator-level
+susceptibility functions) run at desk scale (N <= 12, d <= 4096), where
+full eigendecompositions stay cheap, so no sparse or iterative machinery
+is used anywhere.  The threshold route builds no operator at all: it
+enumerates flip pairs (susceptibility.flip_sums) and has been measured up
+to N = 18.  hbar = 1 throughout and the Ising coupling J sets the energy
+unit.
 """
 
 from __future__ import annotations
@@ -40,8 +44,10 @@ def hs_norm(a):
     return float(np.linalg.norm(a))
 
 
-def _as_complex_matrix(mat):
-    arr = np.asarray(mat, dtype=complex)
+def _as_square_matrix(mat):
+    """Square matrix that stays complex when given complex entries, float64 otherwise."""
+    arr = np.asarray(mat)
+    arr = arr.astype(complex if np.iscomplexobj(arr) else float, copy=False)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     return arr
@@ -60,7 +66,7 @@ class HermitianOperator:
     mat: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", _as_complex_matrix(self.mat))
+        object.__setattr__(self, "mat", _as_square_matrix(self.mat))
         if self.n_sites < 1:
             raise ValueError("n_sites must be a positive integer")
         if self.mat.shape[0] != 2**self.n_sites:
@@ -83,7 +89,7 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", _as_complex_matrix(self.mat))
+        object.__setattr__(self, "mat", _as_square_matrix(self.mat))
         defect = hermiticity_defect(self.mat)
         if defect > HERMITICITY_TOL:
             raise ValueError(f"density matrix not Hermitian (defect {defect:.3e})")
@@ -119,7 +125,7 @@ class SpectralDecomposition:
             self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float)
         )
         object.__setattr__(
-            self, "eigenvectors", _as_complex_matrix(self.eigenvectors)
+            self, "eigenvectors", _as_square_matrix(self.eigenvectors)
         )
         if np.any(np.diff(self.eigenvalues) < 0):
             raise ValueError("eigenvalues must be ascending")
@@ -212,19 +218,6 @@ def commutator_hs_norm(a: HermitianOperator, b: HermitianOperator) -> float:
     t1 = float(np.real(hs_inner(ab, ab)))
     t2 = float(np.real(np.sum(ab.T * ab)))
     return math.sqrt(max(2.0 * t1 - 2.0 * t2, 0.0))
-
-
-def real_if_exactly_real(mat):
-    """Float64 copy of a complex matrix whose imaginary part is exactly zero.
-
-    The chain Hamiltonians here are real symmetric, and LAPACK's real-symmetric
-    eigensolver is several times faster than the Hermitian one, so hot paths
-    shed the complex dtype when nothing is lost.
-    """
-    arr = np.asarray(mat)
-    if np.iscomplexobj(arr) and not np.any(arr.imag):
-        return np.ascontiguousarray(arr.real)
-    return arr
 
 
 def degeneracy_tolerance(eigenvalues) -> float:

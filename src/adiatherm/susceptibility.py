@@ -32,8 +32,6 @@ from .operators import (
     level_edges,
 )
 
-_IDENTITY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ThresholdReport:
@@ -52,18 +50,6 @@ class ThresholdReport:
     f_n: float
     alpha: float
     undefined_at_infinite_temperature: bool = False
-
-    def __post_init__(self):
-        if self.undefined_at_infinite_temperature:
-            return
-        if abs(self.gamma_th - self.alpha * self.delta_v / self.chi_f) > _IDENTITY_TOL * max(
-            1.0, abs(self.gamma_th)
-        ):
-            raise ValueError("gamma_th != alpha * delta_v / chi_f")
-        if abs(self.f_n - self.gamma_th / self.gamma_n) > _IDENTITY_TOL * max(
-            1.0, abs(self.f_n)
-        ):
-            raise ValueError("f_n != gamma_th / gamma_n")
 
 
 @dataclass(frozen=True)

@@ -26,16 +26,10 @@ from .models import SpinChainModel, build_h0, build_v
 from .operators import (
     DensityMatrix,
     SpectralDecomposition,
-    degeneracy_tolerance,
     level_edges,
     hs_fidelity,
     hs_norm,
-    real_if_exactly_real,
 )
-
-# Above this, all excited Boltzmann weights underflow to exact zero, so the
-# ground-projector limit is returned explicitly.
-_BETA_SPAN_CAP = 700.0
 
 AMBIGUITY_TOL = 1e-6
 CONTINUATION_STABILITY_TOL = 1e-8
@@ -50,19 +44,14 @@ class ContinuationWarning(UserWarning):
 def boltzmann_weights(energies, beta) -> np.ndarray:
     """Normalized Gibbs weights exp(-beta(E - E_min)) / Z, overflow-safe.
 
-    beta may be 0 (uniform weights) but not negative.  For
-    beta > 700 / spectral-span the exact ground-multiplet projector weights
-    are returned instead of underflowed exponentials.
+    beta may be 0 (uniform weights) but not negative.  The ground weight is
+    exp(0) = 1, so Z >= 1 never underflows, and a weight that underflows to
+    zero is below the smallest double relative to the ground weight.
     """
     if not math.isfinite(beta) or beta < 0:
         raise ValueError(f"inverse temperature must be finite and >= 0, got {beta}")
     e = np.asarray(energies, dtype=float)
-    shifted = e - e.min()
-    span = float(shifted.max())
-    if span > 0 and beta > _BETA_SPAN_CAP / span:
-        w = (shifted <= degeneracy_tolerance(e)).astype(float)
-    else:
-        w = np.exp(-beta * shifted)
+    w = np.exp(-beta * (e - e.min()))
     return w / w.sum()
 
 
@@ -284,12 +273,7 @@ class QuasiGibbsSweep:
 
 def _endpoints(model: SpinChainModel, beta, lam):
     """Quasi-Gibbs matrices at 0 and lam from a two-record sweep over [0, lam]."""
-    sweep = QuasiGibbsSweep(
-        real_if_exactly_real(build_h0(model).mat),
-        real_if_exactly_real(build_v(model).mat),
-        np.array([0.0, lam]),
-        beta,
-    )
+    sweep = QuasiGibbsSweep(build_h0(model).mat, build_v(model).mat, np.array([0.0, lam]), beta)
     return tuple(sweep.records())
 
 

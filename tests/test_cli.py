@@ -91,6 +91,24 @@ class TestConfigParsing:
         assert echo(from_file) == echo(from_flag)
         assert len(echo(from_file)) == (0 if opt.key == "output.path" else 1)
 
+    @pytest.mark.parametrize(
+        "opt", [opt for opt in OPTIONS if opt.default is not None], ids=lambda opt: opt.key
+    )
+    def test_none_rejected_for_a_key_with_a_default(self, tmp_path, capsys, opt):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"# only model.B and output.path can be unset\n{opt.key} = none\n")
+        out = tmp_path / "out.csv"
+        code = main(["threshold", "--config", str(cfg_file), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {cfg_file}:2: {opt.key} cannot be none\n"
+        assert not out.exists()
+
+    def test_none_unsets_a_key_without_a_default(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("model.B = 0.7\nmodel.B = none\noutput.path = None\n")
+        cfg = load_config(cfg_file)
+        assert cfg.B is None and cfg.out is None
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("model.flavor = up\n")
@@ -262,6 +280,27 @@ class TestDynamicsCommand:
         )
         assert (tmp_path / "dyn_beta0.5_gamma1.csv").exists()
         assert (tmp_path / "dyn_beta1_gamma1.csv").exists()
+
+    def test_grid_points_sharing_a_file_rejected(self, tmp_path, capsys):
+        # {beta:g} keeps six digits, so 0.5 and 0.5000001 name the same file
+        out = tmp_path / "dyn.csv"
+        code = main(
+            [
+                "dynamics",
+                "--model", "tfic",
+                "--n-sites", "3",
+                "--beta", "1,0.5,0.5000001",
+                "--gamma", "1",
+                "--lambda-max", "0.05",
+                "--n-records", "4",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "(beta=0.5, gamma=1.0) and (beta=0.5000001, gamma=1.0)" in err
+        assert "dyn_beta0.5_gamma1.csv" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerifyCommand:

@@ -12,7 +12,7 @@ from adiatherm.dynamics import (
     evolve,
 )
 from adiatherm.models import SpinChainModel, build_h0, build_v
-from adiatherm.operators import eigh, hs_norm, real_if_exactly_real
+from adiatherm.operators import eigh, hs_norm
 from adiatherm.thermal import QuasiGibbsSweep, gibbs_state
 
 logger = logging.getLogger(__name__)
@@ -113,8 +113,8 @@ class TestCFM4:
         # halving the step must cut the state error by about 2^4; with the
         # two exponentials applied in the other order the ratio is 2^2
         model = SpinChainModel("tfic", 4)
-        h0 = real_if_exactly_real(build_h0(model).mat)
-        v = real_if_exactly_real(build_v(model).mat)
+        h0 = build_h0(model).mat
+        v = build_v(model).mat
         rho0 = gibbs_state(eigh(build_h0(model)), 0.5).mat
 
         def evolved(steps):
@@ -129,8 +129,8 @@ class TestCFM4:
 
     def test_propagator_is_unitary(self):
         model = SpinChainModel("mfic", 4, B=0.7)
-        h0 = real_if_exactly_real(build_h0(model).mat)
-        v = real_if_exactly_real(build_v(model).mat)
+        h0 = build_h0(model).mat
+        v = build_v(model).mat
         u = cfm4_propagator(h0, v, 0.1, 0.3, 0.7, 3)
         assert np.abs(u.conj().T @ u - np.eye(16)).max() <= 1e-13
 
@@ -141,8 +141,8 @@ class TestSigmaSweep:
         # lambda = 1: sigma there must be the limit from below, not the
         # weights spread over an arbitrary basis of the merged level
         model = SpinChainModel("qxyc", 4)
-        h0 = real_if_exactly_real(build_h0(model).mat)
-        v = real_if_exactly_real(build_v(model).mat)
+        h0 = build_h0(model).mat
+        v = build_v(model).mat
 
         def last_sigma(lambda_max):
             sweep = QuasiGibbsSweep(h0, v, np.linspace(0.0, lambda_max, 11), 1.0)

@@ -68,7 +68,7 @@ class TestDenseMemoryGuard:
             monkeypatch.setattr(np, name, no_allocation)
         model = SpinChainModel("tfic", 40)
         for build in (build_h0, build_v):
-            with pytest.raises(ValueError, match=r"N=40 .* GB \(14 complex"):
+            with pytest.raises(ValueError, match=r"N=40 .* GB \(13 complex"):
                 build(model)
 
 
@@ -136,6 +136,12 @@ class TestDrive:
     def test_traceless(self, kind, b):
         v = build_v(SpinChainModel(kind, 3, B=b))
         assert np.trace(v.mat) == 0.0
+
+    @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
+    def test_chain_matrices_are_real(self, kind, b):
+        model = SpinChainModel(kind, 4, B=b)
+        assert build_h0(model).mat.dtype == np.float64
+        assert build_v(model).mat.dtype == np.float64
 
     def test_tfic_two_site_hs_norm(self):
         # V = -J(X1 + X2): 2 sites x 4 unit entries each -> ||V||^2 = 8 J^2

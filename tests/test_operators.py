@@ -94,6 +94,12 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="orthonormal"):
             SpectralDecomposition(eigenvalues=[0.0, 1.0], eigenvectors=vecs)
 
+    def test_operators_keep_their_dtype(self):
+        # real input stays real (as float64), complex input stays complex
+        assert HermitianOperator(n_sites=1, mat=np.eye(2, dtype=int)).mat.dtype == np.float64
+        assert HermitianOperator(n_sites=1, mat=np.eye(2, dtype=complex)).mat.dtype == complex
+        assert DensityMatrix(mat=np.eye(2) / 2.0).mat.dtype == np.float64
+
     def test_hermitian_operator_rejects_zero_sites(self):
         with pytest.raises(ValueError, match="positive"):
             HermitianOperator(n_sites=0, mat=np.eye(1))

@@ -144,7 +144,7 @@ class TestDenseOracle:
         # basis eigh might return inside a level gives the same values
         _, spec, v = setup(kind, 5, b=b)
         rng = np.random.default_rng(17)
-        rotated = spec.eigenvectors.copy()
+        rotated = spec.eigenvectors.astype(complex)
         edges = level_edges(spec.eigenvalues)
         for start, stop in zip(edges[:-1], edges[1:]):
             unitary = oracle.random_unitary(stop - start, rng)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from adiatherm.models import SpinChainModel, build_h0, build_v
-from adiatherm.operators import DensityMatrix, eigh, hs_norm, real_if_exactly_real
+from adiatherm.operators import DensityMatrix, eigh, hs_norm
 from adiatherm.susceptibility import chi_f_thermal
 from adiatherm.thermal import (
     ContinuationWarning,
@@ -26,9 +26,7 @@ def spec_for(model):
 
 
 def continuation_for(model):
-    return EigenbasisContinuation(
-        real_if_exactly_real(build_h0(model).mat), real_if_exactly_real(build_v(model).mat)
-    )
+    return EigenbasisContinuation(build_h0(model).mat, build_v(model).mat)
 
 
 def sigma_of(cont, beta):
@@ -65,6 +63,12 @@ class TestGibbsState:
         spec = spec_for(SpinChainModel("tfic", 2))
         with pytest.raises(ValueError, match=">= 0"):
             gibbs_state(spec, -0.1)
+
+    def test_weights_keep_order_one_terms_at_wide_span(self):
+        # beta * span = 1000: the two low weights are order one, the third underflows
+        w = boltzmann_weights([0.0, 0.01, 1000.0], 1.0)
+        z = 1.0 + math.exp(-0.01)
+        assert np.allclose(w, [1.0 / z, math.exp(-0.01) / z, 0.0], rtol=0.0, atol=1e-15)
 
     def test_beta_cap_returns_ground_multiplet(self):
         spec = spec_for(SpinChainModel("tfic", 3))

@@ -25,8 +25,8 @@ from . import __version__
 from . import closed_forms as cf
 from .acceptance import ALL_CRITERIA, run_all
 from .dynamics import evolve
-from .models import SpinChainModel, build_h0, hamiltonian_at
-from .operators import eigh
+from .models import SpinChainModel, build_h0, build_v, require_finite
+from .operators import HermitianOperator, eigh
 from .susceptibility import threshold_report
 
 UNITS_NOTE = "energies in units of J; beta in 1/J; lambda and f_N dimensionless"
@@ -216,9 +216,12 @@ def write_table(path, config, columns, rows, fmt):
 
 def cmd_spectrum(config: RunConfig) -> int:
     model = config.model()
+    h0, v = build_h0(model).mat, build_v(model).mat
     rows = []
     for lam in [0.0] + list(config.lambda_grid):
-        h = build_h0(model) if lam == 0.0 else hamiltonian_at(model, lam)
+        require_finite("lambda", lam)
+        # 0.0 * V adds only signed zeros, so lambda = 0 gives H0 exactly
+        h = HermitianOperator(model.n_sites, h0 + lam * v)
         for idx, energy in enumerate(eigh(h).eigenvalues):
             rows.append((lam, idx, energy))
     write_table(config.out or "spectrum.csv", config, SPECTRUM_COLUMNS, rows, config.fmt)

@@ -9,9 +9,11 @@ conservation is structural rather than an accuracy accident.  The step is
 halved until F is stable to 1e-8 at every record.  The quasi-Gibbs targets
 come from one thermal.QuasiGibbsSweep, stable to 1e-8 at every record and
 started from the H0 and V matrices evolve already holds; its lambda = 0
-record is the initial Gibbs state, so H0 is diagonalized once.  C, R and both
-bounds do not depend on the CFM4 step, so they are computed once per call,
-outside the halving loop.
+record is the initial Gibbs state, so H0 is diagonalized once.  Each halving
+level reads the sweep's records once and fills every column that needs sigma
+or rho, C included: C does not depend on the CFM4 step, so every level gives
+it bit for bit, at the cost of one inner product per record.  R and both
+bounds need only C, so they are computed once, from the accepted level.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .models import SpinChainModel, build_h0, build_v, require_finite
-from .operators import hs_angle_mat
+from .operators import hs_angle_mat, hs_fidelity_mat
 from .qsl import bound_strong, bound_weak, qsl_radius_constant_rate
 from .susceptibility import flip_sums
 from .thermal import QuasiGibbsSweep
@@ -45,7 +47,9 @@ class BoundTrace:
     Hermiticity defect of the evolved state at each record.
     n_substeps_per_interval is the number of CFM4 steps per record interval
     at the final halving level; fidelity_history holds the final-record F of
-    every level.
+    every level, one entry per pass over the quasi-Gibbs records.  A
+    one-record trace (lambda_max = 0 or n_records = 1) has no interval: it
+    runs the levels of 1 and 2 steps, so it reads 2 and (1.0, 1.0).
     """
 
     lambdas: np.ndarray
@@ -93,11 +97,6 @@ class MeanFreePath(NamedTuple):
 
     value: float
     censored: bool
-
-
-def _hs_fid_raw(a, a_purity, b, b_purity):
-    overlap = float(np.real(np.vdot(a, b)))
-    return min(max(overlap * overlap / (a_purity * b_purity), 0.0), 1.0)
 
 
 def _propagator(hmat, dt):
@@ -152,66 +151,35 @@ def evolve(
     if n_records < 1:
         raise ValueError("n_records must be >= 1")
 
-    h0m = build_h0(model).mat
-    vm = build_v(model).mat
+    h0m, vm = build_h0(model).mat, build_v(model).mat
     dv = flip_sums(model, beta).delta_v
     lambdas = np.linspace(0.0, lambda_max, n_records if lambda_max > 0 else 1)
-    # the lambda = 0 record is the Gibbs state sum_n w_n |n><n| of purity sum w^2
+    n = lambdas.size
+    # the lambda = 0 record is the Gibbs state, and every target has its purity
     sweep = QuasiGibbsSweep(h0m, vm, lambdas, beta)
-    sigma_iter = sweep.records()
-    rho0m = next(sigma_iter)
-    rho0_purity = float(np.sum(sweep.weights**2))
-
-    if lambdas.size == 1:
-        zeros = np.zeros(1)
-        return BoundTrace(
-            lambdas=lambdas,
-            adiabatic_fidelity=np.ones(1),
-            thermal_overlap=np.ones(1),
-            qsl_radius=zeros.copy(),
-            hs_angle=zeros.copy(),
-            bound_weak=zeros.copy(),
-            bound_strong=zeros.copy(),
-            purity=np.array([rho0_purity]),
-            trace_defect=zeros.copy(),
-            herm_defect=zeros.copy(),
-            beta=float(beta),
-            gamma=float(gamma),
-            delta_v_value=dv,
-        )
-
-    interval = lambdas[1] - lambdas[0]
-
-    # C, R and both bounds do not depend on the propagator's step count
-    overlap = np.ones(n_records)
-    radius, weak, strong = np.zeros((3, n_records))
-    for k, sigma in enumerate(sigma_iter, start=1):
-        overlap[k] = _hs_fid_raw(sigma, rho0_purity, rho0m, rho0_purity)
-        qsl = qsl_radius_constant_rate(dv, lambdas[k], gamma)
-        radius[k] = qsl.value
-        weak[k] = bound_weak(qsl)
-        strong[k] = bound_strong(qsl, overlap[k])
 
     def run_level(steps):
-        rho = rho0m.copy()
-        rec = {name: np.zeros(n_records) for name in ("F", "theta", "purity", "trace", "herm")}
-        sigma_iter = sweep.records()
-        next(sigma_iter)
-        rec["F"][0] = 1.0
-        rec["purity"][0] = rho0_purity
-        for k in range(1, n_records):
+        """Every column that needs sigma or rho, in one pass over the sweep."""
+        rec = {name: np.zeros(n) for name in ("F", "C", "theta", "purity", "trace", "herm")}
+        sigmas = sweep.records()
+        rho0 = rho = next(sigmas)
+        rec["F"][0] = rec["C"][0] = 1.0
+        rec["purity"][0] = sweep.purity
+        for k, sigma in enumerate(sigmas, start=1):
             u = cfm4_propagator(h0m, vm, lambdas[k - 1], lambdas[k], gamma, steps)
             rho = u @ rho @ u.conj().T
             rho_purity = float(np.real(np.vdot(rho, rho)))
-            rec["F"][k] = _hs_fid_raw(next(sigma_iter), rho0_purity, rho, rho_purity)
-            rec["theta"][k] = hs_angle_mat(rho0m, rho)
+            rec["F"][k] = hs_fidelity_mat(sigma, sweep.purity, rho, rho_purity)
+            rec["C"][k] = hs_fidelity_mat(sigma, sweep.purity, rho0, sweep.purity)
+            rec["theta"][k] = hs_angle_mat(rho0, rho)
             rec["purity"][k] = rho_purity
             tr = complex(np.trace(rho))
             rec["trace"][k] = abs(tr.real - 1.0) + abs(tr.imag)
             rec["herm"][k] = float(np.abs(rho - rho.conj().T).max())
         return rec
 
-    steps = max(1, math.ceil(interval / _INITIAL_DELTA_LAMBDA))
+    # a one-record run has no interval and starts at one step
+    steps = max(1, math.ceil(lambdas[-1] / max(n - 1, 1) / _INITIAL_DELTA_LAMBDA))
     rec = run_level(steps)
     history = [rec["F"][-1]]
     for _ in range(_MAX_HALVINGS):
@@ -229,10 +197,18 @@ def evolve(
             f"final-record history={history}"
         )
 
+    # R and both bounds need only the accepted level's C
+    radius, weak, strong = np.zeros((3, n))
+    for k, lam in enumerate(lambdas):
+        qsl = qsl_radius_constant_rate(dv, lam, gamma)
+        radius[k] = qsl.value
+        weak[k] = bound_weak(qsl)
+        strong[k] = bound_strong(qsl, rec["C"][k])
+
     trace = BoundTrace(
         lambdas=lambdas,
         adiabatic_fidelity=rec["F"],
-        thermal_overlap=overlap,
+        thermal_overlap=rec["C"],
         qsl_radius=radius,
         hs_angle=rec["theta"],
         bound_weak=weak,
@@ -251,7 +227,7 @@ def evolve(
         beta,
         gamma,
         trace.max_abs_f_minus_c,
-        n_records,
+        n,
     )
     return trace
 

@@ -187,9 +187,17 @@ def hs_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch {rho.dim} vs {sigma.dim}")
-    overlap = float(np.real(hs_inner(rho.mat, sigma.mat)))
-    value = overlap**2 / (rho.purity * sigma.purity)
-    return float(min(max(value, 0.0), 1.0))
+    return hs_fidelity_mat(rho.mat, rho.purity, sigma.mat, sigma.purity)
+
+
+def hs_fidelity_mat(a, a_purity, b, b_purity) -> float:
+    """(Tr a^dag b)^2 / (a_purity b_purity) clipped to [0, 1], without validation.
+
+    The one HS fidelity formula, of hs_fidelity, evolve's F and C and
+    thermal_overlap; a quasi-Gibbs state passes its exact purity sum w^2.
+    """
+    overlap = float(np.real(np.vdot(a, b)))
+    return min(max(overlap * overlap / (a_purity * b_purity), 0.0), 1.0)
 
 
 def hs_angle_mat(a, b) -> float:

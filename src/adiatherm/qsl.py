@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import SpinChainModel, build_h0, build_v
+from .models import SpinChainModel, build_h0, build_v, require_finite
 from .operators import DensityMatrix, HermitianOperator, hs_inner
 from .thermal import escort_state
 
@@ -83,6 +83,8 @@ def qsl_radius_constant_rate(delta_v_value, lam, gamma) -> QslRadius:
     Valid when the initial state is stationary under H0 (a Gibbs state is),
     so the lambda'-dependence of the integrand is purely linear.
     """
+    for name, value in (("delta_v", delta_v_value), ("lambda", lam), ("gamma", gamma)):
+        require_finite(name, value)
     if gamma <= 0:
         raise ValueError("drive rate Gamma must be positive")
     return QslRadius(lam=float(lam), value=float(lam * lam * delta_v_value / (2.0 * gamma)))

@@ -86,6 +86,12 @@ def _v_in_eigenbasis(spec: SpectralDecomposition, v: HermitianOperator) -> np.nd
     return u.conj().T @ v.mat @ u
 
 
+def _require_beta(beta):
+    require_finite("beta", beta)
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
+
+
 def chi_f_thermal(spec: SpectralDecomposition, v: HermitianOperator, beta) -> float:
     """Thermal fidelity susceptibility as a spectral double sum.
 
@@ -94,8 +100,7 @@ def chi_f_thermal(spec: SpectralDecomposition, v: HermitianOperator, beta) -> fl
     with pairs degenerate within the spectrum tolerance contributing exactly
     zero and all weights taken relative to the ground energy.
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    _require_beta(beta)
     e = spec.eigenvalues
     shifted = e - e.min()
     w = np.exp(-beta * shifted)
@@ -116,8 +121,7 @@ def delta_v_thermal(spec: SpectralDecomposition, v: HermitianOperator, beta) -> 
     which stays accurate when Boltzmann weights drop below the eigensolver
     resolution of the assembled density matrix (large beta).
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    _require_beta(beta)
     e = spec.eigenvalues
     shifted = e - e.min()
     w = np.exp(-beta * shifted)
@@ -188,8 +192,7 @@ def flip_sums(model: SpinChainModel, beta) -> FlipSums:
     commutes with H0.  Degenerate pairs and the ground level use
     degeneracy_tolerance as the dense route does.
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    _require_beta(beta)
     e = classical_energies(model)
     shifted = e - e.min()
     tol = degeneracy_tolerance(e)
@@ -278,7 +281,6 @@ def threshold_report(model: SpinChainModel, beta, alpha: float = 1.0) -> Thresho
     require_finite("alpha", alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    require_finite("beta", beta)
     sums = flip_sums(model, beta)
     if sums.ground_chi_f == 0:
         raise ValueError("V does not couple the ground level to any other level; Gamma_N undefined")

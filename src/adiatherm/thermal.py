@@ -22,12 +22,12 @@ import warnings
 
 import numpy as np
 
-from .models import SpinChainModel, build_h0, build_v
+from .models import SpinChainModel, build_h0, build_v, require_finite
 from .operators import (
     DensityMatrix,
     SpectralDecomposition,
     level_edges,
-    hs_fidelity,
+    hs_fidelity_mat,
     hs_norm,
 )
 
@@ -192,16 +192,19 @@ class QuasiGibbsSweep:
     Only the accepted march counts: its ambiguous steps are kept on
     ambiguous_steps and raise one ContinuationWarning, while a coarser march
     that the doubling rejected is discarded together with its ties.
-    Snapshots are cached when they fit in _SIGMA_CACHE_BYTES; otherwise each
-    request re-marches the continuation.
+    Every target has the purity sum w^2 of the weights (purity).  Snapshots
+    are cached when they fit in _SIGMA_CACHE_BYTES at their own itemsize;
+    otherwise each request re-marches the continuation.
     """
 
     def __init__(self, h0, v, lambdas, beta):
         self.lambdas = lambdas
         self._cont = EigenbasisContinuation(h0, v)
         self.weights = boltzmann_weights(self._cont._origin, beta)
+        self.purity = float(np.sum(self.weights**2))
         dim = self.weights.size
-        caching = len(lambdas) * dim * dim * 16 <= _SIGMA_CACHE_BYTES
+        itemsize = np.result_type(h0, v, self.weights).itemsize  # of every snapshot
+        caching = len(lambdas) * dim * dim * itemsize <= _SIGMA_CACHE_BYTES
         per_interval = 1
         previous = None
         for _ in range(_MAX_SWEEP_DOUBLINGS):
@@ -272,9 +275,10 @@ class QuasiGibbsSweep:
 
 
 def _endpoints(model: SpinChainModel, beta, lam):
-    """Quasi-Gibbs matrices at 0 and lam from a two-record sweep over [0, lam]."""
+    """The records of a two-record sweep over [0, lam], and their purity."""
+    require_finite("lambda", lam)
     sweep = QuasiGibbsSweep(build_h0(model).mat, build_v(model).mat, np.array([0.0, lam]), beta)
-    return tuple(sweep.records())
+    return (*sweep.records(), sweep.purity)
 
 
 def quasi_gibbs_at(model: SpinChainModel, beta, lam) -> DensityMatrix:
@@ -289,10 +293,14 @@ def quasi_gibbs_at(model: SpinChainModel, beta, lam) -> DensityMatrix:
 
 
 def thermal_overlap(model: SpinChainModel, beta, lam) -> float:
-    """Hilbert-Schmidt fidelity between Gibbs(beta) and the quasi-Gibbs target.
+    """Hilbert-Schmidt fidelity C between Gibbs(beta) and the quasi-Gibbs target.
 
     Both come from one two-record sweep: its lambda = 0 record is the Gibbs
-    state.
+    state.  Both are validated as DensityMatrix, and C is hs_fidelity_mat
+    with the sweep's purity for both, as in evolve, so it equals
+    evolve(...).thermal_overlap[k] at lam = trace.lambdas[k] exactly.
     """
-    rho0, sigma = _endpoints(model, beta, lam)
-    return hs_fidelity(DensityMatrix(mat=rho0), DensityMatrix(mat=sigma))
+    rho0, sigma, purity = _endpoints(model, beta, lam)
+    DensityMatrix(mat=rho0)
+    DensityMatrix(mat=sigma)
+    return hs_fidelity_mat(sigma, purity, rho0, purity)

@@ -10,3 +10,5 @@ def pytest_configure(config):
     config.addinivalue_line("filterwarnings", "error::adiatherm.thermal.ContinuationWarning")
     # numpy's ComplexWarning, matched by message: its class moved in numpy 2.0
     config.addinivalue_line("filterwarnings", "error:Casting complex values to real")
+    # numpy's invalid-value, overflow and divide warnings: NaN must not reach a CSV
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")

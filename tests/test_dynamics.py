@@ -13,7 +13,7 @@ from adiatherm.dynamics import (
 )
 from adiatherm.models import SpinChainModel, build_h0, build_v
 from adiatherm.operators import eigh, hs_norm
-from adiatherm.thermal import QuasiGibbsSweep, gibbs_state
+from adiatherm.thermal import QuasiGibbsSweep, gibbs_state, thermal_overlap
 
 logger = logging.getLogger(__name__)
 
@@ -30,10 +30,50 @@ class TestEvolve:
         assert np.allclose(trace.thermal_overlap, 1.0, atol=1e-12)
 
     def test_zero_ramp_gives_single_record(self):
-        trace = evolve(SpinChainModel("tfic", 3), 1.0, 1.0, 0.0, 50)
-        assert trace.n_records == 1
-        assert trace.adiabatic_fidelity[0] == 1.0
-        assert trace.qsl_radius[0] == 0.0
+        model = SpinChainModel("tfic", 3)
+        gibbs_purity = gibbs_state(eigh(build_h0(model)), 1.0).purity
+        # a zero ramp, and one record of a nonzero ramp: both hold only lambda = 0
+        for lambda_max, n_records in ((0.0, 50), (0.3, 1)):
+            trace = evolve(model, 1.0, 1.0, lambda_max, n_records)
+            assert trace.n_records == 1
+            assert trace.lambdas[0] == 0.0
+            assert trace.adiabatic_fidelity[0] == 1.0
+            assert trace.thermal_overlap[0] == 1.0
+            for column in (trace.qsl_radius, trace.hs_angle, trace.bound_weak,
+                           trace.bound_strong, trace.trace_defect, trace.herm_defect):
+                assert column[0] == 0.0
+            assert trace.purity[0] == pytest.approx(gibbs_purity, abs=1e-14)
+            # no interval: the levels of 1 and 2 steps, both with F = 1
+            assert trace.n_substeps_per_interval == 2
+            assert trace.fidelity_history == (1.0, 1.0)
+
+    @pytest.mark.parametrize("cache_bytes", [None, 0])
+    def test_one_sweep_pass_per_halving_level(self, monkeypatch, cache_bytes):
+        import adiatherm.thermal as thermal
+
+        if cache_bytes is not None:
+            monkeypatch.setattr(thermal, "_SIGMA_CACHE_BYTES", cache_bytes)
+        requests = []
+        records = QuasiGibbsSweep.records
+
+        def counted(sweep):
+            requests.append(sweep)
+            return records(sweep)
+
+        monkeypatch.setattr(QuasiGibbsSweep, "records", counted)
+        trace = evolve(SpinChainModel("tfic", 4), 1.0, 1.0, 0.1, 11)
+        assert len(requests) == len(trace.fidelity_history)
+
+    @pytest.mark.parametrize(
+        "kind,b,lambda_max",
+        [("tfic", None, 0.2), ("mfic", 0.7, 0.2), ("qxyc", None, 1.5)],
+    )
+    def test_thermal_overlap_matches_c_column_exactly(self, kind, b, lambda_max):
+        # qxyc N=4 has an exact level crossing at lambda = 1, inside its ramp
+        model = SpinChainModel(kind, 4, B=b)
+        trace = evolve(model, 1.0, 2.0, lambda_max, 41)
+        for k in (1, 7, 20, 40):
+            assert thermal_overlap(model, 1.0, trace.lambdas[k]) == trace.thermal_overlap[k]
 
     def test_records_start_at_origin(self, medium_trace):
         assert medium_trace.lambdas[0] == 0.0

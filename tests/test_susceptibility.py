@@ -18,7 +18,7 @@ from adiatherm.operators import (
     eigh,
     level_edges,
 )
-from adiatherm.qsl import delta_v
+from adiatherm.qsl import delta_v, qsl_radius_constant_rate
 from adiatherm.susceptibility import (
     chi_f_thermal,
     delta_v_thermal,
@@ -29,7 +29,7 @@ from adiatherm.susceptibility import (
     low_temp_coefficients,
     threshold_report,
 )
-from adiatherm.thermal import gibbs_state
+from adiatherm.thermal import gibbs_state, quasi_gibbs_at, thermal_overlap
 
 import oracle
 
@@ -277,6 +277,31 @@ class TestThresholdReport:
         # the 2-ring qxyc drive commutes with H0, so Gamma_N = 0/0
         with pytest.raises(ValueError, match="Gamma_N undefined"):
             threshold_report(SpinChainModel("qxyc", 2), 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        pytest.param("beta", lambda x: flip_sums(SpinChainModel("tfic", 3), x), id="flip_sums"),
+        pytest.param("beta", lambda x: chi_f_thermal(*setup("tfic", 3)[1:], x), id="chi_f_thermal"),
+        pytest.param(
+            "beta", lambda x: delta_v_thermal(*setup("tfic", 3)[1:], x), id="delta_v_thermal"
+        ),
+        pytest.param(
+            "lambda", lambda x: quasi_gibbs_at(SpinChainModel("tfic", 3), 1.0, x), id="quasi_gibbs_at"
+        ),
+        pytest.param(
+            "lambda", lambda x: thermal_overlap(SpinChainModel("tfic", 3), 1.0, x), id="thermal_overlap"
+        ),
+        pytest.param("delta_v", lambda x: qsl_radius_constant_rate(x, 0.1, 1.0), id="qsl_delta_v"),
+        pytest.param("lambda", lambda x: qsl_radius_constant_rate(1.0, x, 1.0), id="qsl_lambda"),
+        pytest.param("gamma", lambda x: qsl_radius_constant_rate(1.0, 0.1, x), id="qsl_gamma"),
+    ],
+)
+def test_entry_points_reject_non_finite_input(name, call, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        call(bad)
 
 
 DRIVES = [("tfic", None), ("qxyc", None), ("mfic", 0.7), ("mfic", 1.0)]

@@ -206,6 +206,18 @@ class TestContinuation:
 
 
 class TestQuasiGibbs:
+    def test_cache_counts_real_snapshots_at_eight_bytes(self, monkeypatch):
+        import adiatherm.thermal as thermal
+
+        model = SpinChainModel("tfic", 4)
+        lambdas = np.linspace(0.0, 0.1, 11)
+        entries = lambdas.size * model.dim**2
+        # room for float64 snapshots, not for complex ones
+        monkeypatch.setattr(thermal, "_SIGMA_CACHE_BYTES", entries * 12)
+        sweep = QuasiGibbsSweep(build_h0(model).mat, build_v(model).mat, lambdas, 1.0)
+        assert sweep._cache is not None
+        assert sum(sigma.nbytes for sigma in sweep.records()) == entries * 8
+
     def test_lambda_zero_recovers_gibbs(self):
         model = SpinChainModel("mfic", 4, B=0.7)
         beta = 1.3

@@ -2,15 +2,18 @@
 
 Classical 2x2 transfer matrices generate the Ising partition functions and
 correlation-type sums behind deltaV, chi_F, the threshold rate, and the
-finite-temperature factor f_N(beta), exactly at any N.  Everything here is
-independent of the exact-diagonalization route and serves as its oracle
-(and vice versa).
+finite-temperature factor f_N(beta), exactly at any N and any finite beta.
+Everything here is independent of the exact-diagonalization route and serves
+as its oracle (and vice versa).
 
 The zero-field chains (tfic, qxyc) reduce to powers of t = tanh(2 beta J).
-The mixed-field forms split each trace Tr(T^n M) over the two eigenvalues
-of the field transfer matrix (_split_coefficients), so large powers
-Lambda^N only ever appear through the ratio r = Lambda_-/Lambda_+ < 1 and
-nothing overflows at desk scale.
+The mixed-field forms are even in B, because the global flip prod X maps B
+to -B and commutes with V, so they take H = 2 beta |B| >= 0.  Their
+transfer, boundary and flip matrices are built ground-shifted, like every
+Boltzmann weight of the package: each entry carries exp(-2 beta s) with
+s >= 0, so no exponent is positive.  Each trace Tr(T^n M) is split over the
+two eigenvalues of the shifted transfer matrix (_split_coefficients), and
+Lambda^N enters only through r = Lambda_-/Lambda_+ in [0, 1).
 """
 
 from __future__ import annotations
@@ -18,45 +21,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .models import require_beta
 
 _EIGEN_SPLIT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TransferMatrix2:
-    """Symmetric positive 2x2 transfer matrix with its ordered eigenvalues."""
-
-    entries: np.ndarray
-    eigen_plus: float
-    eigen_minus: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", np.asarray(self.entries, dtype=float))
-        t = self.entries
-        if t.shape != (2, 2):
-            raise ValueError("transfer matrix must be 2x2")
-        if abs(t[0, 1] - t[1, 0]) > 1e-12 * max(1.0, abs(t[0, 1])):
-            raise ValueError("transfer matrix must be symmetric")
-        if np.any(t <= 0):
-            raise ValueError("transfer matrix entries must be positive")
-        tr = t[0, 0] + t[1, 1]
-        det = t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
-        if abs(self.eigen_plus + self.eigen_minus - tr) > 1e-12 * max(1.0, abs(tr)):
-            raise ValueError("eigenvalue sum does not match trace")
-        prod = self.eigen_plus * self.eigen_minus
-        if abs(prod - det) > 1e-12 * max(1.0, abs(det)):
-            raise ValueError("eigenvalue product does not match determinant")
-        if not self.eigen_plus > self.eigen_minus >= -1e-15:
-            raise ValueError("need eigen_plus > eigen_minus >= 0")
 
 
 def delta_v_tfic_closed(n_sites, beta, j) -> float:
     """sqrt(2N) J tanh(2 beta J) [(1 + t^{N-2}) / (1 + t^N)]^{1/2}, t = tanh(2 beta J)."""
     if n_sites < 3:
         raise ValueError("n_sites must be >= 3")
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    require_beta(beta)
     t = math.tanh(2.0 * beta * j)
     ratio = (1.0 + t ** (n_sites - 2)) / (1.0 + t**n_sites)
     return math.sqrt(2.0 * n_sites) * j * t * math.sqrt(ratio)
@@ -66,6 +40,7 @@ def chi_f_tfic_closed(n_sites, beta, j) -> float:
     """(N/4) tanh^2(2 beta J) (1 + t^{N-2}) / (1 + t^N)."""
     if n_sites < 3:
         raise ValueError("n_sites must be >= 3")
+    require_beta(beta)
     t = math.tanh(2.0 * beta * j)
     return 0.25 * n_sites * t * t * (1.0 + t ** (n_sites - 2)) / (1.0 + t**n_sites)
 
@@ -77,8 +52,7 @@ def gamma_n_tfic(n_sites, j, alpha: float = 1.0) -> float:
 
 def f_n_tfic(n_sites, beta, j) -> float:
     """Finite-N temperature factor coth(2 beta J) [(1 + t^N)/(1 + t^{N-2})]^{1/2}."""
-    if beta <= 0:
-        raise ValueError("beta must be > 0 (factor undefined at infinite temperature)")
+    require_beta(beta, positive=True)
     if n_sites < 3:
         raise ValueError("n_sites must be >= 3")
     t = math.tanh(2.0 * beta * j)
@@ -91,6 +65,7 @@ def f_tfic_asymptotics(beta, j, regime) -> float:
     'low' returns 1 + 2 exp(-4 beta J) (gap 4J, coefficient 2); 'high'
     returns 1 / (2 beta J) (coefficient 1/(2J)).
     """
+    require_beta(beta, positive=regime == "high")
     if regime == "low":
         return 1.0 + 2.0 * math.exp(-4.0 * beta * j)
     if regime == "high":
@@ -98,27 +73,31 @@ def f_tfic_asymptotics(beta, j, regime) -> float:
     raise ValueError(f"regime must be 'low' or 'high', got {regime!r}")
 
 
-def _split_coefficients(t: TransferMatrix2, m) -> tuple[float, float]:
-    """(a_+, a_-) with Tr(T^n M) = a_+ Lambda_+^n + a_- Lambda_-^n for every n >= 0."""
-    m = np.asarray(m, dtype=float)
-    lp, lm = t.eigen_plus, t.eigen_minus
-    if abs(lp - lm) <= _EIGEN_SPLIT_TOL * max(1.0, abs(lp)):
+def _split_coefficients(t, m, lam_plus, lam_minus) -> tuple[float, float]:
+    """(a_+, a_-) with Tr(T^n M) = a_+ Lambda_+^n + a_- Lambda_-^n for every n >= 0.
+
+    t and m are symmetric 2x2 matrices given as (top-left, off-diagonal,
+    bottom-right) entries, and lam_plus, lam_minus are the eigenvalues of t.
+    """
+    if abs(lam_plus - lam_minus) <= _EIGEN_SPLIT_TOL * max(1.0, abs(lam_plus)):
         raise ValueError("degenerate transfer-matrix eigenvalues")
-    tr_m = float(m[0, 0] + m[1, 1])
-    tr_tm = float(np.trace(t.entries @ m))
-    a_plus = (tr_tm - lm * tr_m) / (lp - lm)
-    a_minus = (lp * tr_m - tr_tm) / (lp - lm)
-    return float(a_plus), float(a_minus)
+    tr_m = m[0] + m[2]
+    tr_tm = t[0] * m[0] + 2.0 * t[1] * m[1] + t[2] * m[2]
+    a_plus = (tr_tm - lam_minus * tr_m) / (lam_plus - lam_minus)
+    a_minus = (lam_plus * tr_m - tr_tm) / (lam_plus - lam_minus)
+    return a_plus, a_minus
 
 
 @dataclass(frozen=True)
 class MficCoefficients:
-    """Transfer-matrix data for the mixed-field chain at inverse temperature 2 beta.
+    """Ground-shifted transfer-matrix data of the mixed-field chain at inverse temperature 2 beta.
 
-    K = 2 beta J and H = 2 beta B; Lambda_pm are the transfer-matrix
-    eigenvalues, c_pm the boundary-vector split coefficients, d_pm the
-    split coefficients of the local-flip matrix with entries m_pp, m_mm,
-    m_pm (units 1/energy^2).
+    K = 2 beta J and H = 2 beta |B|.  The transfer matrix
+    T_{s,s'} = exp(K s s' - (H/2)(s + s')), s = +1 first, is taken as
+    T~ = T e^{-(K+H)} = [[e^{-2H}, e^{-2K-H}], [e^{-2K-H}, 1]], and
+    Lambda_pm are its eigenvalues (so Lambda_+ <= 1 + e^{-2H}).  c_pm split
+    the boundary matrix u u^T e^{-H} = [[e^{-2H}, e^{-H}], [e^{-H}, 1]] and
+    d_pm the local-flip matrix M e^{-2(K+H)} (units 1/energy^2) over T~.
     """
 
     K: float
@@ -129,35 +108,11 @@ class MficCoefficients:
     c_minus: float
     d_plus: float
     d_minus: float
-    m_pp: float
-    m_mm: float
-    m_pm: float
 
 
-def _mfic_eigenvalues(k, h):
-    """(Lambda_+, Lambda_-) of the field transfer matrix, cancellation-free.
-
-    Lambda_- = lead - disc loses all digits once H is large (lead ~ disc);
-    the determinant e^{2K} - e^{-2K} is exact, so Lambda_- = det / Lambda_+.
-    """
-    disc = math.sqrt(math.exp(2 * k) * math.sinh(h) ** 2 + math.exp(-2 * k))
-    lam_plus = math.exp(k) * math.cosh(h) + disc
-    det = math.exp(2 * k) - math.exp(-2 * k)
-    return lam_plus, det / lam_plus
-
-
-def mfic_transfer_matrix(beta, j, b) -> TransferMatrix2:
-    """T_{s,s'} = exp(K s s' - (H/2)(s + s')) at inverse temperature 2 beta."""
-    k = 2.0 * beta * j
-    h = 2.0 * beta * b
-    lam_plus, lam_minus = _mfic_eigenvalues(k, h)
-    entries = np.array(
-        [
-            [math.exp(k - h), math.exp(-k)],
-            [math.exp(-k), math.exp(k + h)],
-        ]
-    )
-    return TransferMatrix2(entries=entries, eigen_plus=lam_plus, eigen_minus=lam_minus)
+def _flip_entry(beta, y, s):
+    """8 e^{-2 beta (s + |y|)} sinh^2(beta y) / y^2, written with no positive exponent."""
+    return 2.0 * math.exp(-2.0 * beta * s) * math.expm1(-2.0 * beta * abs(y)) ** 2 / y**2
 
 
 def mfic_coefficients(beta, j, b) -> MficCoefficients:
@@ -173,46 +128,41 @@ def mfic_coefficients(beta, j, b) -> MficCoefficients:
             f"B={b} is within {window:g} of an excluded value; the mixed-field "
             "closed forms assume B != 0, +-2J"
         )
+    require_beta(beta)
+    b = abs(b)
     k = 2.0 * beta * j
     h = 2.0 * beta * b
-    t = mfic_transfer_matrix(beta, j, b)
-    u = np.array([math.exp(-h / 2.0), math.exp(h / 2.0)])
-    c_plus, c_minus = _split_coefficients(t, np.outer(u, u))
-    m_pp = 8.0 * math.exp(-2 * beta * b) * math.sinh(beta * (b - 2 * j)) ** 2 / (b - 2 * j) ** 2
-    m_mm = 8.0 * math.exp(2 * beta * b) * math.sinh(beta * (b + 2 * j)) ** 2 / (b + 2 * j) ** 2
-    m_pm = 8.0 * math.sinh(beta * b) ** 2 / b**2
-    flip = np.array([[m_pp, m_pm], [m_pm, m_mm]])
-    d_plus, d_minus = _split_coefficients(t, flip)
+    t = (math.exp(-2.0 * h), math.exp(-2.0 * k - h), 1.0)
+    lam_plus = (t[0] + 1.0) / 2.0 + math.hypot(math.expm1(-2.0 * h) / 2.0, t[1])
+    lam_minus = -t[0] * math.expm1(-4.0 * k) / lam_plus
+    c_plus, c_minus = _split_coefficients(t, (t[0], math.exp(-h), 1.0), lam_plus, lam_minus)
+    # shifts s = 2(J + |B|) - |y| + (|B|, 0, -|B|); the first, 3|B| + 2J - |B - 2J|,
+    # is written as 2|B| + min(2|B|, 4J) to avoid cancellation
+    flip = (
+        _flip_entry(beta, b - 2 * j, 2 * b + min(2 * b, 4 * j)),
+        _flip_entry(beta, b, 2 * j + b),
+        _flip_entry(beta, b + 2 * j, 0.0),
+    )
+    d_plus, d_minus = _split_coefficients(t, flip, lam_plus, lam_minus)
     return MficCoefficients(
         K=k,
         H=h,
-        lambda_plus=t.eigen_plus,
-        lambda_minus=t.eigen_minus,
+        lambda_plus=lam_plus,
+        lambda_minus=lam_minus,
         c_plus=c_plus,
         c_minus=c_minus,
         d_plus=d_plus,
         d_minus=d_minus,
-        m_pp=m_pp,
-        m_mm=m_mm,
-        m_pm=m_pm,
     )
 
 
 def _mfic_ratios(n_sites, coeffs: MficCoefficients):
-    """(2 Q / Z0, chi_F / (N J^2)) in overflow-safe ratio form."""
+    """(2 Q / Z0, chi_F / (N J^2)); only the boundary terms carry e^{-2K-H}."""
     r = coeffs.lambda_minus / coeffs.lambda_plus
-    lp2 = coeffs.lambda_plus**2
-    denom = 1.0 + r**n_sites
-    q_ratio = (
-        2.0
-        * (coeffs.c_plus + coeffs.c_minus * r ** (n_sites - 2))
-        / (lp2 * denom)
-    )
-    chi_over_nj2 = (
-        0.5
-        * (coeffs.d_plus + coeffs.d_minus * r ** (n_sites - 2))
-        / (lp2 * denom)
-    )
+    denom = coeffs.lambda_plus**2 * (1.0 + r**n_sites)
+    boundary = math.exp(-2.0 * coeffs.K - coeffs.H)
+    q_ratio = 2.0 * boundary * (coeffs.c_plus + coeffs.c_minus * r ** (n_sites - 2)) / denom
+    chi_over_nj2 = 0.5 * (coeffs.d_plus + coeffs.d_minus * r ** (n_sites - 2)) / denom
     return q_ratio, chi_over_nj2
 
 
@@ -220,6 +170,7 @@ def delta_v_mfic_closed(n_sites, beta, j, b) -> float:
     """sqrt(2N) J (1 - 2 Q^{(B)}_{N-1}(2 beta) / Z0(2 beta))^{1/2}."""
     if n_sites < 3:
         raise ValueError("n_sites must be >= 3")
+    require_beta(beta)
     if beta == 0:
         return 0.0
     q_ratio, _ = _mfic_ratios(n_sites, mfic_coefficients(beta, j, b))
@@ -227,9 +178,10 @@ def delta_v_mfic_closed(n_sites, beta, j, b) -> float:
 
 
 def chi_f_mfic_closed(n_sites, beta, j, b) -> float:
-    """(N J^2 / 2) Tr(T^{N-2} M) / (Lambda_+^N + Lambda_-^N) in ratio form."""
+    """(N J^2 / 2) Tr(T^{N-2} M) / (Lambda_+^N + Lambda_-^N), from the shifted matrices."""
     if n_sites < 3:
         raise ValueError("n_sites must be >= 3")
+    require_beta(beta)
     if beta == 0:
         return 0.0
     _, chi_over_nj2 = _mfic_ratios(n_sites, mfic_coefficients(beta, j, b))
@@ -249,20 +201,17 @@ def f_mfic(n_sites, beta, j, b) -> float:
     """Temperature factor Gamma_th / Gamma_N for the mixed-field chain.
 
     n_sites = None selects the thermodynamic limit
-    f = 2 Lambda_+^2 (1 - 2 c_+ / Lambda_+^2)^{1/2} / ((2J + |B|)^2 d_+).
+    f = 2 Lambda_+^2 (1 - 2 e^{-2K-H} c_+ / Lambda_+^2)^{1/2} / ((2J + |B|)^2 d_+)
+    in the shifted data of MficCoefficients; it is finite at every beta > 0
+    and tends to 1 as beta -> infinity.
     """
-    if beta <= 0:
-        raise ValueError("beta must be > 0 (factor undefined at infinite temperature)")
+    require_beta(beta, positive=True)
     coeffs = mfic_coefficients(beta, j, b)
     scale = (2.0 * j + abs(b)) ** 2
     if n_sites is None:
         lp2 = coeffs.lambda_plus**2
-        return (
-            2.0
-            * lp2
-            / (scale * coeffs.d_plus)
-            * math.sqrt(max(1.0 - 2.0 * coeffs.c_plus / lp2, 0.0))
-        )
+        q_ratio = 2.0 * math.exp(-2.0 * coeffs.K - coeffs.H) * coeffs.c_plus / lp2
+        return 2.0 * lp2 / (scale * coeffs.d_plus) * math.sqrt(max(1.0 - q_ratio, 0.0))
     dv = delta_v_mfic_closed(n_sites, beta, j, b)
     chi = chi_f_mfic_closed(n_sites, beta, j, b)
     return (dv / chi) / gamma_n_mfic(n_sites, j, b, 1.0)
@@ -275,6 +224,7 @@ def f_mfic_asymptotics(beta, j, b, regime) -> float:
     'high' returns c2 / beta with
     c2 = sqrt(2 + (B/J)^2) / (sqrt(2) (2 + |B|/J)^2 J).
     """
+    require_beta(beta, positive=regime == "high")
     if regime == "low":
         return 1.0 + math.exp(-2.0 * beta * (2.0 * j + abs(b)))
     if regime == "high":

@@ -13,6 +13,7 @@ and the driven Hamiltonian is H_lambda = H0 + lambda * V.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -54,6 +55,10 @@ class SpinChainModel:
         object.__setattr__(self, "kind", str(self.kind).lower())
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        try:
+            object.__setattr__(self, "n_sites", operator.index(self.n_sites))
+        except TypeError:
+            raise ValueError(f"n_sites must be an integer, got {self.n_sites!r}") from None
         if self.n_sites < 2:
             raise ValueError("n_sites must be >= 2")
         require_finite("J", self.J)
@@ -80,6 +85,19 @@ def require_finite(name, value):
     """
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def require_beta(beta, positive=False):
+    """Raise ValueError unless beta is finite and >= 0, or > 0 when positive.
+
+    positive marks a quantity such as the temperature factor, which is
+    undefined at infinite temperature.
+    """
+    require_finite("beta", beta)
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
+    if positive and beta == 0:
+        raise ValueError("beta must be > 0 (factor undefined at infinite temperature)")
 
 
 def _site_bits(n_sites):

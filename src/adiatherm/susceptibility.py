@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import chi_pair_sum, pair_weight_sum
-from .models import SpinChainModel, classical_energies, flip_terms, require_finite
+from .models import SpinChainModel, classical_energies, flip_terms, require_beta, require_finite
 from .operators import (
     HermitianOperator,
     SpectralDecomposition,
@@ -86,12 +86,6 @@ def _v_in_eigenbasis(spec: SpectralDecomposition, v: HermitianOperator) -> np.nd
     return u.conj().T @ v.mat @ u
 
 
-def _require_beta(beta):
-    require_finite("beta", beta)
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-
-
 def chi_f_thermal(spec: SpectralDecomposition, v: HermitianOperator, beta) -> float:
     """Thermal fidelity susceptibility as a spectral double sum.
 
@@ -100,7 +94,7 @@ def chi_f_thermal(spec: SpectralDecomposition, v: HermitianOperator, beta) -> fl
     with pairs degenerate within the spectrum tolerance contributing exactly
     zero and all weights taken relative to the ground energy.
     """
-    _require_beta(beta)
+    require_beta(beta)
     e = spec.eigenvalues
     shifted = e - e.min()
     w = np.exp(-beta * shifted)
@@ -121,7 +115,7 @@ def delta_v_thermal(spec: SpectralDecomposition, v: HermitianOperator, beta) -> 
     which stays accurate when Boltzmann weights drop below the eigensolver
     resolution of the assembled density matrix (large beta).
     """
-    _require_beta(beta)
+    require_beta(beta)
     e = spec.eigenvalues
     shifted = e - e.min()
     w = np.exp(-beta * shifted)
@@ -192,7 +186,7 @@ def flip_sums(model: SpinChainModel, beta) -> FlipSums:
     commutes with H0.  Degenerate pairs and the ground level use
     degeneracy_tolerance as the dense route does.
     """
-    _require_beta(beta)
+    require_beta(beta)
     e = classical_energies(model)
     shifted = e - e.min()
     tol = degeneracy_tolerance(e)

@@ -78,11 +78,8 @@ class EigenbasisContinuation:
     """Marches the labeled eigenbasis of H_lambda = h0 + lambda v along a lambda path.
 
     h0 and v are the dense matrices of H0 and V, real symmetric or Hermitian.
-    At lambda = 0 every degenerate H0 eigenspace is rotated to diagonalize
-    the projected drive P V P (first-order degenerate perturbation theory),
-    which fixes the basis the non-degenerate perturbative formulas assume.
-    restart() returns to that labeled basis, so one continuation serves any
-    number of marches.
+    restart() returns to the labeled eigenbasis of H0, so one continuation
+    serves any number of marches.
 
     Labels are transported level by level, by adiabatic transport of the
     spectral projectors (Kato 1950).  Each advance() clusters the fresh
@@ -105,12 +102,6 @@ class EigenbasisContinuation:
         self._v = v
         evals, evecs = np.linalg.eigh(h0)
         edges = level_edges(evals)
-        for start, stop in zip(edges[:-1], edges[1:]):
-            if stop - start > 1:
-                ub = evecs[:, start:stop]
-                proj = _hermitize(ub.conj().T @ v @ ub)
-                _, w = np.linalg.eigh(proj)
-                evecs[:, start:stop] = ub @ w
         self._origin = evals
         # every column of an H0 level carries the index of the level's first
         # column, so labels of equal origin energy are interchangeable

@@ -191,6 +191,19 @@ class TestThresholdCommand:
         assert "B != 0" in row["reason"]
         assert float(row["delta_v_ed"]) > 0  # exact route unaffected
 
+    def test_mfic_low_temperature_fills_every_closed_cell(self, tmp_path):
+        out = tmp_path / "thr.csv"
+        args = ["--model", "mfic", "--n-sites", "6", "--B", "0.7", "--beta", "60,200,1000"]
+        assert main(["threshold", *args, "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert len(rows) == 3
+        for row in (dict(zip(header, r)) for r in rows):
+            assert row["reason"] == ""
+            assert all(row[col] != "" for col in header[:-1])
+            assert float(row["f_inf"]) == pytest.approx(1.0, abs=1e-12)
+            assert float(row["rel_err_delta_v"]) <= 1e-12
+            assert float(row["rel_err_chi_f"]) <= 1e-12
+
     def test_parallel_jobs_identical_output(self, tmp_path):
         serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
         args = ["threshold", "--model", "tfic", "--n-sites", "4", "--beta", "0.2,0.5,1,2"]

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from adiatherm.closed_forms import (
-    TransferMatrix2,
     _split_coefficients,
     chi_f_mfic_closed,
     chi_f_tfic_closed,
@@ -18,11 +17,10 @@ from adiatherm.closed_forms import (
     gamma_n_mfic,
     gamma_n_tfic,
     mfic_coefficients,
-    mfic_transfer_matrix,
 )
 from adiatherm.models import SpinChainModel, build_h0, build_v
 from adiatherm.operators import eigh
-from adiatherm.susceptibility import chi_f_thermal, delta_v_thermal, ground_chi_f
+from adiatherm.susceptibility import chi_f_thermal, delta_v_thermal, flip_sums, ground_chi_f
 
 logger = logging.getLogger(__name__)
 
@@ -35,6 +33,34 @@ class TestPartitionFunctions:
             delta_v_tfic_closed(2, 1.0, 1.0)
         with pytest.raises(ValueError, match="n_sites"):
             chi_f_mfic_closed(2, 1.0, 1.0, 0.7)
+
+    ENTRY_POINTS = {
+        "delta_v_tfic_closed": lambda beta: delta_v_tfic_closed(6, beta, 1.0),
+        "chi_f_tfic_closed": lambda beta: chi_f_tfic_closed(6, beta, 1.0),
+        "f_n_tfic": lambda beta: f_n_tfic(6, beta, 1.0),
+        "f_tfic_asymptotics": lambda beta: f_tfic_asymptotics(beta, 1.0, "high"),
+        "mfic_coefficients": lambda beta: mfic_coefficients(beta, 1.0, 0.7),
+        "delta_v_mfic_closed": lambda beta: delta_v_mfic_closed(6, beta, 1.0, 0.7),
+        "chi_f_mfic_closed": lambda beta: chi_f_mfic_closed(6, beta, 1.0, 0.7),
+        "f_mfic": lambda beta: f_mfic(6, beta, 1.0, 0.7),
+        "f_mfic_thermodynamic": lambda beta: f_mfic(None, beta, 1.0, 0.7),
+        "f_mfic_asymptotics": lambda beta: f_mfic_asymptotics(beta, 1.0, 0.7, "high"),
+    }
+    FACTORS = ("f_n_tfic", "f_tfic_asymptotics", "f_mfic", "f_mfic_thermodynamic",
+               "f_mfic_asymptotics")
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    def test_beta_validated(self, name, beta):
+        call = self.ENTRY_POINTS[name]
+        if beta == 0 and name not in self.FACTORS:
+            call(beta)
+            return
+        message = {0.0: "beta must be > 0", -1.0: "beta must be >= 0"}.get(
+            beta, "beta must be finite"
+        )
+        with pytest.raises(ValueError, match=message):
+            call(beta)
 
 
 class TestTficClosedForms:
@@ -100,46 +126,38 @@ class TestTwoEigTrace:
     """_split_coefficients: Tr(T^n M) = a_+ Lambda_+^n + a_- Lambda_-^n."""
 
     def test_degenerate_eigenvalues_rejected(self):
-        t = TransferMatrix2(entries=np.eye(2) + 1.0, eigen_plus=3.0, eigen_minus=1.0)
-        a_plus, a_minus = _split_coefficients(t, np.eye(2))
+        # T = [[2, 1], [1, 2]] has eigenvalues 3 and 1
+        a_plus, a_minus = _split_coefficients((2.0, 1.0, 2.0), (1.0, 0.0, 1.0), 3.0, 1.0)
         assert a_plus * 3.0**3 + a_minus * 1.0**3 == pytest.approx(28.0)  # Tr(T^3)
         split = 1e-14
-        nearly = TransferMatrix2(
-            entries=np.array([[2.0 + split, 1e-200], [1e-200, 2.0 - split]]),
-            eigen_plus=2.0 + split,
-            eigen_minus=2.0 - split,
-        )
+        nearly = (2.0 + split, 1e-200, 2.0 - split)
         with pytest.raises(ValueError, match="degenerate"):
-            _split_coefficients(nearly, np.eye(2))
+            _split_coefficients(nearly, (1.0, 0.0, 1.0), 2.0 + split, 2.0 - split)
 
 
 class TestMficCoefficients:
+    """The coefficients belong to the ground-shifted matrices, T e^{-(K+H)}."""
+
     def test_boundary_vector_trace(self):
         co = mfic_coefficients(0.8, 1.0, 0.7)
-        # c+ + c- = Tr(u u^T) = 2 cosh H
-        assert co.c_plus + co.c_minus == pytest.approx(2 * math.cosh(co.H), rel=1e-12)
+        # c+ + c- = Tr(u u^T e^{-H}) = 1 + e^{-2H}
+        assert co.c_plus + co.c_minus == pytest.approx(1 + math.exp(-2 * co.H), rel=1e-12)
 
     def test_determinant_identity(self):
         co = mfic_coefficients(1.1, 1.0, 1.3)
-        det = math.exp(2 * co.K) - math.exp(-2 * co.K)
+        det = math.exp(-2 * co.H) * (1 - math.exp(-4 * co.K))
         assert co.lambda_plus * co.lambda_minus == pytest.approx(det, rel=1e-12)
 
     def test_small_field_reduces_to_ising(self):
         co = mfic_coefficients(0.9, 1.0, 1e-6)
-        assert co.lambda_plus == pytest.approx(2 * math.cosh(co.K), abs=1e-5)
+        # 2 cosh(K) e^{-K} = 1 + e^{-2K}
+        assert co.lambda_plus == pytest.approx(1 + math.exp(-2 * co.K), abs=1e-5)
         assert co.c_plus == pytest.approx(2.0, abs=1e-5)
 
     @pytest.mark.parametrize("bad", [0.0, 2.0, -2.0, 1e-10])
     def test_excluded_fields_rejected(self, bad):
         with pytest.raises(ValueError, match="B != 0"):
             mfic_coefficients(1.0, 1.0, bad)
-
-    def test_transfer_matrix_entries(self):
-        t = mfic_transfer_matrix(0.5, 1.0, 0.7)
-        k, h = 1.0, 0.7
-        assert t.entries[0, 0] == pytest.approx(math.exp(k - h))
-        assert t.entries[1, 1] == pytest.approx(math.exp(k + h))
-        assert t.entries[0, 1] == pytest.approx(math.exp(-k))
 
 
 class TestMficClosedForms:
@@ -166,6 +184,19 @@ class TestMficClosedForms:
             chi_f_thermal(spec, build_v(model), 1.0), rel=1e-9
         )
 
+    @pytest.mark.parametrize("beta", [60.0, 100.0, 200.0, 1e3, 1e4])
+    def test_low_temperature_matches_flip_sums(self, beta):
+        # the shifted matrices have no positive exponent, so nothing
+        # overflows however large beta J and beta |B| get
+        for j in (0.5, 1.0, 3.7):
+            for b in (0.3, 0.7, 1.3, 2.5, -0.7):
+                for n in (3, 4, 6, 8):
+                    sums = flip_sums(SpinChainModel("mfic", n, j, b * j), beta)
+                    dv = delta_v_mfic_closed(n, beta, j, b * j)
+                    chi = chi_f_mfic_closed(n, beta, j, b * j)
+                    assert dv == pytest.approx(sums.delta_v, rel=1e-12)
+                    assert chi == pytest.approx(sums.chi_f, rel=1e-12)
+
     def test_chi_ground_limit(self):
         model = SpinChainModel("mfic", 5, B=0.7)
         spec = eigh(build_h0(model))
@@ -177,7 +208,8 @@ class TestMficClosedForms:
 class TestMficTemperatureFactor:
     def test_approaches_one_at_low_temperature(self):
         for n in (6, None):
-            assert f_mfic(n, 30.0, 1.0, 0.7) == pytest.approx(1.0, abs=1e-9)
+            for beta in (30.0, 200.0, 1e4):
+                assert f_mfic(n, beta, 1.0, 0.7) == pytest.approx(1.0, abs=1e-9)
 
     def test_finite_n_approaches_thermodynamic(self):
         assert f_mfic(200, 1.5, 1.0, 0.7) == pytest.approx(

@@ -28,6 +28,16 @@ class TestModelInvariants:
         with pytest.raises(ValueError, match="n_sites"):
             SpinChainModel("tfic", 1)
 
+    @pytest.mark.parametrize("n_sites", [3.5, 4.0, "4", None])
+    def test_rejects_non_integral_size(self, n_sites):
+        with pytest.raises(ValueError, match="n_sites must be an integer"):
+            SpinChainModel("tfic", n_sites)
+
+    def test_accepts_numpy_integer_size(self):
+        model = SpinChainModel("tfic", np.int64(4))
+        assert model.n_sites == 4 and type(model.n_sites) is int
+        assert threshold_report(model, 1.0).delta_v > 0
+
     def test_rejects_non_positive_coupling(self):
         with pytest.raises(ValueError, match="J"):
             SpinChainModel("tfic", 4, J=-1.0)

@@ -25,9 +25,9 @@ from . import __version__
 from . import closed_forms as cf
 from .acceptance import ALL_CRITERIA, run_all
 from .dynamics import evolve
-from .models import SpinChainModel, build_h0, build_v, require_finite
-from .operators import HermitianOperator, eigh
+from .models import SpinChainModel, require_finite, symmetry_sectors
 from .susceptibility import threshold_report
+from .thermal import BlockEigensolver
 
 UNITS_NOTE = "energies in units of J; beta in 1/J; lambda and f_N dimensionless"
 UNDEFINED_AT_BETA_ZERO = "undefined at infinite temperature"
@@ -216,13 +216,15 @@ def write_table(path, config, columns, rows, fmt):
 
 def cmd_spectrum(config: RunConfig) -> int:
     model = config.model()
-    h0, v = build_h0(model).mat, build_v(model).mat
-    rows = []
-    for lam in [0.0] + list(config.lambda_grid):
+    lambdas = [0.0] + list(config.lambda_grid)
+    for lam in lambdas:
         require_finite("lambda", lam)
-        # 0.0 * V adds only signed zeros, so lambda = 0 gives H0 exactly
-        h = HermitianOperator(model.n_sites, h0 + lam * v)
-        for idx, energy in enumerate(eigh(h).eigenvalues):
+    rows = []
+    # 0.0 * V adds only signed zeros to the diagonal sector blocks of H0, so
+    # lambda = 0 gives H0's classical energies exactly
+    solver = BlockEigensolver(symmetry_sectors(model).blocks)
+    for lam, (energies, _) in zip(lambdas, solver.eigenpairs(lambdas)):
+        for idx, energy in enumerate(energies):
             rows.append((lam, idx, energy))
     write_table(config.out or "spectrum.csv", config, SPECTRUM_COLUMNS, rows, config.fmt)
     return 0

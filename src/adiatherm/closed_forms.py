@@ -21,15 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .models import require_beta
+from .models import require_beta, require_couplings, require_ring
 
 _EIGEN_SPLIT_TOL = 1e-12
 
 
 def delta_v_tfic_closed(n_sites, beta, j) -> float:
     """sqrt(2N) J tanh(2 beta J) [(1 + t^{N-2}) / (1 + t^N)]^{1/2}, t = tanh(2 beta J)."""
-    if n_sites < 3:
-        raise ValueError("n_sites must be >= 3")
+    require_ring(n_sites, j, min_sites=3)
     require_beta(beta)
     t = math.tanh(2.0 * beta * j)
     ratio = (1.0 + t ** (n_sites - 2)) / (1.0 + t**n_sites)
@@ -38,8 +37,7 @@ def delta_v_tfic_closed(n_sites, beta, j) -> float:
 
 def chi_f_tfic_closed(n_sites, beta, j) -> float:
     """(N/4) tanh^2(2 beta J) (1 + t^{N-2}) / (1 + t^N)."""
-    if n_sites < 3:
-        raise ValueError("n_sites must be >= 3")
+    require_ring(n_sites, j, min_sites=3)
     require_beta(beta)
     t = math.tanh(2.0 * beta * j)
     return 0.25 * n_sites * t * t * (1.0 + t ** (n_sites - 2)) / (1.0 + t**n_sites)
@@ -47,14 +45,14 @@ def chi_f_tfic_closed(n_sites, beta, j) -> float:
 
 def gamma_n_tfic(n_sites, j, alpha: float = 1.0) -> float:
     """Zero-temperature threshold rate 4 sqrt(2) J alpha / sqrt(N) (also QXYC)."""
+    require_ring(n_sites, j)
     return 4.0 * math.sqrt(2.0) * j * alpha / math.sqrt(n_sites)
 
 
 def f_n_tfic(n_sites, beta, j) -> float:
     """Finite-N temperature factor coth(2 beta J) [(1 + t^N)/(1 + t^{N-2})]^{1/2}."""
     require_beta(beta, positive=True)
-    if n_sites < 3:
-        raise ValueError("n_sites must be >= 3")
+    require_ring(n_sites, j, min_sites=3)
     t = math.tanh(2.0 * beta * j)
     return (1.0 / t) * math.sqrt((1.0 + t**n_sites) / (1.0 + t ** (n_sites - 2)))
 
@@ -66,6 +64,7 @@ def f_tfic_asymptotics(beta, j, regime) -> float:
     returns 1 / (2 beta J) (coefficient 1/(2J)).
     """
     require_beta(beta, positive=regime == "high")
+    require_couplings(j)
     if regime == "low":
         return 1.0 + 2.0 * math.exp(-4.0 * beta * j)
     if regime == "high":
@@ -122,6 +121,7 @@ def mfic_coefficients(beta, j, b) -> MficCoefficients:
     (B -+ 2J)^2 and B^2 vanish there, so the closed forms as written divide
     by zero even though the underlying limits exist.
     """
+    require_couplings(j, b)
     window = 1e-9 * j
     if min(abs(b), abs(b - 2 * j), abs(b + 2 * j)) < window:
         raise ValueError(
@@ -168,8 +168,7 @@ def _mfic_ratios(n_sites, coeffs: MficCoefficients):
 
 def delta_v_mfic_closed(n_sites, beta, j, b) -> float:
     """sqrt(2N) J (1 - 2 Q^{(B)}_{N-1}(2 beta) / Z0(2 beta))^{1/2}."""
-    if n_sites < 3:
-        raise ValueError("n_sites must be >= 3")
+    require_ring(n_sites, j, b, min_sites=3)
     require_beta(beta)
     if beta == 0:
         return 0.0
@@ -179,8 +178,7 @@ def delta_v_mfic_closed(n_sites, beta, j, b) -> float:
 
 def chi_f_mfic_closed(n_sites, beta, j, b) -> float:
     """(N J^2 / 2) Tr(T^{N-2} M) / (Lambda_+^N + Lambda_-^N), from the shifted matrices."""
-    if n_sites < 3:
-        raise ValueError("n_sites must be >= 3")
+    require_ring(n_sites, j, b, min_sites=3)
     require_beta(beta)
     if beta == 0:
         return 0.0
@@ -194,6 +192,7 @@ def gamma_n_mfic(n_sites, j, b, alpha: float = 1.0) -> float:
     This is alpha deltaV0 / chi_F0 with deltaV0 = sqrt(2N) J and
     chi_F0 = N J^2 / (2J + |B|)^2 (N single-flip states at gap 2(2J + |B|)).
     """
+    require_ring(n_sites, j, b)
     return math.sqrt(2.0) * alpha * (2.0 * j + abs(b)) ** 2 / (math.sqrt(n_sites) * j)
 
 
@@ -225,6 +224,7 @@ def f_mfic_asymptotics(beta, j, b, regime) -> float:
     c2 = sqrt(2 + (B/J)^2) / (sqrt(2) (2 + |B|/J)^2 J).
     """
     require_beta(beta, positive=regime == "high")
+    require_couplings(j, b)
     if regime == "low":
         return 1.0 + math.exp(-2.0 * beta * (2.0 * j + abs(b)))
     if regime == "high":

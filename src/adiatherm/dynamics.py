@@ -7,13 +7,20 @@ lambda, so a step is two exponentials exp(-i H(lambda_eff) dt / 2), each
 built by eigendecomposition: every step is exactly unitary and purity
 conservation is structural rather than an accuracy accident.  The step is
 halved until F is stable to 1e-8 at every record.  The quasi-Gibbs targets
-come from one thermal.QuasiGibbsSweep, stable to 1e-8 at every record and
-started from the H0 and V matrices evolve already holds; its lambda = 0
-record is the initial Gibbs state, so H0 is diagonalized once.  Each halving
-level reads the sweep's records once and fills every column that needs sigma
-or rho, C included: C does not depend on the CFM4 step, so every level gives
-it bit for bit, at the cost of one inner product per record.  R and both
-bounds need only C, so they are computed once, from the accepted level.
+come from one thermal.QuasiGibbsSweep, stable to 1e-8 at every record; its
+lambda = 0 record is the initial Gibbs state, so H0 is diagonalized once.
+Each halving level reads the sweep's records once and fills every column
+that needs sigma or rho, C included: C does not depend on the CFM4 step, so
+every level gives it bit for bit, at the cost of one inner product per
+record.  R and both bounds need only C, so they are computed once, from the
+accepted level.
+
+Everything runs in the real symmetry-adapted basis of
+models.symmetry_sectors, where H0 is diagonal and V block-diagonal.  The
+eigenpairs of every CFM4 node of a halving level come from one pass of a
+thermal.BlockEigensolver over those nodes; rho, sigma and the CFM4 factors
+are d x d matrices in the sector basis.  F, C, Theta, the purity and the
+trace are traces, which the orthogonal change of basis leaves unchanged.
 """
 
 from __future__ import annotations
@@ -25,11 +32,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import SpinChainModel, build_h0, build_v, require_finite
+from .models import SpinChainModel, require_finite, symmetry_sectors
 from .operators import hs_angle_mat, hs_fidelity_mat
 from .qsl import bound_strong, bound_weak, qsl_radius_constant_rate
 from .susceptibility import flip_sums
-from .thermal import QuasiGibbsSweep
+from .thermal import BlockEigensolver, QuasiGibbsSweep
 
 logger = logging.getLogger(__name__)
 
@@ -99,9 +106,8 @@ class MeanFreePath(NamedTuple):
     censored: bool
 
 
-def _propagator(hmat, dt):
-    """Exactly unitary exp(-i H dt) of a real-symmetric or Hermitian H by eigh."""
-    evals, evecs = np.linalg.eigh(hmat)
+def _propagator(evals, evecs, dt):
+    """Exactly unitary exp(-i H dt) of a real-symmetric or Hermitian H from its eigenpairs."""
     phases = np.exp(-1j * dt * evals)
     # for real eigenvectors two real products cost half of one complex product
     cos_part = (evecs * phases.real) @ evecs.conj().T
@@ -109,24 +115,40 @@ def _propagator(hmat, dt):
     return cos_part + 1j * sin_part
 
 
-def cfm4_propagator(h0, v, lam_start, lam_stop, gamma, steps):
+def _interval_propagators(solver, lambdas, gamma, steps):
+    """Yield the CFM4 propagator over each interval of the grid lambdas, in order.
+
+    Every eigenpair of the CFM4 nodes of all intervals comes from one pass
+    of the BlockEigensolver solver over them.
+    """
+    lambdas = np.asarray(lambdas, dtype=float)
+    widths = (lambdas[1:] - lambdas[:-1]) / steps
+    h = widths[:, None]
+    lam0 = lambdas[:-1, None] + np.arange(steps) * h  # the start of every step
+    nodes = np.stack([lam0 + h / 6.0, lam0 + 5.0 * h / 6.0], axis=-1)
+    eigenpairs = solver.eigenpairs(nodes.ravel())
+    for h in widths:
+        dt = h / (2.0 * gamma)
+        u = None
+        for _ in range(2 * steps):
+            factor = _propagator(*next(eigenpairs), dt)
+            u = factor if u is None else factor @ u
+        yield u
+
+
+def cfm4_propagator(blocks, lam_start, lam_stop, gamma, steps):
     """Propagator over [lam_start, lam_stop] of the ramp lambda = Gamma t, by CFM4.
 
-    Fourth-order commutator-free Magnus scheme (Alvermann & Fehske 2011).
-    Because H(lambda) = H0 + lambda V is linear in lambda, each step of width
-    h from lambda0 is two exponentials: first exp(-i (h / 2 Gamma)
-    H(lambda0 + h/6)), then exp(-i (h / 2 Gamma) H(lambda0 + 5h/6)).  Applied
-    in the other order the scheme drops to second order.
+    blocks holds H0 and V as BlockEigensolver takes them; the propagator is
+    in their basis.  Fourth-order commutator-free Magnus scheme (Alvermann &
+    Fehske 2011).  Because H(lambda) = H0 + lambda V is linear in lambda,
+    each step of width h from lambda0 is two exponentials: first
+    exp(-i (h / 2 Gamma) H(lambda0 + h/6)), then
+    exp(-i (h / 2 Gamma) H(lambda0 + 5h/6)).  Applied in the other order the
+    scheme drops to second order.
     """
-    h = (lam_stop - lam_start) / steps
-    dt = h / (2.0 * gamma)
-    u = None
-    for s in range(steps):
-        lam0 = lam_start + s * h
-        for node in (lam0 + h / 6.0, lam0 + 5.0 * h / 6.0):
-            factor = _propagator(h0 + node * v, dt)
-            u = factor if u is None else factor @ u
-    return u
+    solver = BlockEigensolver(blocks)
+    return next(_interval_propagators(solver, [lam_start, lam_stop], gamma, steps))
 
 
 def evolve(
@@ -151,12 +173,13 @@ def evolve(
     if n_records < 1:
         raise ValueError("n_records must be >= 1")
 
-    h0m, vm = build_h0(model).mat, build_v(model).mat
+    blocks = symmetry_sectors(model).blocks
     dv = flip_sums(model, beta).delta_v
     lambdas = np.linspace(0.0, lambda_max, n_records if lambda_max > 0 else 1)
     n = lambdas.size
     # the lambda = 0 record is the Gibbs state, and every target has its purity
-    sweep = QuasiGibbsSweep(h0m, vm, lambdas, beta)
+    sweep = QuasiGibbsSweep(blocks, lambdas, beta)
+    solver = BlockEigensolver(blocks)
 
     def run_level(steps):
         """Every column that needs sigma or rho, in one pass over the sweep."""
@@ -165,8 +188,8 @@ def evolve(
         rho0 = rho = next(sigmas)
         rec["F"][0] = rec["C"][0] = 1.0
         rec["purity"][0] = sweep.purity
-        for k, sigma in enumerate(sigmas, start=1):
-            u = cfm4_propagator(h0m, vm, lambdas[k - 1], lambdas[k], gamma, steps)
+        propagators = _interval_propagators(solver, lambdas, gamma, steps)
+        for k, (sigma, u) in enumerate(zip(sigmas, propagators), start=1):
             rho = u @ rho @ u.conj().T
             rho_purity = float(np.real(np.vdot(rho, rho)))
             rec["F"][k] = hs_fidelity_mat(sigma, sweep.purity, rho, rho_purity)

@@ -7,7 +7,11 @@ Three drives share the classical Ising part H0 = -J sum_j Z_j Z_{j+1}
 * ``qxyc``  quantum XY chain,               V = -J sum_j (X_j X_{j+1} - Z_j Z_{j+1})
 * ``mfic``  mixed-field Ising chain,        V = -J sum_j X_j
 
-and the driven Hamiltonian is H_lambda = H0 + lambda * V.
+and the driven Hamiltonian is H_lambda = H0 + lambda * V.  build_h0 and
+build_v give the dense matrices of the operator-level oracle;
+symmetry_sectors gives H0 and V block by block in a real symmetry-adapted
+basis of the ring (Sandvik, AIP Conf. Proc. 1297, 135 (2010)), which the
+dynamics route and the spectrum command diagonalize.
 """
 
 from __future__ import annotations
@@ -23,10 +27,10 @@ from .operators import HermitianOperator
 
 KINDS = ("tfic", "qxyc", "mfic")
 
-# d x d matrices evolve holds at once, each counted at complex size: H0, V,
-# the eigenvectors of H0, rho0, the continuation's columns, the quasi-Gibbs
-# target, the evolved state and the propagator with its CFM4 factor,
-# eigenvectors, two real parts, product and sandwich temporaries.
+# d x d matrices evolve holds at once, each counted at complex size: the
+# sector basis, the continuation's columns and its fresh eigenvectors, rho0,
+# the quasi-Gibbs target, the evolved state and the propagator with its CFM4
+# factor, eigenvectors, two real parts, product and sandwich temporaries.
 _DENSE_MATRICES = 13
 # Arrays of 2^N 8-byte values flip_sums holds at once: the energies, their
 # shifted copy, the weights, the basis indices, the ground mask, and per
@@ -55,17 +59,7 @@ class SpinChainModel:
         object.__setattr__(self, "kind", str(self.kind).lower())
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        try:
-            object.__setattr__(self, "n_sites", operator.index(self.n_sites))
-        except TypeError:
-            raise ValueError(f"n_sites must be an integer, got {self.n_sites!r}") from None
-        if self.n_sites < 2:
-            raise ValueError("n_sites must be >= 2")
-        require_finite("J", self.J)
-        if not self.J > 0:
-            raise ValueError("coupling J must be positive")
-        if self.B is not None:
-            require_finite("B", self.B)
+        object.__setattr__(self, "n_sites", require_ring(self.n_sites, self.J, self.B))
         if self.kind == "mfic":
             if self.B is None:
                 raise ValueError("mfic requires a longitudinal field B")
@@ -85,6 +79,31 @@ def require_finite(name, value):
     """
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def require_couplings(J, B=None):
+    """Raise ValueError unless J is finite and positive and B, when given, is finite."""
+    require_finite("J", J)
+    if not J > 0:
+        raise ValueError("coupling J must be positive")
+    if B is not None:
+        require_finite("B", B)
+
+
+def require_ring(n_sites, J, B=None, min_sites=2) -> int:
+    """The ring size as an int, after the checks of SpinChainModel.
+
+    n_sites must be an integer >= min_sites, and the couplings pass
+    require_couplings.  The closed forms call it with min_sites = 3.
+    """
+    try:
+        n_sites = operator.index(n_sites)
+    except TypeError:
+        raise ValueError(f"n_sites must be an integer, got {n_sites!r}") from None
+    if n_sites < min_sites:
+        raise ValueError(f"n_sites must be >= {min_sites}")
+    require_couplings(J, B)
+    return n_sites
 
 
 def require_beta(beta, positive=False):
@@ -201,11 +220,16 @@ def build_v(model: SpinChainModel) -> HermitianOperator:
     for mask, amplitude in flip_terms(model):
         total[idx ^ mask, idx] = amplitude
     if model.kind == "qxyc":
-        diag = np.zeros(model.dim)
-        for bond in _bond_products(n):
-            diag += model.J * bond
-        total[idx, idx] = diag
+        total[idx, idx] = _zz_diagonal(model)
     return HermitianOperator(n_sites=n, mat=total)
+
+
+def _zz_diagonal(model: SpinChainModel) -> np.ndarray:
+    """The diagonal +J sum Z_j Z_{j+1} of qxyc's V, accumulated bond by bond."""
+    diag = np.zeros(model.dim)
+    for bond in _bond_products(model.n_sites):
+        diag += model.J * bond
+    return diag
 
 
 def hamiltonian_at(model: SpinChainModel, lam: float) -> HermitianOperator:
@@ -216,13 +240,128 @@ def hamiltonian_at(model: SpinChainModel, lam: float) -> HermitianOperator:
     return HermitianOperator(n_sites=model.n_sites, mat=h0.mat + lam * v.mat)
 
 
-def translation_operator(n_sites) -> np.ndarray:
-    """Cyclic one-site shift |s_1 ... s_N> -> |s_N s_1 ... s_{N-1}>."""
-    dim = 2**n_sites
-    perm = np.empty(dim, dtype=np.int64)
-    for idx in range(dim):
-        low = idx & 1
-        perm[idx] = (idx >> 1) | (low << (n_sites - 1))
-    op = np.zeros((dim, dim))
-    op[perm, np.arange(dim)] = 1.0
-    return op
+@dataclass(frozen=True)
+class SymmetrySectors:
+    """H0 and V block by block, in a real orthonormal symmetry-adapted basis.
+
+    The ring's symmetries are translation T, reflection P (site j -> N + 1 - j)
+    and, for tfic and qxyc, the global flip prod X; mfic's B sum Z breaks
+    prod X.  Block b holds the states of labels[b] = (m, p, x): momentum
+    k = 2 pi m / N, m = 0..N//2, with +-k paired into real cos/sin
+    combinations, reflection parity p = +-1 and prod X parity x = +-1 (None
+    for mfic).  basis is the d x d orthogonal matrix of the sector states,
+    grouped block by block in label order, and blocks[b] = (h0_b, v_b) are
+    H0 and V on block b.  Every column lies in one symmetry orbit, whose
+    states share one classical energy, so each h0_b is exactly diagonal; H0
+    and V commute with every symmetry, so they have no entry between blocks.
+    """
+
+    labels: tuple
+    basis: np.ndarray
+    blocks: tuple
+
+    @property
+    def sizes(self):
+        return tuple(h0.shape[0] for h0, _ in self.blocks)
+
+
+def _translate(idx, n_sites):
+    """T on basis indices: |s_1 ... s_N> -> |s_N s_1 ... s_{N-1}>."""
+    return (idx >> 1) | ((idx & 1) << (n_sites - 1))
+
+
+def _reflect(idx, n_sites):
+    """P on basis indices: the bits in reverse order."""
+    out = np.zeros_like(idx)
+    for site in range(n_sites):
+        out |= ((idx >> site) & 1) << (n_sites - 1 - site)
+    return out
+
+
+def _momentum_coefficients(n_sites):
+    """Row m: the coefficient of T^j, j = 0..N-1, in the real projector
+    (c_m / N) sum_j cos(2 pi m j / N) T^j onto momenta +-2 pi m / N, halved
+    for the reflection projector (1 +- P) / 2.  c_m = 1 at k = 0, pi and 2
+    otherwise.
+
+    cos is taken at min(mj mod N, N - (mj mod N)), so T^j and T^-j get
+    bitwise equal coefficients.
+    """
+    m = np.arange(n_sites // 2 + 1)[:, None]
+    phase = (m * np.arange(n_sites)) % n_sites
+    phase = np.minimum(phase, n_sites - phase)
+    paired = np.where((m == 0) | (2 * m == n_sites), 1.0, 2.0)
+    return paired * np.cos(2.0 * np.pi * phase / n_sites) / (2.0 * n_sites)
+
+
+def _apply_v(model: SpinChainModel, columns) -> np.ndarray:
+    """V times a d x m array of columns, from flip_terms and qxyc's ZZ diagonal."""
+    idx = np.arange(model.dim)
+    out = np.zeros_like(columns)
+    for mask, amplitude in flip_terms(model):
+        out += amplitude * columns[idx ^ mask]
+    if model.kind == "qxyc":
+        out += _zz_diagonal(model)[:, None] * columns
+    return out
+
+
+def symmetry_sectors(model: SpinChainModel) -> SymmetrySectors:
+    """The symmetry sectors of the ring, built from classical_energies and flip_terms.
+
+    Per orbit of the symmetry group, the real projector of every label is
+    built on the orbit's states and diagonalized in one stacked eigh; its
+    eigenvectors of eigenvalue 1 are the orbit's states of that label.  At
+    N = 2 and 3 some labels are empty, because T and P partly coincide.
+    Refuses, like build_h0, an N whose dense route would not fit in memory.
+    """
+    require_dense_fits(model)
+    n, d = model.n_sites, model.dim
+    energies = classical_energies(model)
+    idx = np.arange(d, dtype=np.int64)
+    shifts = [idx]
+    for _ in range(n - 1):
+        shifts.append(_translate(shifts[-1], n))
+    translated = np.array(shifts)  # T^j s, row j
+    orbit_images = np.stack([translated, translated[:, _reflect(idx, n)]])  # T^j s, T^j P s
+    images = orbit_images.reshape(2 * n, d)
+    flips = model.kind != "mfic"  # B sum Z breaks prod X
+    if flips:
+        images = np.concatenate([images, images ^ (d - 1)])
+    coefficients = _momentum_coefficients(n)
+    # in the order of the stacked projectors below: m, then p, then x
+    labels = [(m, p, x) for m in range(n // 2 + 1) for p in (1, -1)
+              for x in ((1, -1) if flips else (None,))]
+    columns = {label: [] for label in labels}
+
+    representatives = images.min(axis=0)
+    order = np.argsort(representatives, kind="stable")
+    # each orbit's states in ascending order, as searchsorted needs
+    for states in np.split(order, np.flatnonzero(np.diff(representatives[order])) + 1):
+        size = states.size
+        perms = np.zeros((2, n, size, size))  # T^j and T^j P on the orbit
+        images_on_orbit = np.searchsorted(states, orbit_images[:, :, states])
+        perms[0, np.arange(n)[:, None], images_on_orbit[0], np.arange(size)] = 1.0
+        perms[1, np.arange(n)[:, None], images_on_orbit[1], np.arange(size)] = 1.0
+        halves = (coefficients @ perms.reshape(2, n, -1)).reshape(2, -1, size, size)
+        projectors = np.stack([halves[0] + halves[1], halves[0] - halves[1]], axis=1)
+        if flips:
+            flipped = projectors[..., np.searchsorted(states, states ^ (d - 1)), :]
+            projectors = np.stack([projectors + flipped, projectors - flipped], axis=2) / 2.0
+        evals, evecs = np.linalg.eigh(projectors.reshape(-1, size, size))
+        kept = evals > 0.5
+        for index in np.flatnonzero(kept.any(axis=1)):
+            full = np.zeros((d, np.count_nonzero(kept[index])))
+            full[states] = evecs[index][:, kept[index]]
+            columns[labels[index]].append((full, energies[states[0]]))
+
+    labels = [label for label in labels if columns[label]]
+    basis = np.concatenate([full for label in labels for full, _ in columns[label]], axis=1)
+    v_basis = _apply_v(model, basis)
+    blocks, start = [], 0
+    for label in labels:
+        h0_diagonal = [e for full, e in columns[label] for _ in range(full.shape[1])]
+        cols = slice(start, start + len(h0_diagonal))
+        v_block = basis[:, cols].T @ v_basis[:, cols]
+        blocks.append((np.diag(h0_diagonal), 0.5 * (v_block + v_block.T)))
+        start = cols.stop
+    return SymmetrySectors(tuple(labels), basis, tuple(blocks))

@@ -13,6 +13,18 @@ quasi_gibbs_at and thermal_overlap are its two-record case over
 [0, lambda], and evolve takes its targets from it.  A tie between labels of
 different weight in the accepted march triggers a ContinuationWarning
 instead of failing silently.
+
+Every eigendecomposition of H_lambda comes from a BlockEigensolver, which
+takes H0 and V as blocks: the symmetry sectors of the ring
+(models.symmetry_sectors), or a dense pair as one block.  A march knows its
+whole lambda path before it starts, so the blocks of each size go through
+one stacked np.linalg.eigh per chunk of that path, and the eigenpairs are
+assembled lambda by lambda into ascending eigenvalues and block-diagonal
+columns.  The sweep's records are then in
+the sector basis; quasi_gibbs_at returns its state in the computational
+basis, and thermal_overlap needs no basis, since an orthogonal change of
+basis leaves every trace unchanged.  Eigenvectors of different sectors have
+zero overlap, so levels of different sectors never exchange labels.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ import warnings
 
 import numpy as np
 
-from .models import SpinChainModel, build_h0, build_v, require_finite
+from .models import SpinChainModel, require_finite, symmetry_sectors
 from .operators import (
     DensityMatrix,
     SpectralDecomposition,
@@ -35,6 +47,8 @@ AMBIGUITY_TOL = 1e-6
 CONTINUATION_STABILITY_TOL = 1e-8
 _MAX_SWEEP_DOUBLINGS = 7
 _SIGMA_CACHE_BYTES = 6e8
+# bytes of the block matrices one chunk of BlockEigensolver stacks
+_EIGH_STACK_BYTES = 1 << 17
 
 
 class ContinuationWarning(UserWarning):
@@ -72,14 +86,67 @@ def escort_state(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(mat=_hermitize(sq / np.real(np.trace(sq))))
 
 
+class BlockEigensolver:
+    """The eigenpairs of H(lambda) = blockdiag_b(h0_b + lambda v_b), over stacks of lambdas.
+
+    blocks is a sequence of (h0_b, v_b) pairs of square matrices, such as
+    SymmetrySectors.blocks; a dense (h0, v) pair is one block.  eigenpairs()
+    yields, at each lambda, the ascending eigenvalues and the d x d
+    eigenvector columns, block-diagonal in the blocks' row order.  The
+    blocks of one size take one np.linalg.eigh over a stack of every such
+    block at every lambda of a chunk; the chunks are sized so that one chunk
+    of all blocks together holds at most _EIGH_STACK_BYTES.  numpy's stacked
+    eigh runs LAPACK matrix by matrix, so the result does not depend on the
+    chunking.
+    """
+
+    def __init__(self, blocks):
+        self.dtype = np.result_type(*(mat for pair in blocks for mat in pair))
+        sizes = np.array([h0.shape[0] for h0, _ in blocks])
+        self.dim = int(sizes.sum())
+        groups = [np.flatnonzero(sizes == m) for m in sorted(set(sizes.tolist()))]
+        self._stacks = [
+            [np.stack([blocks[b][k] for b in group]) for k in (0, 1)] for group in groups
+        ]
+        # the eigenvalues and eigenvectors of a chunk are concatenated group
+        # by group, block by block; entry (r, j) of block b goes to row
+        # offset_b + r and to the column of its eigenvalue j in ascending order
+        order = np.concatenate(groups)
+        m = sizes[order]
+        block = np.repeat(np.arange(order.size), m * m)
+        entry = np.arange(block.size) - np.repeat(np.cumsum(m * m) - m * m, m * m)
+        self._rows = (np.cumsum(sizes) - sizes)[order][block] + entry // m[block]
+        self._values = (np.cumsum(m) - m)[block] + entry % m[block]
+        self._chunk = max(1, _EIGH_STACK_BYTES // (self.dtype.itemsize * int(np.sum(sizes**2))))
+
+    def eigenpairs(self, lambdas):
+        """Yield (ascending eigenvalues, eigenvector columns) at each lambda, in order."""
+        lambdas = np.asarray(lambdas, dtype=float)
+        dim = self.dim
+        for start in range(0, lambdas.size, self._chunk):
+            lams = lambdas[start : start + self._chunk]
+            count = lams.size
+            evals, entries = [], []
+            for h0s, vs in self._stacks:
+                e, u = np.linalg.eigh(h0s[:, None] + lams[None, :, None, None] * vs[:, None])
+                evals.append(e.transpose(1, 0, 2).reshape(count, -1))
+                entries.append(u.transpose(1, 0, 2, 3).reshape(count, -1))
+            evals, entries = np.concatenate(evals, axis=1), np.concatenate(entries, axis=1)
+            for i, order in enumerate(np.argsort(evals, axis=1, kind="stable")):
+                column = np.empty(dim, dtype=int)
+                column[order] = np.arange(dim)
+                vectors = np.zeros(dim * dim, dtype=self.dtype)
+                vectors[self._rows * dim + column[self._values]] = entries[i]
+                yield evals[i, order], vectors.reshape(dim, dim)
 
 
 class EigenbasisContinuation:
     """Marches the labeled eigenbasis of H_lambda = h0 + lambda v along a lambda path.
 
-    h0 and v are the dense matrices of H0 and V, real symmetric or Hermitian.
-    restart() returns to the labeled eigenbasis of H0, so one continuation
-    serves any number of marches.
+    blocks holds H0 and V as (h0_b, v_b) pairs (see BlockEigensolver): the
+    blocks of SymmetrySectors, or a dense pair as one block.  restart()
+    returns to the labeled eigenbasis of H0, so one continuation serves any
+    number of marches.
 
     Labels are transported level by level, by adiabatic transport of the
     spectral projectors (Kato 1950).  Each advance() clusters the fresh
@@ -97,10 +164,9 @@ class EigenbasisContinuation:
     ambiguous_steps as (lambda, number of ambiguous matches).
     """
 
-    def __init__(self, h0, v):
-        self._h0 = h0
-        self._v = v
-        evals, evecs = np.linalg.eigh(h0)
+    def __init__(self, blocks):
+        self.solver = BlockEigensolver(blocks)
+        evals, evecs = next(self.solver.eigenpairs([0.0]))
         edges = level_edges(evals)
         self._origin = evals
         # every column of an H0 level carries the index of the level's first
@@ -121,9 +187,14 @@ class EigenbasisContinuation:
         """The lambda = 0 energy carried by each column."""
         return self._origin[self.labels]
 
-    def advance(self, lam: float) -> None:
-        """Step the labeled basis to the eigenbasis of H at the given lambda."""
-        evals, fresh = np.linalg.eigh(self._h0 + lam * self._v)
+    def advance(self, lam: float, eigenpairs=None) -> None:
+        """Step the labeled basis to the eigenbasis of H at the given lambda.
+
+        eigenpairs is the solver's pair at lam when the caller has it.
+        """
+        if eigenpairs is None:
+            eigenpairs = next(self.solver.eigenpairs([lam]))
+        evals, fresh = eigenpairs
         d = evals.size
         edges = level_edges(evals)
         starts, sizes = edges[:-1], np.diff(edges)
@@ -169,10 +240,11 @@ class QuasiGibbsSweep:
     """Quasi-Gibbs targets at a grid of records from one converged continuation.
 
     The targets keep the Boltzmann weights of H0 at inverse temperature beta
-    on the continued eigenbasis of h0 + lambda v, at each lambda of the
-    monotonic grid lambdas, which starts at 0.  One EigenbasisContinuation
-    is started per sweep, and every march restarts from its labeled
-    lambda = 0 basis.  sigma at a record is sum_level w P_level(lambda_k),
+    on the continued eigenbasis of H0 + lambda V, given as blocks (see
+    BlockEigensolver), at each lambda of the monotonic grid lambdas, which
+    starts at 0; they are matrices in the blocks' basis.  One
+    EigenbasisContinuation is started per sweep, and every march restarts
+    from its labeled lambda = 0 basis.  sigma at a record is sum_level w P_level(lambda_k),
     built from the continuation's eigendecomposition at lambda_k, so the
     step count only decides whether the labels are resolved.  Starting at
     one step per record interval, the count is doubled until sigma at every
@@ -188,13 +260,14 @@ class QuasiGibbsSweep:
     otherwise each request re-marches the continuation.
     """
 
-    def __init__(self, h0, v, lambdas, beta):
+    def __init__(self, blocks, lambdas, beta):
         self.lambdas = lambdas
-        self._cont = EigenbasisContinuation(h0, v)
+        self._cont = EigenbasisContinuation(blocks)
         self.weights = boltzmann_weights(self._cont._origin, beta)
         self.purity = float(np.sum(self.weights**2))
         dim = self.weights.size
-        itemsize = np.result_type(h0, v, self.weights).itemsize  # of every snapshot
+        # of every snapshot
+        itemsize = np.result_type(self._cont.solver.dtype, self.weights).itemsize
         caching = len(lambdas) * dim * dim * itemsize <= _SIGMA_CACHE_BYTES
         per_interval = 1
         previous = None
@@ -224,16 +297,21 @@ class QuasiGibbsSweep:
         self._cache = snapshots
 
     def _walk(self, per_interval):
-        """Yield the continuation at each record lambda, in order."""
+        """Yield the continuation at each record lambda, in order.
+
+        The march's whole lambda path is known before it starts, so every
+        eigenpair comes from one pass of the solver over it.
+        """
         cont = self._cont
         cont.restart()
         yield cont
-        for k in range(1, len(self.lambdas)):
-            a, b = self.lambdas[k - 1], self.lambdas[k]
-            for s in range(1, per_interval):
-                cont.advance(a + (b - a) * s / per_interval)
-            cont.advance(b)
-            yield cont
+        path = []
+        for a, b in zip(self.lambdas[:-1], self.lambdas[1:]):
+            path += [a + (b - a) * s / per_interval for s in range(1, per_interval)] + [b]
+        for step, (lam, eigenpairs) in enumerate(zip(path, cont.solver.eigenpairs(path)), 1):
+            cont.advance(lam, eigenpairs)
+            if step % per_interval == 0:
+                yield cont
 
     def _march(self, per_interval, snapshots, previous):
         """Per-record (column weights, rotated columns or None) and the largest
@@ -266,32 +344,37 @@ class QuasiGibbsSweep:
 
 
 def _endpoints(model: SpinChainModel, beta, lam):
-    """The records of a two-record sweep over [0, lam], and their purity."""
+    """The sector basis, the records in it of a two-record sweep over [0, lam],
+    and their purity."""
     require_finite("lambda", lam)
-    sweep = QuasiGibbsSweep(build_h0(model).mat, build_v(model).mat, np.array([0.0, lam]), beta)
-    return (*sweep.records(), sweep.purity)
+    sectors = symmetry_sectors(model)
+    sweep = QuasiGibbsSweep(sectors.blocks, np.array([0.0, lam]), beta)
+    return (sectors.basis, *sweep.records(), sweep.purity)
 
 
 def quasi_gibbs_at(model: SpinChainModel, beta, lam) -> DensityMatrix:
     """Quasi-Gibbs state at lambda: initial Boltzmann weights on the continued basis.
 
-    The last record of a two-record QuasiGibbsSweep over [0, lambda];
-    negative lambda is allowed (symmetric finite differences of the overlap
-    use it).  Its purity equals the initial Gibbs purity because the
-    weights never change along the continuation.
+    The last record of a two-record QuasiGibbsSweep over [0, lambda] on the
+    symmetry sectors, returned in the computational basis; negative lambda
+    is allowed (symmetric finite differences of the overlap use it).  Its
+    purity equals the initial Gibbs purity because the weights never change
+    along the continuation.
     """
-    return DensityMatrix(mat=_endpoints(model, beta, lam)[1])
+    basis, _, sigma, _ = _endpoints(model, beta, lam)
+    return DensityMatrix(mat=basis @ sigma @ basis.T)
 
 
 def thermal_overlap(model: SpinChainModel, beta, lam) -> float:
     """Hilbert-Schmidt fidelity C between Gibbs(beta) and the quasi-Gibbs target.
 
-    Both come from one two-record sweep: its lambda = 0 record is the Gibbs
-    state.  Both are validated as DensityMatrix, and C is hs_fidelity_mat
-    with the sweep's purity for both, as in evolve, so it equals
-    evolve(...).thermal_overlap[k] at lam = trace.lambdas[k] exactly.
+    Both come from one two-record sweep on the symmetry sectors: its
+    lambda = 0 record is the Gibbs state.  Both are validated as
+    DensityMatrix in the sector basis, which changes no trace, and C is
+    hs_fidelity_mat with the sweep's purity for both, as in evolve, so it
+    equals evolve(...).thermal_overlap[k] at lam = trace.lambdas[k] exactly.
     """
-    rho0, sigma, purity = _endpoints(model, beta, lam)
+    _, rho0, sigma, purity = _endpoints(model, beta, lam)
     DensityMatrix(mat=rho0)
     DensityMatrix(mat=sigma)
     return hs_fidelity_mat(sigma, purity, rho0, purity)

@@ -34,6 +34,26 @@ class TestPartitionFunctions:
         with pytest.raises(ValueError, match="n_sites"):
             chi_f_mfic_closed(2, 1.0, 1.0, 0.7)
 
+    # each closed form rejects a bad ring size or coupling with SpinChainModel's message
+    BAD_CHAINS = {
+        "mfic nan B": (lambda: delta_v_mfic_closed(6, 1.0, 1.0, math.nan),
+                       ("mfic", 6, 1.0, math.nan)),
+        "mfic limit nan J": (lambda: f_mfic(None, 1.0, math.nan, 0.7), ("mfic", 6, math.nan, 0.7)),
+        "tfic nan J": (lambda: delta_v_tfic_closed(6, 1.0, math.nan), ("tfic", 6, math.nan)),
+        "tfic negative J": (lambda: chi_f_tfic_closed(6, 1.0, -1.0), ("tfic", 6, -1.0)),
+        "tfic fractional N": (lambda: delta_v_tfic_closed(3.5, 1.0, 1.0), ("tfic", 3.5, 1.0)),
+        "gamma_n infinite J": (lambda: gamma_n_tfic(6, math.inf), ("tfic", 6, math.inf)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_CHAINS))
+    def test_ring_and_couplings_validated(self, case):
+        call, model_args = self.BAD_CHAINS[case]
+        with pytest.raises(ValueError) as closed:
+            call()
+        with pytest.raises(ValueError) as model:
+            SpinChainModel(*model_args)
+        assert str(closed.value) == str(model.value)
+
     ENTRY_POINTS = {
         "delta_v_tfic_closed": lambda beta: delta_v_tfic_closed(6, beta, 1.0),
         "chi_f_tfic_closed": lambda beta: chi_f_tfic_closed(6, beta, 1.0),

@@ -11,7 +11,7 @@ from adiatherm.dynamics import (
     cfm4_propagator,
     evolve,
 )
-from adiatherm.models import SpinChainModel, build_h0, build_v
+from adiatherm.models import SpinChainModel, SymmetrySectors, build_h0, build_v
 from adiatherm.operators import eigh, hs_norm
 from adiatherm.thermal import QuasiGibbsSweep, gibbs_state, thermal_overlap
 
@@ -147,6 +147,28 @@ class TestEvolve:
         assert np.allclose(cached.adiabatic_fidelity, regenerated.adiabatic_fidelity, atol=1e-13)
         assert np.allclose(cached.thermal_overlap, regenerated.thermal_overlap, atol=1e-13)
 
+    @pytest.mark.parametrize(
+        "kind,b,lambda_max",
+        [("tfic", None, 0.2), ("mfic", 0.7, 0.2), ("qxyc", None, 1.5)],
+    )
+    def test_sector_blocks_match_the_dense_pair(self, monkeypatch, kind, b, lambda_max):
+        # the same code given H0 and V as one dense block: the sector basis
+        # is an orthogonal change of basis, under which no column changes
+        import adiatherm.dynamics as dynamics
+
+        model = SpinChainModel(kind, 4, B=b)
+        by_sector = evolve(model, 1.0, 2.0, lambda_max, 21)
+        dense = SymmetrySectors(
+            labels=(None,),
+            basis=np.eye(model.dim),
+            blocks=((build_h0(model).mat, build_v(model).mat),),
+        )
+        monkeypatch.setattr(dynamics, "symmetry_sectors", lambda _: dense)
+        by_dense = evolve(model, 1.0, 2.0, lambda_max, 21)
+        for sector_row, dense_row in zip(by_sector.rows(), by_dense.rows()):
+            assert np.abs(np.subtract(sector_row, dense_row)).max() <= 1e-12
+        assert by_sector.fidelity_history == pytest.approx(by_dense.fidelity_history, abs=1e-12)
+
 
 class TestCFM4:
     def test_fourth_order_convergence(self):
@@ -158,7 +180,7 @@ class TestCFM4:
         rho0 = gibbs_state(eigh(build_h0(model)), 0.5).mat
 
         def evolved(steps):
-            u = cfm4_propagator(h0, v, 0.0, 0.4, 0.5, steps)
+            u = cfm4_propagator([(h0, v)], 0.0, 0.4, 0.5, steps)
             return u @ rho0 @ u.conj().T
 
         reference = evolved(512)
@@ -171,7 +193,7 @@ class TestCFM4:
         model = SpinChainModel("mfic", 4, B=0.7)
         h0 = build_h0(model).mat
         v = build_v(model).mat
-        u = cfm4_propagator(h0, v, 0.1, 0.3, 0.7, 3)
+        u = cfm4_propagator([(h0, v)], 0.1, 0.3, 0.7, 3)
         assert np.abs(u.conj().T @ u - np.eye(16)).max() <= 1e-13
 
 
@@ -185,7 +207,7 @@ class TestSigmaSweep:
         v = build_v(model).mat
 
         def last_sigma(lambda_max):
-            sweep = QuasiGibbsSweep(h0, v, np.linspace(0.0, lambda_max, 11), 1.0)
+            sweep = QuasiGibbsSweep([(h0, v)], np.linspace(0.0, lambda_max, 11), 1.0)
             return list(sweep.records())[-1]
 
         assert hs_norm(last_sigma(1.0) - last_sigma(1.0 - 1e-6)) <= 1e-5

@@ -10,7 +10,7 @@ from adiatherm.models import (
     classical_energies,
     flip_terms,
     hamiltonian_at,
-    translation_operator,
+    symmetry_sectors,
 )
 from adiatherm.operators import hs_norm
 from adiatherm.susceptibility import (
@@ -186,10 +186,69 @@ class TestDrive:
 
     @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
     def test_translation_symmetry(self, kind, b):
+        # every sector column of momentum 2 pi m / 5 is an eigenvector of
+        # T + T^-1 (T the cyclic one-site shift), and H0 and V commute with
+        # T, so they have no entry between sectors
         model = SpinChainModel(kind, 5, B=b)
-        t = translation_operator(5)
+        sectors = symmetry_sectors(model)
+        shift = np.array([(s >> 1) | ((s & 1) << 4) for s in range(32)])
+        starts = np.cumsum((0,) + sectors.sizes)
+        for (m, _, _), lo, hi in zip(sectors.labels, starts[:-1], starts[1:]):
+            cols = sectors.basis[:, lo:hi]
+            shifted = np.zeros_like(cols)
+            shifted[shift] = cols
+            both_ways = shifted + cols[shift]
+            assert np.abs(both_ways - 2.0 * math.cos(2.0 * math.pi * m / 5) * cols).max() <= 1e-14
+        in_sectors = np.zeros((32, 32), dtype=bool)
+        for lo, hi in zip(starts[:-1], starts[1:]):
+            in_sectors[lo:hi, lo:hi] = True
+        q = sectors.basis
         for op in (build_h0(model).mat, build_v(model).mat):
-            assert np.abs(t @ op - op @ t).max() <= 1e-12
+            assert np.abs((q.T @ op @ q)[~in_sectors]).max() <= 1e-14
+
+
+SECTOR_CASES = [(kind, b, n) for kind, b in (("tfic", None), ("qxyc", None), ("mfic", 0.7))
+                for n in range(2, 9)]
+
+
+class TestSymmetrySectors:
+    @pytest.mark.parametrize("kind,b,n_sites", SECTOR_CASES)
+    def test_blocks_match_the_dense_operators(self, kind, b, n_sites):
+        model = SpinChainModel(kind, n_sites, B=b)
+        sectors = symmetry_sectors(model)
+        d = model.dim
+        q = sectors.basis
+        assert sum(sectors.sizes) == d
+        assert np.abs(q.T @ q - np.eye(d)).max() <= 1e-14
+        # each column lies on states of one classical energy: H0 is diagonal
+        energies = classical_energies(model)
+        starts = np.cumsum((0,) + sectors.sizes)
+        h0_diag = np.concatenate([np.diag(h0) for h0, _ in sectors.blocks])
+        for col, energy in zip(q.T, h0_diag):
+            assert np.all(energies[col != 0.0] == energy)
+        for h0, _ in sectors.blocks:
+            assert np.array_equal(h0, np.diag(np.diag(h0)))
+        # V has no entry between blocks, and its blocks are the oracle's
+        v_sector = q.T @ oracle.dense_v(kind, n_sites).real @ q
+        in_blocks = np.zeros((d, d), dtype=bool)
+        for (_, v), lo, hi in zip(sectors.blocks, starts[:-1], starts[1:]):
+            in_blocks[lo:hi, lo:hi] = True
+            assert np.abs(v_sector[lo:hi, lo:hi] - v).max() <= 1e-13
+        assert np.abs(v_sector[~in_blocks]).max(initial=0.0) <= 1e-13
+
+    @pytest.mark.parametrize("kind,b,n_sites", SECTOR_CASES)
+    def test_prod_x_splits_only_the_zero_field_chains(self, kind, b, n_sites):
+        labels = symmetry_sectors(SpinChainModel(kind, n_sites, B=b)).labels
+        assert len(set(labels)) == len(labels)
+        parities = {x for _, _, x in labels}
+        assert parities == ({None} if kind == "mfic" else {1, -1})
+
+    @pytest.mark.parametrize("kind,b,n_blocks,sizes", [
+        ("tfic", None, 10, {3, 4}), ("qxyc", None, 10, {3, 4}), ("mfic", 0.7, 5, {6, 8}),
+    ])
+    def test_five_site_blocks(self, kind, b, n_blocks, sizes):
+        sectors = symmetry_sectors(SpinChainModel(kind, 5, B=b))
+        assert len(sectors.blocks) == n_blocks and set(sectors.sizes) == sizes
 
 
 class TestFlipTerms:

@@ -4,13 +4,20 @@ import warnings
 import numpy as np
 import pytest
 
-from adiatherm.models import SpinChainModel, build_h0, build_v
+from adiatherm.models import (
+    SpinChainModel,
+    build_h0,
+    build_v,
+    classical_energies,
+    symmetry_sectors,
+)
 from adiatherm.operators import DensityMatrix, eigh, hs_norm
 from adiatherm.susceptibility import chi_f_thermal
 from adiatherm.thermal import (
     ContinuationWarning,
     EigenbasisContinuation,
     QuasiGibbsSweep,
+    BlockEigensolver,
     boltzmann_weights,
     escort_state,
     gibbs_state,
@@ -26,7 +33,7 @@ def spec_for(model):
 
 
 def continuation_for(model):
-    return EigenbasisContinuation(build_h0(model).mat, build_v(model).mat)
+    return EigenbasisContinuation([(build_h0(model).mat, build_v(model).mat)])
 
 
 def sigma_of(cont, beta):
@@ -134,7 +141,7 @@ class TestContinuation:
         h1[:2, :2] = rot @ np.diag([-0.5, 1.5]) @ rot.T
         h1[2, 2] = 3.0
         h0 = np.diag([0.0, 1.0, 3.0])
-        cont = EigenbasisContinuation(h0, h1 - h0)
+        cont = EigenbasisContinuation([(h0, h1 - h0)])
         cont.advance(1.0)
         assert cont.ambiguous_steps == [(1.0, 2)]
         assert sorted(cont.origin_energies) == [0.0, 1.0, 3.0]
@@ -150,7 +157,7 @@ class TestContinuation:
         v = np.diag([1.0, -1.0, 0.0])
         v[0, 1] = v[1, 0] = 5e-9
         with pytest.warns(ContinuationWarning, match="ambiguous level match") as caught:
-            sweep = QuasiGibbsSweep(h0, v, np.array([0.0, 0.5, 1.0]), 1.0)
+            sweep = QuasiGibbsSweep([(h0, v)], np.array([0.0, 0.5, 1.0]), 1.0)
         assert len(caught) == 1
         assert sweep.per_interval > 1
         tied_at = [lam for lam, _ in sweep.ambiguous_steps]
@@ -165,7 +172,7 @@ class TestContinuation:
         q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))
         h0 = q @ np.diag([0.0, 1.0, 5.0]) @ q.T
         v = q @ np.diag([1.0, -1.0, 0.0]) @ q.T
-        cont = EigenbasisContinuation(h0, v)
+        cont = EigenbasisContinuation([(h0, v)])
         expected = q @ np.diag(boltzmann_weights([0.0, 1.0, 5.0], 1.0)) @ q.T
         for lam in (0.25, 0.5, 0.75, 1.0):
             cont.advance(lam)
@@ -197,6 +204,37 @@ class TestContinuation:
             assert max(hs_norm(x - y) for x, y in zip(sigmas, marches[0])) <= 1e-14
 
 
+class TestBlockEigensolver:
+    @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
+    def test_eigenpairs_do_not_depend_on_the_stack_size(self, monkeypatch, kind, b):
+        import adiatherm.thermal as thermal
+
+        blocks = symmetry_sectors(SpinChainModel(kind, 6, B=b)).blocks
+        lambdas = np.linspace(-0.5, 1.5, 41)
+        stacked = list(BlockEigensolver(blocks).eigenpairs(lambdas))
+        per_lambda_bytes = 8 * sum(h0.size for h0, _ in blocks)
+        assert thermal._EIGH_STACK_BYTES >= 2 * per_lambda_bytes  # the default stacks
+        monkeypatch.setattr(thermal, "_EIGH_STACK_BYTES", 1)  # one lambda per stack
+        one_by_one = BlockEigensolver(blocks).eigenpairs(lambdas)
+        for (evals, vecs), (one_evals, one_vecs) in zip(stacked, one_by_one):
+            assert np.array_equal(evals, one_evals) and np.array_equal(vecs, one_vecs)
+
+    @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
+    def test_sector_eigenpairs_diagonalize_the_dense_hamiltonian(self, kind, b):
+        model = SpinChainModel(kind, 5, B=b)
+        sectors = symmetry_sectors(model)
+        solver = BlockEigensolver(sectors.blocks)
+        for lam, (evals, vecs) in zip((0.0, 0.3, -1.2), solver.eigenpairs([0.0, 0.3, -1.2])):
+            assert np.all(np.diff(evals) >= 0)
+            h = oracle.dense_h0(kind, 5, b=b or 0.0) + lam * oracle.dense_v(kind, 5)
+            assert np.allclose(evals, np.linalg.eigvalsh(h), rtol=0.0, atol=1e-12)
+            states = sectors.basis @ vecs
+            assert np.abs(h @ states - states * evals).max() <= 1e-12
+        # lambda = 0 gives H0's classical energies exactly
+        first = next(solver.eigenpairs([0.0]))[0]
+        assert np.array_equal(first, np.sort(classical_energies(model)))
+
+
 class TestQuasiGibbs:
     def test_cache_counts_real_snapshots_at_eight_bytes(self, monkeypatch):
         import adiatherm.thermal as thermal
@@ -206,7 +244,7 @@ class TestQuasiGibbs:
         entries = lambdas.size * model.dim**2
         # room for float64 snapshots, not for complex ones
         monkeypatch.setattr(thermal, "_SIGMA_CACHE_BYTES", entries * 12)
-        sweep = QuasiGibbsSweep(build_h0(model).mat, build_v(model).mat, lambdas, 1.0)
+        sweep = QuasiGibbsSweep([(build_h0(model).mat, build_v(model).mat)], lambdas, 1.0)
         assert sweep._cache is not None
         assert sum(sigma.nbytes for sigma in sweep.records()) == entries * 8
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .models import require_beta, require_couplings, require_ring
+from .models import require_alpha, require_beta, require_couplings, require_ring
 
 _EIGEN_SPLIT_TOL = 1e-12
 
@@ -46,6 +46,7 @@ def chi_f_tfic_closed(n_sites, beta, j) -> float:
 def gamma_n_tfic(n_sites, j, alpha: float = 1.0) -> float:
     """Zero-temperature threshold rate 4 sqrt(2) J alpha / sqrt(N) (also QXYC)."""
     require_ring(n_sites, j)
+    require_alpha(alpha)
     return 4.0 * math.sqrt(2.0) * j * alpha / math.sqrt(n_sites)
 
 
@@ -193,6 +194,7 @@ def gamma_n_mfic(n_sites, j, b, alpha: float = 1.0) -> float:
     chi_F0 = N J^2 / (2J + |B|)^2 (N single-flip states at gap 2(2J + |B|)).
     """
     require_ring(n_sites, j, b)
+    require_alpha(alpha)
     return math.sqrt(2.0) * alpha * (2.0 * j + abs(b)) ** 2 / (math.sqrt(n_sites) * j)
 
 

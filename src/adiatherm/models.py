@@ -16,6 +16,7 @@ dynamics route and the spectrum command diagonalize.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -117,6 +118,13 @@ def require_beta(beta, positive=False):
         raise ValueError("beta must be >= 0")
     if positive and beta == 0:
         raise ValueError("beta must be > 0 (factor undefined at infinite temperature)")
+
+
+def require_alpha(alpha):
+    """Raise ValueError unless the threshold prefactor alpha is finite and positive."""
+    require_finite("alpha", alpha)
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
 
 
 def _site_bits(n_sites):
@@ -305,6 +313,7 @@ def _apply_v(model: SpinChainModel, columns) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=1)
 def symmetry_sectors(model: SpinChainModel) -> SymmetrySectors:
     """The symmetry sectors of the ring, built from classical_energies and flip_terms.
 
@@ -313,6 +322,8 @@ def symmetry_sectors(model: SpinChainModel) -> SymmetrySectors:
     eigenvectors of eigenvalue 1 are the orbit's states of that label.  At
     N = 2 and 3 some labels are empty, because T and P partly coincide.
     Refuses, like build_h0, an N whose dense route would not fit in memory.
+    The last model's sectors are cached, so basis and every block are
+    read-only.
     """
     require_dense_fits(model)
     n, d = model.n_sites, model.dim
@@ -364,4 +375,6 @@ def symmetry_sectors(model: SpinChainModel) -> SymmetrySectors:
         v_block = basis[:, cols].T @ v_basis[:, cols]
         blocks.append((np.diag(h0_diagonal), 0.5 * (v_block + v_block.T)))
         start = cols.stop
+    for array in (basis, *(mat for pair in blocks for mat in pair)):
+        array.setflags(write=False)
     return SymmetrySectors(tuple(labels), basis, tuple(blocks))

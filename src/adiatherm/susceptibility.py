@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import chi_pair_sum, pair_weight_sum
-from .models import SpinChainModel, classical_energies, flip_terms, require_beta, require_finite
+from .models import SpinChainModel, classical_energies, flip_terms, require_alpha, require_beta
 from .operators import (
     HermitianOperator,
     SpectralDecomposition,
@@ -272,9 +272,7 @@ def threshold_report(model: SpinChainModel, beta, alpha: float = 1.0) -> Thresho
     ground_delta_v and ground_chi_f (flip_sums' ground fields), whose ratio
     times alpha is Gamma_N.
     """
-    require_finite("alpha", alpha)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    require_alpha(alpha)
     sums = flip_sums(model, beta)
     if sums.ground_chi_f == 0:
         raise ValueError("V does not couple the ground level to any other level; Gamma_N undefined")

@@ -82,6 +82,17 @@ class TestPartitionFunctions:
         with pytest.raises(ValueError, match=message):
             call(beta)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -2.0])
+    @pytest.mark.parametrize(
+        "gamma_n", [lambda a: gamma_n_tfic(6, 1.0, a), lambda a: gamma_n_mfic(6, 1.0, 0.7, a)],
+        ids=["gamma_n_tfic", "gamma_n_mfic"],
+    )
+    def test_alpha_validated(self, gamma_n, alpha):
+        # threshold_report's check and messages (models.require_alpha)
+        message = "alpha must be finite" if not math.isfinite(alpha) else "alpha must be positive"
+        with pytest.raises(ValueError, match=message):
+            gamma_n(alpha)
+
 
 class TestTficClosedForms:
     def test_delta_v_infinite_temperature(self):

@@ -13,6 +13,7 @@ from adiatherm.dynamics import (
 )
 from adiatherm.models import SpinChainModel, SymmetrySectors, build_h0, build_v
 from adiatherm.operators import eigh, hs_norm
+from adiatherm.qsl import qsl_radius_constant_rate, qsl_radius_general
 from adiatherm.thermal import QuasiGibbsSweep, gibbs_state, thermal_overlap
 
 logger = logging.getLogger(__name__)
@@ -85,6 +86,15 @@ class TestEvolve:
 
     def test_qsl_holds_at_every_record(self, medium_trace):
         assert np.all(medium_trace.hs_angle <= medium_trace.qsl_radius + 1e-9)
+
+    def test_radius_matches_both_radius_functions(self):
+        gamma = 0.5
+        trace = evolve(SpinChainModel("tfic", 4), 0.5, gamma, 0.2, 21)
+        for lam, radius in zip(trace.lambdas, trace.qsl_radius):
+            closed = qsl_radius_constant_rate(trace.delta_v_value, lam, gamma).value
+            general = qsl_radius_general(trace.delta_v_value, lam, lambda _: gamma).value
+            assert radius == closed
+            assert abs(radius - general) <= 1e-12
 
     def test_fidelity_bounds_hold_at_every_record(self, medium_trace):
         gap = np.abs(medium_trace.adiabatic_fidelity - medium_trace.thermal_overlap)

@@ -250,6 +250,17 @@ class TestSymmetrySectors:
         sectors = symmetry_sectors(SpinChainModel(kind, 5, B=b))
         assert len(sectors.blocks) == n_blocks and set(sectors.sizes) == sizes
 
+    def test_cached_and_read_only(self):
+        model = SpinChainModel("mfic", 4, B=0.7)
+        sectors = symmetry_sectors(model)
+        assert symmetry_sectors(SpinChainModel("mfic", 4, B=0.7)) is sectors
+        with pytest.raises(ValueError, match="read-only"):
+            sectors.basis[0, 0] = 1.0
+        for h0, v in sectors.blocks:
+            for mat in (h0, v):
+                with pytest.raises(ValueError, match="read-only"):
+                    mat[0, 0] = 1.0
+
 
 class TestFlipTerms:
     @pytest.mark.parametrize("kind,b", [("tfic", None), ("mfic", 0.7)])

@@ -15,6 +15,7 @@ from adiatherm.qsl import (
     qsl_radius_general,
     wy_skew_info,
 )
+from adiatherm.susceptibility import flip_sums
 from adiatherm.thermal import escort_state, gibbs_state
 
 import oracle
@@ -56,6 +57,20 @@ class TestSkewInformation:
         rho = DensityMatrix(mat=np.eye(2) / 2)
         with pytest.raises(ValueError, match="mismatch"):
             wy_skew_info(rho, HermitianOperator(2, np.eye(4)))
+
+    @pytest.mark.parametrize("lam", [0.1, 0.6, -0.3])
+    @pytest.mark.parametrize("beta", [0.8, 5.0])
+    @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
+    def test_gibbs_escort_scales_quadratically_in_lambda(self, kind, b, beta, lam):
+        # the escort of a Gibbs state commutes with H0, so
+        # I_WY(escort, H0 + lambda V) = lambda^2 I_WY(escort, V): the identity
+        # behind qsl_radius_general's scalar integral
+        model = SpinChainModel(kind, 5, B=b)
+        h0, v = build_h0(model), build_v(model)
+        escort = escort_state(gibbs_state(eigh(h0), beta))
+        h = HermitianOperator(5, h0.mat + lam * v.mat)
+        expected = lam * lam * wy_skew_info(escort, v)
+        assert wy_skew_info(escort, h) == pytest.approx(expected, rel=1e-11)
 
     def test_never_negative(self):
         rng = np.random.default_rng(9)
@@ -118,25 +133,48 @@ class TestQslRadius:
 
 class TestQslRadiusGeneral:
     def test_agrees_with_constant_rate_closed_form(self):
-        model, rho, v = tfic_setup(4, 1.0)
-        lam, gamma = 0.3, 2.0
-        general = qsl_radius_general(model, rho, lam, lambda x: gamma, n_quad=4)
-        closed = qsl_radius_constant_rate(delta_v(rho, v), lam, gamma)
-        assert general.value == pytest.approx(closed.value, abs=1e-8)
+        # Simpson is exact on the linear integrand lambda' / Gamma
+        dv = delta_v_tfic_closed(4, 1.0, 1.0)
+        for lam, gamma in ((0.3, 2.0), (0.05, 0.5), (-0.7, 1.3), (2.0, 0.1)):
+            general = qsl_radius_general(dv, lam, lambda x: gamma)
+            closed = qsl_radius_constant_rate(dv, lam, gamma)
+            assert general.value == pytest.approx(closed.value, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.1, 0.6, 1.5])
+    def test_quadratic_rate_gives_logarithm(self, lam):
+        # int_0^lambda x / (1 + 3 x^2) dx = ln(1 + 3 lambda^2) / 6
+        dv = delta_v_tfic_closed(5, 0.8, 1.0)
+        r = qsl_radius_general(dv, lam, lambda x: 1.0 + 3.0 * x * x)
+        assert r.value == pytest.approx(dv * math.log1p(3.0 * lam * lam) / 6.0, abs=1e-9)
 
     def test_zero_lambda(self):
-        model, rho, _ = tfic_setup(3, 1.0)
-        assert qsl_radius_general(model, rho, 0.0, lambda x: 1.0).value == 0.0
+        assert qsl_radius_general(2.0, 0.0, lambda x: 1.0).value == 0.0
 
     def test_infinite_temperature_gives_zero(self):
-        model, rho, _ = tfic_setup(3, 0.0)
-        r = qsl_radius_general(model, rho, 0.4, lambda x: 1.0, n_quad=2)
-        assert r.value <= 1e-10
+        # deltaV vanishes at beta = 0
+        dv = flip_sums(SpinChainModel("tfic", 3), 0.0).delta_v
+        assert dv == 0.0
+        assert qsl_radius_general(dv, 0.4, lambda x: 1.0 + x).value == 0.0
+
+    def test_negative_lambda_mirrors_even_rate(self):
+        def rate(x):
+            return 1.0 + 3.0 * x * x
+
+        r_neg = qsl_radius_general(2.5, -0.6, rate)
+        r_pos = qsl_radius_general(2.5, 0.6, rate)
+        assert r_neg.lam == -0.6
+        assert r_neg.value == pytest.approx(r_pos.value, abs=1e-12)
 
     def test_rejects_non_positive_rate_function(self):
-        model, rho, _ = tfic_setup(3, 1.0)
         with pytest.raises(ValueError, match="non-positive"):
-            qsl_radius_general(model, rho, 0.2, lambda x: 1.0 - 10.0 * x)
+            qsl_radius_general(1.0, 0.2, lambda x: 1.0 - 10.0 * x)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["delta_v", "lambda"])
+    def test_rejects_non_finite_input(self, name, bad):
+        args = {"delta_v": (bad, 0.2), "lambda": (1.0, bad)}[name]
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            qsl_radius_general(*args, lambda x: 1.0)
 
 
 class TestFidelityBounds:

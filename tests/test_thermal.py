@@ -276,6 +276,14 @@ class TestQuasiGibbs:
         sigma = quasi_gibbs_at(model, 1.0, 0.05)
         assert hs_norm(sigma.mat - sigma_of(cont, 1.0)) <= 1e-8
 
+    @pytest.mark.parametrize("kind,b", [("tfic", None), ("mfic", 0.7)])
+    def test_repeated_calls_bitwise_equal(self, kind, b):
+        # the second call reads the cached sectors of the first
+        model = SpinChainModel(kind, 4, B=b)
+        first = quasi_gibbs_at(model, 0.8, 0.3).mat
+        for _ in range(2):
+            assert np.array_equal(quasi_gibbs_at(model, 0.8, 0.3).mat, first)
+
     @pytest.mark.parametrize("n_sites,lam", [(5, 0.3), (6, 0.25), (6, 0.3)])
     def test_rejected_coarse_march_does_not_warn(self, n_sites, lam):
         # the one-step march ties here and is rejected; the accepted

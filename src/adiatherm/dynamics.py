@@ -17,10 +17,11 @@ accepted level.
 
 Everything runs in the real symmetry-adapted basis of
 models.symmetry_sectors, where H0 is diagonal and V block-diagonal.  The
-eigenpairs of every CFM4 node of a halving level come from one pass of a
-thermal.BlockEigensolver over those nodes; rho, sigma and the CFM4 factors
-are d x d matrices in the sector basis.  F, C, Theta, the purity and the
-trace are traces, which the orthogonal change of basis leaves unchanged.
+eigenpairs of every CFM4 node of a halving level come from one pass of the
+sweep's thermal.BlockEigensolver over those nodes; rho, sigma and the CFM4
+factors are d x d matrices in the sector basis.  F, C, Theta, the purity
+and the trace are traces, which the orthogonal change of basis leaves
+unchanged.
 """
 
 from __future__ import annotations
@@ -179,7 +180,6 @@ def evolve(
     n = lambdas.size
     # the lambda = 0 record is the Gibbs state, and every target has its purity
     sweep = QuasiGibbsSweep(blocks, lambdas, beta)
-    solver = BlockEigensolver(blocks)
 
     def run_level(steps):
         """Every column that needs sigma or rho, in one pass over the sweep."""
@@ -188,7 +188,7 @@ def evolve(
         rho0 = rho = next(sigmas)
         rec["F"][0] = rec["C"][0] = 1.0
         rec["purity"][0] = sweep.purity
-        propagators = _interval_propagators(solver, lambdas, gamma, steps)
+        propagators = _interval_propagators(sweep.solver, lambdas, gamma, steps)
         for k, (sigma, u) in enumerate(zip(sigmas, propagators), start=1):
             rho = u @ rho @ u.conj().T
             rho_purity = float(np.real(np.vdot(rho, rho)))
@@ -246,11 +246,11 @@ def evolve(
         fidelity_history=tuple(history),
     )
     logger.info(
-        "evolve beta=%g gamma=%g: max |F - C| = %.3e over %d records",
-        beta,
-        gamma,
-        trace.max_abs_f_minus_c,
-        n,
+        "evolve beta=%g gamma=%g: max |F - C| = %.3e over %d records; %d CFM4 steps "
+        "per interval at the last of %d halving levels, %d sweep steps per interval, "
+        "%d ambiguous steps",
+        beta, gamma, trace.max_abs_f_minus_c, n,
+        steps, len(history), sweep.per_interval, len(sweep.ambiguous_steps),
     )
     return trace
 

@@ -29,10 +29,11 @@ from .operators import HermitianOperator
 KINDS = ("tfic", "qxyc", "mfic")
 
 # d x d matrices evolve holds at once, each counted at complex size: the
-# sector basis, the continuation's columns and its fresh eigenvectors, rho0,
-# the quasi-Gibbs target, the evolved state and the propagator with its CFM4
-# factor, eigenvectors, two real parts, product and sandwich temporaries.
-_DENSE_MATRICES = 13
+# sector basis, the continuation's lambda = 0 and last columns, a record's
+# eigenvectors and quasi-Gibbs target, rho0, the evolved state and the
+# propagator with its CFM4 factor, eigenvectors, two real parts, product
+# and sandwich temporaries.
+_DENSE_MATRICES = 14
 # Arrays of 2^N 8-byte values flip_sums holds at once: the energies, their
 # shifted copy, the weights, the basis indices, the ground mask, and per
 # flip mask the partners, energy and weight differences, the coupled mask

@@ -9,6 +9,8 @@ projectors, Kato 1950), so the basis eigh picks inside a level never
 matters.  QuasiGibbsSweep is the only code that marches the continuation:
 it walks one labeled lambda = 0 basis over a grid of records and doubles
 the steps per record interval until the target is stable at every record.
+Its targets are rebuilt from the accepted march's column weights and one
+eigendecomposition pass over the records, never by marching again.
 quasi_gibbs_at and thermal_overlap are its two-record case over
 [0, lambda], and evolve takes its targets from it.  A tie between labels of
 different weight in the accepted march triggers a ContinuationWarning
@@ -20,10 +22,9 @@ takes H0 and V as blocks: the symmetry sectors of the ring
 whole lambda path before it starts, so the blocks of each size go through
 one stacked np.linalg.eigh per chunk of that path, and the eigenpairs are
 assembled lambda by lambda into ascending eigenvalues and block-diagonal
-columns.  The sweep's records are then in
-the sector basis; quasi_gibbs_at returns its state in the computational
-basis, and thermal_overlap needs no basis, since an orthogonal change of
-basis leaves every trace unchanged.  Eigenvectors of different sectors have
+columns.  The sweep's records are then in the sector basis; quasi_gibbs_at
+returns its state in the computational basis, and thermal_overlap needs no
+basis, since an orthogonal change of basis leaves every trace unchanged.  Eigenvectors of different sectors have
 zero overlap, so levels of different sectors never exchange labels.
 """
 
@@ -46,7 +47,6 @@ from .operators import (
 AMBIGUITY_TOL = 1e-6
 CONTINUATION_STABILITY_TOL = 1e-8
 _MAX_SWEEP_DOUBLINGS = 7
-_SIGMA_CACHE_BYTES = 6e8
 # bytes of the block matrices one chunk of BlockEigensolver stacks
 _EIGH_STACK_BYTES = 1 << 17
 
@@ -242,38 +242,43 @@ class QuasiGibbsSweep:
     The targets keep the Boltzmann weights of H0 at inverse temperature beta
     on the continued eigenbasis of H0 + lambda V, given as blocks (see
     BlockEigensolver), at each lambda of the monotonic grid lambdas, which
-    starts at 0; they are matrices in the blocks' basis.  One
-    EigenbasisContinuation is started per sweep, and every march restarts
-    from its labeled lambda = 0 basis.  sigma at a record is sum_level w P_level(lambda_k),
-    built from the continuation's eigendecomposition at lambda_k, so the
-    step count only decides whether the labels are resolved.  Starting at
-    one step per record interval, the count is doubled until sigma at every
-    record is stable to CONTINUATION_STABILITY_TOL in HS norm.  Where the
-    previous march rotated no level at a record, that change is exactly the
-    2-norm of the change in column weights.
+    must be finite and start at 0; they are matrices in the blocks' basis.
+    One EigenbasisContinuation is started per sweep, and every march
+    restarts from its labeled lambda = 0 basis.  sigma at a record is
+    sum_level w P_level(lambda_k), built from the continuation's
+    eigendecomposition at lambda_k, so the step count only decides whether
+    the labels are resolved.  Starting at one step per record interval, the
+    count is doubled until sigma at every record is stable to
+    CONTINUATION_STABILITY_TOL in HS norm.  Where the previous march rotated
+    no level at a record, that change is exactly the 2-norm of the change in
+    column weights.
+
+    The accepted march keeps the column weights at each record, and its
+    columns only where that step rotated a level; elsewhere they are the
+    fresh eigenvectors of solver, the sweep's BlockEigensolver.  records()
+    rebuilds every target from these and one pass of solver over the
+    records, bit for bit the sigma the march checked, and never advances the
+    continuation.
 
     Only the accepted march counts: its ambiguous steps are kept on
     ambiguous_steps and raise one ContinuationWarning, while a coarser march
     that the doubling rejected is discarded together with its ties.
-    Every target has the purity sum w^2 of the weights (purity).  Snapshots
-    are cached when they fit in _SIGMA_CACHE_BYTES at their own itemsize;
-    otherwise each request re-marches the continuation.
+    Every target has the purity sum w^2 of the weights (purity).
     """
 
     def __init__(self, blocks, lambdas, beta):
+        lambdas = np.asarray(lambdas, dtype=float)
+        if lambdas.size == 0 or lambdas[0] != 0 or not np.isfinite(lambdas).all():
+            raise ValueError(f"record lambdas must be finite and start at 0, got {lambdas}")
         self.lambdas = lambdas
         self._cont = EigenbasisContinuation(blocks)
+        self.solver = self._cont.solver
         self.weights = boltzmann_weights(self._cont._origin, beta)
         self.purity = float(np.sum(self.weights**2))
-        dim = self.weights.size
-        # of every snapshot
-        itemsize = np.result_type(self._cont.solver.dtype, self.weights).itemsize
-        caching = len(lambdas) * dim * dim * itemsize <= _SIGMA_CACHE_BYTES
         per_interval = 1
         previous = None
         for _ in range(_MAX_SWEEP_DOUBLINGS):
-            snapshots = [] if caching else None
-            states, change = self._march(per_interval, snapshots, previous)
+            states, change = self._march(per_interval, previous)
             if change <= CONTINUATION_STABILITY_TOL:
                 break
             previous = states
@@ -284,6 +289,7 @@ class QuasiGibbsSweep:
                 f"{CONTINUATION_STABILITY_TOL} at every record"
             )
         self.per_interval = per_interval
+        self._states = states
         self.ambiguous_steps = self._cont.ambiguous_steps
         if self.ambiguous_steps:
             lam, count = self.ambiguous_steps[0]
@@ -294,30 +300,25 @@ class QuasiGibbsSweep:
                 ContinuationWarning,
                 stacklevel=2,
             )
-        self._cache = snapshots
 
-    def _walk(self, per_interval):
-        """Yield the continuation at each record lambda, in order.
+    def _march(self, per_interval, previous):
+        """Per-record (column weights, rotated columns or None) and the largest
+        HS change of sigma against the previous march (inf without one).
 
         The march's whole lambda path is known before it starts, so every
         eigenpair comes from one pass of the solver over it.
         """
         cont = self._cont
         cont.restart()
-        yield cont
         path = []
         for a, b in zip(self.lambdas[:-1], self.lambdas[1:]):
             path += [a + (b - a) * s / per_interval for s in range(1, per_interval)] + [b]
-        for step, (lam, eigenpairs) in enumerate(zip(path, cont.solver.eigenpairs(path)), 1):
-            cont.advance(lam, eigenpairs)
-            if step % per_interval == 0:
-                yield cont
-
-    def _march(self, per_interval, snapshots, previous):
-        """Per-record (column weights, rotated columns or None) and the largest
-        HS change of sigma against the previous march (inf without one)."""
+        steps = zip(path, self.solver.eigenpairs(path))
         states, change = [], math.inf if previous is None else 0.0
-        for k, cont in enumerate(self._walk(per_interval)):
+        for k in range(self.lambdas.size):
+            if k:
+                for _ in range(per_interval):
+                    cont.advance(*next(steps))
             w = self.weights[cont.labels]
             u = cont.vectors
             states.append((w, u.copy() if cont.rotated else None))
@@ -330,17 +331,12 @@ class QuasiGibbsSweep:
                 else:
                     delta = hs_norm(_sigma(u, w) - _sigma(u_prev, w_prev))
                 change = max(change, delta)
-            if snapshots is not None:
-                snapshots.append(_sigma(u, w))
         return states, change
 
     def records(self):
         """Yield the quasi-Gibbs matrix at each record lambda, in order."""
-        if self._cache is not None:
-            yield from self._cache
-            return
-        for cont in self._walk(self.per_interval):
-            yield _sigma(cont.vectors, self.weights[cont.labels])
+        for (w, rotated), (_, fresh) in zip(self._states, self.solver.eigenpairs(self.lambdas)):
+            yield _sigma(fresh if rotated is None else rotated, w)
 
 
 def _endpoints(model: SpinChainModel, beta, lam):

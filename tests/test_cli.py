@@ -155,10 +155,18 @@ class TestSpectrumCommand:
         assert lams == [0.0, 0.5, 1.0]
         assert len(rows) == 12
 
-    def test_deterministic_output(self, tmp_path):
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spectrum", "--model", "qxyc", "--n-sites", "3"],
+            ["dynamics", "--model", "tfic", "--n-sites", "4", "--n-records", "11"],
+        ],
+        ids=["spectrum", "dynamics"],
+    )
+    def test_deterministic_output(self, tmp_path, args):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(["spectrum", "--model", "qxyc", "--n-sites", "3", "--out", str(a)])
-        main(["spectrum", "--model", "qxyc", "--n-sites", "3", "--out", str(b)])
+        main([*args, "--out", str(a)])
+        main([*args, "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
 

@@ -11,10 +11,21 @@ from adiatherm.dynamics import (
     cfm4_propagator,
     evolve,
 )
-from adiatherm.models import SpinChainModel, SymmetrySectors, build_h0, build_v
+from adiatherm.models import (
+    SpinChainModel,
+    SymmetrySectors,
+    build_h0,
+    build_v,
+    symmetry_sectors,
+)
 from adiatherm.operators import eigh, hs_norm
 from adiatherm.qsl import qsl_radius_constant_rate, qsl_radius_general
-from adiatherm.thermal import QuasiGibbsSweep, gibbs_state, thermal_overlap
+from adiatherm.thermal import (
+    EigenbasisContinuation,
+    QuasiGibbsSweep,
+    gibbs_state,
+    thermal_overlap,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -48,12 +59,7 @@ class TestEvolve:
             assert trace.n_substeps_per_interval == 2
             assert trace.fidelity_history == (1.0, 1.0)
 
-    @pytest.mark.parametrize("cache_bytes", [None, 0])
-    def test_one_sweep_pass_per_halving_level(self, monkeypatch, cache_bytes):
-        import adiatherm.thermal as thermal
-
-        if cache_bytes is not None:
-            monkeypatch.setattr(thermal, "_SIGMA_CACHE_BYTES", cache_bytes)
+    def test_one_sweep_pass_per_halving_level(self, monkeypatch):
         requests = []
         records = QuasiGibbsSweep.records
 
@@ -112,9 +118,17 @@ class TestEvolve:
 
     def test_near_coincidence_diagnostic_reported(self, medium_trace, caplog):
         assert medium_trace.max_abs_f_minus_c < 0.05
+        model = SpinChainModel("tfic", 3)
         with caplog.at_level(logging.INFO, logger="adiatherm.dynamics"):
-            evolve(SpinChainModel("tfic", 3), 1.0, 2.0, 0.05, 5)
-        assert any("max |F - C|" in rec.message for rec in caplog.records)
+            trace = evolve(model, 1.0, 2.0, 0.05, 5)
+        [message] = [rec.message for rec in caplog.records if "max |F - C|" in rec.message]
+        sweep = QuasiGibbsSweep(symmetry_sectors(model).blocks, trace.lambdas, 1.0)
+        assert message.endswith(
+            f"over 5 records; {trace.n_substeps_per_interval} CFM4 steps per interval "
+            f"at the last of {len(trace.fidelity_history)} halving levels, "
+            f"{sweep.per_interval} sweep steps per interval, "
+            f"{len(sweep.ambiguous_steps)} ambiguous steps"
+        )
 
     def test_rejects_bad_arguments(self):
         model = SpinChainModel("tfic", 3)
@@ -146,16 +160,6 @@ class TestEvolve:
         gap = np.abs(trace.adiabatic_fidelity - trace.thermal_overlap)
         assert np.all(gap <= trace.bound_strong + 1e-9)
         assert np.max(np.abs(trace.purity - trace.purity[0])) <= 1e-9
-
-    def test_sigma_regeneration_path_matches_cache(self, monkeypatch):
-        import adiatherm.thermal as thermal
-
-        model = SpinChainModel("tfic", 4)
-        cached = evolve(model, 1.0, 2.0, 0.08, 9)
-        monkeypatch.setattr(thermal, "_SIGMA_CACHE_BYTES", 0)
-        regenerated = evolve(model, 1.0, 2.0, 0.08, 9)
-        assert np.allclose(cached.adiabatic_fidelity, regenerated.adiabatic_fidelity, atol=1e-13)
-        assert np.allclose(cached.thermal_overlap, regenerated.thermal_overlap, atol=1e-13)
 
     @pytest.mark.parametrize(
         "kind,b,lambda_max",
@@ -221,6 +225,52 @@ class TestSigmaSweep:
             return list(sweep.records())[-1]
 
         assert hs_norm(last_sigma(1.0) - last_sigma(1.0 - 1e-6)) <= 1e-5
+
+    @pytest.mark.parametrize(
+        "kind,b,lambda_max",
+        [("tfic", None, 0.2), ("mfic", 0.7, 0.2), ("qxyc", None, 1.5)],
+    )
+    def test_records_are_the_sigma_of_an_explicit_march(self, kind, b, lambda_max):
+        # records() rebuilds sigma from the accepted march's column weights
+        # and a fresh eigendecomposition at each record, so it must be bit
+        # for bit the sigma of the continuation marched at the accepted step
+        # count.  The qxyc ramp crosses levels, so some records are rotated.
+        blocks = symmetry_sectors(SpinChainModel(kind, 4, B=b)).blocks
+        lambdas = np.linspace(0.0, lambda_max, 7)
+        sweep = QuasiGibbsSweep(blocks, lambdas, 1.0)
+        cont = EigenbasisContinuation(blocks)
+
+        def sigma():
+            u = cont.vectors
+            return (u * sweep.weights[cont.labels]) @ u.conj().T
+
+        expected = [sigma()]
+        for a, end in zip(lambdas[:-1], lambdas[1:]):
+            for step in range(1, sweep.per_interval):
+                cont.advance(a + (end - a) * step / sweep.per_interval)
+            cont.advance(end)
+            expected.append(sigma())
+        records = list(sweep.records())
+        assert len(records) == lambdas.size
+        for record, march in zip(records, expected):
+            assert np.array_equal(record, march)
+
+    def test_records_never_advance_the_continuation(self, monkeypatch):
+        steps = []
+        advance = EigenbasisContinuation.advance
+
+        def counted(cont, *args):
+            steps.append(args[0])
+            return advance(cont, *args)
+
+        monkeypatch.setattr(EigenbasisContinuation, "advance", counted)
+        blocks = symmetry_sectors(SpinChainModel("tfic", 4)).blocks
+        sweep = QuasiGibbsSweep(blocks, np.linspace(0.0, 0.2, 11), 1.0)
+        marched = len(steps)
+        assert marched > 0
+        for _ in range(2):
+            assert len(list(sweep.records())) == 11
+        assert len(steps) == marched
 
 
 def synthetic_trace(lambdas, fidelities):

@@ -78,7 +78,7 @@ class TestDenseMemoryGuard:
             monkeypatch.setattr(np, name, no_allocation)
         model = SpinChainModel("tfic", 40)
         for build in (build_h0, build_v):
-            with pytest.raises(ValueError, match=r"N=40 .* GB \(13 complex"):
+            with pytest.raises(ValueError, match=r"N=40 .* GB \(14 complex"):
                 build(model)
 
 

@@ -236,17 +236,23 @@ class TestBlockEigensolver:
 
 
 class TestQuasiGibbs:
-    def test_cache_counts_real_snapshots_at_eight_bytes(self, monkeypatch):
-        import adiatherm.thermal as thermal
-
+    def test_real_blocks_give_float64_records(self):
         model = SpinChainModel("tfic", 4)
         lambdas = np.linspace(0.0, 0.1, 11)
-        entries = lambdas.size * model.dim**2
-        # room for float64 snapshots, not for complex ones
-        monkeypatch.setattr(thermal, "_SIGMA_CACHE_BYTES", entries * 12)
         sweep = QuasiGibbsSweep([(build_h0(model).mat, build_v(model).mat)], lambdas, 1.0)
-        assert sweep._cache is not None
-        assert sum(sigma.nbytes for sigma in sweep.records()) == entries * 8
+        records = list(sweep.records())
+        assert len(records) == lambdas.size
+        assert all(sigma.dtype == np.float64 for sigma in records)
+
+    @pytest.mark.parametrize(
+        "lambdas", [[0.3, 0.6], [0.0, math.nan], [0.0, math.inf], [math.nan, 0.1], []]
+    )
+    def test_rejects_grid_not_finite_from_zero(self, lambdas):
+        # a grid that does not start at 0 would take its first record from
+        # the lambda = 0 labels, and a non-finite lambda has no eigenbasis
+        blocks = symmetry_sectors(SpinChainModel("tfic", 4)).blocks
+        with pytest.raises(ValueError, match="finite and start at 0"):
+            QuasiGibbsSweep(blocks, lambdas, 1.0)
 
     def test_lambda_zero_recovers_gibbs(self):
         model = SpinChainModel("mfic", 4, B=0.7)

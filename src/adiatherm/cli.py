@@ -221,10 +221,11 @@ def cmd_spectrum(config: RunConfig) -> int:
         require_finite("lambda", lam)
     rows = []
     # 0.0 * V adds only signed zeros to the diagonal sector blocks of H0, so
-    # lambda = 0 gives H0's classical energies exactly
+    # lambda = 0 gives H0's classical energies exactly; the stable sort keeps
+    # equal energies (0 and -0 too) in the solver's block order
     solver = BlockEigensolver(symmetry_sectors(model).blocks)
     for lam, (energies, _) in zip(lambdas, solver.eigenpairs(lambdas)):
-        for idx, energy in enumerate(energies):
+        for idx, energy in enumerate(np.sort(energies, kind="stable")):
             rows.append((lam, idx, energy))
     write_table(config.out or "spectrum.csv", config, SPECTRUM_COLUMNS, rows, config.fmt)
     return 0

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -37,7 +38,7 @@ from .models import SpinChainModel, require_finite, symmetry_sectors
 from .operators import hs_angle_mat, hs_fidelity_mat
 from .qsl import bound_strong, bound_weak, qsl_radius_constant_rate
 from .susceptibility import flip_sums
-from .thermal import BlockEigensolver, QuasiGibbsSweep
+from .thermal import QuasiGibbsSweep
 
 logger = logging.getLogger(__name__)
 
@@ -119,8 +120,10 @@ def _propagator(evals, evecs, dt):
 def _interval_propagators(solver, lambdas, gamma, steps):
     """Yield the CFM4 propagator over each interval of the grid lambdas, in order.
 
-    Every eigenpair of the CFM4 nodes of all intervals comes from one pass
-    of the BlockEigensolver solver over them.
+    A step of width h from lambda0 applies exp(-i (h / 2 Gamma) H(lambda0 + h/6)),
+    then exp(-i (h / 2 Gamma) H(lambda0 + 5h/6)); in the other order the scheme
+    drops to second order.  All the nodes' eigenpairs come from one pass of the
+    BlockEigensolver solver, and the propagators are in its basis.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     widths = (lambdas[1:] - lambdas[:-1]) / steps
@@ -135,21 +138,6 @@ def _interval_propagators(solver, lambdas, gamma, steps):
             factor = _propagator(*next(eigenpairs), dt)
             u = factor if u is None else factor @ u
         yield u
-
-
-def cfm4_propagator(blocks, lam_start, lam_stop, gamma, steps):
-    """Propagator over [lam_start, lam_stop] of the ramp lambda = Gamma t, by CFM4.
-
-    blocks holds H0 and V as BlockEigensolver takes them; the propagator is
-    in their basis.  Fourth-order commutator-free Magnus scheme (Alvermann &
-    Fehske 2011).  Because H(lambda) = H0 + lambda V is linear in lambda,
-    each step of width h from lambda0 is two exponentials: first
-    exp(-i (h / 2 Gamma) H(lambda0 + h/6)), then
-    exp(-i (h / 2 Gamma) H(lambda0 + 5h/6)).  Applied in the other order the
-    scheme drops to second order.
-    """
-    solver = BlockEigensolver(blocks)
-    return next(_interval_propagators(solver, [lam_start, lam_stop], gamma, steps))
 
 
 def evolve(
@@ -171,6 +159,10 @@ def evolve(
         raise ValueError("drive rate Gamma must be positive")
     if lambda_max < 0:
         raise ValueError("lambda_max must be >= 0")
+    try:
+        n_records = operator.index(n_records)
+    except TypeError:
+        raise ValueError(f"n_records must be an integer, got {n_records!r}") from None
     if n_records < 1:
         raise ValueError("n_records must be >= 1")
 

@@ -20,12 +20,12 @@ Every eigendecomposition of H_lambda comes from a BlockEigensolver, which
 takes H0 and V as blocks: the symmetry sectors of the ring
 (models.symmetry_sectors), or a dense pair as one block.  A march knows its
 whole lambda path before it starts, so the blocks of each size go through
-one stacked np.linalg.eigh per chunk of that path, and the eigenpairs are
-assembled lambda by lambda into ascending eigenvalues and block-diagonal
-columns.  The sweep's records are then in the sector basis; quasi_gibbs_at
-returns its state in the computational basis, and thermal_overlap needs no
-basis, since an orthogonal change of basis leaves every trace unchanged.  Eigenvectors of different sectors have
-zero overlap, so levels of different sectors never exchange labels.
+one stacked np.linalg.eigh per chunk of that path.  The eigenpairs stay in
+block order and the continuation forms its levels inside blocks, so equal
+energies of different sectors never share a level or exchange labels.  The
+sweep's records are in the sector basis; quasi_gibbs_at returns its state in
+the computational basis, and thermal_overlap needs no basis, since an
+orthogonal change of basis leaves every trace unchanged.
 """
 
 from __future__ import annotations
@@ -90,14 +90,13 @@ class BlockEigensolver:
     """The eigenpairs of H(lambda) = blockdiag_b(h0_b + lambda v_b), over stacks of lambdas.
 
     blocks is a sequence of (h0_b, v_b) pairs of square matrices, such as
-    SymmetrySectors.blocks; a dense (h0, v) pair is one block.  eigenpairs()
-    yields, at each lambda, the ascending eigenvalues and the d x d
-    eigenvector columns, block-diagonal in the blocks' row order.  The
-    blocks of one size take one np.linalg.eigh over a stack of every such
-    block at every lambda of a chunk; the chunks are sized so that one chunk
-    of all blocks together holds at most _EIGH_STACK_BYTES.  numpy's stacked
-    eigh runs LAPACK matrix by matrix, so the result does not depend on the
-    chunking.
+    SymmetrySectors.blocks; a dense (h0, v) pair is one block.  The blocks of
+    one size take one np.linalg.eigh over a stack of every such block at
+    every lambda of a chunk of at most _EIGH_STACK_BYTES of all blocks;
+    LAPACK runs matrix by matrix, so the result does not depend on the
+    chunking.  eigenpairs() keeps eigh's order: by block size, then block by
+    block, ascending inside a block, whose columns are edges[i]:edges[i + 1]
+    of the d x d eigenvectors, block-diagonal in the blocks' row order.
     """
 
     def __init__(self, blocks):
@@ -108,36 +107,40 @@ class BlockEigensolver:
         self._stacks = [
             [np.stack([blocks[b][k] for b in group]) for k in (0, 1)] for group in groups
         ]
-        # the eigenvalues and eigenvectors of a chunk are concatenated group
-        # by group, block by block; entry (r, j) of block b goes to row
-        # offset_b + r and to the column of its eigenvalue j in ascending order
+        # the eigenpairs of a chunk are concatenated group by group, block by
+        # block; entry (r, j) of block b goes to row offset_b + r and column
+        # edges_b + j, where edges_b counts the columns of the blocks before b
         order = np.concatenate(groups)
         m = sizes[order]
+        self.edges = np.concatenate(([0], np.cumsum(m)))
         block = np.repeat(np.arange(order.size), m * m)
         entry = np.arange(block.size) - np.repeat(np.cumsum(m * m) - m * m, m * m)
-        self._rows = (np.cumsum(sizes) - sizes)[order][block] + entry // m[block]
-        self._values = (np.cumsum(m) - m)[block] + entry % m[block]
+        rows = (np.cumsum(sizes) - sizes)[order][block] + entry // m[block]
+        self._flat = rows * self.dim + self.edges[block] + entry % m[block]
         self._chunk = max(1, _EIGH_STACK_BYTES // (self.dtype.itemsize * int(np.sum(sizes**2))))
 
     def eigenpairs(self, lambdas):
-        """Yield (ascending eigenvalues, eigenvector columns) at each lambda, in order."""
+        """Yield (eigenvalues in block order, eigenvector columns) at each lambda, in order."""
         lambdas = np.asarray(lambdas, dtype=float)
-        dim = self.dim
         for start in range(0, lambdas.size, self._chunk):
             lams = lambdas[start : start + self._chunk]
-            count = lams.size
             evals, entries = [], []
             for h0s, vs in self._stacks:
                 e, u = np.linalg.eigh(h0s[:, None] + lams[None, :, None, None] * vs[:, None])
-                evals.append(e.transpose(1, 0, 2).reshape(count, -1))
-                entries.append(u.transpose(1, 0, 2, 3).reshape(count, -1))
+                evals.append(e.transpose(1, 0, 2).reshape(lams.size, -1))
+                entries.append(u.transpose(1, 0, 2, 3).reshape(lams.size, -1))
             evals, entries = np.concatenate(evals, axis=1), np.concatenate(entries, axis=1)
-            for i, order in enumerate(np.argsort(evals, axis=1, kind="stable")):
-                column = np.empty(dim, dtype=int)
-                column[order] = np.arange(dim)
-                vectors = np.zeros(dim * dim, dtype=self.dtype)
-                vectors[self._rows * dim + column[self._values]] = entries[i]
-                yield evals[i, order], vectors.reshape(dim, dim)
+            for e, u in zip(evals, entries):
+                vectors = np.zeros(self.dim**2, dtype=self.dtype)
+                vectors[self._flat] = u
+                yield e, vectors.reshape(self.dim, self.dim)
+
+    def block_level_edges(self, evals):
+        """operators.level_edges of eigenvalues in block order, split at every block edge."""
+        # a mask, since np.union1d would import numpy.ma on its first call
+        split = np.zeros(self.dim + 1, dtype=bool)
+        split[level_edges(evals)] = split[self.edges] = True
+        return np.flatnonzero(split)
 
 
 class EigenbasisContinuation:
@@ -149,28 +152,29 @@ class EigenbasisContinuation:
     number of marches.
 
     Labels are transported level by level, by adiabatic transport of the
-    spectral projectors (Kato 1950).  Each advance() clusters the fresh
-    eigenvalues into levels; a level of multiplicity g takes the labels of
-    the g old columns with the largest projector mass
-    sum_{i in level} |<new_i|old_j>|^2, which does not depend on the basis
-    eigh returns inside the level.  The columns are the fresh eigenvectors,
-    so the quasi-Gibbs state sum_level w P_level at a lambda depends only on
-    the eigendecomposition there and on the labels.  A level that receives
-    labels of different origin energies (an exact crossing) is rotated onto
-    the transported old columns, because only there does the basis inside
-    the level matter.  A level whose g-th and (g+1)-th masses tie within
-    AMBIGUITY_TOL between labels of different origin energies, or a step
-    that loses a label to another level, is ambiguous and is recorded on
-    ambiguous_steps as (lambda, number of ambiguous matches).
+    spectral projectors (Kato 1950).  Levels are formed inside the solver's
+    blocks, whose eigenvectors have zero overlap, so no label leaves its
+    sector.  A level of multiplicity g takes the labels of the g old columns
+    with the largest projector mass sum_{i in level} |<new_i|old_j>|^2,
+    which does not depend on the basis eigh returns inside the level.  The
+    columns are the fresh eigenvectors, so the quasi-Gibbs state
+    sum_level w P_level at a lambda depends only on the eigendecomposition
+    there and on the labels.  A level that receives labels of different
+    origin energies (an exact crossing) is rotated onto the transported old
+    columns, because only there does the basis inside the level matter.  A
+    level whose g-th and (g+1)-th masses tie within AMBIGUITY_TOL between
+    labels of different origin energies, or a step that loses a label to
+    another level, is ambiguous and is recorded on ambiguous_steps as
+    (lambda, number of ambiguous matches).
     """
 
     def __init__(self, blocks):
         self.solver = BlockEigensolver(blocks)
         evals, evecs = next(self.solver.eigenpairs([0.0]))
-        edges = level_edges(evals)
+        edges = self.solver.block_level_edges(evals)
         self._origin = evals
         # every column of an H0 level carries the index of the level's first
-        # column, so labels of equal origin energy are interchangeable
+        # column, so the labels inside one level are interchangeable
         labels = np.repeat(edges[:-1], np.diff(edges))
         self._at_zero = (evecs, labels)
         self.restart()
@@ -196,7 +200,7 @@ class EigenbasisContinuation:
             eigenpairs = next(self.solver.eigenpairs([lam]))
         evals, fresh = eigenpairs
         d = evals.size
-        edges = level_edges(evals)
+        edges = self.solver.block_level_edges(evals)
         starts, sizes = edges[:-1], np.diff(edges)
         level = np.repeat(np.arange(starts.size), sizes)
         overlap = fresh.conj().T @ self.vectors
@@ -241,8 +245,9 @@ class QuasiGibbsSweep:
 
     The targets keep the Boltzmann weights of H0 at inverse temperature beta
     on the continued eigenbasis of H0 + lambda V, given as blocks (see
-    BlockEigensolver), at each lambda of the monotonic grid lambdas, which
-    must be finite and start at 0; they are matrices in the blocks' basis.
+    BlockEigensolver), at each lambda of the grid lambdas, which must be
+    finite and start at 0; they are matrices in the blocks' basis.  The march
+    follows the records in the order given, so the grid need not ascend.
     One EigenbasisContinuation is started per sweep, and every march
     restarts from its labeled lambda = 0 basis.  sigma at a record is
     sum_level w P_level(lambda_k), built from the continuation's

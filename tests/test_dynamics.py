@@ -7,8 +7,8 @@ import pytest
 from adiatherm.dynamics import (
     BoundTrace,
     MeanFreePath,
+    _interval_propagators,
     adiabatic_mean_free_path,
-    cfm4_propagator,
     evolve,
 )
 from adiatherm.models import (
@@ -21,6 +21,7 @@ from adiatherm.models import (
 from adiatherm.operators import eigh, hs_norm
 from adiatherm.qsl import qsl_radius_constant_rate, qsl_radius_general
 from adiatherm.thermal import (
+    BlockEigensolver,
     EigenbasisContinuation,
     QuasiGibbsSweep,
     gibbs_state,
@@ -136,8 +137,9 @@ class TestEvolve:
             evolve(model, 1.0, 0.0, 0.1, 10)
         with pytest.raises(ValueError, match="lambda_max"):
             evolve(model, 1.0, 1.0, -0.1, 10)
-        with pytest.raises(ValueError, match="n_records"):
-            evolve(model, 1.0, 1.0, 0.1, 0)
+        for n_records in (0, 2.5, "5"):
+            with pytest.raises(ValueError, match="n_records"):
+                evolve(model, 1.0, 1.0, 0.1, n_records)
 
     @pytest.mark.parametrize(
         "name,args",
@@ -194,7 +196,7 @@ class TestCFM4:
         rho0 = gibbs_state(eigh(build_h0(model)), 0.5).mat
 
         def evolved(steps):
-            u = cfm4_propagator([(h0, v)], 0.0, 0.4, 0.5, steps)
+            u = next(_interval_propagators(BlockEigensolver([(h0, v)]), [0.0, 0.4], 0.5, steps))
             return u @ rho0 @ u.conj().T
 
         reference = evolved(512)
@@ -207,7 +209,7 @@ class TestCFM4:
         model = SpinChainModel("mfic", 4, B=0.7)
         h0 = build_h0(model).mat
         v = build_v(model).mat
-        u = cfm4_propagator([(h0, v)], 0.1, 0.3, 0.7, 3)
+        u = next(_interval_propagators(BlockEigensolver([(h0, v)]), [0.1, 0.3], 0.7, 3))
         assert np.abs(u.conj().T @ u - np.eye(16)).max() <= 1e-13
 
 

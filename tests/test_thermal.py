@@ -182,6 +182,24 @@ class TestContinuation:
             assert np.abs(u.conj().T @ u - np.eye(3)).max() <= 1e-12
         assert not cont.ambiguous_steps
 
+    def test_levels_stay_inside_sectors(self):
+        # levels are formed inside the solver's blocks, so equal eigenvalues
+        # of different sectors are never one level: the qxyc N=4 march
+        # rotates only at the exact crossing inside one block at lambda = 1,
+        # and every column keeps a label of its own block
+        cont = EigenbasisContinuation(symmetry_sectors(SpinChainModel("qxyc", 4)).blocks)
+        edges = cont.solver.edges
+        block_of = np.searchsorted(edges, np.arange(cont.solver.dim), side="right")
+        lambdas = np.linspace(0.0, 1.5, 301)[1:]
+        rotated_at = []
+        for lam, pair in zip(lambdas, cont.solver.eigenpairs(lambdas)):
+            cont.advance(lam, pair)
+            if cont.rotated:
+                rotated_at.append(lam)
+            assert np.array_equal(block_of[cont.labels], block_of)
+        assert rotated_at == [pytest.approx(1.0, abs=1e-12)]
+        assert not cont.ambiguous_steps
+
     @pytest.mark.parametrize("n_sites", [4, 5, 6])
     @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
     def test_records_independent_of_step_count(self, kind, b, n_sites):
@@ -221,18 +239,22 @@ class TestBlockEigensolver:
 
     @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
     def test_sector_eigenpairs_diagonalize_the_dense_hamiltonian(self, kind, b):
+        # eigenpairs come in block order: ascending inside each block's columns
         model = SpinChainModel(kind, 5, B=b)
         sectors = symmetry_sectors(model)
         solver = BlockEigensolver(sectors.blocks)
+        edges = solver.edges
+        assert edges[0] == 0 and edges[-1] == solver.dim and np.all(np.diff(edges) > 0)
         for lam, (evals, vecs) in zip((0.0, 0.3, -1.2), solver.eigenpairs([0.0, 0.3, -1.2])):
-            assert np.all(np.diff(evals) >= 0)
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                assert np.all(np.diff(evals[lo:hi]) >= 0)
             h = oracle.dense_h0(kind, 5, b=b or 0.0) + lam * oracle.dense_v(kind, 5)
-            assert np.allclose(evals, np.linalg.eigvalsh(h), rtol=0.0, atol=1e-12)
+            assert np.allclose(np.sort(evals), np.linalg.eigvalsh(h), rtol=0.0, atol=1e-12)
             states = sectors.basis @ vecs
             assert np.abs(h @ states - states * evals).max() <= 1e-12
         # lambda = 0 gives H0's classical energies exactly
         first = next(solver.eigenpairs([0.0]))[0]
-        assert np.array_equal(first, np.sort(classical_energies(model)))
+        assert np.array_equal(np.sort(first), np.sort(classical_energies(model)))
 
 
 class TestQuasiGibbs:

@@ -36,6 +36,7 @@ from .susceptibility import (
     LowTempCoefficients,
     ThresholdReport,
     chi_f_thermal,
+    dense_sums,
     flip_sums,
     high_temp_coefficient,
     low_temp_coefficients,
@@ -62,6 +63,7 @@ __all__ = [
     "chi_f_thermal",
     "commutator_hs_norm",
     "delta_v",
+    "dense_sums",
     "eigh",
     "escort_state",
     "evolve",

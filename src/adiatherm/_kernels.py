@@ -1,6 +1,6 @@
 """Dense pair-sum and column-matching kernels, in numpy.
 
-The pair sums back the operator-level chi_f_thermal / delta_v_thermal, the
+The pair sums give deltaV and chi_F of susceptibility.dense_sums, the
 dense oracle of the flip-sum route.  They take the whole d x d pair array
 at once: the oracle runs at d <= 256, where that is a few megabytes, so
 they carry no row blocking.  The package no longer calls the column

@@ -28,7 +28,7 @@ from . import closed_forms as cf
 from .dynamics import evolve
 from .models import SpinChainModel, build_h0, build_v
 from .operators import eigh, hs_norm
-from .susceptibility import chi_f_thermal, delta_v_thermal, flip_sums, low_temp_coefficients
+from .susceptibility import chi_f_thermal, dense_sums, flip_sums, low_temp_coefficients
 from .thermal import escort_state, gibbs_state, quasi_gibbs_at
 
 
@@ -97,23 +97,20 @@ def _rel(a, b):
     return abs(a / b - 1.0)
 
 
-def _ed_pair(model, beta):
-    spec = eigh(build_h0(model))
-    v = build_v(model)
-    dv = delta_v_thermal(spec, v, beta)
-    chi = chi_f_thermal(spec, v, beta)
-    return dv, chi
+def _dense(model):
+    """H0's eigendecomposition and the dense V, prepared once per model."""
+    return eigh(build_h0(model)), build_v(model)
 
 
 @criterion("AC01", "ED vs closed-form equivalence (TFIC)", runtime_limit=30.0)
 def criterion_01():
     """TFIC: exact diagonalization matches the transfer-matrix closed forms."""
     for n in (3, 4, 6, 8):
-        model = SpinChainModel("tfic", n)
+        spec, v = _dense(SpinChainModel("tfic", n))
         for beta in (0.1, 0.3, 1.0, 3.0):
-            dv, chi = _ed_pair(model, beta)
-            rel_dv = _rel(dv, cf.delta_v_tfic_closed(n, beta, 1.0))
-            rel_chi = _rel(chi, cf.chi_f_tfic_closed(n, beta, 1.0))
+            sums = dense_sums(spec, v, beta)
+            rel_dv = _rel(sums.delta_v, cf.delta_v_tfic_closed(n, beta, 1.0))
+            rel_chi = _rel(sums.chi_f, cf.chi_f_tfic_closed(n, beta, 1.0))
             yield Check(f"delta_v N={n} betaJ={beta}", rel_dv, 1e-9)
             yield Check(f"chi_f N={n} betaJ={beta}", rel_chi, 1e-8)
 
@@ -122,11 +119,11 @@ def criterion_01():
 def criterion_02():
     """QXYC and TFIC give identical deltaV and chi_F at matched (N, beta)."""
     for n in (3, 4, 6):
+        tfic, qxyc = _dense(SpinChainModel("tfic", n)), _dense(SpinChainModel("qxyc", n))
         for beta in (0.3, 1.0):
-            dv_t, chi_t = _ed_pair(SpinChainModel("tfic", n), beta)
-            dv_q, chi_q = _ed_pair(SpinChainModel("qxyc", n), beta)
-            yield Check(f"delta_v N={n} betaJ={beta}", _rel(dv_q, dv_t), 1e-9)
-            yield Check(f"chi_f N={n} betaJ={beta}", _rel(chi_q, chi_t), 1e-9)
+            t, q = dense_sums(*tfic, beta), dense_sums(*qxyc, beta)
+            yield Check(f"delta_v N={n} betaJ={beta}", _rel(q.delta_v, t.delta_v), 1e-9)
+            yield Check(f"chi_f N={n} betaJ={beta}", _rel(q.chi_f, t.chi_f), 1e-9)
 
 
 @criterion("AC03", "ED vs closed-form equivalence (MFIC)", runtime_limit=60.0)
@@ -134,11 +131,11 @@ def criterion_03():
     """MFIC: exact diagonalization matches the transfer-matrix closed forms."""
     for n in (3, 4, 6):
         for b in (0.3, 0.7, 1.3):
-            model = SpinChainModel("mfic", n, B=b)
+            spec, v = _dense(SpinChainModel("mfic", n, B=b))
             for beta in (0.2, 1.0, 3.0):
-                dv, chi = _ed_pair(model, beta)
-                rel_dv = _rel(dv, cf.delta_v_mfic_closed(n, beta, 1.0, b))
-                rel_chi = _rel(chi, cf.chi_f_mfic_closed(n, beta, 1.0, b))
+                sums = dense_sums(spec, v, beta)
+                rel_dv = _rel(sums.delta_v, cf.delta_v_mfic_closed(n, beta, 1.0, b))
+                rel_chi = _rel(sums.chi_f, cf.chi_f_mfic_closed(n, beta, 1.0, b))
                 yield Check(f"delta_v N={n} B={b} betaJ={beta}", rel_dv, 1e-8)
                 yield Check(f"chi_f N={n} B={b} betaJ={beta}", rel_chi, 1e-8)
 
@@ -245,12 +242,12 @@ def criterion_10():
     for kind, b in (("tfic", None), ("qxyc", None), ("mfic", 0.7)):
         model = SpinChainModel(kind, 6, B=b)
         d = model.dim
-        dv, chi = _ed_pair(model, beta)
+        dense = dense_sums(*_dense(model), beta)
         sums = flip_sums(model, beta)
         chi_law = beta**2 * (2.0 / d) * sums.offdiag_square_sum
         dv_law = beta / math.sqrt(d) * sums.commutator_norm
-        yield Check(f"chi {kind}", _rel(chi, chi_law), 1e-3)
-        yield Check(f"delta_v {kind}", _rel(dv, dv_law), 1e-3)
+        yield Check(f"chi {kind}", _rel(dense.chi_f, chi_law), 1e-3)
+        yield Check(f"delta_v {kind}", _rel(dense.delta_v, dv_law), 1e-3)
 
 
 @criterion("AC11", "chi_F definition consistency (finite difference)")
@@ -263,8 +260,7 @@ def criterion_11():
     ]
     for model in cases:
         beta = 1.0
-        spec = eigh(build_h0(model))
-        v = build_v(model)
+        spec, v = _dense(model)
         rho0 = gibbs_state(spec, beta).mat
 
         def log_s(lam):
@@ -285,12 +281,13 @@ def criterion_12():
     """
     beta_proxy = 40.0
     for n in (4, 6):
-        dv, chi = _ed_pair(SpinChainModel("tfic", n), beta_proxy)
-        yield Check(f"tfic N={n}", _rel(dv / chi, cf.gamma_n_tfic(n, 1.0)), 1e-6)
-        dv, chi = _ed_pair(SpinChainModel("qxyc", n), beta_proxy)
-        yield Check(f"qxyc N={n}", _rel(dv / chi, cf.gamma_n_tfic(n, 1.0)), 1e-6)
-        dv, chi = _ed_pair(SpinChainModel("mfic", n, B=0.7), beta_proxy)
-        yield Check(f"mfic N={n} B=0.7", _rel(dv / chi, cf.gamma_n_mfic(n, 1.0, 0.7)), 1e-6)
+        for tag, model, gamma_n in (
+            (f"tfic N={n}", SpinChainModel("tfic", n), cf.gamma_n_tfic(n, 1.0)),
+            (f"qxyc N={n}", SpinChainModel("qxyc", n), cf.gamma_n_tfic(n, 1.0)),
+            (f"mfic N={n} B=0.7", SpinChainModel("mfic", n, B=0.7), cf.gamma_n_mfic(n, 1.0, 0.7)),
+        ):
+            sums = dense_sums(*_dense(model), beta_proxy)
+            yield Check(tag, _rel(sums.delta_v / sums.chi_f, gamma_n), 1e-6)
 
 
 @criterion("AC13", "non-commuting limits of f_N (TFIC)")

@@ -137,7 +137,8 @@ def load_config(path) -> RunConfig:
     """RunConfig from a key = value file; keys are case-insensitive.
 
     'none' unsets a key whose default is unset (model.B, output.path) and
-    is an error for any other key.
+    is an error for any other key.  A value outside an option's choices is
+    an error, as it is for the flag.
     """
     cfg = RunConfig()
     with open(path, encoding="utf-8") as fh:
@@ -154,7 +155,13 @@ def load_config(path) -> RunConfig:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             opt = _BY_KEY[key]
             if value.lower() != "none":
-                setattr(cfg, opt.attr, opt.parse(value))
+                parsed = opt.parse(value)
+                if opt.choices and parsed not in opt.choices:
+                    raise ValueError(
+                        f"{path}:{lineno}: {opt.key} must be one of "
+                        f"{', '.join(opt.choices)}, got {value!r}"
+                    )
+                setattr(cfg, opt.attr, parsed)
             elif opt.default is None:
                 setattr(cfg, opt.attr, None)
             else:
@@ -277,8 +284,6 @@ def _threshold_row(payload):
 
 def cmd_threshold(config: RunConfig) -> int:
     model = config.model()  # validates the model block up front
-    if config.jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {config.jobs}")
     payloads = [
         (model.kind, model.n_sites, model.J, model.B, beta, config.alpha)
         for beta in config.beta_grid
@@ -393,6 +398,8 @@ def _config_from_args(args) -> RunConfig:
             setattr(cfg, opt.attr, opt.parse(value))
     if not cfg.beta_grid or not cfg.gamma_grid:
         raise ValueError("beta and gamma grids must be non-empty")
+    if cfg.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {cfg.jobs}")
     return cfg
 
 

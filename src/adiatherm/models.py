@@ -11,7 +11,9 @@ and the driven Hamiltonian is H_lambda = H0 + lambda * V.  build_h0 and
 build_v give the dense matrices of the operator-level oracle;
 symmetry_sectors gives H0 and V block by block in a real symmetry-adapted
 basis of the ring (Sandvik, AIP Conf. Proc. 1297, 135 (2010)), which the
-dynamics route and the spectrum command diagonalize.
+dynamics route and the spectrum command diagonalize.  V has one
+construction, _apply_v from flip_terms: build_v applies it to the
+identity and symmetry_sectors to the sector basis.
 """
 
 from __future__ import annotations
@@ -219,26 +221,11 @@ def build_h0(model: SpinChainModel) -> HermitianOperator:
 def build_v(model: SpinChainModel) -> HermitianOperator:
     """Driving term; Hermitian and traceless for all three kinds.
 
-    Scattered from flip_terms, plus the diagonal +J sum Z_j Z_{j+1} of qxyc
-    accumulated bond by bond.
+    _apply_v applied to the identity, so the dense V and the sector
+    blocks share one construction.
     """
     require_dense_fits(model)
-    n = model.n_sites
-    idx = np.arange(model.dim)
-    total = np.zeros((model.dim, model.dim))
-    for mask, amplitude in flip_terms(model):
-        total[idx ^ mask, idx] = amplitude
-    if model.kind == "qxyc":
-        total[idx, idx] = _zz_diagonal(model)
-    return HermitianOperator(n_sites=n, mat=total)
-
-
-def _zz_diagonal(model: SpinChainModel) -> np.ndarray:
-    """The diagonal +J sum Z_j Z_{j+1} of qxyc's V, accumulated bond by bond."""
-    diag = np.zeros(model.dim)
-    for bond in _bond_products(model.n_sites):
-        diag += model.J * bond
-    return diag
+    return HermitianOperator(n_sites=model.n_sites, mat=_apply_v(model, np.eye(model.dim)))
 
 
 def hamiltonian_at(model: SpinChainModel, lam: float) -> HermitianOperator:
@@ -304,13 +291,18 @@ def _momentum_coefficients(n_sites):
 
 
 def _apply_v(model: SpinChainModel, columns) -> np.ndarray:
-    """V times a d x m array of columns, from flip_terms and qxyc's ZZ diagonal."""
+    """V times a d x m array of columns, from flip_terms and qxyc's diagonal +J sum Z_j Z_{j+1}."""
     idx = np.arange(model.dim)
     out = np.zeros_like(columns)
     for mask, amplitude in flip_terms(model):
         out += amplitude * columns[idx ^ mask]
     if model.kind == "qxyc":
-        out += _zz_diagonal(model)[:, None] * columns
+        # bond by bond, the order of the Pauli-string sum: J * sum(bonds)
+        # rounds differently, e.g. at J = 0.7
+        diagonal = np.zeros(model.dim)
+        for bond in _bond_products(model.n_sites):
+            diagonal += model.J * bond
+        out += diagonal[:, None] * columns
     return out
 
 

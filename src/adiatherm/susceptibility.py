@@ -8,11 +8,13 @@ zero-temperature reference Gamma_N through f_N = Gamma_th / Gamma_N.
 
 Every chain quantity (threshold_report and the low- and high-temperature
 coefficients) comes from one preparation, the classical energies and the
-flip pairs of V (flip_sums), without building a matrix.  The functions
-taking a SpectralDecomposition and an operator are the dense oracle that
-tests compare the flip route against.  Each of them sums over whole
-degenerate levels, so it takes V in whatever eigenbasis eigh returns and
-never rotates a level.
+flip pairs of V (flip_sums), without building a matrix.  The dense oracle
+that tests and the acceptance criteria compare it against is dense_sums:
+the same FlipSums record from one eigendecomposition of H0 and one dense
+V, rotated once into the eigenbasis.  Its sums run over whole degenerate
+levels, so it takes V in whatever eigenbasis eigh returns and never
+rotates a level.  chi_f_thermal, delta_v_thermal, ground_chi_f and
+ground_delta_v each read one field of it.
 """
 
 from __future__ import annotations
@@ -80,85 +82,6 @@ class LowTempCoefficients:
             raise ValueError("c1 != 2W")
 
 
-def _v_in_eigenbasis(spec: SpectralDecomposition, v: HermitianOperator) -> np.ndarray:
-    """<m|V|n> in the eigenbasis of spec, as eigh returned it."""
-    u = spec.eigenvectors
-    return u.conj().T @ v.mat @ u
-
-
-def chi_f_thermal(spec: SpectralDecomposition, v: HermitianOperator, beta) -> float:
-    """Thermal fidelity susceptibility as a spectral double sum.
-
-    chi_F = (2/Z0(2 beta)) sum_{m != n} (e^{-beta E_m} - e^{-beta E_n})^2
-            |V_mn|^2 / (E_m - E_n)^2,
-    with pairs degenerate within the spectrum tolerance contributing exactly
-    zero and all weights taken relative to the ground energy.
-    """
-    require_beta(beta)
-    e = spec.eigenvalues
-    shifted = e - e.min()
-    w = np.exp(-beta * shifted)
-    z2 = float(np.sum(np.exp(-2.0 * beta * shifted)))
-    vm = _v_in_eigenbasis(spec, v)
-    v2 = np.abs(vm) ** 2
-    tol = degeneracy_tolerance(e)
-    raw = chi_pair_sum(shifted, w, v2, tol)
-    return 2.0 * raw / z2
-
-
-def delta_v_thermal(spec: SpectralDecomposition, v: HermitianOperator, beta) -> float:
-    """Drive fluctuation from the H0 spectrum and exact Boltzmann weights.
-
-    Algebraically identical to sqrt(2 I_WY(escort(Gibbs(beta)), V)) but
-    written as the manifestly positive pair sum
-    (deltaV)^2 = sum_{m != n} |V_mn|^2 (e^{-beta E_m} - e^{-beta E_n})^2 / Z0(2 beta),
-    which stays accurate when Boltzmann weights drop below the eigensolver
-    resolution of the assembled density matrix (large beta).
-    """
-    require_beta(beta)
-    e = spec.eigenvalues
-    shifted = e - e.min()
-    w = np.exp(-beta * shifted)
-    z2 = float(np.sum(np.exp(-2.0 * beta * shifted)))
-    vm = _v_in_eigenbasis(spec, v)
-    v2 = np.abs(vm) ** 2
-    return math.sqrt(pair_weight_sum(w, v2) / z2)
-
-
-def _ground_block(spec: SpectralDecomposition):
-    return slice(0, int(level_edges(spec.eigenvalues)[1]))
-
-
-def ground_chi_f(spec: SpectralDecomposition, v: HermitianOperator) -> float:
-    """beta -> infinity limit of chi_f_thermal; tolerates ground degeneracy.
-
-    Equals (4/g0) sum over ground states g and excited n of
-    |V_ng|^2 / (E_n - E_0)^2 where g0 is the ground multiplicity.
-    """
-    block = _ground_block(spec)
-    g0 = block.stop - block.start
-    e = spec.eigenvalues
-    gaps = e[block.stop :] - e[block.start]
-    vm = _v_in_eigenbasis(spec, v)
-    v2 = np.abs(vm[block.stop :, block]) ** 2
-    return float(4.0 / g0 * np.sum(v2 / gaps[:, None] ** 2))
-
-
-def ground_delta_v(spec: SpectralDecomposition, v: HermitianOperator) -> float:
-    """beta -> infinity limit of delta_v; tolerates ground degeneracy.
-
-    With rho the normalized ground-multiplet projector P/g0,
-    (deltaV0)^2 = 2 [Tr(P V^2) - Tr(P V P V)] / g0.
-    """
-    block = _ground_block(spec)
-    g0 = block.stop - block.start
-    vm = _v_in_eigenbasis(spec, v)
-    vg = vm[:, block]
-    t1 = float(np.sum(np.abs(vg) ** 2))
-    t2 = float(np.sum(np.abs(vm[block, block]) ** 2))
-    return math.sqrt(max(2.0 * (t1 - t2) / g0, 0.0))
-
-
 class FlipSums(NamedTuple):
     """deltaV, chi_F, their beta -> infinity limits deltaV0, chi_F0, and the
     beta-independent sums behind the high-temperature laws: the
@@ -175,9 +98,8 @@ class FlipSums(NamedTuple):
 def flip_sums(model: SpinChainModel, beta) -> FlipSums:
     """Spectral pair sums of a chain from its N 2^N flip pairs.
 
-    delta_v, chi_f, ground_delta_v and ground_chi_f equal delta_v_thermal,
-    chi_f_thermal, ground_delta_v and ground_chi_f of the chain's H0
-    spectrum and V, but no matrix is built.  H0 is diagonal in the
+    Every field equals the field of dense_sums on the chain's H0 spectrum
+    and V, but no matrix is built.  H0 is diagonal in the
     computational basis, and V couples basis state s only to s ^ mask for
     the masks of flip_terms.  A pair sum over whole degenerate levels does
     not depend on the basis chosen inside them, so every spectral pair sum
@@ -217,6 +139,62 @@ def flip_sums(model: SpinChainModel, beta) -> FlipSums:
         offdiag_square_sum=offdiag,
         commutator_norm=math.sqrt(commutator),
     )
+
+
+def dense_sums(spec: SpectralDecomposition, v: HermitianOperator, beta) -> FlipSums:
+    """The six flip_sums fields from an H0 spectrum and a dense V: the oracle.
+
+    V is rotated once into the eigenbasis as eigh returned it, and every sum
+    runs over whole degenerate levels, with weights relative to the ground
+    energy.  (deltaV)^2 = sum_{m != n} |V_mn|^2 (w_m - w_n)^2 / Z0(2 beta)
+    stays accurate where the weights w = e^{-beta E} drop below the
+    eigensolver resolution of an assembled density matrix (large beta), and
+    chi_F = (2/Z0(2 beta)) sum (w_m - w_n)^2 |V_mn|^2 / (E_m - E_n)^2 skips
+    pairs degenerate within degeneracy_tolerance.  With g0 the ground
+    multiplicity and P the ground-level projector, chi_F0 = (4/g0) sum over
+    ground g and excited n of |V_ng|^2 / (E_n - E_0)^2 and
+    (deltaV0)^2 = 2 [Tr(P V^2) - Tr(P V P V)] / g0.
+    """
+    require_beta(beta)
+    e, u = spec.eigenvalues, spec.eigenvectors
+    shifted = e - e.min()
+    tol = degeneracy_tolerance(e)
+    w = np.exp(-beta * shifted)
+    z2 = float(np.sum(np.exp(-2.0 * beta * shifted)))
+    g0 = int(level_edges(e)[1])
+    v2 = np.abs(u.conj().T @ v.mat @ u) ** 2
+    de = shifted[:, None] - shifted[None, :]
+    gaps = e[g0:] - e[0]
+    t1 = float(np.sum(v2[:, :g0]))
+    t2 = float(np.sum(v2[:g0, :g0]))
+    return FlipSums(
+        delta_v=math.sqrt(pair_weight_sum(w, v2) / z2),
+        chi_f=2.0 * chi_pair_sum(shifted, w, v2, tol) / z2,
+        ground_delta_v=math.sqrt(max(2.0 * (t1 - t2) / g0, 0.0)),
+        ground_chi_f=float(4.0 / g0 * np.sum(v2[g0:, :g0] / gaps[:, None] ** 2)),
+        offdiag_square_sum=float(np.sum(v2[np.abs(de) > tol])),
+        commutator_norm=math.sqrt(float(np.sum(v2 * de**2))),
+    )
+
+
+def chi_f_thermal(spec: SpectralDecomposition, v: HermitianOperator, beta) -> float:
+    """Thermal fidelity susceptibility chi_F of dense_sums."""
+    return dense_sums(spec, v, beta).chi_f
+
+
+def delta_v_thermal(spec: SpectralDecomposition, v: HermitianOperator, beta) -> float:
+    """Drive fluctuation deltaV of dense_sums, equal to sqrt(2 I_WY(escort(Gibbs(beta)), V))."""
+    return dense_sums(spec, v, beta).delta_v
+
+
+def ground_chi_f(spec: SpectralDecomposition, v: HermitianOperator) -> float:
+    """beta -> infinity limit of chi_f_thermal; tolerates ground degeneracy."""
+    return dense_sums(spec, v, 0.0).ground_chi_f
+
+
+def ground_delta_v(spec: SpectralDecomposition, v: HermitianOperator) -> float:
+    """beta -> infinity limit of delta_v_thermal; tolerates ground degeneracy."""
+    return dense_sums(spec, v, 0.0).ground_delta_v
 
 
 def low_temp_coefficients(model: SpinChainModel) -> LowTempCoefficients:
@@ -277,18 +255,8 @@ def threshold_report(model: SpinChainModel, beta, alpha: float = 1.0) -> Thresho
     if sums.ground_chi_f == 0:
         raise ValueError("V does not couple the ground level to any other level; Gamma_N undefined")
     gamma_n = alpha * sums.ground_delta_v / sums.ground_chi_f
-    if beta == 0:
-        return ThresholdReport(
-            beta=0.0,
-            delta_v=0.0,
-            chi_f=0.0,
-            gamma_th=math.nan,
-            gamma_n=gamma_n,
-            f_n=math.nan,
-            alpha=alpha,
-            undefined_at_infinite_temperature=True,
-        )
-    gamma_th = alpha * sums.delta_v / sums.chi_f
+    # at beta = 0 every weight is 1, so flip_sums gives deltaV = chi_F = 0 exactly
+    gamma_th = math.nan if beta == 0 else alpha * sums.delta_v / sums.chi_f
     return ThresholdReport(
         beta=float(beta),
         delta_v=sums.delta_v,
@@ -297,4 +265,5 @@ def threshold_report(model: SpinChainModel, beta, alpha: float = 1.0) -> Thresho
         gamma_n=gamma_n,
         f_n=gamma_th / gamma_n,
         alpha=alpha,
+        undefined_at_infinite_temperature=beta == 0,
     )

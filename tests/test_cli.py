@@ -109,6 +109,17 @@ class TestConfigParsing:
         cfg = load_config(cfg_file)
         assert cfg.B is None and cfg.out is None
 
+    def test_value_outside_choices_rejected_at_load(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("model.n_sites = 3\noutput.format = xml\n")
+        out = tmp_path / "out.csv"
+        code = main(["threshold", "--config", str(cfg_file), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg_file}:2: output.format must be one of csv, json, got 'xml'\n"
+        )
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("model.flavor = up\n")
@@ -154,6 +165,15 @@ class TestSpectrumCommand:
         lams = sorted({float(r[0]) for r in rows})
         assert lams == [0.0, 0.5, 1.0]
         assert len(rows) == 12
+
+    def test_negative_lambda_grid_in_equals_form(self, tmp_path):
+        # "--lambda-grid -0.3,..." reads as an option to argparse; the = form does not
+        out = tmp_path / "spec.csv"
+        args = ["spectrum", "--model", "tfic", "--n-sites", "3", "--lambda-grid=-0.3,0.5,1"]
+        assert main([*args, "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert [r[0] for r in rows[::8]] == ["0", "-0.29999999999999999", "0.5", "1"]
+        assert len(rows) == 32
 
     @pytest.mark.parametrize(
         "args",
@@ -443,6 +463,9 @@ class TestErrorPaths:
             ["spectrum", "--lambda-grid", "nan"],
             ["threshold", "--jobs", "0"],
             ["threshold", "--jobs", "-3"],
+            ["dynamics", "--jobs", "0"],
+            ["spectrum", "--jobs", "0"],
+            ["verify", "--jobs", "0"],
         ],
         ids=lambda args: " ".join(args),
     )

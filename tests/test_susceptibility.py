@@ -22,6 +22,7 @@ from adiatherm.qsl import delta_v, qsl_radius_constant_rate
 from adiatherm.susceptibility import (
     chi_f_thermal,
     delta_v_thermal,
+    dense_sums,
     flip_sums,
     ground_chi_f,
     ground_delta_v,
@@ -150,11 +151,16 @@ class TestDenseOracle:
             unitary = oracle.random_unitary(stop - start, rng)
             rotated[:, start:stop] = rotated[:, start:stop] @ unitary
         other = SpectralDecomposition(eigenvalues=spec.eigenvalues, eigenvectors=rotated)
-        for beta in (0.3, 1.0, 3.0):
-            for fn in (chi_f_thermal, delta_v_thermal):
-                assert fn(other, v, beta) == pytest.approx(fn(spec, v, beta), rel=1e-12)
-        for fn in (ground_chi_f, ground_delta_v):
-            assert fn(other, v) == pytest.approx(fn(spec, v), rel=1e-12)
+        for beta in (0.0, 0.3, 1.0, 3.0):
+            record = dense_sums(spec, v, beta)
+            assert dense_sums(other, v, beta) == pytest.approx(record, rel=1e-12)
+            assert record == (
+                delta_v_thermal(spec, v, beta),
+                chi_f_thermal(spec, v, beta),
+                ground_delta_v(spec, v),
+                ground_chi_f(spec, v),
+                *record[4:],
+            )
 
 
 class TestLowTempCoefficients:
@@ -307,8 +313,9 @@ def test_entry_points_reject_non_finite_input(name, call, bad):
 DRIVES = [("tfic", None), ("qxyc", None), ("mfic", 0.7), ("mfic", 1.0)]
 
 
-def dense_sums(model, betas):
-    """The six flip_sums fields from the dense route and the oracle matrices."""
+def oracle_sums(model, betas):
+    """The six flip_sums fields: the four spectral ones from the package's
+    dense_sums, the two beta-independent ones from the oracle matrices."""
     spec, v = eigh(build_h0(model)), build_v(model)
     h0 = oracle.dense_h0(model.kind, model.n_sites, j=model.J, b=model.B or 0.0)
     vm = oracle.dense_v(model.kind, model.n_sites, j=model.J)
@@ -318,13 +325,8 @@ def dense_sums(model, betas):
     commutator = commutator_hs_norm(
         HermitianOperator(model.n_sites, h0), HermitianOperator(model.n_sites, vm)
     )
-    fixed = (
-        ground_delta_v(spec, v),
-        ground_chi_f(spec, v),
-        float(np.sum(np.abs(vm[coupled]) ** 2)),
-        commutator,
-    )
-    return [(delta_v_thermal(spec, v, b), chi_f_thermal(spec, v, b)) + fixed for b in betas]
+    fixed = (float(np.sum(np.abs(vm[coupled]) ** 2)), commutator)
+    return [dense_sums(spec, v, b)[:4] + fixed for b in betas]
 
 
 def closed_sums(model, beta):
@@ -343,14 +345,24 @@ def assert_rel_close(got, expected, rel):
         assert abs(g - e) <= rel * abs(e), (got, expected)
 
 
+BETAS = (0.0, 0.3, 1.0, 3.0, 40.0)
+
+
 class TestFlipSums:
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("kind,b", DRIVES)
     def test_match_dense_route(self, kind, b, n):
         model = SpinChainModel(kind, n, B=b)
-        betas = (0.0, 0.3, 1.0, 3.0, 40.0)
-        for beta, dense in zip(betas, dense_sums(model, betas)):
+        for beta, dense in zip(BETAS, oracle_sums(model, BETAS)):
             assert_rel_close(flip_sums(model, beta), dense, 1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("kind,b", DRIVES)
+    def test_dense_record_matches_flip_sums(self, kind, b, n):
+        model = SpinChainModel(kind, n, B=b)
+        spec, v = eigh(build_h0(model)), build_v(model)
+        for beta in BETAS:
+            assert_rel_close(dense_sums(spec, v, beta), flip_sums(model, beta), 1e-12)
 
     @pytest.mark.parametrize("n", [14, 16])
     @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
@@ -381,7 +393,7 @@ class TestFlipSums:
     def test_flip_dense_and_closed_forms_agree(self, kind, n, beta, j, b_over_j):
         model = SpinChainModel(kind, n, J=j, B=b_over_j * j if kind == "mfic" else None)
         flip = flip_sums(model, beta)
-        assert_rel_close(flip, dense_sums(model, [beta])[0], 1e-12)
+        assert_rel_close(flip, oracle_sums(model, [beta])[0], 1e-12)
         closed = closed_sums(model, beta)
         assert_rel_close(flip[:2], closed[:2], 1e-9)
         assert_rel_close([flip.ground_delta_v / flip.ground_chi_f], closed[2:], 1e-12)

@@ -137,8 +137,9 @@ def load_config(path) -> RunConfig:
     """RunConfig from a key = value file; keys are case-insensitive.
 
     'none' unsets a key whose default is unset (model.B, output.path) and
-    is an error for any other key.  A value outside an option's choices is
-    an error, as it is for the flag.
+    is an error for any other key.  A value that the option's parser
+    rejects or that lies outside its choices is an error, as it is for the
+    flag; every error names the file, the line and the key.
     """
     cfg = RunConfig()
     with open(path, encoding="utf-8") as fh:
@@ -155,7 +156,10 @@ def load_config(path) -> RunConfig:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             opt = _BY_KEY[key]
             if value.lower() != "none":
-                parsed = opt.parse(value)
+                try:
+                    parsed = opt.parse(value)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {opt.key}: {exc}") from None
                 if opt.choices and parsed not in opt.choices:
                     raise ValueError(
                         f"{path}:{lineno}: {opt.key} must be one of "
@@ -188,10 +192,17 @@ def _meta_lines(config: RunConfig):
     return lines
 
 
-def write_table(path, config, columns, rows, fmt):
+def write_table(path, config, columns, rows, fmt, counters=None):
+    """Write rows under the config echo as csv or json.
+
+    counters (name -> int) are the run's deterministic counters: "# counter:"
+    lines after the config echo of a CSV, and a "counters" object in JSON.
+    """
+    counters = counters or {}
     if fmt == "csv":
         text = "\n".join(
             _meta_lines(config)
+            + [f"# counter: {name} = {value}" for name, value in counters.items()]
             + [",".join(columns)]
             + [",".join(_fmt(cell) for cell in row) for row in rows]
         )
@@ -207,6 +218,7 @@ def write_table(path, config, columns, rows, fmt):
                 "version": __version__,
                 "units": UNITS_NOTE,
                 "config": dict(config.echo_items()),
+                **({"counters": counters} if counters else {}),
                 "columns": cols,
             },
             indent=2,
@@ -231,7 +243,8 @@ def cmd_spectrum(config: RunConfig) -> int:
     # lambda = 0 gives H0's classical energies exactly; the stable sort keeps
     # equal energies (0 and -0 too) in the solver's block order
     solver = BlockEigensolver(symmetry_sectors(model).blocks)
-    for lam, (energies, _) in zip(lambdas, solver.eigenpairs(lambdas)):
+    spectra = np.concatenate([pairs.values for pairs in solver.eigenpairs(lambdas)])
+    for lam, energies in zip(lambdas, spectra):
         for idx, energy in enumerate(np.sort(energies, kind="stable")):
             rows.append((lam, idx, energy))
     write_table(config.out or "spectrum.csv", config, SPECTRUM_COLUMNS, rows, config.fmt)
@@ -322,7 +335,9 @@ def cmd_dynamics(config: RunConfig) -> int:
     paths = _dynamics_paths(config.out or "dynamics.csv", combos)
     for (beta, gamma), path in zip(combos, paths):
         trace = evolve(model, beta, gamma, config.lambda_max, config.n_records)
-        write_table(path, config, DYNAMICS_COLUMNS, list(trace.rows()), config.fmt)
+        write_table(
+            path, config, DYNAMICS_COLUMNS, list(trace.rows()), config.fmt, trace.counters()
+        )
     return 0
 
 

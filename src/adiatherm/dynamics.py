@@ -11,21 +11,26 @@ come from one thermal.QuasiGibbsSweep, stable to 1e-8 at every record; its
 lambda = 0 record is the initial Gibbs state, so H0 is diagonalized once.
 Each halving level reads the sweep's records once and fills every column
 that needs sigma or rho, C included: C does not depend on the CFM4 step, so
-every level gives it bit for bit, at the cost of one inner product per
-record.  R and both bounds need only C, so they are computed once, from the
-accepted level.
+every level gives it bit for bit.  R and both bounds need only C, so they
+are computed once, from the accepted level.
 
 Everything runs in the real symmetry-adapted basis of
-models.symmetry_sectors, where H0 is diagonal and V block-diagonal.  The
-eigenpairs of every CFM4 node of a halving level come from one pass of the
-sweep's thermal.BlockEigensolver over those nodes; rho, sigma and the CFM4
-factors are d x d matrices in the sector basis.  F, C, Theta, the purity
-and the trace are traces, which the orthogonal change of basis leaves
-unchanged.
+models.symmetry_sectors, where H0 is diagonal and V block-diagonal, so every
+CFM4 factor, propagator, rho and sigma is block-diagonal too and is kept as
+one (..., g, m, m) stack per group of equal-size blocks (see
+thermal.BlockEigensolver), never as a d x d matrix.  The factors of a chunk
+of CFM4 nodes come from one stacked eigh and two stacked real products per
+group, and the propagators of a chunk of record intervals from one stacked
+product per factor.  The accumulated propagator W_k of record k is
+U_k W_(k-1), and rho_k = W_k rho0 W_k^dag is formed for a chunk of records
+at once.  F, C, Theta, the purity, the trace and the Hermiticity defect are
+sums over blocks of per-block traces, which the orthogonal change of basis
+leaves unchanged.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import operator
@@ -35,10 +40,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .models import SpinChainModel, require_finite, symmetry_sectors
-from .operators import hs_angle_mat, hs_fidelity_mat
+from .operators import adjoint, hs_angle_from_distance, hs_fidelity_from_overlap
 from .qsl import bound_strong, bound_weak, qsl_radius_constant_rate
 from .susceptibility import flip_sums
-from .thermal import QuasiGibbsSweep
+from .thermal import QuasiGibbsSweep, block_inner
 
 logger = logging.getLogger(__name__)
 
@@ -59,6 +64,9 @@ class BoundTrace:
     every level, one entry per pass over the quasi-Gibbs records.  A
     one-record trace (lambda_max = 0 or n_records = 1) has no interval: it
     runs the levels of 1 and 2 steps, so it reads 2 and (1.0, 1.0).
+    sweep_steps_per_interval and n_ambiguous_steps are the continuation
+    steps per record interval and the ambiguous steps of the accepted
+    quasi-Gibbs march.
     """
 
     lambdas: np.ndarray
@@ -76,6 +84,8 @@ class BoundTrace:
     delta_v_value: float
     n_substeps_per_interval: int = 1
     fidelity_history: tuple = field(default_factory=tuple)
+    sweep_steps_per_interval: int = 1
+    n_ambiguous_steps: int = 0
 
     @property
     def n_records(self):
@@ -85,6 +95,15 @@ class BoundTrace:
     def max_abs_f_minus_c(self):
         """Near-coincidence diagnostic max_k |F_k - C_k|."""
         return float(np.max(np.abs(self.adiabatic_fidelity - self.thermal_overlap)))
+
+    def counters(self):
+        """The run's deterministic counters, by name, in output order."""
+        return {
+            "n_substeps_per_interval": self.n_substeps_per_interval,
+            "halving_levels": len(self.fidelity_history),
+            "sweep_steps_per_interval": self.sweep_steps_per_interval,
+            "n_ambiguous_steps": self.n_ambiguous_steps,
+        }
 
     def rows(self):
         """Record tuples in CSV column order."""
@@ -108,36 +127,46 @@ class MeanFreePath(NamedTuple):
     censored: bool
 
 
-def _propagator(evals, evecs, dt):
-    """Exactly unitary exp(-i H dt) of a real-symmetric or Hermitian H from its eigenpairs."""
-    phases = np.exp(-1j * dt * evals)
-    # for real eigenvectors two real products cost half of one complex product
-    cos_part = (evecs * phases.real) @ evecs.conj().T
-    sin_part = (evecs * phases.imag) @ evecs.conj().T
-    return cos_part + 1j * sin_part
-
-
 def _interval_propagators(solver, lambdas, gamma, steps):
     """Yield the CFM4 propagator over each interval of the grid lambdas, in order.
 
     A step of width h from lambda0 applies exp(-i (h / 2 Gamma) H(lambda0 + h/6)),
     then exp(-i (h / 2 Gamma) H(lambda0 + 5h/6)); in the other order the scheme
-    drops to second order.  All the nodes' eigenpairs come from one pass of the
-    BlockEigensolver solver, and the propagators are in its basis.
+    drops to second order.  Each propagator is one (g, m, m) stack per group
+    of the BlockEigensolver solver.  The nodes go through the solver in
+    stacks of whole intervals, or of one interval's consecutive factors when
+    an interval does not fit one stack, and a stack's intervals multiply
+    their factors in one stacked product per factor.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     widths = (lambdas[1:] - lambdas[:-1]) / steps
     h = widths[:, None]
     lam0 = lambdas[:-1, None] + np.arange(steps) * h  # the start of every step
-    nodes = np.stack([lam0 + h / 6.0, lam0 + 5.0 * h / 6.0], axis=-1)
-    eigenpairs = solver.eigenpairs(nodes.ravel())
-    for h in widths:
-        dt = h / (2.0 * gamma)
+    nodes = np.stack([lam0 + h / 6.0, lam0 + 5.0 * h / 6.0], axis=-1).reshape(widths.size, -1)
+    n_factors = nodes.shape[1]
+    per_chunk = solver.per_chunk(np.dtype(complex).itemsize)
+    intervals, span = max(1, per_chunk // n_factors), min(n_factors, per_chunk)
+    for first in range(0, widths.size, intervals):
+        chunk = slice(first, first + intervals)
         u = None
-        for _ in range(2 * steps):
-            factor = _propagator(*next(eigenpairs), dt)
-            u = factor if u is None else factor @ u
-        yield u
+        for start in range(0, n_factors, span):
+            stack = nodes[chunk, start : start + span]  # (intervals, factors) nodes
+            pairs = solver.solve(stack)
+            dt = np.repeat(widths[chunk] / (2.0 * gamma), stack.shape[1])[:, None, None]
+            factors = []
+            for e, vecs in zip(solver.split(pairs.values), pairs.vectors):
+                phases = np.exp(-1j * dt * e)[..., None, :]
+                # for real eigenvectors two real products cost half of one complex product
+                vecs_adjoint = adjoint(vecs)
+                cos_part = (vecs * phases.real) @ vecs_adjoint
+                sin_part = (vecs * phases.imag) @ vecs_adjoint
+                factors.append((cos_part + 1j * sin_part).reshape(*stack.shape, *vecs.shape[1:]))
+            for j in range(stack.shape[1]):
+                u = [f[:, j] for f in factors] if u is None else [
+                    f[:, j] @ v for f, v in zip(factors, u)
+                ]
+        for i in range(u[0].shape[0]):
+            yield [v[i] for v in u]
 
 
 def evolve(
@@ -176,21 +205,45 @@ def evolve(
     def run_level(steps):
         """Every column that needs sigma or rho, in one pass over the sweep."""
         rec = {name: np.zeros(n) for name in ("F", "C", "theta", "purity", "trace", "herm")}
-        sigmas = sweep.records()
-        rho0 = rho = next(sigmas)
         rec["F"][0] = rec["C"][0] = 1.0
         rec["purity"][0] = sweep.purity
         propagators = _interval_propagators(sweep.solver, lambdas, gamma, steps)
-        for k, (sigma, u) in enumerate(zip(sigmas, propagators), start=1):
-            rho = u @ rho @ u.conj().T
-            rho_purity = float(np.real(np.vdot(rho, rho)))
-            rec["F"][k] = hs_fidelity_mat(sigma, sweep.purity, rho, rho_purity)
-            rec["C"][k] = hs_fidelity_mat(sigma, sweep.purity, rho0, sweep.purity)
-            rec["theta"][k] = hs_angle_mat(rho0, rho)
-            rec["purity"][k] = rho_purity
-            tr = complex(np.trace(rho))
-            rec["trace"][k] = abs(tr.real - 1.0) + abs(tr.imag)
-            rec["herm"][k] = float(np.abs(rho - rho.conj().T).max())
+        rho0 = w = None
+        done = 0
+        for sigma in sweep.records():
+            records = slice(done, done + sigma[0].shape[0])
+            done = records.stop
+            if rho0 is None:
+                rho0 = [s[0] for s in sigma]
+                rho0_norm = math.sqrt(block_inner(rho0, rho0))
+                sigma = [s[1:] for s in sigma]
+                records = slice(1, records.stop)
+            if records.start == records.stop:
+                continue
+            # rho_k = W_k rho0 W_k^dag, with W_k the propagator accumulated up to record k
+            rho = [np.empty(s.shape, dtype=complex) for s in sigma]
+            for k, u in enumerate(itertools.islice(propagators, records.stop - records.start)):
+                w = u if w is None else [a @ b for a, b in zip(u, w)]
+                for r, a in zip(rho, w):
+                    r[k] = a
+            rho = [(a @ r0) @ adjoint(a) for a, r0 in zip(rho, rho0)]
+            rho_purity = block_inner(rho, rho)
+            rec["F"][records] = hs_fidelity_from_overlap(
+                block_inner(sigma, rho), sweep.purity, rho_purity
+            )
+            rec["C"][records] = hs_fidelity_from_overlap(
+                block_inner(sigma, rho0), sweep.purity, sweep.purity
+            )
+            rho_norm = np.sqrt(rho_purity)[:, None, None, None]
+            unit_gap = [r0 / rho0_norm - r / rho_norm for r0, r in zip(rho0, rho)]
+            rec["theta"][records] = hs_angle_from_distance(np.sqrt(block_inner(unit_gap, unit_gap)))
+            del unit_gap
+            rec["purity"][records] = rho_purity
+            tr = sum(np.trace(r, axis1=-2, axis2=-1).sum(axis=-1) for r in rho)
+            rec["trace"][records] = np.abs(tr.real - 1.0) + np.abs(tr.imag)
+            rec["herm"][records] = np.max(
+                [np.abs(r - adjoint(r)).max(axis=(-3, -2, -1)) for r in rho], axis=0
+            )
         return rec
 
     # a one-record run has no interval and starts at one step
@@ -236,13 +289,15 @@ def evolve(
         delta_v_value=dv,
         n_substeps_per_interval=steps,
         fidelity_history=tuple(history),
+        sweep_steps_per_interval=sweep.per_interval,
+        n_ambiguous_steps=len(sweep.ambiguous_steps),
     )
     logger.info(
         "evolve beta=%g gamma=%g: max |F - C| = %.3e over %d records; %d CFM4 steps "
         "per interval at the last of %d halving levels, %d sweep steps per interval, "
         "%d ambiguous steps",
         beta, gamma, trace.max_abs_f_minus_c, n,
-        steps, len(history), sweep.per_interval, len(sweep.ambiguous_steps),
+        steps, len(history), trace.sweep_steps_per_interval, trace.n_ambiguous_steps,
     )
     return trace
 

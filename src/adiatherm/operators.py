@@ -25,6 +25,7 @@ TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-12
 ORTHONORMALITY_TOL = 1e-12
 RECONSTRUCTION_RTOL = 1e-10
+_DEGENERACY_RTOL = 1e-9
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -51,6 +52,12 @@ def _as_square_matrix(mat):
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     return arr
+
+
+def adjoint(a):
+    """Conjugate transpose over the last two axes, a view for real arrays."""
+    a = a.swapaxes(-1, -2)
+    return a.conj() if np.iscomplexobj(a) else a
 
 
 def hermiticity_defect(mat):
@@ -187,34 +194,36 @@ def hs_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch {rho.dim} vs {sigma.dim}")
-    return hs_fidelity_mat(rho.mat, rho.purity, sigma.mat, sigma.purity)
+    overlap = float(np.real(np.vdot(rho.mat, sigma.mat)))
+    return float(hs_fidelity_from_overlap(overlap, rho.purity, sigma.purity))
 
 
-def hs_fidelity_mat(a, a_purity, b, b_purity) -> float:
-    """(Tr a^dag b)^2 / (a_purity b_purity) clipped to [0, 1], without validation.
+def hs_fidelity_from_overlap(overlap, a_purity, b_purity):
+    """overlap^2 / (a_purity b_purity) clipped to [0, 1], for Re Tr(a^dag b) = overlap.
 
     The one HS fidelity formula, of hs_fidelity, evolve's F and C and
-    thermal_overlap; a quasi-Gibbs state passes its exact purity sum w^2.
+    thermal_overlap, elementwise over arrays; a quasi-Gibbs state passes its
+    exact purity sum w^2.
     """
-    overlap = float(np.real(np.vdot(a, b)))
-    return min(max(overlap * overlap / (a_purity * b_purity), 0.0), 1.0)
+    return np.clip(overlap * overlap / (a_purity * b_purity), 0.0, 1.0)
 
 
-def hs_angle_mat(a, b) -> float:
-    """Angle between two matrices with Tr(a^dag b) >= 0, seen as HS vectors.
+def hs_angle_from_distance(distance):
+    """Angle between two HS vectors at distance ||a/||a|| - b/||b|| || of their unit vectors.
 
-    2 asin(||a/||a|| - b/||b|| || / 2) equals arccos sqrt(F[a, b]) but keeps
-    full relative precision at small angles, where arccos of a fidelity
-    rounded near 1 does not.
+    2 asin(distance / 2) equals arccos sqrt(F[a, b]) for Tr(a^dag b) >= 0
+    but keeps full relative precision at small angles, where arccos of a
+    fidelity rounded near 1 does not.  Elementwise over arrays.
     """
-    return 2.0 * math.asin(hs_norm(a / hs_norm(a) - b / hs_norm(b)) / 2.0)
+    return 2.0 * np.arcsin(distance / 2.0)
 
 
 def hs_angle(rho0: DensityMatrix, rho: DensityMatrix) -> float:
     """Hilbert-Schmidt angle arccos sqrt(F[rho0, rho]) in [0, pi/2]."""
     if rho0.dim != rho.dim:
         raise ValueError(f"dimension mismatch {rho0.dim} vs {rho.dim}")
-    return hs_angle_mat(rho0.mat, rho.mat)
+    a, b = rho0.mat, rho.mat
+    return float(hs_angle_from_distance(hs_norm(a / hs_norm(a) - b / hs_norm(b))))
 
 
 def commutator_hs_norm(a: HermitianOperator, b: HermitianOperator) -> float:
@@ -237,7 +246,7 @@ def degeneracy_tolerance(eigenvalues) -> float:
     """
     ev = np.asarray(eigenvalues, dtype=float)
     span = float(ev.max() - ev.min()) if ev.size else 0.0
-    return 1e-9 * span
+    return _DEGENERACY_RTOL * span
 
 
 def level_edges(eigenvalues):
@@ -247,6 +256,18 @@ def level_edges(eigenvalues):
     indices edges[k]:edges[k + 1]; the first edge is 0 and the last is the
     number of eigenvalues.
     """
+    return np.flatnonzero(level_starts(eigenvalues))
+
+
+def level_starts(eigenvalues):
+    """Where the degenerate levels of level_edges start, along the last axis.
+
+    Entry i is True where a level starts at index i, and a closing entry n
+    is True, so np.flatnonzero of one row is its level_edges.  Each row of a
+    stack has its own degeneracy_tolerance.
+    """
     ev = np.asarray(eigenvalues, dtype=float)
-    tol = degeneracy_tolerance(ev)
-    return np.concatenate(([0], np.flatnonzero(np.diff(ev) > tol) + 1, [ev.size]))
+    span = ev.max(axis=-1, keepdims=True) - ev.min(axis=-1, keepdims=True)
+    starts = np.ones(ev.shape[:-1] + (ev.shape[-1] + 1,), dtype=bool)
+    starts[..., 1:-1] = np.diff(ev, axis=-1) > _DEGENERACY_RTOL * span
+    return starts

@@ -18,20 +18,27 @@ instead of failing silently.
 
 Every eigendecomposition of H_lambda comes from a BlockEigensolver, which
 takes H0 and V as blocks: the symmetry sectors of the ring
-(models.symmetry_sectors), or a dense pair as one block.  A march knows its
-whole lambda path before it starts, so the blocks of each size go through
-one stacked np.linalg.eigh per chunk of that path.  The eigenpairs stay in
-block order and the continuation forms its levels inside blocks, so equal
-energies of different sectors never share a level or exchange labels.  The
-sweep's records are in the sector basis; quasi_gibbs_at returns its state in
-the computational basis, and thermal_overlap needs no basis, since an
-orthogonal change of basis leaves every trace unchanged.
+(models.symmetry_sectors), or a dense pair as one block.  Blocks of equal
+size form a group, and every matrix that is block-diagonal in them (the
+eigenvectors, the continuation's overlaps, the quasi-Gibbs targets, and
+evolve's propagators and states) is one (..., g, m, m) stack per group,
+never a d x d matrix.  A march knows its whole lambda path before it
+starts, so each group goes through one stacked np.linalg.eigh per chunk of
+that path, and the continuation advances over a whole chunk in stacked
+products: per-block overlaps, level masses and argsorts for every step at
+once, with the labels composed in one short integer loop.  Levels are
+formed inside blocks, so equal energies of different sectors never share a
+level or exchange labels.  The sweep's records are per-block stacks in the
+sector basis; quasi_gibbs_at assembles its state in the computational basis
+once, and thermal_overlap needs no basis, since an orthogonal change of
+basis leaves every trace unchanged.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,16 +46,18 @@ from .models import SpinChainModel, require_finite, symmetry_sectors
 from .operators import (
     DensityMatrix,
     SpectralDecomposition,
-    level_edges,
-    hs_fidelity_mat,
-    hs_norm,
+    adjoint,
+    hs_fidelity_from_overlap,
+    level_starts,
 )
 
 AMBIGUITY_TOL = 1e-6
 CONTINUATION_STABILITY_TOL = 1e-8
 _MAX_SWEEP_DOUBLINGS = 7
-# bytes of the block matrices one chunk of BlockEigensolver stacks
-_EIGH_STACK_BYTES = 1 << 17
+# bytes of the block matrices of all blocks that one stack holds: the
+# eigensolver's eigh chunks, the continuation's overlaps and evolve's CFM4
+# factors and states
+_STACK_BYTES = 1 << 17
 
 
 class ContinuationWarning(UserWarning):
@@ -86,17 +95,49 @@ def escort_state(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(mat=_hermitize(sq / np.real(np.trace(sq))))
 
 
+
+
+class Eigenpairs(NamedTuple):
+    """The eigenpairs of H at a chunk of c lambdas.
+
+    values is (c, d), in block order; vectors holds one (c, g, m, m) stack
+    of eigenvector columns per group of g blocks of size m.
+    """
+
+    lambdas: np.ndarray
+    values: np.ndarray
+    vectors: list
+
+
+def block_inner(a, b):
+    """Re Tr(a^dag b) of block-diagonal matrices given as per-group stacks.
+
+    a and b hold one (..., g, m, m) stack per group and broadcast against
+    each other; the result has their leading shape.  Each group sums one
+    contiguous row per leading index, so an entry does not depend on how
+    many others share its stack.
+    """
+    total = 0.0
+    for x, y in zip(a, b):
+        prod = (np.conj(x) * y).real
+        total = total + prod.reshape(*prod.shape[:-3], -1).sum(axis=-1)
+    return total
+
+
 class BlockEigensolver:
     """The eigenpairs of H(lambda) = blockdiag_b(h0_b + lambda v_b), over stacks of lambdas.
 
     blocks is a sequence of (h0_b, v_b) pairs of square matrices, such as
     SymmetrySectors.blocks; a dense (h0, v) pair is one block.  The blocks of
-    one size take one np.linalg.eigh over a stack of every such block at
-    every lambda of a chunk of at most _EIGH_STACK_BYTES of all blocks;
-    LAPACK runs matrix by matrix, so the result does not depend on the
-    chunking.  eigenpairs() keeps eigh's order: by block size, then block by
-    block, ascending inside a block, whose columns are edges[i]:edges[i + 1]
-    of the d x d eigenvectors, block-diagonal in the blocks' row order.
+    one size m form a group, in order of size, and a matrix block-diagonal in
+    them is one (..., g, m, m) stack per group: its block order.  In a
+    d-vector in block order, block i owns entries edges[i]:edges[i + 1] and
+    group j entries group_edges[j]:group_edges[j + 1]; row r of the
+    block-order basis is row rows[r] of the blocks' basis.  solve()
+    diagonalizes every group at every lambda of a chunk in one
+    np.linalg.eigh, ascending inside each block; LAPACK runs matrix by
+    matrix, so the result does not depend on the chunking.  eigenpairs()
+    cuts a lambda path into chunks of at most _STACK_BYTES of all blocks.
     """
 
     def __init__(self, blocks):
@@ -107,76 +148,94 @@ class BlockEigensolver:
         self._stacks = [
             [np.stack([blocks[b][k] for b in group]) for k in (0, 1)] for group in groups
         ]
-        # the eigenpairs of a chunk are concatenated group by group, block by
-        # block; entry (r, j) of block b goes to row offset_b + r and column
-        # edges_b + j, where edges_b counts the columns of the blocks before b
         order = np.concatenate(groups)
-        m = sizes[order]
-        self.edges = np.concatenate(([0], np.cumsum(m)))
-        block = np.repeat(np.arange(order.size), m * m)
-        entry = np.arange(block.size) - np.repeat(np.cumsum(m * m) - m * m, m * m)
-        rows = (np.cumsum(sizes) - sizes)[order][block] + entry // m[block]
-        self._flat = rows * self.dim + self.edges[block] + entry % m[block]
-        self._chunk = max(1, _EIGH_STACK_BYTES // (self.dtype.itemsize * int(np.sum(sizes**2))))
+        self.edges = np.concatenate(([0], np.cumsum(sizes[order])))
+        self.group_edges = self.edges[np.cumsum([0] + [group.size for group in groups])]
+        offsets = np.cumsum(sizes) - sizes
+        self.rows = np.concatenate([offsets[b] + np.arange(sizes[b]) for b in order])
+        self._entries = int(np.sum(sizes**2))
+
+    def per_chunk(self, itemsize):
+        """How many lambdas of all blocks fit one stack, at itemsize bytes an entry."""
+        return max(1, _STACK_BYTES // (itemsize * self._entries))
+
+    def split(self, values):
+        """Per-group (..., g, m) views of (..., d) values in block order."""
+        return [
+            values[..., lo:hi].reshape(*values.shape[:-1], -1, h0s.shape[-1])
+            for (h0s, _), lo, hi in zip(self._stacks, self.group_edges, self.group_edges[1:])
+        ]
+
+    def solve(self, lambdas):
+        """The Eigenpairs at every lambda of lambdas, in one stacked eigh per group."""
+        lams = np.asarray(lambdas, dtype=float).reshape(-1)
+        values, vectors = [], []
+        for h0s, vs in self._stacks:
+            e, u = np.linalg.eigh(h0s + lams[:, None, None, None] * vs)
+            values.append(e.reshape(lams.size, -1))
+            vectors.append(u)
+        return Eigenpairs(lams, np.concatenate(values, axis=1), vectors)
 
     def eigenpairs(self, lambdas):
-        """Yield (eigenvalues in block order, eigenvector columns) at each lambda, in order."""
-        lambdas = np.asarray(lambdas, dtype=float)
-        for start in range(0, lambdas.size, self._chunk):
-            lams = lambdas[start : start + self._chunk]
-            evals, entries = [], []
-            for h0s, vs in self._stacks:
-                e, u = np.linalg.eigh(h0s[:, None] + lams[None, :, None, None] * vs[:, None])
-                evals.append(e.transpose(1, 0, 2).reshape(lams.size, -1))
-                entries.append(u.transpose(1, 0, 2, 3).reshape(lams.size, -1))
-            evals, entries = np.concatenate(evals, axis=1), np.concatenate(entries, axis=1)
-            for e, u in zip(evals, entries):
-                vectors = np.zeros(self.dim**2, dtype=self.dtype)
-                vectors[self._flat] = u
-                yield e, vectors.reshape(self.dim, self.dim)
+        """Yield the Eigenpairs along lambdas, one chunk of at most _STACK_BYTES at a time."""
+        lambdas = np.asarray(lambdas, dtype=float).reshape(-1)
+        chunk = self.per_chunk(self.dtype.itemsize)
+        for start in range(0, lambdas.size, chunk):
+            yield self.solve(lambdas[start : start + chunk])
 
-    def block_level_edges(self, evals):
-        """operators.level_edges of eigenvalues in block order, split at every block edge."""
-        # a mask, since np.union1d would import numpy.ma on its first call
-        split = np.zeros(self.dim + 1, dtype=bool)
-        split[level_edges(evals)] = split[self.edges] = True
-        return np.flatnonzero(split)
+    def level_starts(self, values):
+        """operators.level_starts of (c, d) eigenvalues in block order, split at every block edge."""
+        starts = level_starts(values)
+        starts[..., self.edges] = True
+        return starts
+
+    def dense(self, stacks):
+        """The d x d block-diagonal matrix, in block order, of per-group (g, m, m) stacks."""
+        out = np.zeros((self.dim, self.dim), dtype=np.result_type(*stacks))
+        for lo, stack in zip(self.group_edges, stacks):
+            m = stack.shape[-1]
+            for b, block in enumerate(stack):
+                at = slice(lo + b * m, lo + (b + 1) * m)
+                out[at, at] = block
+        return out
 
 
 class EigenbasisContinuation:
     """Marches the labeled eigenbasis of H_lambda = h0 + lambda v along a lambda path.
 
     blocks holds H0 and V as (h0_b, v_b) pairs (see BlockEigensolver): the
-    blocks of SymmetrySectors, or a dense pair as one block.  restart()
-    returns to the labeled eigenbasis of H0, so one continuation serves any
-    number of marches.
+    blocks of SymmetrySectors, or a dense pair as one block.  vectors holds
+    the current columns as the solver's per-group stacks, and labels the
+    lambda = 0 column each carries, in block order.  restart() returns to the
+    labeled eigenbasis of H0, so one continuation serves any number of
+    marches.
 
     Labels are transported level by level, by adiabatic transport of the
     spectral projectors (Kato 1950).  Levels are formed inside the solver's
     blocks, whose eigenvectors have zero overlap, so no label leaves its
-    sector.  A level of multiplicity g takes the labels of the g old columns
-    with the largest projector mass sum_{i in level} |<new_i|old_j>|^2,
-    which does not depend on the basis eigh returns inside the level.  The
-    columns are the fresh eigenvectors, so the quasi-Gibbs state
-    sum_level w P_level at a lambda depends only on the eigendecomposition
-    there and on the labels.  A level that receives labels of different
-    origin energies (an exact crossing) is rotated onto the transported old
-    columns, because only there does the basis inside the level matter.  A
-    level whose g-th and (g+1)-th masses tie within AMBIGUITY_TOL between
-    labels of different origin energies, or a step that loses a label to
-    another level, is ambiguous and is recorded on ambiguous_steps as
-    (lambda, number of ambiguous matches).
+    block.  A level of multiplicity g takes the labels of the g old columns
+    of its block with the largest projector mass
+    sum_{i in level} |<new_i|old_j>|^2, which does not depend on the basis
+    eigh returns inside the level.  The columns are the fresh eigenvectors,
+    so the quasi-Gibbs state sum_level w P_level at a lambda depends only on
+    the eigendecomposition there and on the labels.  A level that receives
+    labels of different origin energies (an exact crossing) is rotated onto
+    the transported old columns, because only there does the basis inside
+    the level matter.  A level whose g-th and (g+1)-th masses tie within
+    AMBIGUITY_TOL between labels of different origin energies, or a step
+    that loses a label to another level, is ambiguous and is recorded on
+    ambiguous_steps as (lambda, number of ambiguous matches).
     """
 
     def __init__(self, blocks):
         self.solver = BlockEigensolver(blocks)
-        evals, evecs = next(self.solver.eigenpairs([0.0]))
-        edges = self.solver.block_level_edges(evals)
-        self._origin = evals
+        at_zero = self.solver.solve([0.0])
+        edges = np.flatnonzero(self.solver.level_starts(at_zero.values[0]))
+        self._origin = at_zero.values[0]
         # every column of an H0 level carries the index of the level's first
         # column, so the labels inside one level are interchangeable
         labels = np.repeat(edges[:-1], np.diff(edges))
-        self._at_zero = (evecs, labels)
+        self._at_zero = ([u[0] for u in at_zero.vectors], labels)
         self.restart()
 
     def restart(self) -> None:
@@ -191,53 +250,127 @@ class EigenbasisContinuation:
         """The lambda = 0 energy carried by each column."""
         return self._origin[self.labels]
 
-    def advance(self, lam: float, eigenpairs=None) -> None:
-        """Step the labeled basis to the eigenbasis of H at the given lambda.
+    def advance(self, lams, eigenpairs=None):
+        """Step the labeled basis through the eigenbases of H at lams, in order.
 
-        eigenpairs is the solver's pair at lam when the caller has it.
+        lams is one lambda or a sequence of them; eigenpairs is the solver's
+        Eigenpairs at exactly these lambdas when the caller has them.  The
+        steps go in stacks of the solver's chunks, and a step that rotates a
+        level ends its stack, so the next one starts from the rotated
+        columns.  Returns the labels after every step, one row per lambda,
+        and {step index: per-group columns} of every step that rotated a
+        level.
         """
-        if eigenpairs is None:
-            eigenpairs = next(self.solver.eigenpairs([lam]))
-        evals, fresh = eigenpairs
-        d = evals.size
-        edges = self.solver.block_level_edges(evals)
-        starts, sizes = edges[:-1], np.diff(edges)
-        level = np.repeat(np.arange(starts.size), sizes)
-        overlap = fresh.conj().T @ self.vectors
-        mass = np.add.reduceat((overlap * overlap.conj()).real, starts, axis=0)
-        order = np.argsort(-mass, axis=1, kind="stable")
-        # fresh column i takes the label of the old column ranked
-        # (i - level start) in its level's projector masses
-        source = order[level, np.arange(d) - starts[level]]
-        labels = self.labels[source]
+        lams = np.atleast_1d(np.asarray(lams, dtype=float))
+        chunks = self.solver.eigenpairs(lams) if eigenpairs is None else (eigenpairs,)
+        labels, rotations, done = [], {}, 0
+        for pairs in chunks:
+            start = 0
+            while start < pairs.lambdas.size:
+                taken, rows, columns = self._steps(pairs, start)
+                labels.append(rows)
+                start += taken
+                if columns is not None:
+                    rotations[done + start - 1] = columns
+            done += pairs.lambdas.size
+        self.rotated = lams.size - 1 in rotations
+        self.lam = float(lams[-1])
+        return np.concatenate(labels), rotations
 
-        # ambiguous: a level's g-th and (g+1)-th masses tie between labels
-        # of different origin energy, or a label went to two levels
-        rows = np.flatnonzero(sizes < d)
-        last, after = order[rows, sizes[rows] - 1], order[rows, sizes[rows]]
-        tied = mass[rows, last] - mass[rows, after] < AMBIGUITY_TOL
-        n_ambiguous = int(np.count_nonzero(tied & (self.labels[last] != self.labels[after])))
-        if not np.array_equal(np.sort(labels), np.sort(self.labels)):
-            n_ambiguous += 1
-        if n_ambiguous:
-            self.ambiguous_steps.append((float(lam), n_ambiguous))
+    def _steps(self, pairs, start):
+        """Steps start: of a chunk, up to and including the first that rotates a level.
 
-        mixed = np.minimum.reduceat(labels, starts) != np.maximum.reduceat(labels, starts)
-        self.rotated = bool(mixed.any())
-        for lev in np.flatnonzero(mixed):
-            block = slice(starts[lev], edges[lev + 1])
-            # polar factor of the level's overlaps: the orthonormal basis of
-            # the level closest to the projected old columns
-            u, _, vh = np.linalg.svd(overlap[block][:, source[block]])
-            fresh[:, block] = fresh[:, block] @ (u @ vh)
-        self.vectors = fresh
-        self.labels = labels
-        self.lam = lam
+        Every overlap is taken with the previous step's fresh columns, which
+        are that step's columns unless it rotated.  Returns the number of
+        steps taken, the labels after each and the rotated columns of the
+        last one (None when no step rotated).
+        """
+        solver = self.solver
+        values = pairs.values[start:]
+        fresh = [u[start:] for u in pairs.vectors]
+        steps, d = values.shape
+        new_level = solver.level_starts(values)
+        source = np.empty((steps, d), dtype=np.intp)
+        groups = []
+        for lo, hi, u, old in zip(solver.group_edges, solver.group_edges[1:], fresh, self.vectors):
+            m = u.shape[-1]
+            overlap = adjoint(u) @ np.concatenate((old[None], u[:-1]))
+            # every level of every step, with each step's rows one after another
+            first = np.flatnonzero(new_level[:, lo:hi])
+            mass = np.add.reduceat((overlap * overlap.conj()).real.reshape(-1, m), first, axis=0)
+            order = np.argsort(-mass, axis=1, kind="stable")
+            level = np.cumsum(new_level[:, lo:hi].reshape(-1)) - 1
+            # fresh column i takes the label of the old column of its block
+            # ranked (i - level start) in its level's projector masses
+            taken = order[level, np.arange(level.size) - first[level]]
+            block_start = lo + np.arange(hi - lo) // m * m
+            source[:, lo:hi] = block_start + taken.reshape(steps, hi - lo)
+            groups.append((overlap, first, mass, order, taken))
+
+        labels = np.empty((steps + 1, d), dtype=self.labels.dtype)
+        labels[0] = self.labels
+        for t in range(steps):
+            labels[t + 1] = labels[t][source[t]]
+
+        # ambiguous: a label went to two levels, or a level's g-th and
+        # (g+1)-th masses tie between labels of different origin energy
+        n_ambiguous = np.any(np.sort(labels[1:], axis=1) != np.sort(labels[:-1], axis=1), axis=1)
+        n_ambiguous = n_ambiguous.astype(int)
+        rotating, mixed_levels = steps, []
+        for lo, hi, (overlap, first, mass, order, taken) in zip(
+            solver.group_edges, solver.group_edges[1:], groups
+        ):
+            m, width = overlap.shape[-1], hi - lo
+            step = first // width
+            size = np.diff(np.append(first, steps * width))
+            block_start = lo + first % width // m * m
+            part = np.flatnonzero(size < m)
+            last, after = order[part, size[part] - 1], order[part, size[part]]
+            tied = mass[part, last] - mass[part, after] < AMBIGUITY_TOL
+            before = step[part]
+            differ = (labels[before, block_start[part] + last]
+                      != labels[before, block_start[part] + after])
+            n_ambiguous += np.bincount(step[part][tied & differ], minlength=steps)
+            lab = labels[1:, lo:hi].reshape(-1)
+            mixed = np.minimum.reduceat(lab, first) != np.maximum.reduceat(lab, first)
+            if mixed.any():
+                rotating = min(rotating, int(step[mixed].min()))
+            mixed_levels.append((width, mixed, step, size))
+
+        taken_steps = min(rotating + 1, steps)
+        for t in np.flatnonzero(n_ambiguous[:taken_steps]):
+            self.ambiguous_steps.append((float(pairs.lambdas[start + t]), int(n_ambiguous[t])))
+        last_step = taken_steps - 1
+        columns = [u[last_step] for u in fresh]
+        rotated = None
+        if rotating < steps:
+            columns = [u.copy() for u in columns]
+            for cols, (overlap, first, _, _, taken), (width, mixed, step, size) in zip(
+                columns, groups, mixed_levels
+            ):
+                m = overlap.shape[-1]
+                for lev in np.flatnonzero(mixed & (step == last_step)):
+                    row = first[lev] % width
+                    block, inside = divmod(row, m)
+                    level = slice(inside, inside + size[lev])
+                    chosen = taken[first[lev] : first[lev] + size[lev]]
+                    # polar factor of the level's overlaps: the orthonormal
+                    # basis of the level closest to the projected old columns
+                    u, _, vh = np.linalg.svd(overlap[last_step, block][level][:, chosen])
+                    cols[block][:, level] = cols[block][:, level] @ (u @ vh)
+            rotated = columns
+        self.vectors = columns
+        self.labels = labels[taken_steps].copy()
+        return taken_steps, labels[1 : taken_steps + 1], rotated
 
 
-def _sigma(vectors, column_weights):
-    """Quasi-Gibbs matrix sum_j w_j |u_j><u_j| of weighted columns (no validation)."""
-    return (vectors * column_weights) @ vectors.conj().T
+def _sigma(solver, vectors, weights):
+    """Per-group quasi-Gibbs blocks sum_j w_j |u_j><u_j| (no validation).
+
+    vectors holds one (..., g, m, m) stack of columns per group and weights
+    the (..., d) column weights in block order.
+    """
+    return [(u * w[..., None, :]) @ adjoint(u) for u, w in zip(vectors, solver.split(weights))]
 
 
 class QuasiGibbsSweep:
@@ -246,10 +379,11 @@ class QuasiGibbsSweep:
     The targets keep the Boltzmann weights of H0 at inverse temperature beta
     on the continued eigenbasis of H0 + lambda V, given as blocks (see
     BlockEigensolver), at each lambda of the grid lambdas, which must be
-    finite and start at 0; they are matrices in the blocks' basis.  The march
-    follows the records in the order given, so the grid need not ascend.
-    One EigenbasisContinuation is started per sweep, and every march
-    restarts from its labeled lambda = 0 basis.  sigma at a record is
+    finite and start at 0; they are per-block stacks in the blocks' basis.
+    The march follows the records in the order given, so the grid need not
+    ascend.  One EigenbasisContinuation is started per sweep, and every
+    march restarts from its labeled lambda = 0 basis and advances over the
+    solver's chunks of its path.  sigma at a record is
     sum_level w P_level(lambda_k), built from the continuation's
     eigendecomposition at lambda_k, so the step count only decides whether
     the labels are resolved.  Starting at one step per record interval, the
@@ -283,10 +417,10 @@ class QuasiGibbsSweep:
         per_interval = 1
         previous = None
         for _ in range(_MAX_SWEEP_DOUBLINGS):
-            states, change = self._march(per_interval, previous)
+            march, change = self._march(per_interval, previous)
             if change <= CONTINUATION_STABILITY_TOL:
                 break
-            previous = states
+            previous = march
             per_interval *= 2
         else:
             raise RuntimeError(
@@ -294,7 +428,7 @@ class QuasiGibbsSweep:
                 f"{CONTINUATION_STABILITY_TOL} at every record"
             )
         self.per_interval = per_interval
-        self._states = states
+        self._weights, self._rotated = march
         self.ambiguous_steps = self._cont.ambiguous_steps
         if self.ambiguous_steps:
             lam, count = self.ambiguous_steps[0]
@@ -307,62 +441,91 @@ class QuasiGibbsSweep:
             )
 
     def _march(self, per_interval, previous):
-        """Per-record (column weights, rotated columns or None) and the largest
-        HS change of sigma against the previous march (inf without one).
+        """The per-record column weights (records, d), the rotated columns
+        {record: per-group columns} of the records whose step rotated a level,
+        and the largest HS change of sigma against the previous march (inf
+        without one).
 
         The march's whole lambda path is known before it starts, so every
         eigenpair comes from one pass of the solver over it.
         """
-        cont = self._cont
+        cont, solver = self._cont, self.solver
         cont.restart()
         path = []
         for a, b in zip(self.lambdas[:-1], self.lambdas[1:]):
             path += [a + (b - a) * s / per_interval for s in range(1, per_interval)] + [b]
-        steps = zip(path, self.solver.eigenpairs(path))
-        states, change = [], math.inf if previous is None else 0.0
-        for k in range(self.lambdas.size):
-            if k:
-                for _ in range(per_interval):
-                    cont.advance(*next(steps))
-            w = self.weights[cont.labels]
-            u = cont.vectors
-            states.append((w, u.copy() if cont.rotated else None))
-            if previous is not None:
-                w_prev, u_prev = previous[k]
-                if u_prev is None:
-                    # the previous levels carried one weight each, so its sigma
-                    # is diagonal in any basis of them, this march's included
-                    delta = float(np.linalg.norm(w - w_prev))
-                else:
-                    delta = hs_norm(_sigma(u, w) - _sigma(u_prev, w_prev))
-                change = max(change, delta)
-        return states, change
+        weights = np.empty((self.lambdas.size, solver.dim))
+        weights[0] = self.weights[cont.labels]
+        # the columns at the records the previous march rotated, to compare sigma there
+        recheck = {} if previous is None else previous[1]
+        rotated, columns, done = {}, {}, 0
+        for pairs in solver.eigenpairs(path):
+            labels, rotations = cont.advance(pairs.lambdas, pairs)
+            # the steps of this chunk that end a record interval
+            ends = np.arange((per_interval - 1 - done) % per_interval, labels.shape[0], per_interval)
+            records = (done + ends + 1) // per_interval
+            weights[records] = self.weights[labels[ends]]
+            for t, k in zip(ends.tolist(), records.tolist()):
+                if t in rotations:
+                    rotated[k] = columns[k] = rotations[t]
+                elif k in recheck:
+                    columns[k] = [u[t] for u in pairs.vectors]
+            done += labels.shape[0]
+        if previous is None:
+            return (weights, rotated), math.inf
+        prev_weights, _ = previous
+        # the previous levels carried one weight each where that march rotated
+        # none, so its sigma is diagonal in any basis of them, this march's included
+        delta = np.linalg.norm(weights - prev_weights, axis=1)
+        for k, prev_columns in recheck.items():
+            diff = [
+                a - b
+                for a, b in zip(
+                    _sigma(solver, columns[k], weights[k]),
+                    _sigma(solver, prev_columns, prev_weights[k]),
+                )
+            ]
+            delta[k] = math.sqrt(block_inner(diff, diff))
+        return (weights, rotated), float(delta.max())
 
     def records(self):
-        """Yield the quasi-Gibbs matrix at each record lambda, in order."""
-        for (w, rotated), (_, fresh) in zip(self._states, self.solver.eigenpairs(self.lambdas)):
-            yield _sigma(fresh if rotated is None else rotated, w)
+        """Yield the quasi-Gibbs targets at the records, in order, a chunk at a time.
+
+        Each chunk is a list of one (c, g, m, m) stack per solver group for
+        the next c records.
+        """
+        done = 0
+        for pairs in self.solver.eigenpairs(self.lambdas):
+            c = pairs.lambdas.size
+            for k, columns in self._rotated.items():
+                if done <= k < done + c:
+                    for u, cols in zip(pairs.vectors, columns):
+                        u[k - done] = cols
+            yield _sigma(self.solver, pairs.vectors, self._weights[done : done + c])
+            done += c
 
 
 def _endpoints(model: SpinChainModel, beta, lam):
-    """The sector basis, the records in it of a two-record sweep over [0, lam],
-    and their purity."""
+    """The solver of a two-record sweep over [0, lam], its records as one
+    (2, g, m, m) stack per group, and their purity."""
     require_finite("lambda", lam)
-    sectors = symmetry_sectors(model)
-    sweep = QuasiGibbsSweep(sectors.blocks, np.array([0.0, lam]), beta)
-    return (sectors.basis, *sweep.records(), sweep.purity)
+    sweep = QuasiGibbsSweep(symmetry_sectors(model).blocks, np.array([0.0, lam]), beta)
+    records = [np.concatenate(stacks) for stacks in zip(*sweep.records())]
+    return sweep.solver, records, sweep.purity
 
 
 def quasi_gibbs_at(model: SpinChainModel, beta, lam) -> DensityMatrix:
     """Quasi-Gibbs state at lambda: initial Boltzmann weights on the continued basis.
 
     The last record of a two-record QuasiGibbsSweep over [0, lambda] on the
-    symmetry sectors, returned in the computational basis; negative lambda
-    is allowed (symmetric finite differences of the overlap use it).  Its
-    purity equals the initial Gibbs purity because the weights never change
-    along the continuation.
+    symmetry sectors, assembled once in the computational basis; negative
+    lambda is allowed (symmetric finite differences of the overlap use it).
+    Its purity equals the initial Gibbs purity because the weights never
+    change along the continuation.
     """
-    basis, _, sigma, _ = _endpoints(model, beta, lam)
+    solver, records, _ = _endpoints(model, beta, lam)
+    basis = symmetry_sectors(model).basis[:, solver.rows]
+    sigma = solver.dense([stack[1] for stack in records])
     return DensityMatrix(mat=basis @ sigma @ basis.T)
 
 
@@ -372,10 +535,12 @@ def thermal_overlap(model: SpinChainModel, beta, lam) -> float:
     Both come from one two-record sweep on the symmetry sectors: its
     lambda = 0 record is the Gibbs state.  Both are validated as
     DensityMatrix in the sector basis, which changes no trace, and C is
-    hs_fidelity_mat with the sweep's purity for both, as in evolve, so it
-    equals evolve(...).thermal_overlap[k] at lam = trace.lambdas[k] exactly.
+    hs_fidelity_from_overlap of their block_inner with the sweep's purity
+    for both, as in evolve, so it equals evolve(...).thermal_overlap[k] at
+    lam = trace.lambdas[k] exactly.
     """
-    _, rho0, sigma, purity = _endpoints(model, beta, lam)
-    DensityMatrix(mat=rho0)
-    DensityMatrix(mat=sigma)
-    return hs_fidelity_mat(sigma, purity, rho0, purity)
+    solver, records, purity = _endpoints(model, beta, lam)
+    rho0, sigma = [stack[0] for stack in records], [stack[1] for stack in records]
+    DensityMatrix(mat=solver.dense(rho0))
+    DensityMatrix(mat=solver.dense(sigma))
+    return float(hs_fidelity_from_overlap(block_inner(sigma, rho0), purity, purity))

@@ -17,6 +17,9 @@ from adiatherm.cli import (
     parse_grid,
 )
 
+from adiatherm.dynamics import evolve
+from adiatherm.models import SpinChainModel
+
 import oracle
 
 
@@ -118,6 +121,24 @@ class TestConfigParsing:
         assert capsys.readouterr().err == (
             f"error: {cfg_file}:2: output.format must be one of csv, json, got 'xml'\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("model.n_sites = abc", "invalid literal for int() with base 10: 'abc'"),
+            ("sweep.beta_grid = 1:2", "bad grid spec '1:2'; want start:stop:count[:log]"),
+        ],
+    )
+    def test_value_the_parser_rejects_names_file_line_and_key(self, tmp_path, capsys, line,
+                                                             message):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"model.kind = tfic\n{line}\n")
+        out = tmp_path / "out.csv"
+        code = main(["threshold", "--config", str(cfg_file), "--out", str(out)])
+        assert code == 2
+        key = line.partition(" ")[0]
+        assert capsys.readouterr().err == f"error: {cfg_file}:2: {key}: {message}\n"
         assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -284,6 +305,27 @@ class TestDynamicsCommand:
         for row in rows:
             rec = dict(zip(header, (float(x) for x in row)))
             assert abs(rec["F"] - rec["C"]) <= rec["bound_strong"] + 1e-9
+
+    def test_counters_in_csv_metadata_and_json(self, tmp_path):
+        args = ["dynamics", "--model", "qxyc", "--n-sites", "4", "--beta", "1", "--gamma", "2",
+                "--lambda-max", "1.5", "--n-records", "41"]
+        trace = evolve(SpinChainModel("qxyc", 4), 1.0, 2.0, 1.5, 41)
+        expected = {
+            "n_substeps_per_interval": trace.n_substeps_per_interval,
+            "halving_levels": len(trace.fidelity_history),
+            "sweep_steps_per_interval": trace.sweep_steps_per_interval,
+            "n_ambiguous_steps": trace.n_ambiguous_steps,
+        }
+        assert trace.counters() == expected
+        csv_out, json_out = tmp_path / "dyn.csv", tmp_path / "dyn.json"
+        main([*args, "--out", str(csv_out)])
+        meta, header, _ = read_csv(csv_out)
+        assert header == DYNAMICS_COLUMNS
+        assert [line for line in meta if line.startswith("# counter:")] == [
+            f"# counter: {name} = {value}" for name, value in expected.items()
+        ]
+        main([*args, "--format", "json", "--out", str(json_out)])
+        assert json.loads(json_out.read_text())["counters"] == expected
 
     def test_infinite_temperature_columns(self, tmp_path):
         out = tmp_path / "dyn.csv"

@@ -185,6 +185,27 @@ class TestEvolve:
             assert np.abs(np.subtract(sector_row, dense_row)).max() <= 1e-12
         assert by_sector.fidelity_history == pytest.approx(by_dense.fidelity_history, abs=1e-12)
 
+    @pytest.mark.parametrize("kind,b,lambda_max", [("tfic", None, 0.2), ("qxyc", None, 1.5)])
+    @pytest.mark.parametrize("lambdas_per_stack", [1, 3])
+    def test_rows_do_not_depend_on_the_stack_budget(self, monkeypatch, kind, b, lambda_max,
+                                                    lambdas_per_stack):
+        # every stack runs matrix by matrix and every per-record sum over its
+        # own row, so one lambda per stack (or three, which splits a CFM4
+        # interval across stacks) gives the default budget's rows
+        import adiatherm.thermal as thermal
+
+        model = SpinChainModel(kind, 4, B=b)
+        by_default = evolve(model, 1.0, 2.0, lambda_max, 21)
+        complex_bytes = 16 * sum(h0.size for h0, _ in symmetry_sectors(model).blocks)
+        assert thermal._STACK_BYTES >= 2 * by_default.n_substeps_per_interval * complex_bytes
+        monkeypatch.setattr(thermal, "_STACK_BYTES", lambdas_per_stack * complex_bytes)
+        by_budget = evolve(model, 1.0, 2.0, lambda_max, 21)
+        assert by_budget.counters() == by_default.counters()
+        for default_row, budget_row in zip(by_default.rows(), by_budget.rows()):
+            assert np.abs(np.subtract(default_row, budget_row)).max() <= 1e-13
+        for column in ("trace_defect", "herm_defect"):
+            assert np.abs(getattr(by_default, column) - getattr(by_budget, column)).max() <= 1e-13
+
 
 class TestCFM4:
     def test_fourth_order_convergence(self):
@@ -196,7 +217,8 @@ class TestCFM4:
         rho0 = gibbs_state(eigh(build_h0(model)), 0.5).mat
 
         def evolved(steps):
-            u = next(_interval_propagators(BlockEigensolver([(h0, v)]), [0.0, 0.4], 0.5, steps))
+            [u] = next(_interval_propagators(BlockEigensolver([(h0, v)]), [0.0, 0.4], 0.5, steps))
+            u = u[0]  # the one block's propagator
             return u @ rho0 @ u.conj().T
 
         reference = evolved(512)
@@ -209,7 +231,8 @@ class TestCFM4:
         model = SpinChainModel("mfic", 4, B=0.7)
         h0 = build_h0(model).mat
         v = build_v(model).mat
-        u = next(_interval_propagators(BlockEigensolver([(h0, v)]), [0.1, 0.3], 0.7, 3))
+        [u] = next(_interval_propagators(BlockEigensolver([(h0, v)]), [0.1, 0.3], 0.7, 3))
+        u = u[0]  # the one block's propagator
         assert np.abs(u.conj().T @ u - np.eye(16)).max() <= 1e-13
 
 
@@ -224,7 +247,8 @@ class TestSigmaSweep:
 
         def last_sigma(lambda_max):
             sweep = QuasiGibbsSweep([(h0, v)], np.linspace(0.0, lambda_max, 11), 1.0)
-            return list(sweep.records())[-1]
+            [stack] = list(sweep.records())[-1]
+            return stack[-1, 0]  # the last record's one block
 
         assert hs_norm(last_sigma(1.0) - last_sigma(1.0 - 1e-6)) <= 1e-5
 
@@ -243,8 +267,8 @@ class TestSigmaSweep:
         cont = EigenbasisContinuation(blocks)
 
         def sigma():
-            u = cont.vectors
-            return (u * sweep.weights[cont.labels]) @ u.conj().T
+            weights = cont.solver.split(sweep.weights[cont.labels])
+            return [(u * w[..., None, :]) @ u.swapaxes(-1, -2) for u, w in zip(cont.vectors, weights)]
 
         expected = [sigma()]
         for a, end in zip(lambdas[:-1], lambdas[1:]):
@@ -252,10 +276,10 @@ class TestSigmaSweep:
                 cont.advance(a + (end - a) * step / sweep.per_interval)
             cont.advance(end)
             expected.append(sigma())
-        records = list(sweep.records())
+        records = [[s[k] for s in chunk] for chunk in sweep.records() for k in range(len(chunk[0]))]
         assert len(records) == lambdas.size
         for record, march in zip(records, expected):
-            assert np.array_equal(record, march)
+            assert all(np.array_equal(a, b) for a, b in zip(record, march))
 
     def test_records_never_advance_the_continuation(self, monkeypatch):
         steps = []
@@ -271,7 +295,7 @@ class TestSigmaSweep:
         marched = len(steps)
         assert marched > 0
         for _ in range(2):
-            assert len(list(sweep.records())) == 11
+            assert sum(chunk[0].shape[0] for chunk in sweep.records()) == 11
         assert len(steps) == marched
 
 

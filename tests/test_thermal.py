@@ -37,8 +37,8 @@ def continuation_for(model):
 
 
 def sigma_of(cont, beta):
-    """Quasi-Gibbs matrix of the continuation's current labeled basis."""
-    u = cont.vectors
+    """Quasi-Gibbs matrix of the continuation's current labeled basis, in block order."""
+    u = cont.solver.dense(cont.vectors)
     return (u * boltzmann_weights(cont.origin_energies, beta)) @ u.conj().T
 
 
@@ -178,7 +178,7 @@ class TestContinuation:
             cont.advance(lam)
             assert hs_norm(sigma_of(cont, 1.0) - expected) <= 1e-12
             assert cont.rotated == (lam == 0.5)
-            u = cont.vectors
+            u = cont.solver.dense(cont.vectors)
             assert np.abs(u.conj().T @ u - np.eye(3)).max() <= 1e-12
         assert not cont.ambiguous_steps
 
@@ -191,14 +191,64 @@ class TestContinuation:
         edges = cont.solver.edges
         block_of = np.searchsorted(edges, np.arange(cont.solver.dim), side="right")
         lambdas = np.linspace(0.0, 1.5, 301)[1:]
-        rotated_at = []
-        for lam, pair in zip(lambdas, cont.solver.eigenpairs(lambdas)):
-            cont.advance(lam, pair)
-            if cont.rotated:
-                rotated_at.append(lam)
-            assert np.array_equal(block_of[cont.labels], block_of)
-        assert rotated_at == [pytest.approx(1.0, abs=1e-12)]
+        labels, rotations = cont.advance(lambdas)
+        assert np.array_equal(block_of[labels], np.broadcast_to(block_of, labels.shape))
+        assert [lambdas[step] for step in rotations] == [pytest.approx(1.0, abs=1e-12)]
         assert not cont.ambiguous_steps
+
+    @pytest.mark.parametrize(
+        "case", ["tfic", "qxyc", "mfic", "qxyc-crossing", "exact-crossing", "tie", "mfic-tie"]
+    )
+    def test_chunked_advance_matches_single_steps(self, case):
+        # a whole path in one advance takes the same march as one lambda per
+        # advance: the same labels and rotated flag after every step, the
+        # same ambiguous steps and the same final columns
+        if case in ("tfic", "qxyc", "mfic"):
+            blocks = symmetry_sectors(SpinChainModel(case, 4, B=0.7)).blocks
+            path = np.linspace(0.0, 1.2, 49)[1:]
+        elif case == "qxyc-crossing":  # the exact crossing at lambda = 1 is a step
+            blocks = symmetry_sectors(SpinChainModel("qxyc", 4)).blocks
+            path = np.linspace(0.0, 1.5, 61)[1:]
+        elif case == "exact-crossing":  # as in test_exact_crossing_keeps_labels_on_their_states
+            q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))
+            blocks = [(q @ np.diag([0.0, 1.0, 5.0]) @ q.T, q @ np.diag([1.0, -1.0, 0.0]) @ q.T)]
+            path = np.array([0.25, 0.5, 0.75, 1.0])
+        elif case == "tie":  # as in test_advance_records_ties
+            angle = math.pi / 4 + 1e-8
+            rot = np.array([[math.cos(angle), -math.sin(angle)],
+                            [math.sin(angle), math.cos(angle)]])
+            h1 = np.zeros((3, 3))
+            h1[:2, :2] = rot @ np.diag([-0.5, 1.5]) @ rot.T
+            h1[2, 2] = 3.0
+            h0 = np.diag([0.0, 1.0, 3.0])
+            blocks = [(h0, h1 - h0)]
+            path = np.array([1.0, 0.5, 1.0, 1.5])
+        else:  # the one-step mfic march that ties (test_rejected_coarse_march_does_not_warn)
+            model = SpinChainModel("mfic", 5, B=0.7)
+            blocks = [(build_h0(model).mat, build_v(model).mat)]
+            path = np.array([0.3, 0.6, 0.3])
+        single = EigenbasisContinuation(blocks)
+        steps = []
+        for lam in path:
+            labels, rotations = single.advance(lam)
+            assert labels.shape == (1, single.solver.dim)
+            assert list(rotations) == ([0] if single.rotated else [])
+            steps.append((single.labels, single.rotated))
+        chunked = EigenbasisContinuation(blocks)
+        labels, rotations = chunked.advance(path)
+        for t, (expected_labels, expected_rotated) in enumerate(steps):
+            assert np.array_equal(labels[t], expected_labels)
+            assert (t in rotations) == expected_rotated
+        assert np.array_equal(chunked.labels, single.labels)
+        assert chunked.rotated == single.rotated
+        assert chunked.ambiguous_steps == single.ambiguous_steps
+        for a, b in zip(chunked.vectors, single.vectors):
+            assert np.array_equal(a, b)
+        if case in ("qxyc-crossing", "exact-crossing"):
+            crossing = 1.0 if case == "qxyc-crossing" else 0.5
+            assert [path[t] for t in rotations] == [pytest.approx(crossing, abs=1e-12)]
+        if case in ("tie", "mfic-tie"):
+            assert chunked.ambiguous_steps
 
     @pytest.mark.parametrize("n_sites", [4, 5, 6])
     @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
@@ -229,13 +279,20 @@ class TestBlockEigensolver:
 
         blocks = symmetry_sectors(SpinChainModel(kind, 6, B=b)).blocks
         lambdas = np.linspace(-0.5, 1.5, 41)
-        stacked = list(BlockEigensolver(blocks).eigenpairs(lambdas))
-        per_lambda_bytes = 8 * sum(h0.size for h0, _ in blocks)
-        assert thermal._EIGH_STACK_BYTES >= 2 * per_lambda_bytes  # the default stacks
-        monkeypatch.setattr(thermal, "_EIGH_STACK_BYTES", 1)  # one lambda per stack
-        one_by_one = BlockEigensolver(blocks).eigenpairs(lambdas)
-        for (evals, vecs), (one_evals, one_vecs) in zip(stacked, one_by_one):
-            assert np.array_equal(evals, one_evals) and np.array_equal(vecs, one_vecs)
+
+        def joined(chunks):
+            chunks = list(chunks)
+            return len(chunks), [
+                np.concatenate(parts) for parts in zip(*((c.values, *c.vectors) for c in chunks))
+            ]
+
+        n_stacked, stacked = joined(BlockEigensolver(blocks).eigenpairs(lambdas))
+        assert n_stacked < lambdas.size  # the default budget stacks several lambdas
+        monkeypatch.setattr(thermal, "_STACK_BYTES", 1)  # one lambda per stack
+        n_single, one_by_one = joined(BlockEigensolver(blocks).eigenpairs(lambdas))
+        assert n_single == lambdas.size
+        for whole, single in zip(stacked, one_by_one):
+            assert np.array_equal(whole, single)
 
     @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
     def test_sector_eigenpairs_diagonalize_the_dense_hamiltonian(self, kind, b):
@@ -245,15 +302,19 @@ class TestBlockEigensolver:
         solver = BlockEigensolver(sectors.blocks)
         edges = solver.edges
         assert edges[0] == 0 and edges[-1] == solver.dim and np.all(np.diff(edges) > 0)
-        for lam, (evals, vecs) in zip((0.0, 0.3, -1.2), solver.eigenpairs([0.0, 0.3, -1.2])):
+        assert np.array_equal(np.sort(solver.rows), np.arange(solver.dim))
+        basis = sectors.basis[:, solver.rows]  # the basis in block order
+        pairs = solver.solve([0.0, 0.3, -1.2])
+        for t, lam in enumerate(pairs.lambdas):
+            evals, vecs = pairs.values[t], solver.dense([u[t] for u in pairs.vectors])
             for lo, hi in zip(edges[:-1], edges[1:]):
                 assert np.all(np.diff(evals[lo:hi]) >= 0)
             h = oracle.dense_h0(kind, 5, b=b or 0.0) + lam * oracle.dense_v(kind, 5)
             assert np.allclose(np.sort(evals), np.linalg.eigvalsh(h), rtol=0.0, atol=1e-12)
-            states = sectors.basis @ vecs
+            states = basis @ vecs
             assert np.abs(h @ states - states * evals).max() <= 1e-12
         # lambda = 0 gives H0's classical energies exactly
-        first = next(solver.eigenpairs([0.0]))[0]
+        first = pairs.values[0]
         assert np.array_equal(np.sort(first), np.sort(classical_energies(model)))
 
 
@@ -262,9 +323,9 @@ class TestQuasiGibbs:
         model = SpinChainModel("tfic", 4)
         lambdas = np.linspace(0.0, 0.1, 11)
         sweep = QuasiGibbsSweep([(build_h0(model).mat, build_v(model).mat)], lambdas, 1.0)
-        records = list(sweep.records())
-        assert len(records) == lambdas.size
-        assert all(sigma.dtype == np.float64 for sigma in records)
+        chunks = list(sweep.records())
+        assert sum(chunk[0].shape[0] for chunk in chunks) == lambdas.size
+        assert all(stack.dtype == np.float64 for chunk in chunks for stack in chunk)
 
     @pytest.mark.parametrize(
         "lambdas", [[0.3, 0.6], [0.0, math.nan], [0.0, math.inf], [math.nan, 0.1], []]

@@ -12,25 +12,14 @@ evolution.
 __version__ = "0.1.0"
 
 from .dynamics import BoundTrace, MeanFreePath, adiabatic_mean_free_path, evolve
-from .models import SpinChainModel, build_h0, build_v, flip_terms, hamiltonian_at
-from .operators import (
-    DensityMatrix,
-    HermitianOperator,
-    SpectralDecomposition,
-    build_pauli_string,
-    commutator_hs_norm,
-    eigh,
-    hs_angle,
-    hs_fidelity,
-)
+from .models import SpinChainModel, build_h0, build_v, flip_terms
+from .operators import DensityMatrix, HermitianOperator, SpectralDecomposition, eigh
 from .qsl import (
     QslRadius,
     bound_strong,
     bound_weak,
-    delta_v,
     qsl_radius_constant_rate,
     qsl_radius_general,
-    wy_skew_info,
 )
 from .susceptibility import (
     LowTempCoefficients,
@@ -58,11 +47,8 @@ __all__ = [
     "bound_strong",
     "bound_weak",
     "build_h0",
-    "build_pauli_string",
     "build_v",
     "chi_f_thermal",
-    "commutator_hs_norm",
-    "delta_v",
     "dense_sums",
     "eigh",
     "escort_state",
@@ -70,15 +56,11 @@ __all__ = [
     "flip_sums",
     "flip_terms",
     "gibbs_state",
-    "hamiltonian_at",
     "high_temp_coefficient",
-    "hs_angle",
-    "hs_fidelity",
     "low_temp_coefficients",
     "qsl_radius_constant_rate",
     "qsl_radius_general",
     "quasi_gibbs_at",
     "thermal_overlap",
     "threshold_report",
-    "wy_skew_info",
 ]

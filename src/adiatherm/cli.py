@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -314,12 +315,11 @@ def _dynamics_paths(base, combos):
     """Output path of each (beta, gamma) point; two points may not share one."""
     if len(combos) == 1:
         return [base]
-    stem, dot, ext = base.rpartition(".")
-    stem = stem if dot else base
-    ext = ext if dot else "csv"
+    stem, ext = os.path.splitext(base)
+    ext = ext or ".csv"
     owner = {}
     for beta, gamma in combos:
-        path = f"{stem}_beta{beta:g}_gamma{gamma:g}.{ext}"
+        path = f"{stem}_beta{beta:g}_gamma{gamma:g}{ext}"
         if path in owner:
             raise ValueError(
                 f"grid points (beta={owner[path][0]}, gamma={owner[path][1]}) and "

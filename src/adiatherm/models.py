@@ -18,7 +18,6 @@ identity and symmetry_sectors to the sector basis.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import os
@@ -30,12 +29,17 @@ from .operators import HermitianOperator
 
 KINDS = ("tfic", "qxyc", "mfic")
 
-# d x d matrices evolve holds at once, each counted at complex size: the
-# sector basis, the continuation's lambda = 0 and last columns, a record's
-# eigenvectors and quasi-Gibbs target, rho0, the evolved state and the
-# propagator with its CFM4 factor, eigenvectors, two real parts, product
-# and sandwich temporaries.
+# d x d matrices, counted at complex size, budgeted for the routes that form
+# a dense operator (build_h0, build_v, quasi_gibbs_at, thermal_overlap, and
+# eigh and dense_sums on their results): the operator, its eigenvectors, and
+# products and validation temporaries.  A budget, not a measured peak.
 _DENSE_MATRICES = 14
+# Real d x d arrays symmetry_sectors holds at its peak, at allocated size:
+# the orbits' columns (each d rows, still referenced from columns), the
+# concatenated basis, and _apply_v's output with its gathered columns and
+# their scaled copy.  The columns' zero rows are never written, so peak RSS
+# grows by about 4.1 such arrays (N = 11 and 12).
+_SECTOR_ARRAYS = 5
 # Arrays of 2^N 8-byte values flip_sums holds at once: the energies, their
 # shifted copy, the weights, the basis indices, the ground mask, and per
 # flip mask the partners, energy and weight differences, the coupled mask
@@ -134,7 +138,8 @@ def _site_bits(n_sites):
     """Bit of each site over the computational basis, one array per site, site 1 first.
 
     Basis index bit k (from the most significant bit) is site k+1, matching
-    the tensor order of build_pauli_string; spin values are s = 1 - 2 * bit.
+    the tensor order of a Pauli string with site 1 leftmost; spin values are
+    s = 1 - 2 * bit.
     """
     idx = np.arange(2**n_sites, dtype=np.int64)
     for site in range(n_sites):
@@ -200,15 +205,28 @@ def _require_memory(model: SpinChainModel, route, needed, arrays):
 def require_dense_fits(model: SpinChainModel):
     """Raise ValueError when the dense route would not fit in physical memory.
 
-    The estimate is _DENSE_MATRICES 2^N x 2^N matrices at complex size, the
-    most that evolve holds at once; it is checked before anything is
-    allocated.
+    The estimate is _DENSE_MATRICES 2^N x 2^N matrices at complex size; it
+    is checked before anything is allocated.
     """
     _require_memory(
         model,
         "dense route",
         _DENSE_MATRICES * 16 * 4**model.n_sites,
         f"{_DENSE_MATRICES} complex {model.dim}x{model.dim} matrices",
+    )
+
+
+def require_sectors_fit(model: SpinChainModel):
+    """Raise ValueError when symmetry_sectors would not fit in physical memory.
+
+    The estimate is its peak of _SECTOR_ARRAYS real 2^N x 2^N arrays; it is
+    checked before anything is allocated.
+    """
+    _require_memory(
+        model,
+        "sector route",
+        _SECTOR_ARRAYS * 8 * 4**model.n_sites,
+        f"{_SECTOR_ARRAYS} real {model.dim}x{model.dim} arrays",
     )
 
 
@@ -226,14 +244,6 @@ def build_v(model: SpinChainModel) -> HermitianOperator:
     """
     require_dense_fits(model)
     return HermitianOperator(n_sites=model.n_sites, mat=_apply_v(model, np.eye(model.dim)))
-
-
-def hamiltonian_at(model: SpinChainModel, lam: float) -> HermitianOperator:
-    """Interpolating Hamiltonian H0 + lambda * V."""
-    require_finite("lambda", lam)
-    h0 = build_h0(model)
-    v = build_v(model)
-    return HermitianOperator(n_sites=model.n_sites, mat=h0.mat + lam * v.mat)
 
 
 @dataclass(frozen=True)
@@ -306,7 +316,6 @@ def _apply_v(model: SpinChainModel, columns) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=1)
 def symmetry_sectors(model: SpinChainModel) -> SymmetrySectors:
     """The symmetry sectors of the ring, built from classical_energies and flip_terms.
 
@@ -314,11 +323,10 @@ def symmetry_sectors(model: SpinChainModel) -> SymmetrySectors:
     built on the orbit's states and diagonalized in one stacked eigh; its
     eigenvectors of eigenvalue 1 are the orbit's states of that label.  At
     N = 2 and 3 some labels are empty, because T and P partly coincide.
-    Refuses, like build_h0, an N whose dense route would not fit in memory.
-    The last model's sectors are cached, so basis and every block are
-    read-only.
+    Refuses, before allocating, an N whose sectors would not fit in
+    physical memory (require_sectors_fit).
     """
-    require_dense_fits(model)
+    require_sectors_fit(model)
     n, d = model.n_sites, model.dim
     energies = classical_energies(model)
     idx = np.arange(d, dtype=np.int64)
@@ -368,6 +376,4 @@ def symmetry_sectors(model: SpinChainModel) -> SymmetrySectors:
         v_block = basis[:, cols].T @ v_basis[:, cols]
         blocks.append((np.diag(h0_diagonal), 0.5 * (v_block + v_block.T)))
         start = cols.stop
-    for array in (basis, *(mat for pair in blocks for mat in pair)):
-        array.setflags(write=False)
     return SymmetrySectors(tuple(labels), basis, tuple(blocks))

@@ -3,11 +3,11 @@
 Every operator is a dense matrix that keeps the dtype it is built with:
 the chain Hamiltonians and drives are real (models.build_h0, build_v), so
 their eigendecompositions, Gibbs states and oracle sums run in real
-arithmetic, while Pauli strings and evolved states are complex.  The
-routes that need a matrix (evolution, continuation, the operator-level
-susceptibility functions) run at desk scale (N <= 12, d <= 4096), where
-full eigendecompositions stay cheap, so no sparse or iterative machinery
-is used anywhere.  The threshold route builds no operator at all: it
+arithmetic, while evolved states are complex.  The routes that form a
+d x d matrix (the operator-level susceptibility functions, quasi_gibbs_at,
+thermal_overlap) run at desk scale (N <= 12, d <= 4096), where full
+eigendecompositions stay cheap, so no sparse or iterative machinery is
+used anywhere.  The threshold route builds no operator at all: it
 enumerates flip pairs (susceptibility.flip_sums) and has been measured up
 to N = 18.  hbar = 1 throughout and the Ising coupling J sets the energy
 unit.
@@ -15,7 +15,6 @@ unit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,18 +25,6 @@ EIGENVALUE_FLOOR = -1e-12
 ORTHONORMALITY_TOL = 1e-12
 RECONSTRUCTION_RTOL = 1e-10
 _DEGENERACY_RTOL = 1e-9
-
-PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
-
-def hs_inner(a, b):
-    """Hilbert-Schmidt inner product Tr(A^dag B) of two equal-shape matrices."""
-    return complex(np.vdot(a, b))
 
 
 def hs_norm(a):
@@ -117,7 +104,7 @@ class DensityMatrix:
     @property
     def purity(self):
         """Tr(rho^2)."""
-        return float(np.real(hs_inner(self.mat, self.mat)))
+        return float(np.real(np.vdot(self.mat, self.mat)))
 
 
 @dataclass(frozen=True)
@@ -146,30 +133,6 @@ class SpectralDecomposition:
         return self.eigenvectors.shape[0]
 
 
-def build_pauli_string(n_sites, factors):
-    """Tensor product of single-site Pauli matrices, identity elsewhere.
-
-    ``factors`` is a list of (site, axis) pairs with 1-based site indices and
-    axis in {'X', 'Y', 'Z'}.  Site 1 is the leftmost tensor factor.
-    """
-    if n_sites < 1:
-        raise ValueError("n_sites must be positive")
-    axes = {}
-    for site, axis in factors:
-        if not 1 <= site <= n_sites:
-            raise ValueError(f"site index {site} outside [1, {n_sites}]")
-        if site in axes:
-            raise ValueError(f"duplicate site index {site}")
-        axis = str(axis).upper()
-        if axis not in ("X", "Y", "Z"):
-            raise ValueError(f"unknown Pauli axis {axis!r}")
-        axes[site] = axis
-    out = np.array([[1.0 + 0.0j]])
-    for site in range(1, n_sites + 1):
-        out = np.kron(out, PAULI[axes.get(site, "I")])
-    return HermitianOperator(n_sites=n_sites, mat=out)
-
-
 def eigh(op: HermitianOperator) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian operator, eigenvalues ascending.
 
@@ -187,23 +150,12 @@ def eigh(op: HermitianOperator) -> SpectralDecomposition:
     return dec
 
 
-def hs_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Hilbert-Schmidt fidelity (Tr rho sigma)^2 / (Tr rho^2 Tr sigma^2).
-
-    Symmetric in its arguments, in [0, 1], and equal to 1 iff rho == sigma.
-    """
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch {rho.dim} vs {sigma.dim}")
-    overlap = float(np.real(np.vdot(rho.mat, sigma.mat)))
-    return float(hs_fidelity_from_overlap(overlap, rho.purity, sigma.purity))
-
-
 def hs_fidelity_from_overlap(overlap, a_purity, b_purity):
     """overlap^2 / (a_purity b_purity) clipped to [0, 1], for Re Tr(a^dag b) = overlap.
 
-    The one HS fidelity formula, of hs_fidelity, evolve's F and C and
-    thermal_overlap, elementwise over arrays; a quasi-Gibbs state passes its
-    exact purity sum w^2.
+    The one HS fidelity formula, of evolve's F and C and thermal_overlap,
+    elementwise over arrays; a quasi-Gibbs state passes its exact purity
+    sum w^2.
     """
     return np.clip(overlap * overlap / (a_purity * b_purity), 0.0, 1.0)
 
@@ -216,25 +168,6 @@ def hs_angle_from_distance(distance):
     fidelity rounded near 1 does not.  Elementwise over arrays.
     """
     return 2.0 * np.arcsin(distance / 2.0)
-
-
-def hs_angle(rho0: DensityMatrix, rho: DensityMatrix) -> float:
-    """Hilbert-Schmidt angle arccos sqrt(F[rho0, rho]) in [0, pi/2]."""
-    if rho0.dim != rho.dim:
-        raise ValueError(f"dimension mismatch {rho0.dim} vs {rho.dim}")
-    a, b = rho0.mat, rho.mat
-    return float(hs_angle_from_distance(hs_norm(a / hs_norm(a) - b / hs_norm(b))))
-
-
-def commutator_hs_norm(a: HermitianOperator, b: HermitianOperator) -> float:
-    """||[A, B]||_HS for Hermitian A, B via 2 Tr(A^2 B^2) - 2 Tr(ABAB)."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch {a.dim} vs {b.dim}")
-    ab = a.mat @ b.mat
-    # Tr(A^2 B^2) = Tr((AB)(AB)^dag) and Tr(ABAB) = Tr((AB)^2) for Hermitian A, B.
-    t1 = float(np.real(hs_inner(ab, ab)))
-    t2 = float(np.real(np.sum(ab.T * ab)))
-    return math.sqrt(max(2.0 * t1 - 2.0 * t2, 0.0))
 
 
 def degeneracy_tolerance(eigenvalues) -> float:

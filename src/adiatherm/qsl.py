@@ -1,11 +1,13 @@
-"""Mixed-state quantum-speed-limit machinery: Wigner-Yanase skew information,
-drive fluctuation deltaV, the QSL radius, and the two fidelity bounds.
+"""Mixed-state quantum-speed-limit machinery: the QSL radius and the two
+fidelity bounds.
 
 The radius bounds how far (in Hilbert-Schmidt angle) unitary evolution can
 carry the state from its initial point; the two bounds convert that radius
 and the thermal-state overlap into an envelope for the adiabatic fidelity.
 For a Gibbs rho0 the escort commutes with H0, so the radius's speed
-sqrt(2 I_WY(escort(rho0), H_lambda')) / Gamma is |lambda'| deltaV / Gamma.
+sqrt(2 I_WY(escort(rho0), H_lambda')) / Gamma, with I_WY the Wigner-Yanase
+skew information, is |lambda'| deltaV / Gamma; deltaV comes from
+susceptibility.flip_sums.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import require_finite
-from .operators import DensityMatrix, HermitianOperator, hs_inner
-from .thermal import escort_state
 
 QUADRATURE_TOL = 1e-9
 _MAX_QUAD_DOUBLINGS = 20
@@ -41,31 +41,6 @@ class QslRadius:
     @property
     def clamped_quarter_pi(self):
         return min(self.value, math.pi / 4)
-
-
-def wy_skew_info(rho_escort: DensityMatrix, h: HermitianOperator) -> float:
-    """Wigner-Yanase skew information Tr(rho H^2) - Tr(rho^{1/2} H rho^{1/2} H).
-
-    Vanishes iff the state commutes with H; reduces to the variance of H for
-    pure states.  Equals ||[rho^{1/2}, H]||_HS^2 / 2.
-    """
-    if rho_escort.dim != h.dim:
-        raise ValueError(f"dimension mismatch {rho_escort.dim} vs {h.dim}")
-    rho, hm = rho_escort.mat, h.mat
-    # rho^{1/2} with eigenvalue dust (negative, or positive below the rank
-    # tolerance dim * eps * max) clipped to exactly zero: the square root
-    # would otherwise amplify O(eps) dust into O(sqrt(eps)) noise
-    evals, evecs = np.linalg.eigh(rho)
-    floor = rho.shape[0] * np.finfo(float).eps * max(float(evals[-1]), 0.0)
-    sqrt_rho = (evecs * np.sqrt(np.where(evals < floor, 0.0, evals))) @ evecs.conj().T
-    t1 = np.real(hs_inner(rho, hm @ hm))
-    t2 = np.real(np.sum((sqrt_rho @ hm @ sqrt_rho).T * hm))
-    return max(float(t1 - t2), 0.0)
-
-
-def delta_v(rho0: DensityMatrix, v: HermitianOperator) -> float:
-    """Drive fluctuation sqrt(2 I_WY(escort(rho0), V)), in energy units."""
-    return math.sqrt(2.0 * wy_skew_info(escort_state(rho0), v))
 
 
 def qsl_radius_constant_rate(delta_v_value, lam, gamma) -> QslRadius:
@@ -121,7 +96,9 @@ def bound_strong(radius: QslRadius, overlap_c) -> float:
 
     g1 = sin^2(min(R, pi/2)) |1 - 2C| and
     g2 = sin(2 min(R, pi/4)) sqrt(C) sqrt(1 - C), with C the overlap between
-    the target and the initial state.  Never exceeds bound_weak.
+    the target and the initial state.  Never exceeds bound_weak while
+    R <= pi/4; beyond it the two clamps differ and g can exceed sin(R~)
+    (by 0.118 at R = pi/2, C = 0.053).
     """
     if not 0.0 <= overlap_c <= 1.0:
         raise ValueError(f"overlap C={overlap_c} outside [0, 1]")

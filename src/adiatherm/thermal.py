@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import SpinChainModel, require_finite, symmetry_sectors
+from .models import SpinChainModel, require_dense_fits, require_finite, symmetry_sectors
 from .operators import (
     DensityMatrix,
     SpectralDecomposition,
@@ -506,12 +506,14 @@ class QuasiGibbsSweep:
 
 
 def _endpoints(model: SpinChainModel, beta, lam):
-    """The solver of a two-record sweep over [0, lam], its records as one
-    (2, g, m, m) stack per group, and their purity."""
+    """The sector basis, the solver of a two-record sweep over [0, lam], its
+    records as one (2, g, m, m) stack per group, and their purity."""
     require_finite("lambda", lam)
-    sweep = QuasiGibbsSweep(symmetry_sectors(model).blocks, np.array([0.0, lam]), beta)
+    require_dense_fits(model)
+    sectors = symmetry_sectors(model)
+    sweep = QuasiGibbsSweep(sectors.blocks, np.array([0.0, lam]), beta)
     records = [np.concatenate(stacks) for stacks in zip(*sweep.records())]
-    return sweep.solver, records, sweep.purity
+    return sectors.basis, sweep.solver, records, sweep.purity
 
 
 def quasi_gibbs_at(model: SpinChainModel, beta, lam) -> DensityMatrix:
@@ -523,8 +525,8 @@ def quasi_gibbs_at(model: SpinChainModel, beta, lam) -> DensityMatrix:
     Its purity equals the initial Gibbs purity because the weights never
     change along the continuation.
     """
-    solver, records, _ = _endpoints(model, beta, lam)
-    basis = symmetry_sectors(model).basis[:, solver.rows]
+    basis, solver, records, _ = _endpoints(model, beta, lam)
+    basis = basis[:, solver.rows]
     sigma = solver.dense([stack[1] for stack in records])
     return DensityMatrix(mat=basis @ sigma @ basis.T)
 
@@ -539,7 +541,7 @@ def thermal_overlap(model: SpinChainModel, beta, lam) -> float:
     for both, as in evolve, so it equals evolve(...).thermal_overlap[k] at
     lam = trace.lambdas[k] exactly.
     """
-    solver, records, purity = _endpoints(model, beta, lam)
+    _, solver, records, purity = _endpoints(model, beta, lam)
     rho0, sigma = [stack[0] for stack in records], [stack[1] for stack in records]
     DensityMatrix(mat=solver.dense(rho0))
     DensityMatrix(mat=solver.dense(sigma))

@@ -5,6 +5,7 @@ operators with explicit numpy kron chains, so agreement with the package is
 a genuine two-route check rather than a reflection.
 """
 
+import math
 from itertools import product
 
 import numpy as np
@@ -88,6 +89,29 @@ def brute_chi_f(h0, v, beta, tol):
                 continue
             total += (w[m] - w[k]) ** 2 * abs(vmn[m, k]) ** 2 / de**2
     return 2.0 * total / z2
+
+
+def wy_skew_info(rho, h):
+    """Wigner-Yanase skew information Tr(rho H^2) - Tr(rho^{1/2} H rho^{1/2} H).
+
+    Vanishes iff the state commutes with H; reduces to the variance of H for
+    pure states.  Equals ||[rho^{1/2}, H]||_HS^2 / 2.
+    """
+    # rho^{1/2} with eigenvalue dust (negative, or positive below the rank
+    # tolerance dim * eps * max) clipped to exactly zero: the square root
+    # would otherwise amplify O(eps) dust into O(sqrt(eps)) noise
+    evals, evecs = np.linalg.eigh(rho)
+    floor = rho.shape[0] * np.finfo(float).eps * max(float(evals[-1]), 0.0)
+    sqrt_rho = (evecs * np.sqrt(np.where(evals < floor, 0.0, evals))) @ evecs.conj().T
+    t1 = np.real(np.vdot(rho, h @ h))
+    t2 = np.real(np.sum((sqrt_rho @ h @ sqrt_rho).T * h))
+    return max(float(t1 - t2), 0.0)
+
+
+def delta_v(rho0, v):
+    """Drive fluctuation sqrt(2 I_WY(escort, V)) of the escort rho0^2 / Tr(rho0^2)."""
+    sq = rho0 @ rho0
+    return math.sqrt(2.0 * wy_skew_info(sq / np.real(np.trace(sq)), v))
 
 
 def random_density_matrix(dim, rng, rank=None):

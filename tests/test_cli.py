@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -347,22 +348,32 @@ class TestDynamicsCommand:
             assert rec["F"] == pytest.approx(1.0, abs=1e-12)
             assert rec["C"] == pytest.approx(1.0, abs=1e-12)
 
-    def test_grid_writes_one_file_per_combo(self, tmp_path):
-        out = tmp_path / "dyn.csv"
-        main(
-            [
-                "dynamics",
-                "--model", "tfic",
-                "--n-sites", "3",
-                "--beta", "0.5,1",
-                "--gamma", "1",
-                "--lambda-max", "0.05",
-                "--n-records", "4",
-                "--out", str(out),
-            ]
-        )
-        assert (tmp_path / "dyn_beta0.5_gamma1.csv").exists()
-        assert (tmp_path / "dyn_beta1_gamma1.csv").exists()
+    def test_grid_writes_one_file_per_combo(self, tmp_path, monkeypatch):
+        # the extension is split off the file name only, never off a
+        # directory name; a base without one gets .csv
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "results.d").mkdir()
+        for base, stem, ext in (
+            (str(tmp_path / "dyn.csv"), str(tmp_path / "dyn"), ".csv"),
+            ("./dyn", "./dyn", ".csv"),
+            ("results.d/dyn", "results.d/dyn", ".csv"),
+        ):
+            code = main(
+                [
+                    "dynamics",
+                    "--model", "tfic",
+                    "--n-sites", "3",
+                    "--beta", "0.5,1",
+                    "--gamma", "1",
+                    "--lambda-max", "0.05",
+                    "--n-records", "4",
+                    "--out", base,
+                ]
+            )
+            assert code == 0
+            for beta in ("0.5", "1"):
+                path = f"{stem}_beta{beta}_gamma1{ext}"
+                assert os.path.exists(path), path
 
     def test_grid_points_sharing_a_file_rejected(self, tmp_path, capsys):
         # {beta:g} keeps six digits, so 0.5 and 0.5000001 name the same file
@@ -519,11 +530,15 @@ class TestErrorPaths:
         assert err.startswith("error: ") and " must be " in err
         assert not out.exists()
 
-    def test_oversized_dynamics_refused(self, tmp_path, capsys):
+    def test_oversized_dynamics_refused(self, tmp_path, capsys, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated an array")
+
+        monkeypatch.setattr(np, "arange", no_allocation)
         out = tmp_path / "dyn.csv"
         code = main(["dynamics", "--model", "tfic", "--n-sites", "40", "--out", str(out)])
         assert code == 2
-        assert "too large for the dense route" in capsys.readouterr().err
+        assert "too large for the sector route" in capsys.readouterr().err
         assert not out.exists()
 
     def test_oversized_threshold_refused(self, tmp_path, capsys, monkeypatch):

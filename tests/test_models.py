@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from adiatherm import models
 from adiatherm.models import (
     SpinChainModel,
     build_h0,
     build_v,
     classical_energies,
     flip_terms,
-    hamiltonian_at,
+    require_dense_fits,
+    require_sectors_fit,
     symmetry_sectors,
 )
 from adiatherm.operators import hs_norm
@@ -250,17 +252,6 @@ class TestSymmetrySectors:
         sectors = symmetry_sectors(SpinChainModel(kind, 5, B=b))
         assert len(sectors.blocks) == n_blocks and set(sectors.sizes) == sizes
 
-    def test_cached_and_read_only(self):
-        model = SpinChainModel("mfic", 4, B=0.7)
-        sectors = symmetry_sectors(model)
-        assert symmetry_sectors(SpinChainModel("mfic", 4, B=0.7)) is sectors
-        with pytest.raises(ValueError, match="read-only"):
-            sectors.basis[0, 0] = 1.0
-        for h0, v in sectors.blocks:
-            for mat in (h0, v):
-                with pytest.raises(ValueError, match="read-only"):
-                    mat[0, 0] = 1.0
-
 
 class TestFlipTerms:
     @pytest.mark.parametrize("kind,b", [("tfic", None), ("mfic", 0.7)])
@@ -279,34 +270,15 @@ class TestFlipTerms:
         assert flip_terms(SpinChainModel("qxyc", 2, J=0.5)) == ((0b11, -1.0),)
 
 
-class TestHamiltonianAt:
-    def test_lambda_zero_is_h0(self):
-        model = SpinChainModel("tfic", 3)
-        assert np.array_equal(hamiltonian_at(model, 0.0).mat, build_h0(model).mat)
-
-    def test_tfic_unit_lambda_is_unit_transverse_field(self):
-        model = SpinChainModel("tfic", 3, J=1.0)
-        expected = oracle.dense_h0("tfic", 3)
-        for site in range(1, 4):
-            expected -= oracle.site_op(oracle.SX, site, 3)
-        assert np.allclose(hamiltonian_at(model, 1.0).mat, expected, atol=1e-14)
-
-    def test_qxyc_half_lambda_is_isotropic_xy(self):
-        # lambda = 1/2 balances the XX and ZZ weights: H = -(J/2) sum (XX + ZZ)
-        model = SpinChainModel("qxyc", 3, J=1.0)
-        expected = np.zeros((8, 8), dtype=complex)
-        for site in range(1, 4):
-            nxt = site % 3 + 1
-            expected -= 0.5 * oracle.site_op(oracle.SX, site, 3) @ oracle.site_op(oracle.SX, nxt, 3)
-            expected -= 0.5 * oracle.site_op(oracle.SZ, site, 3) @ oracle.site_op(oracle.SZ, nxt, 3)
-        assert np.allclose(hamiltonian_at(model, 0.5).mat, expected, atol=1e-14)
-
-    @pytest.mark.parametrize("lam", [math.nan, math.inf])
-    def test_rejects_non_finite_lambda(self, lam):
-        with pytest.raises(ValueError, match="lambda must be finite"):
-            hamiltonian_at(SpinChainModel("tfic", 3), lam)
-
-    def test_negative_lambda_allowed_for_finite_differences(self):
-        model = SpinChainModel("tfic", 3)
-        h = hamiltonian_at(model, -0.01)
-        assert np.allclose(h.mat, build_h0(model).mat - 0.01 * build_v(model).mat)
+class TestMemoryGuards:
+    def test_thirteen_sites_fit_the_sectors_but_not_the_dense_route(self, monkeypatch):
+        # at 8 GB of physical memory: 5 real 8192x8192 arrays take 2.7 GB,
+        # 14 complex ones 15 GB; only the guards run, so nothing is allocated
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 8 * 2**30 // 4096}
+        monkeypatch.setattr(models.os, "sysconf", pages.__getitem__)
+        model = SpinChainModel("tfic", 13)
+        require_sectors_fit(model)
+        with pytest.raises(ValueError, match="too large for the dense route"):
+            require_dense_fits(model)
+        with pytest.raises(ValueError, match="too large for the sector route"):
+            require_sectors_fit(SpinChainModel("tfic", 14))

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import SpinChainModel, require_finite, symmetry_sectors
+from .models import SpinChainModel, require_finite, require_sectors_fit, symmetry_sectors
 from .operators import adjoint, hs_angle_from_distance, hs_fidelity_from_overlap
 from .qsl import bound_strong, bound_weak, qsl_radius_constant_rate
 from .susceptibility import flip_sums
@@ -181,6 +181,8 @@ def evolve(
     Emits n_records equally spaced records over [0, lambda_max], each
     carrying the adiabatic fidelity F, thermal-state overlap C, QSL radius R,
     Hilbert-Schmidt angle Theta, both fidelity bounds, and the purity.
+    Refuses, before allocating, a run whose sectors and records would not
+    fit in physical memory (require_sectors_fit).
     """
     for name, value in (("beta", beta), ("gamma", gamma), ("lambda_max", lambda_max)):
         require_finite(name, value)
@@ -195,10 +197,11 @@ def evolve(
     if n_records < 1:
         raise ValueError("n_records must be >= 1")
 
+    n = n_records if lambda_max > 0 else 1
+    require_sectors_fit(model, n)
     blocks = symmetry_sectors(model).blocks
     dv = flip_sums(model, beta).delta_v
-    lambdas = np.linspace(0.0, lambda_max, n_records if lambda_max > 0 else 1)
-    n = lambdas.size
+    lambdas = np.linspace(0.0, lambda_max, n)
     # the lambda = 0 record is the Gibbs state, and every target has its purity
     sweep = QuasiGibbsSweep(blocks, lambdas, beta)
 

@@ -13,7 +13,7 @@ symmetry_sectors gives H0 and V block by block in a real symmetry-adapted
 basis of the ring (Sandvik, AIP Conf. Proc. 1297, 135 (2010)), which the
 dynamics route and the spectrum command diagonalize.  V has one
 construction, _apply_v from flip_terms: build_v applies it to the
-identity and symmetry_sectors to the sector basis.
+identity and symmetry_sectors to each block's columns.
 """
 
 from __future__ import annotations
@@ -34,12 +34,16 @@ KINDS = ("tfic", "qxyc", "mfic")
 # eigh and dense_sums on their results): the operator, its eigenvectors, and
 # products and validation temporaries.  A budget, not a measured peak.
 _DENSE_MATRICES = 14
-# Real d x d arrays symmetry_sectors holds at its peak, at allocated size:
-# the orbits' columns (each d rows, still referenced from columns), the
-# concatenated basis, and _apply_v's output with its gathered columns and
-# their scaled copy.  The columns' zero rows are never written, so peak RSS
-# grows by about 4.1 such arrays (N = 11 and 12).
-_SECTOR_ARRAYS = 5
+# Real d x d arrays symmetry_sectors holds at its peak: the basis, plus one
+# block's _apply_v output, gathered columns and their scaled copy (d x m_b
+# each, m_b <= 1.5 d / N), plus the blocks (sum m_b^2 <= 1.25 d^2 / N), so
+# 1 + 5.75 / N arrays.  tracemalloc reads 1.8 of them at N = 8 and 1.5 at
+# N = 10.
+_SECTOR_ARRAYS = 2
+# Arrays of n_records x 2^N 8-byte values evolve holds at once: the column
+# weights of the two marches QuasiGibbsSweep compares, their difference and
+# its square.
+_RECORD_ARRAYS = 4
 # Arrays of 2^N 8-byte values flip_sums holds at once: the energies, their
 # shifted copy, the weights, the basis indices, the ground mask, and per
 # flip mask the partners, energy and weight differences, the coupled mask
@@ -216,18 +220,20 @@ def require_dense_fits(model: SpinChainModel):
     )
 
 
-def require_sectors_fit(model: SpinChainModel):
-    """Raise ValueError when symmetry_sectors would not fit in physical memory.
+def require_sectors_fit(model: SpinChainModel, n_records=0):
+    """Raise ValueError when symmetry_sectors, and n_records records of
+    evolve on its blocks, would not fit in physical memory.
 
-    The estimate is its peak of _SECTOR_ARRAYS real 2^N x 2^N arrays; it is
-    checked before anything is allocated.
+    The estimate is _SECTOR_ARRAYS real 2^N x 2^N arrays plus
+    _RECORD_ARRAYS arrays of n_records x 2^N 8-byte values; it is checked
+    before anything is allocated.
     """
-    _require_memory(
-        model,
-        "sector route",
-        _SECTOR_ARRAYS * 8 * 4**model.n_sites,
-        f"{_SECTOR_ARRAYS} real {model.dim}x{model.dim} arrays",
-    )
+    route, arrays = "sector route", f"{_SECTOR_ARRAYS} real {model.dim}x{model.dim} arrays"
+    if n_records:
+        route += f" with {n_records} records"
+        arrays += f" and {_RECORD_ARRAYS} arrays of {n_records}x{model.dim} 8-byte values"
+    needed = (_SECTOR_ARRAYS * model.dim + _RECORD_ARRAYS * n_records) * 8 * model.dim
+    _require_memory(model, route, needed, arrays)
 
 
 def build_h0(model: SpinChainModel) -> HermitianOperator:
@@ -362,18 +368,19 @@ def symmetry_sectors(model: SpinChainModel) -> SymmetrySectors:
         evals, evecs = np.linalg.eigh(projectors.reshape(-1, size, size))
         kept = evals > 0.5
         for index in np.flatnonzero(kept.any(axis=1)):
-            full = np.zeros((d, np.count_nonzero(kept[index])))
-            full[states] = evecs[index][:, kept[index]]
-            columns[labels[index]].append((full, energies[states[0]]))
+            columns[labels[index]].append((states, evecs[index][:, kept[index]]))
 
     labels = [label for label in labels if columns[label]]
-    basis = np.concatenate([full for label in labels for full, _ in columns[label]], axis=1)
-    v_basis = _apply_v(model, basis)
+    basis = np.zeros((d, d))
     blocks, start = [], 0
     for label in labels:
-        h0_diagonal = [e for full, e in columns[label] for _ in range(full.shape[1])]
-        cols = slice(start, start + len(h0_diagonal))
-        v_block = basis[:, cols].T @ v_basis[:, cols]
+        first, h0_diagonal = start, []
+        for states, coefficients in columns[label]:
+            width = coefficients.shape[1]
+            basis[states, start : start + width] = coefficients
+            h0_diagonal += [energies[states[0]]] * width
+            start += width
+        cols = basis[:, first:start]
+        v_block = cols.T @ _apply_v(model, cols)
         blocks.append((np.diag(h0_diagonal), 0.5 * (v_block + v_block.T)))
-        start = cols.stop
     return SymmetrySectors(tuple(labels), basis, tuple(blocks))

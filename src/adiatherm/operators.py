@@ -182,22 +182,14 @@ def degeneracy_tolerance(eigenvalues) -> float:
     return _DEGENERACY_RTOL * span
 
 
-def level_edges(eigenvalues):
-    """Boundaries of the degenerate levels of ascending eigenvalues.
-
-    Eigenvalues within degeneracy_tolerance share a level.  Level k covers
-    indices edges[k]:edges[k + 1]; the first edge is 0 and the last is the
-    number of eigenvalues.
-    """
-    return np.flatnonzero(level_starts(eigenvalues))
-
-
 def level_starts(eigenvalues):
-    """Where the degenerate levels of level_edges start, along the last axis.
+    """Where the degenerate levels of ascending eigenvalues start, along the last axis.
 
-    Entry i is True where a level starts at index i, and a closing entry n
-    is True, so np.flatnonzero of one row is its level_edges.  Each row of a
-    stack has its own degeneracy_tolerance.
+    Eigenvalues within degeneracy_tolerance share a level.  Entry i is True
+    where a level starts at index i, and a closing entry n is True, so
+    np.flatnonzero of one row gives the level edges: level k covers indices
+    edges[k]:edges[k + 1].  Each row of a stack has its own
+    degeneracy_tolerance.
     """
     ev = np.asarray(eigenvalues, dtype=float)
     span = ev.max(axis=-1, keepdims=True) - ev.min(axis=-1, keepdims=True)

@@ -31,7 +31,7 @@ from .operators import (
     HermitianOperator,
     SpectralDecomposition,
     degeneracy_tolerance,
-    level_edges,
+    level_starts,
 )
 
 
@@ -161,7 +161,7 @@ def dense_sums(spec: SpectralDecomposition, v: HermitianOperator, beta) -> FlipS
     tol = degeneracy_tolerance(e)
     w = np.exp(-beta * shifted)
     z2 = float(np.sum(np.exp(-2.0 * beta * shifted)))
-    g0 = int(level_edges(e)[1])
+    g0 = int(np.flatnonzero(level_starts(e))[1])
     v2 = np.abs(u.conj().T @ v.mat @ u) ** 2
     de = shifted[:, None] - shifted[None, :]
     gaps = e[g0:] - e[0]

@@ -240,9 +240,7 @@ class EigenbasisContinuation:
 
     def restart(self) -> None:
         """Return to the labeled eigenbasis at lambda = 0."""
-        self.lam = 0.0
         self.vectors, self.labels = self._at_zero
-        self.rotated = False  # whether the last step rotated a level's columns
         self.ambiguous_steps = []
 
     @property
@@ -273,8 +271,6 @@ class EigenbasisContinuation:
                 if columns is not None:
                     rotations[done + start - 1] = columns
             done += pairs.lambdas.size
-        self.rotated = lams.size - 1 in rotations
-        self.lam = float(lams[-1])
         return np.concatenate(labels), rotations
 
     def _steps(self, pairs, start):

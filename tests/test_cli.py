@@ -541,6 +541,20 @@ class TestErrorPaths:
         assert "too large for the sector route" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oversized_dynamics_records_refused(self, tmp_path, capsys, monkeypatch):
+        # the sectors of N=10 fit, but the records' column weights would not
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated an array")
+
+        monkeypatch.setattr(np, "arange", no_allocation)
+        out = tmp_path / "dyn.csv"
+        code = main(["dynamics", "--model", "tfic", "--n-sites", "10",
+                     "--n-records", "1000000000", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sector route with 1000000000 records" in err
+        assert not out.exists()
+
     def test_oversized_threshold_refused(self, tmp_path, capsys, monkeypatch):
         def no_allocation(*args, **kwargs):
             raise AssertionError("allocated an array")

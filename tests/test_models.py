@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,13 +273,29 @@ class TestFlipTerms:
 
 class TestMemoryGuards:
     def test_thirteen_sites_fit_the_sectors_but_not_the_dense_route(self, monkeypatch):
-        # at 8 GB of physical memory: 5 real 8192x8192 arrays take 2.7 GB,
-        # 14 complex ones 15 GB; only the guards run, so nothing is allocated
+        # at 8 GB of physical memory: 2 real 16384x16384 arrays take 4.3 GB
+        # (N = 14) and 2 of 32768x32768 17 GB (N = 15), 14 complex 8192x8192
+        # ones 15 GB; only the guards run, so nothing is allocated
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 8 * 2**30 // 4096}
         monkeypatch.setattr(models.os, "sysconf", pages.__getitem__)
         model = SpinChainModel("tfic", 13)
         require_sectors_fit(model)
+        require_sectors_fit(SpinChainModel("tfic", 14))
         with pytest.raises(ValueError, match="too large for the dense route"):
             require_dense_fits(model)
         with pytest.raises(ValueError, match="too large for the sector route"):
-            require_sectors_fit(SpinChainModel("tfic", 14))
+            require_sectors_fit(SpinChainModel("tfic", 15))
+
+    @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
+    def test_sector_peak_within_its_budget(self, kind, b):
+        # one call holds the basis, one block's V temporaries and the
+        # blocks: under two d x d arrays at N = 10, within the guard's budget
+        model = SpinChainModel(kind, 10, B=b)
+        tracemalloc.start()
+        try:
+            symmetry_sectors(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= models._SECTOR_ARRAYS * 8 * 4**model.n_sites
+        assert peak < 2 * 8 * 4**model.n_sites

@@ -11,7 +11,7 @@ from adiatherm.operators import (
     hs_angle_from_distance,
     hs_fidelity_from_overlap,
     hs_norm,
-    level_edges,
+    level_starts,
 )
 from adiatherm.susceptibility import dense_sums
 
@@ -224,7 +224,7 @@ class TestCommutatorNorm:
 class TestDegeneracyGrouping:
     def test_blocks_on_exact_spectrum(self):
         ev = np.array([-3.0, -3.0, 1.0, 1.0, 1.0, 2.0])
-        assert level_edges(ev).tolist() == [0, 2, 5, 6]
+        assert np.flatnonzero(level_starts(ev)).tolist() == [0, 2, 5, 6]
 
     def test_tolerance_scales_with_span(self):
         ev = np.array([0.0, 4.0])

@@ -14,7 +14,7 @@ from adiatherm.operators import (
     SpectralDecomposition,
     degeneracy_tolerance,
     eigh,
-    level_edges,
+    level_starts,
 )
 from adiatherm.qsl import qsl_radius_constant_rate
 from adiatherm.susceptibility import (
@@ -144,7 +144,7 @@ class TestDenseOracle:
         _, spec, v = setup(kind, 5, b=b)
         rng = np.random.default_rng(17)
         rotated = spec.eigenvectors.astype(complex)
-        edges = level_edges(spec.eigenvalues)
+        edges = np.flatnonzero(level_starts(spec.eigenvalues))
         for start, stop in zip(edges[:-1], edges[1:]):
             unitary = oracle.random_unitary(stop - start, rng)
             rotated[:, start:stop] = rotated[:, start:stop] @ unitary

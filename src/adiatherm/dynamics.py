@@ -4,28 +4,32 @@ with per-record fidelity-bound bookkeeping.
 The stepper is the fourth-order commutator-free Magnus scheme CFM4
 (Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)).  H is linear in
 lambda, so a step is two exponentials exp(-i H(lambda_eff) dt / 2), each
-built by eigendecomposition: every step is exactly unitary and purity
-conservation is structural rather than an accuracy accident.  The step is
-halved until F is stable to 1e-8 at every record.  The quasi-Gibbs targets
-come from one thermal.QuasiGibbsSweep, stable to 1e-8 at every record; its
-lambda = 0 record is the initial Gibbs state, so H0 is diagonalized once.
-Each halving level reads the sweep's records once and fills every column
-that needs sigma or rho, C included: C does not depend on the CFM4 step, so
-every level gives it bit for bit.  R and both bounds need only C, so they
-are computed once, from the accepted level.
+cos A - i sin A from the scaled Taylor series of cos and sin
+(_exp_minus_i), with a truncation error below 3e-20: every step is unitary
+to rounding, and purity conservation is structural rather than an accuracy
+accident.  The step is halved until F is stable to 1e-8 at every record.
+The quasi-Gibbs targets come from one thermal.QuasiGibbsSweep, stable to
+1e-8 at every record; its lambda = 0 record is the initial Gibbs state, so
+H0 is diagonalized once.  The first two halving levels always both run, so
+they share one pass over the sweep's records, and each later level reads
+them once; a pass fills every column that needs sigma or rho, C included:
+C does not depend on the CFM4 step, so every level gives it bit for bit.
+R and both bounds need only C, so they are computed once, from the
+accepted level.
 
 Everything runs in the real symmetry-adapted basis of
 models.symmetry_sectors, where H0 is diagonal and V block-diagonal, so every
 CFM4 factor, propagator, rho and sigma is block-diagonal too and is kept as
 one (..., g, m, m) stack per group of equal-size blocks (see
 thermal.BlockEigensolver), never as a d x d matrix.  The factors of a chunk
-of CFM4 nodes come from one stacked eigh and two stacked real products per
-group, and the propagators of a chunk of record intervals from one stacked
-product per factor.  The accumulated propagator W_k of record k is
-U_k W_(k-1), and rho_k = W_k rho0 W_k^dag is formed for a chunk of records
-at once.  F, C, Theta, the purity, the trace and the Hermiticity defect are
-sums over blocks of per-block traces, which the orthogonal change of basis
-leaves unchanged.
+of CFM4 nodes come from five stacked real products per group, two more per
+squaring when a factor's 1-norm exceeds 0.05, and the propagators of a
+chunk of record intervals from one stacked product per factor.  The
+accumulated propagator W_k of record k is U_k W_(k-1), and
+rho_k = W_k rho0 W_k^dag is formed for a chunk of records at once.  F, C,
+Theta, the purity, the trace and the Hermiticity defect are sums over
+blocks of per-block traces, which the orthogonal change of basis leaves
+unchanged.
 """
 
 from __future__ import annotations
@@ -61,7 +65,8 @@ class BoundTrace:
     Hermiticity defect of the evolved state at each record.
     n_substeps_per_interval is the number of CFM4 steps per record interval
     at the final halving level; fidelity_history holds the final-record F of
-    every level, one entry per pass over the quasi-Gibbs records.  A
+    every level, one entry per level, where the first two levels share one
+    pass over the quasi-Gibbs records and each later level takes one.  A
     one-record trace (lambda_max = 0 or n_records = 1) has no interval: it
     runs the levels of 1 and 2 steps, so it reads 2 and (1.0, 1.0).
     sweep_steps_per_interval and n_ambiguous_steps are the continuation
@@ -127,16 +132,66 @@ class MeanFreePath(NamedTuple):
     censored: bool
 
 
+# the Taylor coefficients of B to B^4, in B = A^2, of cos A - I and of sin A / A - I
+_COS_TAYLOR = (-1 / 2, 1 / 24, -1 / 720, 1 / 40320)
+_SIN_TAYLOR = (-1 / 6, 1 / 120, -1 / 5040, 1 / 362880)
+# the largest 1-norm the Taylor series take before scaling and squaring
+_TAYLOR_NORM = 0.05
+
+
+def _add_identity(mats, c):
+    """mats += c I on a (..., m, m) stack, through a view of its diagonals."""
+    np.einsum("...ii->...i", mats)[...] += c
+    return mats
+
+
+def _taylor(b, b2, coeffs):
+    """c1 B + c2 B^2 + c3 B^3 + c4 B^4, given B^2, in one product
+    (Paterson-Stockmeyer): c1 B + B^2 (c2 I + c3 B + c4 B^2)."""
+    c1, c2, c3, c4 = coeffs
+    return c1 * b + b2 @ _add_identity(c3 * b + c4 * b2, c2)
+
+
+def _exp_minus_i(a):
+    """exp(-iA) = cos A - i sin A of a (..., m, m) stack of real symmetric A, without eigh.
+
+    cos A and sin A are their Taylor series to A^8 and A^9, evaluated
+    Paterson-Stockmeyer style in B = A^2 in five stacked real products: B,
+    B^2, one tail product each and A times the series of sin A / A - I.
+    The whole stack is first scaled by 2^-s, with s the smallest integer
+    for which the largest 1-norm in the stack is at most _TAYLOR_NORM = 0.05,
+    which bounds the truncation error in 1-norm by the first dropped term,
+    0.05^10 / 10! < 3e-20, before squaring.  The s squarings
+    (C, S) -> (C^2 - S^2, 2 C S), exact because C and S commute, then double
+    the angle back.  They are carried on C - I, so the rounding of the
+    identity is not doubled s times: C - I -> 2 (C - I) + (C - I + S)(C - I - S)
+    and S -> 2 (S + (C - I) S), two products per squaring.  A = 0 gives
+    exactly I.
+    """
+    norm = float(np.abs(a).sum(axis=-2).max())
+    s = math.ceil(math.log2(norm / _TAYLOR_NORM)) if norm > _TAYLOR_NORM else 0
+    if s:
+        a = a * 0.5**s
+    b = a @ a
+    b2 = b @ b
+    cos_m1 = _taylor(b, b2, _COS_TAYLOR)
+    sin = a + a @ _taylor(b, b2, _SIN_TAYLOR)
+    for _ in range(s):
+        cos_m1, sin = 2.0 * cos_m1 + (cos_m1 + sin) @ (cos_m1 - sin), 2.0 * (sin + cos_m1 @ sin)
+    return _add_identity(cos_m1, 1.0) - 1j * sin
+
+
 def _interval_propagators(solver, lambdas, gamma, steps):
     """Yield the CFM4 propagator over each interval of the grid lambdas, in order.
 
     A step of width h from lambda0 applies exp(-i (h / 2 Gamma) H(lambda0 + h/6)),
     then exp(-i (h / 2 Gamma) H(lambda0 + 5h/6)); in the other order the scheme
-    drops to second order.  Each propagator is one (g, m, m) stack per group
-    of the BlockEigensolver solver.  The nodes go through the solver in
-    stacks of whole intervals, or of one interval's consecutive factors when
-    an interval does not fit one stack, and a stack's intervals multiply
-    their factors in one stacked product per factor.
+    drops to second order.  Each factor comes from _exp_minus_i of the blocks
+    of the BlockEigensolver solver, and each propagator is one (g, m, m)
+    stack per group.  The nodes go in stacks of whole intervals, or of one
+    interval's consecutive factors when an interval does not fit one stack,
+    and a stack's intervals multiply their factors in one stacked product
+    per factor.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     widths = (lambdas[1:] - lambdas[:-1]) / steps
@@ -151,16 +206,11 @@ def _interval_propagators(solver, lambdas, gamma, steps):
         u = None
         for start in range(0, n_factors, span):
             stack = nodes[chunk, start : start + span]  # (intervals, factors) nodes
-            pairs = solver.solve(stack)
-            dt = np.repeat(widths[chunk] / (2.0 * gamma), stack.shape[1])[:, None, None]
-            factors = []
-            for e, vecs in zip(solver.split(pairs.values), pairs.vectors):
-                phases = np.exp(-1j * dt * e)[..., None, :]
-                # for real eigenvectors two real products cost half of one complex product
-                vecs_adjoint = adjoint(vecs)
-                cos_part = (vecs * phases.real) @ vecs_adjoint
-                sin_part = (vecs * phases.imag) @ vecs_adjoint
-                factors.append((cos_part + 1j * sin_part).reshape(*stack.shape, *vecs.shape[1:]))
+            dt = np.repeat(widths[chunk] / (2.0 * gamma), stack.shape[1])[:, None, None, None]
+            factors = [
+                _exp_minus_i(dt * ham).reshape(*stack.shape, *ham.shape[1:])
+                for ham in solver.hamiltonians(stack)
+            ]
             for j in range(stack.shape[1]):
                 u = [f[:, j] for f in factors] if u is None else [
                     f[:, j] @ v for f, v in zip(factors, u)
@@ -205,13 +255,20 @@ def evolve(
     # the lambda = 0 record is the Gibbs state, and every target has its purity
     sweep = QuasiGibbsSweep(blocks, lambdas, beta)
 
-    def run_level(steps):
-        """Every column that needs sigma or rho, in one pass over the sweep."""
-        rec = {name: np.zeros(n) for name in ("F", "C", "theta", "purity", "trace", "herm")}
-        rec["F"][0] = rec["C"][0] = 1.0
-        rec["purity"][0] = sweep.purity
-        propagators = _interval_propagators(sweep.solver, lambdas, gamma, steps)
-        rho0 = w = None
+    def run_levels(*level_steps):
+        """Every column that needs sigma or rho, at each CFM4 step count of
+        level_steps, in one pass over the sweep; C is the same at every level."""
+        purity = sweep.purity
+        recs = [
+            {name: np.zeros(n) for name in ("F", "C", "theta", "purity", "trace", "herm")}
+            for _ in level_steps
+        ]
+        for rec in recs:
+            rec["F"][0] = rec["C"][0] = 1.0
+            rec["purity"][0] = purity
+        propagators = [_interval_propagators(sweep.solver, lambdas, gamma, s) for s in level_steps]
+        w = [None] * len(level_steps)
+        rho0 = None
         done = 0
         for sigma in sweep.records():
             records = slice(done, done + sigma[0].shape[0])
@@ -223,39 +280,45 @@ def evolve(
                 records = slice(1, records.stop)
             if records.start == records.stop:
                 continue
-            # rho_k = W_k rho0 W_k^dag, with W_k the propagator accumulated up to record k
-            rho = [np.empty(s.shape, dtype=complex) for s in sigma]
-            for k, u in enumerate(itertools.islice(propagators, records.stop - records.start)):
-                w = u if w is None else [a @ b for a, b in zip(u, w)]
-                for r, a in zip(rho, w):
-                    r[k] = a
-            rho = [(a @ r0) @ adjoint(a) for a, r0 in zip(rho, rho0)]
-            rho_purity = block_inner(rho, rho)
-            rec["F"][records] = hs_fidelity_from_overlap(
-                block_inner(sigma, rho), sweep.purity, rho_purity
-            )
-            rec["C"][records] = hs_fidelity_from_overlap(
-                block_inner(sigma, rho0), sweep.purity, sweep.purity
-            )
-            rho_norm = np.sqrt(rho_purity)[:, None, None, None]
-            unit_gap = [r0 / rho0_norm - r / rho_norm for r0, r in zip(rho0, rho)]
-            rec["theta"][records] = hs_angle_from_distance(np.sqrt(block_inner(unit_gap, unit_gap)))
-            del unit_gap
-            rec["purity"][records] = rho_purity
-            tr = sum(np.trace(r, axis1=-2, axis2=-1).sum(axis=-1) for r in rho)
-            rec["trace"][records] = np.abs(tr.real - 1.0) + np.abs(tr.imag)
-            rec["herm"][records] = np.max(
-                [np.abs(r - adjoint(r)).max(axis=(-3, -2, -1)) for r in rho], axis=0
-            )
-        return rec
+            overlap_c = hs_fidelity_from_overlap(block_inner(sigma, rho0), purity, purity)
+            for level, rec in enumerate(recs):
+                # rho_k = W_k rho0 W_k^dag, with W_k the propagator accumulated up to record k
+                rho = [np.empty(s.shape, dtype=complex) for s in sigma]
+                for k, u in enumerate(
+                    itertools.islice(propagators[level], records.stop - records.start)
+                ):
+                    w[level] = u if w[level] is None else [a @ b for a, b in zip(u, w[level])]
+                    for r, a in zip(rho, w[level]):
+                        r[k] = a
+                rho = [(a @ r0) @ adjoint(a) for a, r0 in zip(rho, rho0)]
+                rho_purity = block_inner(rho, rho)
+                rec["F"][records] = hs_fidelity_from_overlap(
+                    block_inner(sigma, rho), purity, rho_purity
+                )
+                rec["C"][records] = overlap_c
+                rho_norm = np.sqrt(rho_purity)[:, None, None, None]
+                unit_gap = [r0 / rho0_norm - r / rho_norm for r0, r in zip(rho0, rho)]
+                rec["theta"][records] = hs_angle_from_distance(
+                    np.sqrt(block_inner(unit_gap, unit_gap))
+                )
+                del unit_gap
+                rec["purity"][records] = rho_purity
+                tr = sum(np.trace(r, axis1=-2, axis2=-1).sum(axis=-1) for r in rho)
+                rec["trace"][records] = np.abs(tr.real - 1.0) + np.abs(tr.imag)
+                rec["herm"][records] = np.max(
+                    [np.abs(r - adjoint(r)).max(axis=(-3, -2, -1)) for r in rho], axis=0
+                )
+        return recs
 
     # a one-record run has no interval and starts at one step
     steps = max(1, math.ceil(lambdas[-1] / max(n - 1, 1) / _INITIAL_DELTA_LAMBDA))
-    rec = run_level(steps)
+    # the first two levels always both run, so they share one pass over the sweep
+    rec, finer = run_levels(steps, 2 * steps)
     history = [rec["F"][-1]]
-    for _ in range(_MAX_HALVINGS):
+    for halving in range(_MAX_HALVINGS):
         steps *= 2
-        finer = run_level(steps)
+        if halving:
+            [finer] = run_levels(steps)
         history.append(finer["F"][-1])
         change = float(np.max(np.abs(finer["F"] - rec["F"])))
         rec = finer

@@ -41,9 +41,12 @@ _DENSE_MATRICES = 14
 # N = 10.
 _SECTOR_ARRAYS = 2
 # Arrays of n_records x 2^N 8-byte values evolve holds at once: the column
-# weights of the two marches QuasiGibbsSweep compares, their difference and
-# its square.
-_RECORD_ARRAYS = 4
+# labels of the two marches QuasiGibbsSweep compares, 4-byte integers that
+# take one such array together (their weights are gathered in row chunks),
+# and one more for the march's lambda path, evolve's per-record columns and
+# the stack temporaries.  tracemalloc reads 1.56 of them for
+# evolve(tfic, N=6, 5000 records).
+_RECORD_ARRAYS = 2
 # Arrays of 2^N 8-byte values flip_sums holds at once: the energies, their
 # shifted copy, the weights, the basis indices, the ground mask, and per
 # flip mask the partners, energy and weight differences, the coupled mask

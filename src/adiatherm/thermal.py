@@ -9,7 +9,7 @@ projectors, Kato 1950), so the basis eigh picks inside a level never
 matters.  QuasiGibbsSweep is the only code that marches the continuation:
 it walks one labeled lambda = 0 basis over a grid of records and doubles
 the steps per record interval until the target is stable at every record.
-Its targets are rebuilt from the accepted march's column weights and one
+Its targets are rebuilt from the accepted march's column labels and one
 eigendecomposition pass over the records, never by marching again.
 quasi_gibbs_at and thermal_overlap are its two-record case over
 [0, lambda], and evolve takes its targets from it.  A tie between labels of
@@ -166,12 +166,17 @@ class BlockEigensolver:
             for (h0s, _), lo, hi in zip(self._stacks, self.group_edges, self.group_edges[1:])
         ]
 
+    def hamiltonians(self, lambdas):
+        """Per-group (c, g, m, m) stacks of the blocks h0_b + lambda v_b at the c lambdas."""
+        lams = np.asarray(lambdas, dtype=float).reshape(-1, 1, 1, 1)
+        return [h0s + lams * vs for h0s, vs in self._stacks]
+
     def solve(self, lambdas):
         """The Eigenpairs at every lambda of lambdas, in one stacked eigh per group."""
         lams = np.asarray(lambdas, dtype=float).reshape(-1)
         values, vectors = [], []
-        for h0s, vs in self._stacks:
-            e, u = np.linalg.eigh(h0s + lams[:, None, None, None] * vs)
+        for h in self.hamiltonians(lams):
+            e, u = np.linalg.eigh(h)
             values.append(e.reshape(lams.size, -1))
             vectors.append(u)
         return Eigenpairs(lams, np.concatenate(values, axis=1), vectors)
@@ -388,12 +393,12 @@ class QuasiGibbsSweep:
     no level at a record, that change is exactly the 2-norm of the change in
     column weights.
 
-    The accepted march keeps the column weights at each record, and its
-    columns only where that step rotated a level; elsewhere they are the
-    fresh eigenvectors of solver, the sweep's BlockEigensolver.  records()
-    rebuilds every target from these and one pass of solver over the
-    records, bit for bit the sigma the march checked, and never advances the
-    continuation.
+    The accepted march keeps the column labels at each record, which give
+    the column weights, and its columns only where that step rotated a
+    level; elsewhere they are the fresh eigenvectors of solver, the sweep's
+    BlockEigensolver.  records() rebuilds every target from these and one
+    pass of solver over the records, bit for bit the sigma the march
+    checked, and never advances the continuation.
 
     Only the accepted march counts: its ambiguous steps are kept on
     ambiguous_steps and raise one ContinuationWarning, while a coarser march
@@ -424,7 +429,7 @@ class QuasiGibbsSweep:
                 f"{CONTINUATION_STABILITY_TOL} at every record"
             )
         self.per_interval = per_interval
-        self._weights, self._rotated = march
+        self._labels, self._rotated = march
         self.ambiguous_steps = self._cont.ambiguous_steps
         if self.ambiguous_steps:
             lam, count = self.ambiguous_steps[0]
@@ -437,10 +442,13 @@ class QuasiGibbsSweep:
             )
 
     def _march(self, per_interval, previous):
-        """The per-record column weights (records, d), the rotated columns
+        """The per-record column labels (records, d), the rotated columns
         {record: per-group columns} of the records whose step rotated a level,
         and the largest HS change of sigma against the previous march (inf
         without one).
+
+        The labels are 4-byte integers, so the two marches compared hold
+        together as many bytes as one records x d array of weights.
 
         The march's whole lambda path is known before it starts, so every
         eigenpair comes from one pass of the solver over it.
@@ -450,8 +458,8 @@ class QuasiGibbsSweep:
         path = []
         for a, b in zip(self.lambdas[:-1], self.lambdas[1:]):
             path += [a + (b - a) * s / per_interval for s in range(1, per_interval)] + [b]
-        weights = np.empty((self.lambdas.size, solver.dim))
-        weights[0] = self.weights[cont.labels]
+        record_labels = np.empty((self.lambdas.size, solver.dim), dtype=np.int32)
+        record_labels[0] = cont.labels
         # the columns at the records the previous march rotated, to compare sigma there
         recheck = {} if previous is None else previous[1]
         rotated, columns, done = {}, {}, 0
@@ -460,7 +468,7 @@ class QuasiGibbsSweep:
             # the steps of this chunk that end a record interval
             ends = np.arange((per_interval - 1 - done) % per_interval, labels.shape[0], per_interval)
             records = (done + ends + 1) // per_interval
-            weights[records] = self.weights[labels[ends]]
+            record_labels[records] = labels[ends]
             for t, k in zip(ends.tolist(), records.tolist()):
                 if t in rotations:
                     rotated[k] = columns[k] = rotations[t]
@@ -468,21 +476,28 @@ class QuasiGibbsSweep:
                     columns[k] = [u[t] for u in pairs.vectors]
             done += labels.shape[0]
         if previous is None:
-            return (weights, rotated), math.inf
-        prev_weights, _ = previous
+            return (record_labels, rotated), math.inf
+        prev_labels, _ = previous
+        w = self.weights
         # the previous levels carried one weight each where that march rotated
-        # none, so its sigma is diagonal in any basis of them, this march's included
-        delta = np.linalg.norm(weights - prev_weights, axis=1)
+        # none, so its sigma is diagonal in any basis of them, this march's included;
+        # the weights are gathered in row chunks of _STACK_BYTES, never as a
+        # whole records x d array
+        delta = np.empty(self.lambdas.size)
+        rows = max(1, _STACK_BYTES // w.nbytes)
+        for lo in range(0, delta.size, rows):
+            at = slice(lo, lo + rows)
+            delta[at] = np.linalg.norm(w[record_labels[at]] - w[prev_labels[at]], axis=1)
         for k, prev_columns in recheck.items():
             diff = [
                 a - b
                 for a, b in zip(
-                    _sigma(solver, columns[k], weights[k]),
-                    _sigma(solver, prev_columns, prev_weights[k]),
+                    _sigma(solver, columns[k], w[record_labels[k]]),
+                    _sigma(solver, prev_columns, w[prev_labels[k]]),
                 )
             ]
             delta[k] = math.sqrt(block_inner(diff, diff))
-        return (weights, rotated), float(delta.max())
+        return (record_labels, rotated), float(delta.max())
 
     def records(self):
         """Yield the quasi-Gibbs targets at the records, in order, a chunk at a time.
@@ -497,7 +512,7 @@ class QuasiGibbsSweep:
                 if done <= k < done + c:
                     for u, cols in zip(pairs.vectors, columns):
                         u[k - done] = cols
-            yield _sigma(self.solver, pairs.vectors, self._weights[done : done + c])
+            yield _sigma(self.solver, pairs.vectors, self.weights[self._labels[done : done + c]])
             done += c
 
 

@@ -114,6 +114,12 @@ def delta_v(rho0, v):
     return math.sqrt(2.0 * wy_skew_info(sq / np.real(np.trace(sq)), v))
 
 
+def exp_minus_i(a):
+    """exp(-iA) of a stack of real symmetric matrices A, from their eigendecomposition."""
+    evals, evecs = np.linalg.eigh(a)
+    return (evecs * np.exp(-1j * evals)[..., None, :]) @ evecs.swapaxes(-1, -2)
+
+
 def random_density_matrix(dim, rng, rank=None):
     """Haar-ish random mixed state from a Ginibre factor."""
     rank = rank or dim

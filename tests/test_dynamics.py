@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import adiatherm.dynamics as dynamics
 from adiatherm.dynamics import (
     BoundTrace,
     MeanFreePath,
+    _exp_minus_i,
     _interval_propagators,
     adiabatic_mean_free_path,
     evolve,
@@ -27,6 +29,7 @@ from adiatherm.thermal import (
     gibbs_state,
     thermal_overlap,
 )
+from oracle import exp_minus_i
 
 logger = logging.getLogger(__name__)
 
@@ -60,17 +63,49 @@ class TestEvolve:
             assert trace.n_substeps_per_interval == 2
             assert trace.fidelity_history == (1.0, 1.0)
 
-    def test_one_sweep_pass_per_halving_level(self, monkeypatch):
-        requests = []
-        records = QuasiGibbsSweep.records
+    @staticmethod
+    def count_passes(monkeypatch):
+        """Record every records() pass and the CFM4 step count of every propagator."""
+        passes, levels = [], []
+        records, propagators = QuasiGibbsSweep.records, dynamics._interval_propagators
 
-        def counted(sweep):
-            requests.append(sweep)
+        def counted_records(sweep):
+            passes.append(len(levels))
             return records(sweep)
 
-        monkeypatch.setattr(QuasiGibbsSweep, "records", counted)
+        def counted_propagators(solver, lambdas, gamma, steps):
+            levels.append(steps)
+            return propagators(solver, lambdas, gamma, steps)
+
+        monkeypatch.setattr(QuasiGibbsSweep, "records", counted_records)
+        monkeypatch.setattr(dynamics, "_interval_propagators", counted_propagators)
+        return passes, levels
+
+    def test_one_sweep_pass_per_halving_level(self, monkeypatch):
+        # the first two levels share one pass
+        passes, _ = self.count_passes(monkeypatch)
         trace = evolve(SpinChainModel("tfic", 4), 1.0, 1.0, 0.1, 11)
-        assert len(requests) == len(trace.fidelity_history)
+        assert len(passes) == len(trace.fidelity_history) - 1
+
+    def test_each_level_after_the_second_costs_one_pass(self, monkeypatch):
+        # one step per interval of 0.5 needs several halvings
+        monkeypatch.setattr(dynamics, "_INITIAL_DELTA_LAMBDA", 1.0)
+        passes, levels = self.count_passes(monkeypatch)
+        trace = evolve(SpinChainModel("tfic", 4), 1.0, 1.0, 1.0, 3)
+        n_levels = len(trace.fidelity_history)
+        assert n_levels >= 3
+        assert levels == [2**k for k in range(n_levels)]
+        assert trace.n_substeps_per_interval == levels[-1]
+        # the first pass runs levels 1 and 2, every later pass one more level
+        assert passes == list(range(2, n_levels + 1))
+
+    def test_unconverged_halving_reports_both_first_levels(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_MAX_HALVINGS", 1)
+        monkeypatch.setattr(dynamics, "FINAL_FIDELITY_TOL", 0.0)
+        # the final-record F of the levels of 1 and 2 steps
+        history = r"after 1 halvings; final-record history=\[[^,]+, [^,]+\]$"
+        with pytest.raises(RuntimeError, match=history):
+            evolve(SpinChainModel("tfic", 3), 1.0, 1.0, 0.1, 5)
 
     @pytest.mark.parametrize(
         "kind,b,lambda_max",
@@ -226,6 +261,31 @@ class TestCFM4:
         ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
         logger.info("CFM4 errors %s, ratios %s", errors, ratios)
         assert min(ratios) >= 12.0
+
+    @pytest.mark.parametrize("norm", [1e-6, 1e-3, 0.05, 1.0, 50.0])
+    @pytest.mark.parametrize("m", [1, 4, 18])
+    def test_factor_matches_the_eigh_factor(self, m, norm):
+        # every 1-norm above 0.05 takes the squaring branch, 50 with ten squarings
+        rng = np.random.default_rng(m)
+        a = rng.standard_normal((6, m, m))
+        a += a.swapaxes(-1, -2)
+        a *= norm / np.abs(a).sum(axis=-2).max()
+        u = _exp_minus_i(a)
+        assert np.abs(u - exp_minus_i(a)).max() <= 1e-13
+        assert np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(m)).max() <= 1e-13
+
+    def test_zero_factor_is_the_identity(self):
+        identity = np.broadcast_to(np.eye(5), (2, 3, 5, 5))
+        assert np.array_equal(_exp_minus_i(np.zeros((2, 3, 5, 5))), identity)
+
+    def test_propagators_call_no_eigh(self, monkeypatch):
+        solver = BlockEigensolver(symmetry_sectors(SpinChainModel("tfic", 4)).blocks)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        assert len(list(_interval_propagators(solver, np.linspace(0.0, 0.2, 5), 1.0, 2))) == 4
 
     def test_propagator_is_unitary(self):
         model = SpinChainModel("mfic", 4, B=0.7)

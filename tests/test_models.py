@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from adiatherm import models
+from adiatherm.dynamics import evolve
 from adiatherm.models import (
     SpinChainModel,
     build_h0,
@@ -285,6 +286,18 @@ class TestMemoryGuards:
             require_dense_fits(model)
         with pytest.raises(ValueError, match="too large for the sector route"):
             require_sectors_fit(SpinChainModel("tfic", 15))
+
+    def test_evolve_record_peak_within_its_budget(self):
+        # the records x 2^N arrays dominate at many records: the two marches'
+        # column labels, compared in row chunks, fit the guard's budget
+        model, n_records = SpinChainModel("tfic", 6), 5000
+        tracemalloc.start()
+        try:
+            evolve(model, 1.0, 1.0, 0.1, n_records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= models._RECORD_ARRAYS * n_records * model.dim * 8
 
     @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
     def test_sector_peak_within_its_budget(self, kind, b):

@@ -21,7 +21,6 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 
-import mpmath as mp
 import numpy as np
 
 from . import closed_forms as cf
@@ -299,6 +298,8 @@ def criterion_13():
     the thermodynamic expansion; the remainder is bounded by
     10 N^3 e^{-16 beta J}.
     """
+    import mpmath as mp  # only this criterion needs it, so only it pays the import
+
     n, beta = 6, 3.0
     with mp.workdps(50):
         t = mp.tanh(2 * mp.mpf(beta))

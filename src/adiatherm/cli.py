@@ -17,7 +17,6 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from . import closed_forms as cf
 from .acceptance import ALL_CRITERIA, run_all
 from .dynamics import evolve
 from .models import SpinChainModel, require_finite, symmetry_sectors
-from .susceptibility import threshold_report
+from .susceptibility import threshold_sweep
 from .thermal import BlockEigensolver
 
 UNITS_NOTE = "energies in units of J; beta in 1/J; lambda and f_N dimensionless"
@@ -252,10 +251,9 @@ def cmd_spectrum(config: RunConfig) -> int:
     return 0
 
 
-def _threshold_row(payload):
-    kind, n_sites, j, b, beta, alpha = payload
-    model = SpinChainModel(kind, n_sites, j, b)
-    report = threshold_report(model, beta, alpha)
+def _threshold_row(model: SpinChainModel, report):
+    """One CSV row: the flip route's report at one beta beside the closed forms."""
+    kind, n_sites, j, b, beta = model.kind, model.n_sites, model.J, model.B, report.beta
     closed = {"delta": math.nan, "chi": math.nan, "f_n": math.nan, "f_inf": math.nan}
     reason = ""
     try:
@@ -296,17 +294,27 @@ def _threshold_row(payload):
     )
 
 
+def _threshold_rows(model: SpinChainModel, betas, alpha):
+    """The rows of one contiguous beta slice, from one threshold_sweep."""
+    return [_threshold_row(model, report) for report in threshold_sweep(model, betas, alpha)]
+
+
 def cmd_threshold(config: RunConfig) -> int:
     model = config.model()  # validates the model block up front
-    payloads = [
-        (model.kind, model.n_sites, model.J, model.B, beta, config.alpha)
-        for beta in config.beta_grid
-    ]
+    betas = config.beta_grid
     if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_threshold_row, payloads))
+        from concurrent.futures import ProcessPoolExecutor
+
+        # one task per contiguous beta slice, so each slice is prepared once;
+        # pool.map returns the slices, and so the rows, in grid order
+        n = min(config.jobs, len(betas))
+        edges = [len(betas) * k // n for k in range(n + 1)]
+        slices = [betas[lo:hi] for lo, hi in zip(edges, edges[1:])]
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            parts = pool.map(_threshold_rows, [model] * n, slices, [config.alpha] * n)
+            rows = [row for part in parts for row in part]
     else:
-        rows = [_threshold_row(p) for p in payloads]
+        rows = _threshold_rows(model, betas, config.alpha)
     write_table(config.out or "threshold.csv", config, THRESHOLD_COLUMNS, rows, config.fmt)
     return 0
 

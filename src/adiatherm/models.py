@@ -43,14 +43,17 @@ _SECTOR_ARRAYS = 2
 # Arrays of n_records x 2^N 8-byte values evolve holds at once: the column
 # labels of the two marches QuasiGibbsSweep compares, 4-byte integers that
 # take one such array together (their weights are gathered in row chunks),
-# and one more for the march's lambda path, evolve's per-record columns and
-# the stack temporaries.  tracemalloc reads 1.56 of them for
+# and one more for evolve's per-record columns, the stack temporaries and
+# the march's lambda path (one float64 array of per_interval values a
+# record).  tracemalloc reads 1.53 of them for
 # evolve(tfic, N=6, 5000 records).
 _RECORD_ARRAYS = 2
-# Arrays of 2^N 8-byte values flip_sums holds at once: the energies, their
-# shifted copy, the weights, the basis indices, the ground mask, and per
-# flip mask the partners, energy and weight differences, the coupled mask
-# and up to three expression temporaries.
+# Arrays of 2^N 8-byte values flip_sums_sweep holds at once from N = 12 on,
+# where a beta chunk is one beta: the energies, their shifted copy, the
+# weights, the basis indices, the ground mask, and per flip mask the
+# partners, energy and weight differences, the coupled mask and up to three
+# expression temporaries.  Below that a chunk's stacks fit
+# thermal._STACK_BYTES.
 _FLIP_ARRAYS = 12
 
 
@@ -164,7 +167,7 @@ def _bond_products(n_sites):
 def classical_energies(model: SpinChainModel) -> np.ndarray:
     """Diagonal of H0 in the computational Z-product basis (see _site_bits).
 
-    Refuses, before allocating, an N whose flip route (flip_sums, with
+    Refuses, before allocating, an N whose flip route (flip_sums_sweep, with
     _FLIP_ARRAYS arrays of 2^N values) would not fit in physical memory.
     """
     _require_memory(

@@ -6,14 +6,16 @@ comes out of the spectrum as a degeneracy-excluded double sum; the
 threshold rate Gamma_th = alpha deltaV / chi_F compares against its
 zero-temperature reference Gamma_N through f_N = Gamma_th / Gamma_N.
 
-Every chain quantity (threshold_report and the low- and high-temperature
+Every chain quantity (threshold_sweep and the low- and high-temperature
 coefficients) comes from one preparation, the classical energies and the
-flip pairs of V (flip_sums), without building a matrix.  The dense oracle
-that tests and the acceptance criteria compare it against is dense_sums:
-the same FlipSums record from one eigendecomposition of H0 and one dense
-V, rotated once into the eigenbasis.  Its sums run over whole degenerate
-levels, so it takes V in whatever eigenbasis eigh returns and never
-rotates a level.  chi_f_thermal, delta_v_thermal, ground_chi_f and
+flip pairs of V, without building a matrix.  A whole beta grid comes from
+one such preparation (flip_sums_sweep), its weights vectorised over beta
+in chunks; flip_sums and threshold_report are its one-beta cases.  The
+dense oracle that tests and the acceptance criteria compare it against is
+dense_sums: the same FlipSums record from one eigendecomposition of H0 and
+one dense V, rotated once into the eigenbasis.  Its sums run over whole
+degenerate levels, so it takes V in whatever eigenbasis eigh returns and
+never rotates a level.  chi_f_thermal, delta_v_thermal, ground_chi_f and
 ground_delta_v each read one field of it.
 """
 
@@ -26,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import chi_pair_sum, pair_weight_sum
+from . import thermal
 from .models import SpinChainModel, classical_energies, flip_terms, require_alpha, require_beta
 from .operators import (
     HermitianOperator,
@@ -95,8 +98,9 @@ class FlipSums(NamedTuple):
     commutator_norm: float
 
 
-def flip_sums(model: SpinChainModel, beta) -> FlipSums:
-    """Spectral pair sums of a chain from its N 2^N flip pairs.
+def flip_sums_sweep(model: SpinChainModel, betas) -> list[FlipSums]:
+    """Spectral pair sums of a chain at every beta of betas, from its N 2^N
+    flip pairs.
 
     Every field equals the field of dense_sums on the chain's H0 spectrum
     and V, but no matrix is built.  H0 is diagonal in the
@@ -107,38 +111,75 @@ def flip_sums(model: SpinChainModel, beta) -> FlipSums:
     |V|^2 = amplitude^2.  V's diagonal part never enters a pair sum, and it
     commutes with H0.  Degenerate pairs and the ground level use
     degeneracy_tolerance as the dense route does.
+
+    Every beta is checked before anything is allocated.  The energies, the
+    degeneracy tolerance and the ground level are prepared once, and the
+    four beta-independent fields come from the first pass over the masks.
+    The betas go through in chunks: each mask's partners, energy gaps and
+    coupled mask are formed once per chunk, and its weights are a
+    (chunk, 2^N) stack reduced row by row.  A chunk's three stacks (the
+    weights, their squared differences and the coupled columns of those)
+    take at most thermal._STACK_BYTES together, or one beta's arrays where
+    that is more, so at large N a chunk is one beta.  Each row is summed
+    from a C-contiguous stack, in the order a single beta's 1-D arrays are,
+    so every field is bitwise independent of the chunking.
     """
-    require_beta(beta)
+    for beta in betas:
+        require_beta(beta)
+    # the pass's 2^N arrays are gone before the records are built
+    dv2, chi, z2, fixed = _flip_pass(model, np.asarray(betas, dtype=float))
+    return [
+        FlipSums(math.sqrt(dv2_b / z2_b), 2.0 * chi_b / z2_b, *fixed)
+        for dv2_b, chi_b, z2_b in zip(dv2.tolist(), chi.tolist(), z2.tolist())
+    ]
+
+
+def _flip_pass(model: SpinChainModel, betas: np.ndarray):
+    """The pair sums behind flip_sums_sweep: (deltaV)^2 Z0(2 beta),
+    chi_F Z0(2 beta) / 2 and Z0(2 beta) at each beta, and the four
+    beta-independent fields."""
     e = classical_energies(model)
     shifted = e - e.min()
     tol = degeneracy_tolerance(e)
     ground = shifted <= tol
     g0 = int(np.count_nonzero(ground))
-    w = np.exp(-beta * shifted)
-    z2 = float(np.sum(np.exp(-2.0 * beta * shifted)))
     idx = np.arange(model.dim)
-    dv2 = chi = dv0_2 = chi0 = offdiag = commutator = 0.0
-    for mask, amplitude in flip_terms(model):
-        partner = idx ^ mask
-        a2 = amplitude * amplitude
-        de = shifted[partner] - shifted
-        dw2 = (w[partner] - w) ** 2
-        coupled = np.abs(de) > tol
-        dv2 += a2 * float(np.sum(dw2))
-        chi += a2 * float(np.sum(dw2[coupled] / de[coupled] ** 2))
-        leaves_ground = ground & ~ground[partner]
-        dv0_2 += a2 * float(np.count_nonzero(leaves_ground))
-        chi0 += a2 * float(np.sum(shifted[partner[leaves_ground]] ** -2.0))
-        offdiag += a2 * float(np.count_nonzero(coupled))
-        commutator += a2 * float(de @ de)
-    return FlipSums(
-        delta_v=math.sqrt(dv2 / z2),
-        chi_f=2.0 * chi / z2,
-        ground_delta_v=math.sqrt(2.0 * dv0_2 / g0),
-        ground_chi_f=4.0 / g0 * chi0,
-        offdiag_square_sum=offdiag,
-        commutator_norm=math.sqrt(commutator),
-    )
+    terms = flip_terms(model)
+    dv2, chi, z2 = np.zeros(betas.size), np.zeros(betas.size), np.empty(betas.size)
+    dv0_2 = chi0 = offdiag = commutator = 0.0
+    rows = max(1, thermal._STACK_BYTES // (3 * e.nbytes))
+    for lo in range(0, betas.size, rows):
+        beta = betas[lo : lo + rows, None]
+        z2[lo : lo + rows] = np.add.reduce(np.exp(-2.0 * beta * shifted), axis=1)
+        w = np.exp(-beta * shifted)
+        dv2_chunk, chi_chunk = dv2[lo : lo + rows], chi[lo : lo + rows]
+        for mask, amplitude in terms:
+            partner = idx ^ mask
+            a2 = amplitude * amplitude
+            de = shifted[partner] - shifted
+            coupled = np.abs(de) > tol
+            # take and compress gather into C-contiguous stacks, whose rows
+            # add.reduce sums in the order np.sum sums one beta's 1-D array
+            dw2 = w.take(partner, axis=1)
+            dw2 -= w
+            np.square(dw2, out=dw2)
+            dv2_chunk += a2 * np.add.reduce(dw2, axis=1)
+            dw2 = dw2.compress(coupled, axis=1)
+            dw2 /= de[coupled] ** 2
+            chi_chunk += a2 * np.add.reduce(dw2, axis=1)
+            if lo == 0:
+                leaves_ground = ground & ~ground[partner]
+                dv0_2 += a2 * float(np.count_nonzero(leaves_ground))
+                chi0 += a2 * float(np.sum(shifted[partner[leaves_ground]] ** -2.0))
+                offdiag += a2 * float(np.count_nonzero(coupled))
+                commutator += a2 * float(de @ de)
+    fixed = (math.sqrt(2.0 * dv0_2 / g0), 4.0 / g0 * chi0, offdiag, math.sqrt(commutator))
+    return dv2, chi, z2, fixed
+
+
+def flip_sums(model: SpinChainModel, beta) -> FlipSums:
+    """flip_sums_sweep at the one temperature beta."""
+    return flip_sums_sweep(model, (beta,))[0]
 
 
 def dense_sums(spec: SpectralDecomposition, v: HermitianOperator, beta) -> FlipSums:
@@ -242,28 +283,39 @@ def high_temp_coefficient(model: SpinChainModel) -> float:
     return numer / denom
 
 
-def threshold_report(model: SpinChainModel, beta, alpha: float = 1.0) -> ThresholdReport:
-    """Assemble deltaV, chi_F, Gamma_th, Gamma_N and f_N for one temperature.
+def threshold_sweep(model: SpinChainModel, betas, alpha: float = 1.0) -> list[ThresholdReport]:
+    """Assemble deltaV, chi_F, Gamma_th, Gamma_N and f_N at every beta of betas.
 
-    Every ingredient comes from flip_sums, in O(N 2^N) time and O(2^N)
-    memory.  beta = inf is an error, not the ground limit: that limit is
-    ground_delta_v and ground_chi_f (flip_sums' ground fields), whose ratio
-    times alpha is Gamma_N.
+    Every ingredient comes from one flip_sums_sweep over the grid, in
+    O(N 2^N) time per beta and O(2^N) memory.  beta = inf is an error, not
+    the ground limit: that limit is ground_delta_v and ground_chi_f
+    (flip_sums' ground fields), whose ratio times alpha is Gamma_N.
     """
     require_alpha(alpha)
-    sums = flip_sums(model, beta)
-    if sums.ground_chi_f == 0:
-        raise ValueError("V does not couple the ground level to any other level; Gamma_N undefined")
-    gamma_n = alpha * sums.ground_delta_v / sums.ground_chi_f
-    # at beta = 0 every weight is 1, so flip_sums gives deltaV = chi_F = 0 exactly
-    gamma_th = math.nan if beta == 0 else alpha * sums.delta_v / sums.chi_f
-    return ThresholdReport(
-        beta=float(beta),
-        delta_v=sums.delta_v,
-        chi_f=sums.chi_f,
-        gamma_th=gamma_th,
-        gamma_n=gamma_n,
-        f_n=gamma_th / gamma_n,
-        alpha=alpha,
-        undefined_at_infinite_temperature=beta == 0,
-    )
+    reports = []
+    for beta, sums in zip(betas, flip_sums_sweep(model, betas)):
+        if sums.ground_chi_f == 0:
+            raise ValueError(
+                "V does not couple the ground level to any other level; Gamma_N undefined"
+            )
+        gamma_n = alpha * sums.ground_delta_v / sums.ground_chi_f
+        # at beta = 0 every weight is 1, so flip_sums gives deltaV = chi_F = 0 exactly
+        gamma_th = math.nan if beta == 0 else alpha * sums.delta_v / sums.chi_f
+        reports.append(
+            ThresholdReport(
+                beta=float(beta),
+                delta_v=sums.delta_v,
+                chi_f=sums.chi_f,
+                gamma_th=gamma_th,
+                gamma_n=gamma_n,
+                f_n=gamma_th / gamma_n,
+                alpha=alpha,
+                undefined_at_infinite_temperature=beta == 0,
+            )
+        )
+    return reports
+
+
+def threshold_report(model: SpinChainModel, beta, alpha: float = 1.0) -> ThresholdReport:
+    """threshold_sweep at the one temperature beta."""
+    return threshold_sweep(model, (beta,), alpha)[0]

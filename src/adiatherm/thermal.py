@@ -455,9 +455,10 @@ class QuasiGibbsSweep:
         """
         cont, solver = self._cont, self.solver
         cont.restart()
-        path = []
-        for a, b in zip(self.lambdas[:-1], self.lambdas[1:]):
-            path += [a + (b - a) * s / per_interval for s in range(1, per_interval)] + [b]
+        # per_interval steps to each record, the last one ending on it exactly
+        a, b = self.lambdas[:-1, None], self.lambdas[1:, None]
+        path = a + (b - a) * np.arange(1, per_interval + 1) / per_interval
+        path[:, -1] = self.lambdas[1:]
         record_labels = np.empty((self.lambdas.size, solver.dim), dtype=np.int32)
         record_labels[0] = cont.labels
         # the columns at the records the previous march rotated, to compare sigma there

@@ -263,6 +263,16 @@ class TestThresholdCommand:
             "jobs = 2", "jobs = 1"
         )
 
+    def test_parallel_slices_identical_output(self, tmp_path):
+        # three slices of 2, 2 and 3 betas, one sweep each; only the echo of
+        # the jobs option differs
+        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
+        args = ["threshold", "--model", "mfic", "--B", "0.7", "--n-sites", "5",
+                "--beta", "0,0.05,0.3,1,2,10,40"]
+        assert main(args + ["--out", str(serial)]) == 0
+        assert main(args + ["--jobs", "3", "--out", str(parallel)]) == 0
+        assert parallel.read_bytes().replace(b"jobs = 3", b"jobs = 1") == serial.read_bytes()
+
     def test_qxyc_uses_shared_closed_forms(self, tmp_path):
         out = tmp_path / "thr.csv"
         main(["threshold", "--model", "qxyc", "--n-sites", "5", "--beta", "0.8", "--out", str(out)])
@@ -443,6 +453,25 @@ class TestEntryPoints:
         assert result.returncode == 0
         assert out.exists()
 
+    def test_cli_import_loads_neither_mpmath_nor_the_process_pool(self):
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, adiatherm.cli; "
+            "print(sorted({'mpmath', 'concurrent.futures.process'} & set(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     def test_criterion_ids_are_stable(self):
         from adiatherm import acceptance
 
@@ -494,6 +523,20 @@ class TestErrorPaths:
         code = main(["threshold", "--model", "tfic", "--n-sites", "4", "--beta", beta, "--out", str(out)])
         assert code == 2
         assert "error: beta must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "3"])
+    @pytest.mark.parametrize(
+        "beta,message",
+        [("nan", "error: beta must be finite, got nan"), ("-1", "error: beta must be >= 0")],
+    )
+    def test_bad_beta_inside_the_grid_rejected(self, tmp_path, capsys, jobs, beta, message):
+        out = tmp_path / "thr.csv"
+        grid = f"0.1,0.5,1,{beta},2"
+        code = main(["threshold", "--n-sites", "4", "--beta", grid, "--jobs", jobs,
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == message + "\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--gamma", "--lambda-max"])

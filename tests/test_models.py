@@ -19,6 +19,7 @@ from adiatherm.models import (
 from adiatherm.operators import hs_norm
 from adiatherm.susceptibility import (
     flip_sums,
+    flip_sums_sweep,
     high_temp_coefficient,
     low_temp_coefficients,
     threshold_report,
@@ -298,6 +299,18 @@ class TestMemoryGuards:
         finally:
             tracemalloc.stop()
         assert peak <= models._RECORD_ARRAYS * n_records * model.dim * 8
+
+    def test_flip_sweep_peak_within_its_budget(self):
+        # a beta chunk's stacks fit the package's stack budget, one beta at
+        # N = 12, so a long grid holds what one beta does plus its records
+        model, betas = SpinChainModel("tfic", 12), np.linspace(0.0, 40.0, 1000)
+        tracemalloc.start()
+        try:
+            flip_sums_sweep(model, betas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= models._FLIP_ARRAYS * model.dim * 8
 
     @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
     def test_sector_peak_within_its_budget(self, kind, b):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiatherm import closed_forms as cf
+from adiatherm import thermal
 from adiatherm.closed_forms import chi_f_tfic_closed, gamma_n_mfic, gamma_n_tfic
 from adiatherm.models import SpinChainModel, build_h0, build_v
 from adiatherm.operators import (
@@ -22,11 +23,13 @@ from adiatherm.susceptibility import (
     delta_v_thermal,
     dense_sums,
     flip_sums,
+    flip_sums_sweep,
     ground_chi_f,
     ground_delta_v,
     high_temp_coefficient,
     low_temp_coefficients,
     threshold_report,
+    threshold_sweep,
 )
 from adiatherm.thermal import gibbs_state, quasi_gibbs_at, thermal_overlap
 
@@ -393,3 +396,48 @@ class TestFlipSums:
         closed = closed_sums(model, beta)
         assert_rel_close(flip[:2], closed[:2], 1e-9)
         assert_rel_close([flip.ground_delta_v / flip.ground_chi_f], closed[2:], 1e-12)
+
+
+SWEEP_DRIVES = [("tfic", None), ("qxyc", None), ("mfic", 0.7)]
+SWEEP_BETAS = (0.0, 1e-3, 0.1, 1.0, 3.0, 40.0)
+
+
+def float_hexes(records):
+    return [[x.hex() for x in record] for record in records]
+
+
+class TestFlipSumsSweep:
+    @pytest.mark.parametrize("n", range(3, 11))
+    @pytest.mark.parametrize("kind,b", SWEEP_DRIVES)
+    def test_bitwise_equal_to_one_beta_calls(self, kind, b, n):
+        model = SpinChainModel(kind, n, B=b)
+        one_by_one = [flip_sums(model, beta) for beta in SWEEP_BETAS]
+        assert float_hexes(flip_sums_sweep(model, SWEEP_BETAS)) == float_hexes(one_by_one)
+
+    @pytest.mark.parametrize("kind,b", SWEEP_DRIVES)
+    def test_rows_unchanged_at_one_beta_per_chunk(self, monkeypatch, kind, b):
+        # at N = 8 the default budget takes 21 betas a chunk, so 50 betas
+        # make three chunks, against 50 with the budget patched down
+        model = SpinChainModel(kind, 8, B=b)
+        betas = np.geomspace(1e-3, 40.0, 50)
+        chunked = flip_sums_sweep(model, betas)
+        monkeypatch.setattr(thermal, "_STACK_BYTES", 1)
+        assert float_hexes(flip_sums_sweep(model, betas)) == float_hexes(chunked)
+
+    @pytest.mark.parametrize("bad,match", [(-1.0, "beta must be >= 0"), (math.nan, "finite")])
+    def test_every_beta_checked_before_allocating(self, monkeypatch, bad, match):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before checking every beta")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        with pytest.raises(ValueError, match=match):
+            flip_sums_sweep(SpinChainModel("tfic", 4), [0.1, 0.5, 1.0, bad, 2.0])
+
+    @pytest.mark.parametrize("kind,b", SWEEP_DRIVES)
+    def test_threshold_sweep_repeats_threshold_report(self, kind, b):
+        # repr round-trips every float, so equal reprs are bitwise equal reports
+        model = SpinChainModel(kind, 6, B=b)
+        swept = threshold_sweep(model, SWEEP_BETAS, alpha=1.5)
+        assert [repr(r) for r in swept] == [
+            repr(threshold_report(model, beta, alpha=1.5)) for beta in SWEEP_BETAS
+        ]

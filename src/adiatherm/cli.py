@@ -58,11 +58,14 @@ def parse_grid(text):
         return []
     if ":" in text:
         parts = [p.strip() for p in text.split(":")]
-        if len(parts) == 4 and parts[3] == "log":
-            return [float(x) for x in np.geomspace(float(parts[0]), float(parts[1]), int(parts[2]))]
-        if len(parts) == 3:
-            return [float(x) for x in np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))]
-        raise ValueError(f"bad grid spec {text!r}; want start:stop:count[:log]")
+        if len(parts) not in (3, 4) or parts[3:] not in ([], ["log"]):
+            raise ValueError(f"bad grid spec {text!r}; want start:stop:count[:log]")
+        try:
+            count = int(parts[2])
+        except ValueError:
+            raise ValueError(f"grid count must be an integer, got {parts[2]!r}") from None
+        space = np.geomspace if parts[3:] else np.linspace
+        return [float(x) for x in space(float(parts[0]), float(parts[1]), count)]
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
@@ -418,7 +421,10 @@ def _config_from_args(args) -> RunConfig:
     for opt in OPTIONS:
         value = getattr(args, opt.attr)
         if value is not None:  # argparse parsed all but the grids; a second parse is a no-op
-            setattr(cfg, opt.attr, opt.parse(value))
+            try:
+                setattr(cfg, opt.attr, opt.parse(value))
+            except ValueError as exc:  # a bad grid spec
+                raise ValueError(f"{opt.flag}: {exc}") from None
     if not cfg.beta_grid or not cfg.gamma_grid:
         raise ValueError("beta and gamma grids must be non-empty")
     if cfg.jobs < 1:
@@ -438,7 +444,8 @@ def main(argv=None) -> int:
             return cmd_dynamics(cfg)
         criteria = args.criteria.split(",") if getattr(args, "criteria", None) else None
         return cmd_verify(cfg, criteria)
-    except (ValueError, OSError) as exc:
+    # RuntimeError: evolve's step halving or the sweep's step doubling did not converge
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

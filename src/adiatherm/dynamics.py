@@ -314,12 +314,12 @@ def evolve(
     steps = max(1, math.ceil(lambdas[-1] / max(n - 1, 1) / _INITIAL_DELTA_LAMBDA))
     # the first two levels always both run, so they share one pass over the sweep
     rec, finer = run_levels(steps, 2 * steps)
-    history = [rec["F"][-1]]
+    history = [float(rec["F"][-1])]
     for halving in range(_MAX_HALVINGS):
         steps *= 2
         if halving:
             [finer] = run_levels(steps)
-        history.append(finer["F"][-1])
+        history.append(float(finer["F"][-1]))
         change = float(np.max(np.abs(finer["F"] - rec["F"])))
         rec = finer
         if change < FINAL_FIDELITY_TOL:

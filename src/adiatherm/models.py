@@ -144,18 +144,6 @@ def require_alpha(alpha):
         raise ValueError("alpha must be positive")
 
 
-def _site_bits(n_sites):
-    """Bit of each site over the computational basis, one array per site, site 1 first.
-
-    Basis index bit k (from the most significant bit) is site k+1, matching
-    the tensor order of a Pauli string with site 1 leftmost; spin values are
-    s = 1 - 2 * bit.
-    """
-    idx = np.arange(2**n_sites, dtype=np.int64)
-    for site in range(n_sites):
-        yield (idx >> (n_sites - 1 - site)) & 1
-
-
 def _bond_products(n_sites):
     """s_j s_{j+1} over the computational basis for each ring bond j = 1..N, in order."""
     idx = np.arange(2**n_sites, dtype=np.int64)
@@ -165,7 +153,11 @@ def _bond_products(n_sites):
 
 
 def classical_energies(model: SpinChainModel) -> np.ndarray:
-    """Diagonal of H0 in the computational Z-product basis (see _site_bits).
+    """Diagonal of H0 in the computational Z-product basis, from two bit counts.
+
+    Basis index bit k (from the most significant bit) is site k+1, the
+    tensor order of a Pauli string with site 1 leftmost, and s = 1 - 2 * bit,
+    so sum_j s_j s_{j+1} = N - 2 popcount(s ^ T s) and sum_j s_j = N - 2 popcount(s).
 
     Refuses, before allocating, an N whose flip route (flip_sums_sweep, with
     _FLIP_ARRAYS arrays of 2^N values) would not fit in physical memory.
@@ -176,10 +168,13 @@ def classical_energies(model: SpinChainModel) -> np.ndarray:
         _FLIP_ARRAYS * 8 * model.dim,
         f"{_FLIP_ARRAYS} arrays of {model.dim} 8-byte values",
     )
-    bonds = sum(_bond_products(model.n_sites))
+    n = model.n_sites
+    idx = np.arange(model.dim, dtype=np.int64)
+    # the counts are uint8: as int64, n - 2 * count cannot wrap
+    bonds = n - 2 * np.bitwise_count(idx ^ _translate(idx, n)).astype(np.int64)
     energies = -model.J * bonds.astype(float)
     if model.kind == "mfic":
-        energies = energies + model.B * sum(1 - 2 * bit for bit in _site_bits(model.n_sites))
+        energies = energies + model.B * (n - 2 * np.bitwise_count(idx).astype(np.int64))
     return energies
 
 

@@ -71,10 +71,6 @@ class HermitianOperator:
         if defect > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
 
-    @property
-    def dim(self):
-        return self.mat.shape[0]
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -96,10 +92,6 @@ class DensityMatrix:
         pur = float(np.sum(evals**2))
         if not 0.0 < pur <= 1.0 + TRACE_TOL:
             raise ValueError(f"purity {pur} outside (0, 1]")
-
-    @property
-    def dim(self):
-        return self.mat.shape[0]
 
     @property
     def purity(self):
@@ -127,10 +119,6 @@ class SpectralDecomposition:
         gram_defect = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
         if gram_defect > ORTHONORMALITY_TOL:
             raise ValueError(f"eigenvectors not orthonormal (defect {gram_defect:.3e})")
-
-    @property
-    def dim(self):
-        return self.eigenvectors.shape[0]
 
 
 def eigh(op: HermitianOperator) -> SpectralDecomposition:

@@ -24,11 +24,11 @@ eigenvectors, the continuation's overlaps, the quasi-Gibbs targets, and
 evolve's propagators and states) is one (..., g, m, m) stack per group,
 never a d x d matrix.  A march knows its whole lambda path before it
 starts, so each group goes through one stacked np.linalg.eigh per chunk of
-that path, and the continuation advances over a whole chunk in stacked
-products: per-block overlaps, level masses and argsorts for every step at
-once, with the labels composed in one short integer loop.  Levels are
-formed inside blocks, so equal energies of different sectors never share a
-level or exchange labels.  The sweep's records are per-block stacks in the
+that path, and the continuation advances over each chunk's Eigenpairs in
+stacked products: per-block overlaps, level masses and argsorts for every
+step at once, with the labels composed in one short integer loop.  Levels
+are formed inside blocks, so equal energies of different sectors never
+share a level or exchange labels.  The sweep's records are per-block stacks in the
 sector basis; quasi_gibbs_at assembles its state in the computational basis
 once, and thermal_overlap needs no basis, since an orthogonal change of
 basis leaves every trace unchanged.
@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import SpinChainModel, require_dense_fits, require_finite, symmetry_sectors
+from .models import SpinChainModel, require_beta, require_dense_fits, require_finite, symmetry_sectors
 from .operators import (
     DensityMatrix,
     SpectralDecomposition,
@@ -71,8 +71,7 @@ def boltzmann_weights(energies, beta) -> np.ndarray:
     exp(0) = 1, so Z >= 1 never underflows, and a weight that underflows to
     zero is below the smallest double relative to the ground weight.
     """
-    if not math.isfinite(beta) or beta < 0:
-        raise ValueError(f"inverse temperature must be finite and >= 0, got {beta}")
+    require_beta(beta)
     e = np.asarray(energies, dtype=float)
     w = np.exp(-beta * (e - e.min()))
     return w / w.sum()
@@ -93,8 +92,6 @@ def escort_state(rho: DensityMatrix) -> DensityMatrix:
     """Order-2 escort state rho^2 / Tr(rho^2); maps Gibbs(beta) to Gibbs(2 beta)."""
     sq = rho.mat @ rho.mat
     return DensityMatrix(mat=_hermitize(sq / np.real(np.trace(sq))))
-
-
 
 
 class Eigenpairs(NamedTuple):
@@ -253,29 +250,21 @@ class EigenbasisContinuation:
         """The lambda = 0 energy carried by each column."""
         return self._origin[self.labels]
 
-    def advance(self, lams, eigenpairs=None):
-        """Step the labeled basis through the eigenbases of H at lams, in order.
+    def advance(self, pairs):
+        """Step the labeled basis through pairs, Eigenpairs of self.solver, in order.
 
-        lams is one lambda or a sequence of them; eigenpairs is the solver's
-        Eigenpairs at exactly these lambdas when the caller has them.  The
-        steps go in stacks of the solver's chunks, and a step that rotates a
-        level ends its stack, so the next one starts from the rotated
-        columns.  Returns the labels after every step, one row per lambda,
-        and {step index: per-group columns} of every step that rotated a
-        level.
+        The steps go in stacks, and a step that rotates a level ends its
+        stack, so the next one starts from the rotated columns.  Returns the
+        labels after every step, one row per lambda of pairs, and
+        {step index: per-group columns} of every step that rotated a level.
         """
-        lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        chunks = self.solver.eigenpairs(lams) if eigenpairs is None else (eigenpairs,)
-        labels, rotations, done = [], {}, 0
-        for pairs in chunks:
-            start = 0
-            while start < pairs.lambdas.size:
-                taken, rows, columns = self._steps(pairs, start)
-                labels.append(rows)
-                start += taken
-                if columns is not None:
-                    rotations[done + start - 1] = columns
-            done += pairs.lambdas.size
+        labels, rotations, start = [], {}, 0
+        while start < pairs.lambdas.size:
+            taken, rows, columns = self._steps(pairs, start)
+            labels.append(rows)
+            start += taken
+            if columns is not None:
+                rotations[start - 1] = columns
         return np.concatenate(labels), rotations
 
     def _steps(self, pairs, start):
@@ -465,7 +454,7 @@ class QuasiGibbsSweep:
         recheck = {} if previous is None else previous[1]
         rotated, columns, done = {}, {}, 0
         for pairs in solver.eigenpairs(path):
-            labels, rotations = cont.advance(pairs.lambdas, pairs)
+            labels, rotations = cont.advance(pairs)
             # the steps of this chunk that end a record interval
             ends = np.arange((per_interval - 1 - done) % per_interval, labels.shape[0], per_interval)
             records = (done + ends + 1) // per_interval

@@ -18,6 +18,7 @@ from adiatherm.cli import (
     parse_grid,
 )
 
+from adiatherm import dynamics, thermal
 from adiatherm.dynamics import evolve
 from adiatherm.models import SpinChainModel
 
@@ -562,6 +563,7 @@ class TestErrorPaths:
             ["dynamics", "--jobs", "0"],
             ["spectrum", "--jobs", "0"],
             ["verify", "--jobs", "0"],
+            ["threshold", "--beta", "0:1:2.5"],
         ],
         ids=lambda args: " ".join(args),
     )
@@ -571,6 +573,38 @@ class TestErrorPaths:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and " must be " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--beta", "--gamma", "--lambda-grid"])
+    def test_bad_grid_flag_named(self, tmp_path, capsys, flag):
+        out = tmp_path / "out.csv"
+        code = main(["threshold", flag, "0:1:2.5", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag}: grid count must be an integer, got '2.5'\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "module,limit,tol,message",
+        [
+            (dynamics, "_MAX_HALVINGS", "FINAL_FIDELITY_TOL",
+             "error: fidelities did not stabilize"),
+            (thermal, "_MAX_SWEEP_DOUBLINGS", "CONTINUATION_STABILITY_TOL",
+             "error: eigenbasis continuation did not stabilize"),
+        ],
+        ids=["halving", "sweep-doubling"],
+    )
+    def test_unconverged_dynamics_reported(self, tmp_path, capsys, monkeypatch, module, limit,
+                                           tol, message):
+        monkeypatch.setattr(module, limit, 1)
+        monkeypatch.setattr(module, tol, 0.0)
+        out = tmp_path / "dyn.csv"
+        code = main(["dynamics", "--n-sites", "3", "--n-records", "5", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert "np.float64" not in err
         assert not out.exists()
 
     def test_oversized_dynamics_refused(self, tmp_path, capsys, monkeypatch):

@@ -333,8 +333,8 @@ class TestSigmaSweep:
         expected = [sigma()]
         for a, end in zip(lambdas[:-1], lambdas[1:]):
             for step in range(1, sweep.per_interval):
-                cont.advance(a + (end - a) * step / sweep.per_interval)
-            cont.advance(end)
+                cont.advance(cont.solver.solve([a + (end - a) * step / sweep.per_interval]))
+            cont.advance(cont.solver.solve([end]))
             expected.append(sigma())
         records = [[s[k] for s in chunk] for chunk in sweep.records() for k in range(len(chunk[0]))]
         assert len(records) == lambdas.size

@@ -140,10 +140,14 @@ class TestH0:
         assert np.allclose(build_h0(model).mat, oracle.dense_h0(kind, 4, b=b or 0.0), atol=1e-14)
 
     def test_spectrum_matches_enumeration(self):
-        model = SpinChainModel("mfic", 5, J=1.0, B=0.7)
-        assert np.allclose(
-            np.sort(classical_energies(model)), oracle.ring_config_energies(5, b=0.7)
-        )
+        # the oracle also scales exact integer sums, -j * bond + b * sum(spins),
+        # so the two agree exactly
+        for kind, b in (("tfic", None), ("qxyc", None), ("mfic", 0.7), ("mfic", 1.3)):
+            for n in (2, 3, 5, 8, 12):
+                for j in (1.0, 0.7):
+                    energies = np.sort(classical_energies(SpinChainModel(kind, n, J=j, B=b)))
+                    expected = oracle.ring_config_energies(n, j=j, b=b or 0.0)
+                    assert np.array_equal(energies, expected), (kind, b, n, j)
 
 
 class TestDrive:

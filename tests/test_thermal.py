@@ -115,7 +115,7 @@ class TestContinuation:
         beta = 0.7
         cont = continuation_for(model)
         for lam in np.linspace(0.0, 0.08, 61)[1:]:
-            cont.advance(lam)
+            cont.advance(cont.solver.solve([lam]))
         z_from_labels = np.sum(np.exp(-beta * cont.origin_energies))
         assert z_from_labels == pytest.approx(oracle.ring_partition_function(3, beta), rel=1e-12)
 
@@ -142,7 +142,7 @@ class TestContinuation:
         h1[2, 2] = 3.0
         h0 = np.diag([0.0, 1.0, 3.0])
         cont = EigenbasisContinuation([(h0, h1 - h0)])
-        cont.advance(1.0)
+        cont.advance(cont.solver.solve([1.0]))
         assert cont.ambiguous_steps == [(1.0, 2)]
         assert sorted(cont.origin_energies) == [0.0, 1.0, 3.0]
         cont.restart()
@@ -175,7 +175,7 @@ class TestContinuation:
         cont = EigenbasisContinuation([(h0, v)])
         expected = q @ np.diag(boltzmann_weights([0.0, 1.0, 5.0], 1.0)) @ q.T
         for lam in (0.25, 0.5, 0.75, 1.0):
-            _, rotations = cont.advance(lam)
+            _, rotations = cont.advance(cont.solver.solve([lam]))
             assert hs_norm(sigma_of(cont, 1.0) - expected) <= 1e-12
             assert list(rotations) == ([0] if lam == 0.5 else [])
             u = cont.solver.dense(cont.vectors)
@@ -191,7 +191,7 @@ class TestContinuation:
         edges = cont.solver.edges
         block_of = np.searchsorted(edges, np.arange(cont.solver.dim), side="right")
         lambdas = np.linspace(0.0, 1.5, 301)[1:]
-        labels, rotations = cont.advance(lambdas)
+        labels, rotations = cont.advance(cont.solver.solve(lambdas))
         assert np.array_equal(block_of[labels], np.broadcast_to(block_of, labels.shape))
         assert [lambdas[step] for step in rotations] == [pytest.approx(1.0, abs=1e-12)]
         assert not cont.ambiguous_steps
@@ -200,9 +200,9 @@ class TestContinuation:
         "case", ["tfic", "qxyc", "mfic", "qxyc-crossing", "exact-crossing", "tie", "mfic-tie"]
     )
     def test_chunked_advance_matches_single_steps(self, case):
-        # a whole path in one advance takes the same march as one lambda per
-        # advance: the same labels and rotated flag after every step, the
-        # same ambiguous steps and the same final columns
+        # a whole path in one solve and one advance takes the same march as
+        # one lambda per solve and advance: the same labels and rotated flag
+        # after every step, the same ambiguous steps and the same final columns
         if case in ("tfic", "qxyc", "mfic"):
             blocks = symmetry_sectors(SpinChainModel(case, 4, B=0.7)).blocks
             path = np.linspace(0.0, 1.2, 49)[1:]
@@ -230,12 +230,12 @@ class TestContinuation:
         single = EigenbasisContinuation(blocks)
         steps = []
         for lam in path:
-            labels, rotations = single.advance(lam)
+            labels, rotations = single.advance(single.solver.solve([lam]))
             assert labels.shape == (1, single.solver.dim)
             assert list(rotations) in ([], [0])
             steps.append((single.labels, bool(rotations)))
         chunked = EigenbasisContinuation(blocks)
-        labels, rotations = chunked.advance(path)
+        labels, rotations = chunked.advance(chunked.solver.solve(path))
         for t, (expected_labels, expected_rotated) in enumerate(steps):
             assert np.array_equal(labels[t], expected_labels)
             assert (t in rotations) == expected_rotated
@@ -262,8 +262,8 @@ class TestContinuation:
             sigmas = []
             for a, end in zip(records[:-1], records[1:]):
                 for s in range(1, per_interval):
-                    cont.advance(a + (end - a) * s / per_interval)
-                cont.advance(end)
+                    cont.advance(cont.solver.solve([a + (end - a) * s / per_interval]))
+                cont.advance(cont.solver.solve([end]))
                 sigmas.append(sigma_of(cont, 1.0))
             assert not cont.ambiguous_steps
             marches.append(sigmas)
@@ -360,7 +360,7 @@ class TestQuasiGibbs:
         model = SpinChainModel("tfic", 3)
         cont = continuation_for(model)
         for lam in np.linspace(0.0, 0.05, 201)[1:]:
-            cont.advance(lam)
+            cont.advance(cont.solver.solve([lam]))
         sigma = quasi_gibbs_at(model, 1.0, 0.05)
         assert hs_norm(sigma.mat - sigma_of(cont, 1.0)) <= 1e-8
 
@@ -378,7 +378,7 @@ class TestQuasiGibbs:
         # two-step march has no tie, so no ContinuationWarning may escape
         model = SpinChainModel("mfic", n_sites, B=0.7)
         one_step = continuation_for(model)
-        one_step.advance(lam)
+        one_step.advance(one_step.solver.solve([lam]))
         assert one_step.ambiguous_steps
         with warnings.catch_warnings():
             warnings.simplefilter("error", ContinuationWarning)

@@ -14,13 +14,7 @@ __version__ = "0.1.0"
 from .dynamics import BoundTrace, MeanFreePath, adiabatic_mean_free_path, evolve
 from .models import SpinChainModel, build_h0, build_v, flip_terms
 from .operators import DensityMatrix, HermitianOperator, SpectralDecomposition, eigh
-from .qsl import (
-    QslRadius,
-    bound_strong,
-    bound_weak,
-    qsl_radius_constant_rate,
-    qsl_radius_general,
-)
+from .qsl import bound_strong, bound_weak, qsl_radius_constant_rate
 from .susceptibility import (
     LowTempCoefficients,
     ThresholdReport,
@@ -39,7 +33,6 @@ __all__ = [
     "HermitianOperator",
     "LowTempCoefficients",
     "MeanFreePath",
-    "QslRadius",
     "SpectralDecomposition",
     "SpinChainModel",
     "ThresholdReport",
@@ -59,7 +52,6 @@ __all__ = [
     "high_temp_coefficient",
     "low_temp_coefficients",
     "qsl_radius_constant_rate",
-    "qsl_radius_general",
     "quasi_gibbs_at",
     "thermal_overlap",
     "threshold_report",

@@ -15,7 +15,7 @@ they share one pass over the sweep's records, and each later level reads
 them once; a pass fills every column that needs sigma or rho, C included:
 C does not depend on the CFM4 step, so every level gives it bit for bit.
 R and both bounds need only C, so they are computed once, from the
-accepted level.
+accepted level, with one elementwise call each over every record.
 
 Everything runs in the real symmetry-adapted basis of
 models.symmetry_sectors, where H0 is diagonal and V block-diagonal, so every
@@ -332,12 +332,7 @@ def evolve(
         )
 
     # R and both bounds need only the accepted level's C
-    radius, weak, strong = np.zeros((3, n))
-    for k, lam in enumerate(lambdas):
-        qsl = qsl_radius_constant_rate(dv, lam, gamma)
-        radius[k] = qsl.value
-        weak[k] = bound_weak(qsl)
-        strong[k] = bound_strong(qsl, rec["C"][k])
+    radius = qsl_radius_constant_rate(dv, lambdas, gamma)
 
     trace = BoundTrace(
         lambdas=lambdas,
@@ -345,8 +340,8 @@ def evolve(
         thermal_overlap=rec["C"],
         qsl_radius=radius,
         hs_angle=rec["theta"],
-        bound_weak=weak,
-        bound_strong=strong,
+        bound_weak=bound_weak(radius),
+        bound_strong=bound_strong(radius, rec["C"]),
         purity=rec["purity"],
         trace_defect=rec["trace"],
         herm_defect=rec["herm"],

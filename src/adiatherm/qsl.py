@@ -7,92 +7,49 @@ and the thermal-state overlap into an envelope for the adiabatic fidelity.
 For a Gibbs rho0 the escort commutes with H0, so the radius's speed
 sqrt(2 I_WY(escort(rho0), H_lambda')) / Gamma, with I_WY the Wigner-Yanase
 skew information, is |lambda'| deltaV / Gamma; deltaV comes from
-susceptibility.flip_sums.
+susceptibility.flip_sums.  Under a constant rate the radius is the closed
+form lambda^2 deltaV / (2 Gamma).  All three functions are elementwise, so
+one call covers every record of a run.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .models import require_finite
 
-QUADRATURE_TOL = 1e-9
-_MAX_QUAD_DOUBLINGS = 20
+
+def _require_all_finite(name, values):
+    flat = np.ravel(values)
+    bad = flat[~np.isfinite(flat)]
+    if bad.size:
+        require_finite(name, float(bad[0]))
 
 
-@dataclass(frozen=True)
-class QslRadius:
-    """QSL radius at a given lambda, with its clamped companions."""
-
-    lam: float
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("radius must be >= 0")
-
-    @property
-    def clamped_half_pi(self):
-        return min(self.value, math.pi / 2)
-
-    @property
-    def clamped_quarter_pi(self):
-        return min(self.value, math.pi / 4)
-
-
-def qsl_radius_constant_rate(delta_v_value, lam, gamma) -> QslRadius:
+def qsl_radius_constant_rate(delta_v_value, lam, gamma):
     """Closed-form radius lambda^2 deltaV / (2 Gamma) for a constant drive rate.
 
     Valid when the initial state is stationary under H0 (a Gibbs state is),
-    so the lambda'-dependence of the integrand is purely linear.
+    so the lambda'-dependence of the integrand is purely linear.  Elementwise
+    over numbers or arrays; every element is checked.
     """
     for name, value in (("delta_v", delta_v_value), ("lambda", lam), ("gamma", gamma)):
-        require_finite(name, value)
-    if gamma <= 0:
+        _require_all_finite(name, value)
+    if np.any(np.less_equal(gamma, 0)):
         raise ValueError("drive rate Gamma must be positive")
-    return QslRadius(lam=float(lam), value=float(lam * lam * delta_v_value / (2.0 * gamma)))
+    # lambda^2 >= 0 and Gamma > 0, so only deltaV can make R negative
+    if np.any(np.less(delta_v_value, 0)):
+        raise ValueError("delta_v must be >= 0")
+    return lam * lam * delta_v_value / (2.0 * gamma)
 
 
-def qsl_radius_general(delta_v_value, lam, rate_fn) -> QslRadius:
-    """Radius deltaV |int_0^lambda lambda' / Gamma(lambda') dlambda'|, Gamma = rate_fn.
-
-    Valid, like qsl_radius_constant_rate, for an initial state stationary
-    under H0.  Composite Simpson from 8 panels, doubled until the radius
-    changes by less than QUADRATURE_TOL; Simpson is exact for a constant rate.
-    """
-    for name, value in (("delta_v", delta_v_value), ("lambda", lam)):
-        require_finite(name, value)
-    if lam == 0:
-        return QslRadius(lam=0.0, value=0.0)
-
-    def integrand(x):
-        rate = rate_fn(x)
-        if not rate > 0:
-            raise ValueError(f"non-positive drive rate {rate} at lambda'={x}")
-        return x / rate
-
-    panels, previous = 8, None
-    for _ in range(_MAX_QUAD_DOUBLINGS):
-        xs = np.linspace(0.0, lam, 2 * panels + 1)
-        f = np.array([integrand(float(x)) for x in xs])
-        est = (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-2:2].sum()) * (xs[1] - xs[0]) / 3.0
-        if previous is not None and abs(delta_v_value * (est - previous)) < QUADRATURE_TOL:
-            return QslRadius(lam=float(lam), value=float(delta_v_value * abs(est)))
-        previous = est
-        panels *= 2
-    raise RuntimeError("QSL quadrature did not converge to 1e-9")
+def bound_weak(r):
+    """Looser fidelity bound sin(min(R, pi/2)), elementwise."""
+    return np.sin(np.minimum(r, np.pi / 2))
 
 
-def bound_weak(radius: QslRadius) -> float:
-    """Looser fidelity bound sin(min(R, pi/2))."""
-    return math.sin(radius.clamped_half_pi)
-
-
-def bound_strong(radius: QslRadius, overlap_c) -> float:
-    """Tighter fidelity bound g = g1 + g2.
+def bound_strong(r, overlap_c):
+    """Tighter fidelity bound g = g1 + g2, elementwise.
 
     g1 = sin^2(min(R, pi/2)) |1 - 2C| and
     g2 = sin(2 min(R, pi/4)) sqrt(C) sqrt(1 - C), with C the overlap between
@@ -100,12 +57,10 @@ def bound_strong(radius: QslRadius, overlap_c) -> float:
     R <= pi/4; beyond it the two clamps differ and g can exceed sin(R~)
     (by 0.118 at R = pi/2, C = 0.053).
     """
-    if not 0.0 <= overlap_c <= 1.0:
-        raise ValueError(f"overlap C={overlap_c} outside [0, 1]")
-    g1 = math.sin(radius.clamped_half_pi) ** 2 * abs(1.0 - 2.0 * overlap_c)
-    g2 = (
-        math.sin(2.0 * radius.clamped_quarter_pi)
-        * math.sqrt(overlap_c)
-        * math.sqrt(1.0 - overlap_c)
-    )
+    c = np.asarray(overlap_c, dtype=float)
+    outside = ~((0.0 <= c) & (c <= 1.0))
+    if np.any(outside):
+        raise ValueError(f"overlap C={float(c[outside].flat[0])} outside [0, 1]")
+    g1 = np.sin(np.minimum(r, np.pi / 2)) ** 2 * np.abs(1.0 - 2.0 * c)
+    g2 = np.sin(2.0 * np.minimum(r, np.pi / 4)) * np.sqrt(c) * np.sqrt(1.0 - c)
     return g1 + g2

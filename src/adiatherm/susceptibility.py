@@ -44,7 +44,8 @@ class ThresholdReport:
 
     beta = 0 leaves Gamma_th and f_N undefined (the threshold can be taken
     arbitrarily large at infinite temperature); the flag marks that case
-    explicitly instead of producing 0/0.
+    explicitly instead of producing 0/0.  A beta > 0 so small that every
+    Boltzmann weight rounds to 1 gives chi_F = 0 too and is reported the same.
     """
 
     beta: float
@@ -150,8 +151,10 @@ def _flip_pass(model: SpinChainModel, betas: np.ndarray):
     rows = max(1, thermal._STACK_BYTES // (3 * e.nbytes))
     for lo in range(0, betas.size, rows):
         beta = betas[lo : lo + rows, None]
-        z2[lo : lo + rows] = np.add.reduce(np.exp(-2.0 * beta * shifted), axis=1)
-        w = np.exp(-beta * shifted)
+        # -beta E overflows to -inf only where the weight is 0 anyway
+        with np.errstate(over="ignore"):
+            z2[lo : lo + rows] = np.add.reduce(np.exp(-beta * (2.0 * shifted)), axis=1)
+            w = np.exp(-beta * shifted)
         dv2_chunk, chi_chunk = dv2[lo : lo + rows], chi[lo : lo + rows]
         for mask, amplitude in terms:
             partner = idx ^ mask
@@ -200,8 +203,9 @@ def dense_sums(spec: SpectralDecomposition, v: HermitianOperator, beta) -> FlipS
     e, u = spec.eigenvalues, spec.eigenvectors
     shifted = e - e.min()
     tol = degeneracy_tolerance(e)
-    w = np.exp(-beta * shifted)
-    z2 = float(np.sum(np.exp(-2.0 * beta * shifted)))
+    with np.errstate(over="ignore"):  # as in _flip_pass
+        w = np.exp(-beta * shifted)
+        z2 = float(np.sum(np.exp(-beta * (2.0 * shifted))))
     g0 = int(np.flatnonzero(level_starts(e))[1])
     v2 = np.abs(u.conj().T @ v.mat @ u) ** 2
     de = shifted[:, None] - shifted[None, :]
@@ -299,8 +303,10 @@ def threshold_sweep(model: SpinChainModel, betas, alpha: float = 1.0) -> list[Th
                 "V does not couple the ground level to any other level; Gamma_N undefined"
             )
         gamma_n = alpha * sums.ground_delta_v / sums.ground_chi_f
-        # at beta = 0 every weight is 1, so flip_sums gives deltaV = chi_F = 0 exactly
-        gamma_th = math.nan if beta == 0 else alpha * sums.delta_v / sums.chi_f
+        # at beta = 0, or a beta too small to resolve any weight difference, every
+        # weight is 1 and flip_sums gives deltaV = chi_F = 0 exactly
+        undefined = beta == 0 or sums.chi_f == 0
+        gamma_th = math.nan if undefined else alpha * sums.delta_v / sums.chi_f
         reports.append(
             ThresholdReport(
                 beta=float(beta),
@@ -310,7 +316,7 @@ def threshold_sweep(model: SpinChainModel, betas, alpha: float = 1.0) -> list[Th
                 gamma_n=gamma_n,
                 f_n=gamma_th / gamma_n,
                 alpha=alpha,
-                undefined_at_infinite_temperature=beta == 0,
+                undefined_at_infinite_temperature=undefined,
             )
         )
     return reports

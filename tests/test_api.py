@@ -6,7 +6,6 @@ PUBLIC_API = [
     "HermitianOperator",
     "LowTempCoefficients",
     "MeanFreePath",
-    "QslRadius",
     "SpectralDecomposition",
     "SpinChainModel",
     "ThresholdReport",
@@ -26,7 +25,6 @@ PUBLIC_API = [
     "high_temp_coefficient",
     "low_temp_coefficients",
     "qsl_radius_constant_rate",
-    "qsl_radius_general",
     "quasi_gibbs_at",
     "thermal_overlap",
     "threshold_report",

@@ -231,6 +231,26 @@ class TestThresholdCommand:
         assert float(row1["rel_err_chi_f"]) <= 1e-9
         assert float(row1["f_inf"]) == pytest.approx(1.0 / math.tanh(2.0), rel=1e-12)
 
+    def test_unresolvable_tiny_beta_reported_like_zero(self, tmp_path):
+        both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
+        args = ["threshold", "--model", "tfic", "--n-sites", "6"]
+        assert main([*args, "--beta", "1e-20,1", "--out", str(both)]) == 0
+        assert main([*args, "--beta", "1", "--out", str(alone)]) == 0
+        _, header, rows = read_csv(both)
+        row0 = dict(zip(header, rows[0]))
+        assert row0["gamma_th"] == row0["f_n_ed"] == ""
+        assert "infinite temperature" in row0["reason"]
+        assert both.read_text().splitlines()[-1] == alone.read_text().splitlines()[-1]
+
+    def test_huge_beta_row_matches_ground_limit(self, tmp_path):
+        out = tmp_path / "thr.csv"
+        args = ["threshold", "--model", "tfic", "--n-sites", "4", "--beta", "1e308"]
+        assert main([*args, "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert row["rel_err_delta_v"] == row["rel_err_chi_f"] == "0"
+        assert row["reason"] == ""
+
     def test_mfic_excluded_field_reason(self, tmp_path):
         out = tmp_path / "thr.csv"
         main(

@@ -21,7 +21,7 @@ from adiatherm.models import (
     symmetry_sectors,
 )
 from adiatherm.operators import eigh, hs_norm
-from adiatherm.qsl import qsl_radius_constant_rate, qsl_radius_general
+from adiatherm.qsl import qsl_radius_constant_rate
 from adiatherm.thermal import (
     BlockEigensolver,
     EigenbasisContinuation,
@@ -129,14 +129,11 @@ class TestEvolve:
     def test_qsl_holds_at_every_record(self, medium_trace):
         assert np.all(medium_trace.hs_angle <= medium_trace.qsl_radius + 1e-9)
 
-    def test_radius_matches_both_radius_functions(self):
+    def test_radius_column_is_the_closed_form(self):
         gamma = 0.5
         trace = evolve(SpinChainModel("tfic", 4), 0.5, gamma, 0.2, 21)
         for lam, radius in zip(trace.lambdas, trace.qsl_radius):
-            closed = qsl_radius_constant_rate(trace.delta_v_value, lam, gamma).value
-            general = qsl_radius_general(trace.delta_v_value, lam, lambda _: gamma).value
-            assert radius == closed
-            assert abs(radius - general) <= 1e-12
+            assert radius == qsl_radius_constant_rate(trace.delta_v_value, lam, gamma)
 
     def test_fidelity_bounds_hold_at_every_record(self, medium_trace):
         gap = np.abs(medium_trace.adiabatic_fidelity - medium_trace.thermal_overlap)

@@ -250,6 +250,13 @@ class TestThresholdReport:
         assert report.delta_v == 0.0 and report.chi_f == 0.0
         assert math.isnan(report.gamma_th) and math.isnan(report.f_n)
 
+    def test_unresolvable_tiny_beta_marked_like_infinite_temperature(self):
+        # every Boltzmann weight rounds to 1 at beta = 1e-20, as at beta = 0
+        report = threshold_report(SpinChainModel("tfic", 6), 1e-20)
+        assert report.undefined_at_infinite_temperature
+        assert report.delta_v == 0.0 and report.chi_f == 0.0
+        assert math.isnan(report.gamma_th) and math.isnan(report.f_n)
+
     def test_zero_temperature_reference_values(self):
         for n in (4, 6):
             report = threshold_report(SpinChainModel("tfic", n), 1.0)
@@ -380,6 +387,15 @@ class TestFlipSums:
             report = threshold_report(model, beta)
             got = (report.delta_v, report.chi_f, report.gamma_n)
             assert_rel_close(got, closed_sums(model, beta), 1e-12)
+
+    def test_huge_beta_gives_the_ground_fields(self):
+        # -2 beta overflows to -inf at beta = 1e308, and -inf times the ground's
+        # zero energy is nan; -beta (2 E) keeps Z0(2 beta) at the ground count
+        model = SpinChainModel("tfic", 4)
+        spec, v = eigh(build_h0(model)), build_v(model)
+        for sums in (flip_sums(model, 1e308), dense_sums(spec, v, 1e308)):
+            got, ground = (sums.delta_v, sums.chi_f), (sums.ground_delta_v, sums.ground_chi_f)
+            assert_rel_close(got, ground, 1e-12)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(

@@ -229,6 +229,11 @@ def write_table(path, config, columns, rows, fmt, counters=None):
         ) + "\n"
     else:
         raise ValueError(f"unknown output format {fmt!r}")
+    _write_text(path, payload)
+
+
+def _write_text(path, payload):
+    """Write payload to path, naming the path in the error when that fails."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
@@ -255,29 +260,29 @@ def cmd_spectrum(config: RunConfig) -> int:
 
 
 def _threshold_row(model: SpinChainModel, report):
-    """One CSV row: the flip route's report at one beta beside the closed forms."""
-    kind, n_sites, j, b, beta = model.kind, model.n_sites, model.J, model.B, report.beta
+    """One CSV row: the flip route's report at one beta beside the closed forms.
+
+    A row that threshold_sweep flags undefined leaves f_n_closed, f_inf and
+    rel_err_* empty.
+    """
+    n_sites, beta, undefined = model.n_sites, report.beta, report.undefined_at_infinite_temperature
+    if model.kind == "mfic":
+        forms, args = (cf.delta_v_mfic_closed, cf.chi_f_mfic_closed, cf.f_mfic), (model.J, model.B)
+    else:
+        forms, args = (cf.delta_v_tfic_closed, cf.chi_f_tfic_closed, cf.f_n_tfic), (model.J,)
+    delta_v, chi_f, f = forms
     closed = {"delta": math.nan, "chi": math.nan, "f_n": math.nan, "f_inf": math.nan}
-    reason = ""
+    reason = UNDEFINED_AT_BETA_ZERO if undefined else ""
     try:
-        if kind in ("tfic", "qxyc"):
-            closed["delta"] = cf.delta_v_tfic_closed(n_sites, beta, j)
-            closed["chi"] = cf.chi_f_tfic_closed(n_sites, beta, j)
-            if beta > 0:
-                closed["f_n"] = cf.f_n_tfic(n_sites, beta, j)
-                closed["f_inf"] = 1.0 / math.tanh(2.0 * beta * j)
-        else:
-            closed["delta"] = cf.delta_v_mfic_closed(n_sites, beta, j, b)
-            closed["chi"] = cf.chi_f_mfic_closed(n_sites, beta, j, b)
-            if beta > 0:
-                closed["f_n"] = cf.f_mfic(n_sites, beta, j, b)
-                closed["f_inf"] = cf.f_mfic(None, beta, j, b)
+        closed["delta"] = delta_v(n_sites, beta, *args)
+        closed["chi"] = chi_f(n_sites, beta, *args)
+        if not undefined:
+            closed["f_n"] = f(n_sites, beta, *args)
+            closed["f_inf"] = f(None, beta, *args)
     except ValueError as exc:
-        reason = str(exc)
-    if report.undefined_at_infinite_temperature:
-        reason = UNDEFINED_AT_BETA_ZERO
+        reason = reason or str(exc)
     rel_dv = rel_chi = math.nan
-    if beta > 0 and not math.isnan(closed["delta"]) and closed["delta"] > 0:
+    if not undefined and closed["delta"] > 0:
         rel_dv = abs(report.delta_v / closed["delta"] - 1.0)
         rel_chi = abs(report.chi_f / closed["chi"] - 1.0)
     return (
@@ -376,9 +381,7 @@ def cmd_verify(config: RunConfig, criteria=None) -> int:
         "passed": passed,
     }
     out = config.out or "verify_report.json"
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(("PASS" if passed else "FAIL") + f" — report written to {out}")
     return 0 if passed else 1
 

@@ -51,8 +51,14 @@ def gamma_n_tfic(n_sites, j, alpha: float = 1.0) -> float:
 
 
 def f_n_tfic(n_sites, beta, j) -> float:
-    """Finite-N temperature factor coth(2 beta J) [(1 + t^N)/(1 + t^{N-2})]^{1/2}."""
+    """Finite-N temperature factor coth(2 beta J) [(1 + t^N)/(1 + t^{N-2})]^{1/2}.
+
+    n_sites = None selects the thermodynamic limit f = coth(2 beta J).
+    """
     require_beta(beta, positive=True)
+    if n_sites is None:
+        require_couplings(j)
+        return 1.0 / math.tanh(2.0 * beta * j)
     require_ring(n_sites, j, min_sites=3)
     t = math.tanh(2.0 * beta * j)
     return (1.0 / t) * math.sqrt((1.0 + t**n_sites) / (1.0 + t ** (n_sites - 2)))

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import SpinChainModel, require_finite, require_sectors_fit, symmetry_sectors
+from .models import SpinChainModel, require_beta, require_finite, require_sectors_fit, symmetry_sectors
 from .operators import adjoint, hs_angle_from_distance, hs_fidelity_from_overlap
 from .qsl import bound_strong, bound_weak, qsl_radius_constant_rate
 from .susceptibility import flip_sums
@@ -234,7 +234,8 @@ def evolve(
     Refuses, before allocating, a run whose sectors and records would not
     fit in physical memory (require_sectors_fit).
     """
-    for name, value in (("beta", beta), ("gamma", gamma), ("lambda_max", lambda_max)):
+    require_beta(beta)
+    for name, value in (("gamma", gamma), ("lambda_max", lambda_max)):
         require_finite(name, value)
     if gamma <= 0:
         raise ValueError("drive rate Gamma must be positive")

@@ -263,10 +263,11 @@ class SymmetrySectors:
     k = 2 pi m / N, m = 0..N//2, with +-k paired into real cos/sin
     combinations, reflection parity p = +-1 and prod X parity x = +-1 (None
     for mfic).  basis is the d x d orthogonal matrix of the sector states,
-    grouped block by block in label order, and blocks[b] = (h0_b, v_b) are
-    H0 and V on block b.  Every column lies in one symmetry orbit, whose
-    states share one classical energy, so each h0_b is exactly diagonal; H0
-    and V commute with every symmetry, so they have no entry between blocks.
+    grouped block by block in order of block size (label order among blocks
+    of one size), and blocks[b] = (h0_b, v_b) are H0 and V on block b.
+    Every column lies in one symmetry orbit, whose states share one
+    classical energy, so each h0_b is exactly diagonal; H0 and V commute
+    with every symmetry, so they have no entry between blocks.
     """
 
     labels: tuple
@@ -371,7 +372,8 @@ def symmetry_sectors(model: SpinChainModel) -> SymmetrySectors:
         for index in np.flatnonzero(kept.any(axis=1)):
             columns[labels[index]].append((states, evecs[index][:, kept[index]]))
 
-    labels = [label for label in labels if columns[label]]
+    widths = {label: sum(c.shape[1] for _, c in columns[label]) for label in labels}
+    labels = sorted((label for label in labels if widths[label]), key=widths.__getitem__)
     basis = np.zeros((d, d))
     blocks, start = [], 0
     for label in labels:

@@ -64,8 +64,8 @@ class LowTempCoefficients:
 
     a = |V_10|^2 / (deltaV0)^2, b = |V_10|^2 / (chi_F0 Delta^2),
     W = -a + 4b and c1 = 2W; the spectral inequalities force
-    0 <= a <= 2b <= 1/2 and 0 < W <= 1.  gap_delta2 is the next coupled
-    excitation gap, kept for diagnostics only.
+    0 <= a <= 2b <= 1/2 and 0 < W <= 1, and AC09 checks them.  gap_delta2
+    is the next coupled excitation gap, kept for diagnostics only.
     """
 
     a: float
@@ -74,16 +74,6 @@ class LowTempCoefficients:
     c1: float
     gap_delta: float
     gap_delta2: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.a <= 2.0 * self.b + 1e-12:
-            raise ValueError(f"spectral inequality a <= 2b violated: a={self.a}, b={self.b}")
-        if self.b > 0.25 + 1e-12:
-            raise ValueError(f"spectral inequality b <= 1/4 violated: b={self.b}")
-        if not 0.0 < self.W <= 1.0 + 1e-12:
-            raise ValueError(f"W={self.W} outside (0, 1]")
-        if abs(self.c1 - 2.0 * self.W) > 1e-12:
-            raise ValueError("c1 != 2W")
 
 
 class FlipSums(NamedTuple):

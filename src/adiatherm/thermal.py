@@ -18,20 +18,20 @@ instead of failing silently.
 
 Every eigendecomposition of H_lambda comes from a BlockEigensolver, which
 takes H0 and V as blocks: the symmetry sectors of the ring
-(models.symmetry_sectors), or a dense pair as one block.  Blocks of equal
-size form a group, and every matrix that is block-diagonal in them (the
-eigenvectors, the continuation's overlaps, the quasi-Gibbs targets, and
-evolve's propagators and states) is one (..., g, m, m) stack per group,
-never a d x d matrix.  A march knows its whole lambda path before it
-starts, so each group goes through one stacked np.linalg.eigh per chunk of
-that path, and the continuation advances over each chunk's Eigenpairs in
-stacked products: per-block overlaps, level masses and argsorts for every
-step at once, with the labels composed in one short integer loop.  Levels
-are formed inside blocks, so equal energies of different sectors never
-share a level or exchange labels.  The sweep's records are per-block stacks in the
-sector basis; quasi_gibbs_at assembles its state in the computational basis
-once, and thermal_overlap needs no basis, since an orthogonal change of
-basis leaves every trace unchanged.
+(models.symmetry_sectors), or a dense pair as one block.  Each run of
+consecutive blocks of one size forms a group, and every matrix that is
+block-diagonal in them (the eigenvectors, the continuation's overlaps, the
+quasi-Gibbs targets, and evolve's propagators and states) is one
+(..., g, m, m) stack per group, never a d x d matrix.  A march knows its
+whole lambda path before it starts, so each group goes through one stacked
+np.linalg.eigh per chunk of that path, and the continuation advances over
+each chunk's Eigenpairs in stacked products: per-block overlaps, level
+masses and argsorts for every step at once, with the labels composed in one
+short integer loop.  Levels are formed inside blocks, so equal energies of
+different sectors never share a level or exchange labels.  The sweep's
+records are per-block stacks in the sector basis; quasi_gibbs_at assembles
+its state in the computational basis once, and thermal_overlap needs no
+basis, since an orthogonal change of basis leaves every trace unchanged.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ def boltzmann_weights(energies, beta) -> np.ndarray:
     """
     require_beta(beta)
     e = np.asarray(energies, dtype=float)
-    w = np.exp(-beta * (e - e.min()))
+    with np.errstate(over="ignore"):  # as in susceptibility._flip_pass
+        w = np.exp(-beta * (e - e.min()))
     return w / w.sum()
 
 
@@ -125,13 +126,12 @@ class BlockEigensolver:
     """The eigenpairs of H(lambda) = blockdiag_b(h0_b + lambda v_b), over stacks of lambdas.
 
     blocks is a sequence of (h0_b, v_b) pairs of square matrices, such as
-    SymmetrySectors.blocks; a dense (h0, v) pair is one block.  The blocks of
-    one size m form a group, in order of size, and a matrix block-diagonal in
-    them is one (..., g, m, m) stack per group: its block order.  In a
-    d-vector in block order, block i owns entries edges[i]:edges[i + 1] and
-    group j entries group_edges[j]:group_edges[j + 1]; row r of the
-    block-order basis is row rows[r] of the blocks' basis.  solve()
-    diagonalizes every group at every lambda of a chunk in one
+    SymmetrySectors.blocks; a dense (h0, v) pair is one block.  The blocks
+    keep the order they are given in, and each run of consecutive blocks of
+    one size m forms a group, so a matrix block-diagonal in them is one
+    (..., g, m, m) stack per group.  In a d-vector, block i owns entries
+    edges[i]:edges[i + 1] and group j entries group_edges[j]:group_edges[j + 1].
+    solve() diagonalizes every group at every lambda of a chunk in one
     np.linalg.eigh, ascending inside each block; LAPACK runs matrix by
     matrix, so the result does not depend on the chunking.  eigenpairs()
     cuts a lambda path into chunks of at most _STACK_BYTES of all blocks.
@@ -141,15 +141,13 @@ class BlockEigensolver:
         self.dtype = np.result_type(*(mat for pair in blocks for mat in pair))
         sizes = np.array([h0.shape[0] for h0, _ in blocks])
         self.dim = int(sizes.sum())
-        groups = [np.flatnonzero(sizes == m) for m in sorted(set(sizes.tolist()))]
+        runs = np.concatenate(([0], np.flatnonzero(np.diff(sizes)) + 1, [sizes.size]))
         self._stacks = [
-            [np.stack([blocks[b][k] for b in group]) for k in (0, 1)] for group in groups
+            [np.stack([pair[k] for pair in blocks[lo:hi]]) for k in (0, 1)]
+            for lo, hi in zip(runs, runs[1:])
         ]
-        order = np.concatenate(groups)
-        self.edges = np.concatenate(([0], np.cumsum(sizes[order])))
-        self.group_edges = self.edges[np.cumsum([0] + [group.size for group in groups])]
-        offsets = np.cumsum(sizes) - sizes
-        self.rows = np.concatenate([offsets[b] + np.arange(sizes[b]) for b in order])
+        self.edges = np.concatenate(([0], np.cumsum(sizes)))
+        self.group_edges = self.edges[runs]
         self._entries = int(np.sum(sizes**2))
 
     def per_chunk(self, itemsize):
@@ -192,7 +190,7 @@ class BlockEigensolver:
         return starts
 
     def dense(self, stacks):
-        """The d x d block-diagonal matrix, in block order, of per-group (g, m, m) stacks."""
+        """The d x d block-diagonal matrix of per-group (g, m, m) stacks."""
         out = np.zeros((self.dim, self.dim), dtype=np.result_type(*stacks))
         for lo, stack in zip(self.group_edges, stacks):
             m = stack.shape[-1]
@@ -527,7 +525,6 @@ def quasi_gibbs_at(model: SpinChainModel, beta, lam) -> DensityMatrix:
     change along the continuation.
     """
     basis, solver, records, _ = _endpoints(model, beta, lam)
-    basis = basis[:, solver.rows]
     sigma = solver.dense([stack[1] for stack in records])
     return DensityMatrix(mat=basis @ sigma @ basis.T)
 

@@ -9,6 +9,8 @@ The law itself is verified by convergence order in
 test_susceptibility.TestHighTempCoefficient.
 """
 
+import json
+
 import pytest
 
 from adiatherm import acceptance
@@ -65,6 +67,21 @@ def test_criterion_08_escort_identity():
 
 def test_criterion_09_spectral_inequalities():
     assert report(acceptance.criterion_09()).passed
+
+
+def test_criterion_09_reports_a_violated_inequality(monkeypatch, tmp_path):
+    # W = -a + 4b and c1 = 2W hold, but a > 2b: a FAIL in the report, not an abort
+    from adiatherm.cli import main
+    from adiatherm.susceptibility import LowTempCoefficients
+
+    bad = LowTempCoefficients(a=0.6, b=0.25, W=0.4, c1=0.8, gap_delta=4.0)
+    monkeypatch.setattr(acceptance, "low_temp_coefficients", lambda model: bad)
+    result = acceptance.criterion_09()
+    assert not result.passed
+    assert {c.name.split()[0] for c in result.checks if not c.ok} == {"a<=2b"}
+    out = tmp_path / "report.json"
+    assert main(["verify", "--criteria", "AC09", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["criteria"][0]["passed"] is False
 
 
 @pytest.mark.xfail(

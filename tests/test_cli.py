@@ -232,15 +232,20 @@ class TestThresholdCommand:
         assert float(row1["f_inf"]) == pytest.approx(1.0 / math.tanh(2.0), rel=1e-12)
 
     def test_unresolvable_tiny_beta_reported_like_zero(self, tmp_path):
+        # every cell that needs a finite temperature is empty, for both
+        # closed-form families
         both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
-        args = ["threshold", "--model", "tfic", "--n-sites", "6"]
-        assert main([*args, "--beta", "1e-20,1", "--out", str(both)]) == 0
-        assert main([*args, "--beta", "1", "--out", str(alone)]) == 0
-        _, header, rows = read_csv(both)
-        row0 = dict(zip(header, rows[0]))
-        assert row0["gamma_th"] == row0["f_n_ed"] == ""
-        assert "infinite temperature" in row0["reason"]
-        assert both.read_text().splitlines()[-1] == alone.read_text().splitlines()[-1]
+        for model in (["tfic"], ["mfic", "--B", "0.7"]):
+            args = ["threshold", "--n-sites", "6", "--model", *model]
+            assert main([*args, "--beta", "1e-20,1", "--out", str(both)]) == 0
+            assert main([*args, "--beta", "1", "--out", str(alone)]) == 0
+            _, header, rows = read_csv(both)
+            row0 = dict(zip(header, rows[0]))
+            for column in ("gamma_th", "f_n_ed", "f_n_closed", "f_inf",
+                           "rel_err_delta_v", "rel_err_chi_f"):
+                assert row0[column] == "", column
+            assert "infinite temperature" in row0["reason"]
+            assert both.read_text().splitlines()[-1] == alone.read_text().splitlines()[-1]
 
     def test_huge_beta_row_matches_ground_limit(self, tmp_path):
         out = tmp_path / "thr.csv"
@@ -532,6 +537,11 @@ class TestErrorPaths:
         )
         assert code == 2
         assert "dir.csv" in capsys.readouterr().err
+
+    def test_unwritable_verify_report(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        assert main(["verify", "--criteria", "AC04", "--out", str(out)]) == 2
+        assert f"error: cannot write output file {out}: " in capsys.readouterr().err
 
     def test_empty_beta_grid_rejected(self, capsys):
         code = main(["threshold", "--model", "tfic", "--n-sites", "3", "--beta", ""])

@@ -134,6 +134,15 @@ class TestTficClosedForms:
         with pytest.raises(ValueError, match="beta"):
             f_n_tfic(6, 0.0, 1.0)
 
+    def test_f_n_thermodynamic_limit_is_coth(self):
+        for beta, j in ((0.3, 1.0), (1e-12, 0.7), (40.0, 0.7), (1e300, 1.0)):
+            assert f_n_tfic(None, beta, j) == 1.0 / math.tanh(2.0 * beta * j)
+        with pytest.raises(ValueError, match="beta must be > 0"):
+            f_n_tfic(None, 0.0, 1.0)
+        for j in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="J must be finite"):
+                f_n_tfic(None, 0.5, j)
+
     def test_low_temperature_asymptote_bound(self):
         # coth(x) - 1 - 2 e^{-2x} = 2 e^{-4x}/(1 - e^{-2x}) exactly
         # (geometric tail), so the bound is met with equality

@@ -187,6 +187,37 @@ class TestEvolve:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             evolve(SpinChainModel("tfic", 3), *args, 10)
 
+    def test_rejects_negative_beta_before_building_sectors(self, monkeypatch):
+        def refuse(model):
+            raise AssertionError("symmetry_sectors called")
+
+        monkeypatch.setattr(dynamics, "symmetry_sectors", refuse)
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            evolve(SpinChainModel("tfic", 3), -1.0, 1.0, 0.1, 10)
+
+    def test_huge_beta_weights_do_not_overflow(self):
+        # RuntimeWarning is an error here: the overflow of -beta E to -inf is
+        # ignored, and the two-fold ground level takes the weights
+        trace = evolve(SpinChainModel("tfic", 4), 1e308, 0.5, 0.1, 5)
+        assert trace.purity[0] == 0.5
+
+    def test_huge_beta_cli_run_is_silent(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "adiatherm", "dynamics", "--n-sites", "4", "--beta", "1e308",
+             "--gamma", "0.5", "--lambda-max", "0.1", "--n-records", "5",
+             "--out", str(tmp_path / "dyn.csv")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0 and result.stderr == ""
+
     @pytest.mark.parametrize("kind,b", [("qxyc", None), ("mfic", 0.7)])
     def test_other_drives_satisfy_bounds(self, kind, b):
         trace = evolve(SpinChainModel(kind, 4, B=b), 1.0, 1.5, 0.1, 15)

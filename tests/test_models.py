@@ -252,6 +252,12 @@ class TestSymmetrySectors:
         parities = {x for _, _, x in labels}
         assert parities == ({None} if kind == "mfic" else {1, -1})
 
+    @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
+    def test_blocks_come_in_order_of_size(self, kind, b):
+        for n_sites in (4, 5, 6):
+            sizes = symmetry_sectors(SpinChainModel(kind, n_sites, B=b)).sizes
+            assert all(x <= y for x, y in zip(sizes, sizes[1:]))
+
     @pytest.mark.parametrize("kind,b,n_blocks,sizes", [
         ("tfic", None, 10, {3, 4}), ("qxyc", None, 10, {3, 4}), ("mfic", 0.7, 5, {6, 8}),
     ])

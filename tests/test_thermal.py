@@ -301,8 +301,6 @@ class TestBlockEigensolver:
         solver = BlockEigensolver(sectors.blocks)
         edges = solver.edges
         assert edges[0] == 0 and edges[-1] == solver.dim and np.all(np.diff(edges) > 0)
-        assert np.array_equal(np.sort(solver.rows), np.arange(solver.dim))
-        basis = sectors.basis[:, solver.rows]  # the basis in block order
         pairs = solver.solve([0.0, 0.3, -1.2])
         for t, lam in enumerate(pairs.lambdas):
             evals, vecs = pairs.values[t], solver.dense([u[t] for u in pairs.vectors])
@@ -310,11 +308,29 @@ class TestBlockEigensolver:
                 assert np.all(np.diff(evals[lo:hi]) >= 0)
             h = oracle.dense_h0(kind, 5, b=b or 0.0) + lam * oracle.dense_v(kind, 5)
             assert np.allclose(np.sort(evals), np.linalg.eigvalsh(h), rtol=0.0, atol=1e-12)
-            states = basis @ vecs
+            states = sectors.basis @ vecs
             assert np.abs(h @ states - states * evals).max() <= 1e-12
         # lambda = 0 gives H0's classical energies exactly
         first = pairs.values[0]
         assert np.array_equal(np.sort(first), np.sort(classical_energies(model)))
+
+    def test_blocks_keep_the_given_order(self):
+        # a run of one size is one stack, so sizes (2, 1, 2) make three groups
+        rng = np.random.default_rng(3)
+        blocks = []
+        for m in (2, 1, 2):
+            h0, v = rng.normal(size=(2, m, m))
+            blocks.append((np.diag(np.diag(h0)), v + v.T))
+        solver = BlockEigensolver(blocks)
+        assert list(solver.edges) == [0, 2, 3, 5]
+        assert list(solver.group_edges) == [0, 2, 3, 5]
+        pairs = solver.solve([0.0, 0.7])
+        for t, lam in enumerate(pairs.lambdas):
+            expected = [np.linalg.eigvalsh(h0 + lam * v) for h0, v in blocks]
+            assert np.allclose(pairs.values[t], np.concatenate(expected), rtol=0.0, atol=1e-14)
+            dense = solver.dense([u[t] for u in pairs.vectors])
+            ham = solver.dense([h[t] for h in solver.hamiltonians(pairs.lambdas)])
+            assert np.abs(ham @ dense - dense * pairs.values[t]).max() <= 1e-14
 
 
 class TestQuasiGibbs:

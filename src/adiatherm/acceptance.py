@@ -315,11 +315,9 @@ def criterion_13():
 
 
 def run_all(ids=None):
-    """Run the requested criteria (default: all) in id order."""
+    """Run the requested criteria (default: all) in id order, after checking every id."""
     selected = sorted(ALL_CRITERIA) if ids is None else list(ids)
-    results = []
     for cid in selected:
         if cid not in ALL_CRITERIA:
             raise ValueError(f"unknown criterion id {cid!r}")
-        results.append(ALL_CRITERIA[cid]())
-    return results
+    return [ALL_CRITERIA[cid]() for cid in selected]

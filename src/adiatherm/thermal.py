@@ -507,6 +507,7 @@ class QuasiGibbsSweep:
 def _endpoints(model: SpinChainModel, beta, lam):
     """The sector basis, the solver of a two-record sweep over [0, lam], its
     records as one (2, g, m, m) stack per group, and their purity."""
+    require_beta(beta)
     require_finite("lambda", lam)
     require_dense_fits(model)
     sectors = symmetry_sectors(model)

@@ -143,6 +143,20 @@ class TestConfigParsing:
         assert capsys.readouterr().err == f"error: {cfg_file}:2: {key}: {message}\n"
         assert not out.exists()
 
+    def test_model_kind_spelling_writes_same_bytes(self, tmp_path):
+        def run(name, *args):
+            out = tmp_path / name
+            assert main(["threshold", "--n-sites", "4", "--beta", "0.5,2", *args,
+                         "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        assert run("upper.csv", "--model", "TFIC") == run("lower.csv", "--model", "tfic")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("model.kind = MFIC\nmodel.B = 0.7\n")
+        assert run("cfg.csv", "--config", str(cfg_file)) == run(
+            "flag.csv", "--model", "mfic", "--B", "0.7"
+        )
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("model.flavor = up\n")
@@ -459,9 +473,38 @@ class TestVerifyCommand:
         assert "J" in report["config_error"]
         assert "config: FAIL" in capsys.readouterr().out
 
-    def test_unknown_criterion_rejected(self, tmp_path):
-        code = main(["verify", "--criteria", "AC99", "--out", str(tmp_path / "r.json")])
-        assert code == 2
+    def test_unknown_criterion_rejected(self, tmp_path, capsys, monkeypatch):
+        from adiatherm import acceptance
+
+        def refuse():
+            raise AssertionError("a criterion ran before every id was checked")
+
+        monkeypatch.setitem(acceptance.ALL_CRITERIA, "AC04", refuse)
+        out = tmp_path / "r.json"
+        for criteria in ("AC99", "AC04,AC99"):
+            code = main(["verify", "--criteria", criteria, "--out", str(out)])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: unknown criterion id 'AC99'\n"
+            assert not out.exists()
+
+    def test_worst_margin_skips_the_runtime_check(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--criteria", "AC01", "--out", str(out)]) == 0
+        (crit,) = json.loads(out.read_text())["criteria"]
+        assert "runtime_s" in [c["name"] for c in crit["checks"]]
+        worst = max(c["measured"] / c["tolerance"] for c in crit["checks"]
+                    if c["name"] != "runtime_s")
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("AC01:")]
+        assert f"worst margin {worst:.3g}," in line
+
+    @pytest.mark.parametrize("command", ["spectrum", "threshold", "dynamics"])
+    def test_criteria_rejected_for_other_commands(self, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        assert main([command, "--criteria", "AC04", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --criteria applies only to verify\n"
+        assert not out.exists()
 
 
 class TestEntryPoints:
@@ -613,6 +656,25 @@ class TestErrorPaths:
         assert capsys.readouterr().err == (
             f"error: {flag}: grid count must be an integer, got '2.5'\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--n-sites", "abc", ": invalid literal for int() with base 10: 'abc'"),
+            ("--n-records", "x", ": invalid literal for int() with base 10: 'x'"),
+            ("--jobs", "x", ": invalid literal for int() with base 10: 'x'"),
+            ("--alpha", "x", ": could not convert string to float: 'x'"),
+            ("--J", "x", ": could not convert string to float: 'x'"),
+            ("--format", "xml", " must be one of csv, json, got 'xml'"),
+        ],
+        ids=["n-sites", "n-records", "jobs", "alpha", "J", "format"],
+    )
+    def test_bad_flag_value_named(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "out.csv"
+        code = main(["threshold", flag, value, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {flag}{message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -400,6 +400,17 @@ class TestQuasiGibbs:
             warnings.simplefilter("error", ContinuationWarning)
             quasi_gibbs_at(model, 1.0, lam)
 
+    @pytest.mark.parametrize("func", [quasi_gibbs_at, thermal_overlap])
+    def test_rejects_negative_beta_before_building_sectors(self, monkeypatch, func):
+        import adiatherm.thermal as thermal
+
+        def refuse(model):
+            raise AssertionError("symmetry_sectors called")
+
+        monkeypatch.setattr(thermal, "symmetry_sectors", refuse)
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            func(SpinChainModel("tfic", 3), -1.0, 0.1)
+
 
 class TestThermalOverlap:
     def test_unity_at_lambda_zero(self):

@@ -14,6 +14,7 @@ across runs and serve as regression baselines.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -181,6 +182,8 @@ def load_config(path) -> RunConfig:
 
 
 def _fmt(x):
+    if type(x) is float:  # every dynamics cell
+        return "" if math.isnan(x) else format(x, ".17g")
     if x is None or x == "":
         return ""
     if isinstance(x, str):
@@ -392,6 +395,7 @@ def cmd_verify(config: RunConfig, criteria=None) -> int:
     return 0 if passed else 1
 
 
+@functools.cache  # parsing never changes the parser, so one serves every call
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="adiatherm",

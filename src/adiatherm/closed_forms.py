@@ -163,14 +163,19 @@ def mfic_coefficients(beta, j, b) -> MficCoefficients:
     )
 
 
-def _mfic_ratios(n_sites, coeffs: MficCoefficients):
-    """(2 Q / Z0, chi_F / (N J^2)); only the boundary terms carry e^{-2K-H}."""
+def _mfic_finite(n_sites, j, coeffs: MficCoefficients):
+    """(deltaV, chi_F) of the N-site ring from one MficCoefficients record.
+
+    They come from 2 Q / Z0 and chi_F / (N J^2); only the boundary terms
+    carry e^{-2K-H}.
+    """
     r = coeffs.lambda_minus / coeffs.lambda_plus
     denom = coeffs.lambda_plus**2 * (1.0 + r**n_sites)
     boundary = math.exp(-2.0 * coeffs.K - coeffs.H)
     q_ratio = 2.0 * boundary * (coeffs.c_plus + coeffs.c_minus * r ** (n_sites - 2)) / denom
     chi_over_nj2 = 0.5 * (coeffs.d_plus + coeffs.d_minus * r ** (n_sites - 2)) / denom
-    return q_ratio, chi_over_nj2
+    delta_v = math.sqrt(2.0 * n_sites) * j * math.sqrt(max(1.0 - q_ratio, 0.0))
+    return delta_v, n_sites * j * j * chi_over_nj2
 
 
 def delta_v_mfic_closed(n_sites, beta, j, b) -> float:
@@ -179,8 +184,7 @@ def delta_v_mfic_closed(n_sites, beta, j, b) -> float:
     require_beta(beta)
     if beta == 0:
         return 0.0
-    q_ratio, _ = _mfic_ratios(n_sites, mfic_coefficients(beta, j, b))
-    return math.sqrt(2.0 * n_sites) * j * math.sqrt(max(1.0 - q_ratio, 0.0))
+    return _mfic_finite(n_sites, j, mfic_coefficients(beta, j, b))[0]
 
 
 def chi_f_mfic_closed(n_sites, beta, j, b) -> float:
@@ -189,8 +193,7 @@ def chi_f_mfic_closed(n_sites, beta, j, b) -> float:
     require_beta(beta)
     if beta == 0:
         return 0.0
-    _, chi_over_nj2 = _mfic_ratios(n_sites, mfic_coefficients(beta, j, b))
-    return n_sites * j * j * chi_over_nj2
+    return _mfic_finite(n_sites, j, mfic_coefficients(beta, j, b))[1]
 
 
 def gamma_n_mfic(n_sites, j, b, alpha: float = 1.0) -> float:
@@ -219,8 +222,8 @@ def f_mfic(n_sites, beta, j, b) -> float:
         lp2 = coeffs.lambda_plus**2
         q_ratio = 2.0 * math.exp(-2.0 * coeffs.K - coeffs.H) * coeffs.c_plus / lp2
         return 2.0 * lp2 / (scale * coeffs.d_plus) * math.sqrt(max(1.0 - q_ratio, 0.0))
-    dv = delta_v_mfic_closed(n_sites, beta, j, b)
-    chi = chi_f_mfic_closed(n_sites, beta, j, b)
+    require_ring(n_sites, j, b, min_sites=3)
+    dv, chi = _mfic_finite(n_sites, j, coeffs)
     return (dv / chi) / gamma_n_mfic(n_sites, j, b, 1.0)
 
 

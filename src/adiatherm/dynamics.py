@@ -11,11 +11,12 @@ accident.  The step is halved until F is stable to 1e-8 at every record.
 The quasi-Gibbs targets come from one thermal.QuasiGibbsSweep, stable to
 1e-8 at every record; its lambda = 0 record is the initial Gibbs state, so
 H0 is diagonalized once.  The first two halving levels always both run, so
-they share one pass over the sweep's records, and each later level reads
-them once; a pass fills every column that needs sigma or rho, C included:
-C does not depend on the CFM4 step, so every level gives it bit for bit.
-R and both bounds need only C, so they are computed once, from the
-accepted level, with one elementwise call each over every record.
+they share one pass over the sweep's records (_run_levels), and each later
+level reads them once.  Only the finest level of a pass can be accepted, so
+the coarse level keeps F alone; the finest fills every column that needs
+sigma or rho, C included, which does not depend on the CFM4 step.  R and
+both bounds need only C, so they are computed once, from the accepted
+level, with one elementwise call each over every record.
 
 Everything runs in the real symmetry-adapted basis of
 models.symmetry_sectors, where H0 is diagonal and V block-diagonal, so every
@@ -111,18 +112,18 @@ class BoundTrace:
         }
 
     def rows(self):
-        """Record tuples in CSV column order."""
-        for k in range(self.n_records):
-            yield (
-                self.lambdas[k],
-                self.adiabatic_fidelity[k],
-                self.thermal_overlap[k],
-                self.qsl_radius[k],
-                self.hs_angle[k],
-                self.bound_weak[k],
-                self.bound_strong[k],
-                self.purity[k],
-            )
+        """Record tuples of Python floats in CSV column order."""
+        columns = (
+            self.lambdas,
+            self.adiabatic_fidelity,
+            self.thermal_overlap,
+            self.qsl_radius,
+            self.hs_angle,
+            self.bound_weak,
+            self.bound_strong,
+            self.purity,
+        )
+        yield from zip(*(column.tolist() for column in columns))
 
 
 class MeanFreePath(NamedTuple):
@@ -219,6 +220,73 @@ def _interval_propagators(solver, lambdas, gamma, steps):
             yield [v[i] for v in u]
 
 
+def _run_levels(sweep, gamma, *level_steps):
+    """One record dict per CFM4 step count of level_steps, from one pass over
+    the QuasiGibbsSweep sweep's records at drive rate gamma.
+
+    evolve accepts only the finest (last) level of a pass, so every other
+    level keeps F alone, from rho and its purity.  The finest level also
+    keeps C, theta, the purity column, and the trace and Hermiticity
+    defects; C does not depend on the step count.
+    """
+    lambdas, purity = sweep.lambdas, sweep.purity
+    n, finest = lambdas.size, len(level_steps) - 1
+    recs = [{"F": np.zeros(n)} for _ in level_steps]
+    recs[finest].update(
+        {name: np.zeros(n) for name in ("C", "theta", "purity", "trace", "herm")}
+    )
+    for rec in recs:
+        rec["F"][0] = 1.0
+    recs[finest]["C"][0] = 1.0
+    recs[finest]["purity"][0] = purity
+    propagators = [_interval_propagators(sweep.solver, lambdas, gamma, s) for s in level_steps]
+    w = [None] * len(level_steps)
+    rho0 = None
+    done = 0
+    for sigma in sweep.records():
+        records = slice(done, done + sigma[0].shape[0])
+        done = records.stop
+        if rho0 is None:
+            rho0 = [s[0] for s in sigma]
+            rho0_norm = math.sqrt(block_inner(rho0, rho0))
+            sigma = [s[1:] for s in sigma]
+            records = slice(1, records.stop)
+        if records.start == records.stop:
+            continue
+        for level, rec in enumerate(recs):
+            # rho_k = W_k rho0 W_k^dag, with W_k the propagator accumulated up to record k
+            rho = [np.empty(s.shape, dtype=complex) for s in sigma]
+            for k, u in enumerate(
+                itertools.islice(propagators[level], records.stop - records.start)
+            ):
+                w[level] = u if w[level] is None else [a @ b for a, b in zip(u, w[level])]
+                for r, a in zip(rho, w[level]):
+                    r[k] = a
+            rho = [(a @ r0) @ adjoint(a) for a, r0 in zip(rho, rho0)]
+            rho_purity = block_inner(rho, rho)
+            rec["F"][records] = hs_fidelity_from_overlap(
+                block_inner(sigma, rho), purity, rho_purity
+            )
+            if level < finest:
+                continue
+            rec["C"][records] = hs_fidelity_from_overlap(
+                block_inner(sigma, rho0), purity, purity
+            )
+            rho_norm = np.sqrt(rho_purity)[:, None, None, None]
+            unit_gap = [r0 / rho0_norm - r / rho_norm for r0, r in zip(rho0, rho)]
+            rec["theta"][records] = hs_angle_from_distance(
+                np.sqrt(block_inner(unit_gap, unit_gap))
+            )
+            del unit_gap
+            rec["purity"][records] = rho_purity
+            tr = sum(np.trace(r, axis1=-2, axis2=-1).sum(axis=-1) for r in rho)
+            rec["trace"][records] = np.abs(tr.real - 1.0) + np.abs(tr.imag)
+            rec["herm"][records] = np.max(
+                [np.abs(r - adjoint(r)).max(axis=(-3, -2, -1)) for r in rho], axis=0
+            )
+    return recs
+
+
 def evolve(
     model: SpinChainModel,
     beta,
@@ -256,70 +324,15 @@ def evolve(
     # the lambda = 0 record is the Gibbs state, and every target has its purity
     sweep = QuasiGibbsSweep(blocks, lambdas, beta)
 
-    def run_levels(*level_steps):
-        """Every column that needs sigma or rho, at each CFM4 step count of
-        level_steps, in one pass over the sweep; C is the same at every level."""
-        purity = sweep.purity
-        recs = [
-            {name: np.zeros(n) for name in ("F", "C", "theta", "purity", "trace", "herm")}
-            for _ in level_steps
-        ]
-        for rec in recs:
-            rec["F"][0] = rec["C"][0] = 1.0
-            rec["purity"][0] = purity
-        propagators = [_interval_propagators(sweep.solver, lambdas, gamma, s) for s in level_steps]
-        w = [None] * len(level_steps)
-        rho0 = None
-        done = 0
-        for sigma in sweep.records():
-            records = slice(done, done + sigma[0].shape[0])
-            done = records.stop
-            if rho0 is None:
-                rho0 = [s[0] for s in sigma]
-                rho0_norm = math.sqrt(block_inner(rho0, rho0))
-                sigma = [s[1:] for s in sigma]
-                records = slice(1, records.stop)
-            if records.start == records.stop:
-                continue
-            overlap_c = hs_fidelity_from_overlap(block_inner(sigma, rho0), purity, purity)
-            for level, rec in enumerate(recs):
-                # rho_k = W_k rho0 W_k^dag, with W_k the propagator accumulated up to record k
-                rho = [np.empty(s.shape, dtype=complex) for s in sigma]
-                for k, u in enumerate(
-                    itertools.islice(propagators[level], records.stop - records.start)
-                ):
-                    w[level] = u if w[level] is None else [a @ b for a, b in zip(u, w[level])]
-                    for r, a in zip(rho, w[level]):
-                        r[k] = a
-                rho = [(a @ r0) @ adjoint(a) for a, r0 in zip(rho, rho0)]
-                rho_purity = block_inner(rho, rho)
-                rec["F"][records] = hs_fidelity_from_overlap(
-                    block_inner(sigma, rho), purity, rho_purity
-                )
-                rec["C"][records] = overlap_c
-                rho_norm = np.sqrt(rho_purity)[:, None, None, None]
-                unit_gap = [r0 / rho0_norm - r / rho_norm for r0, r in zip(rho0, rho)]
-                rec["theta"][records] = hs_angle_from_distance(
-                    np.sqrt(block_inner(unit_gap, unit_gap))
-                )
-                del unit_gap
-                rec["purity"][records] = rho_purity
-                tr = sum(np.trace(r, axis1=-2, axis2=-1).sum(axis=-1) for r in rho)
-                rec["trace"][records] = np.abs(tr.real - 1.0) + np.abs(tr.imag)
-                rec["herm"][records] = np.max(
-                    [np.abs(r - adjoint(r)).max(axis=(-3, -2, -1)) for r in rho], axis=0
-                )
-        return recs
-
     # a one-record run has no interval and starts at one step
     steps = max(1, math.ceil(lambdas[-1] / max(n - 1, 1) / _INITIAL_DELTA_LAMBDA))
     # the first two levels always both run, so they share one pass over the sweep
-    rec, finer = run_levels(steps, 2 * steps)
+    rec, finer = _run_levels(sweep, gamma, steps, 2 * steps)
     history = [float(rec["F"][-1])]
     for halving in range(_MAX_HALVINGS):
         steps *= 2
         if halving:
-            [finer] = run_levels(steps)
+            [finer] = _run_levels(sweep, gamma, steps)
         history.append(float(finer["F"][-1]))
         change = float(np.max(np.abs(finer["F"] - rec["F"])))
         rec = finer

@@ -8,7 +8,10 @@ level takes from the previous columns (adiabatic transport of spectral
 projectors, Kato 1950), so the basis eigh picks inside a level never
 matters.  QuasiGibbsSweep is the only code that marches the continuation:
 it walks one labeled lambda = 0 basis over a grid of records and doubles
-the steps per record interval until the target is stable at every record.
+the steps per record interval until the target is stable at every record;
+its first round marches 1 and 2 steps per interval over one
+eigendecomposition pass, since the records are every second lambda of the
+2-step path.
 Its targets are rebuilt from the accepted march's column labels and one
 eigendecomposition pass over the records, never by marching again.
 quasi_gibbs_at and thermal_overlap are its two-record case over
@@ -36,6 +39,7 @@ basis, since an orthogonal change of basis leaves every trace unchanged.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from typing import NamedTuple
@@ -361,6 +365,16 @@ def _sigma(solver, vectors, weights):
     return [(u * w[..., None, :]) @ adjoint(u) for u, w in zip(vectors, solver.split(weights))]
 
 
+class _March(NamedTuple):
+    """One march of a QuasiGibbsSweep: the per-record column labels
+    (records, d), the rotated columns {record: per-group columns} of the
+    records whose step rotated a level, and its ambiguous steps."""
+
+    labels: np.ndarray
+    rotated: dict
+    ambiguous_steps: list
+
+
 class QuasiGibbsSweep:
     """Quasi-Gibbs targets at a grid of records from one converged continuation.
 
@@ -376,9 +390,13 @@ class QuasiGibbsSweep:
     eigendecomposition at lambda_k, so the step count only decides whether
     the labels are resolved.  Starting at one step per record interval, the
     count is doubled until sigma at every record is stable to
-    CONTINUATION_STABILITY_TOL in HS norm.  Where the previous march rotated
+    CONTINUATION_STABILITY_TOL in HS norm.  Where the coarser march rotated
     no level at a record, that change is exactly the 2-norm of the change in
-    column weights.
+    column weights.  The first round marches 1 and 2 steps per interval in
+    one pass of the solver over the 2-step path, whose every second lambda
+    is a record, so each of its lambdas is solved once for both marches;
+    each later round marches 2p steps and compares with the previous
+    round's march of p steps.
 
     The accepted march keeps the column labels at each record, which give
     the column weights, and its columns only where that step rotated a
@@ -402,13 +420,13 @@ class QuasiGibbsSweep:
         self.solver = self._cont.solver
         self.weights = boltzmann_weights(self._cont._origin, beta)
         self.purity = float(np.sum(self.weights**2))
-        per_interval = 1
-        previous = None
-        for _ in range(_MAX_SWEEP_DOUBLINGS):
-            march, change = self._march(per_interval, previous)
+        # the first round marches 1 and 2 steps per interval in one pass
+        per_interval, coarse = 2, None
+        for _ in range(1, _MAX_SWEEP_DOUBLINGS):
+            coarse, march, change = self._march(per_interval, coarse)
             if change <= CONTINUATION_STABILITY_TOL:
                 break
-            previous = march
+            coarse = march
             per_interval *= 2
         else:
             raise RuntimeError(
@@ -416,8 +434,7 @@ class QuasiGibbsSweep:
                 f"{CONTINUATION_STABILITY_TOL} at every record"
             )
         self.per_interval = per_interval
-        self._labels, self._rotated = march
-        self.ambiguous_steps = self._cont.ambiguous_steps
+        self._labels, self._rotated, self.ambiguous_steps = march
         if self.ambiguous_steps:
             lam, count = self.ambiguous_steps[0]
             warnings.warn(
@@ -428,19 +445,24 @@ class QuasiGibbsSweep:
                 stacklevel=2,
             )
 
-    def _march(self, per_interval, previous):
-        """The per-record column labels (records, d), the rotated columns
-        {record: per-group columns} of the records whose step rotated a level,
-        and the largest HS change of sigma against the previous march (inf
-        without one).
+    def _march(self, per_interval, coarse):
+        """March per_interval steps to each record and compare with a coarser march.
+
+        coarse is the previous round's _March.  Without one (the first
+        round) a second march state, a restarted shallow copy of the
+        continuation, steps once per interval alongside: its steps are this
+        path's record points, so each chunk's eigenpairs serve both marches
+        and every lambda is solved once.  Returns the coarse march, this
+        march and the largest HS change of sigma between them at a record.
 
         The labels are 4-byte integers, so the two marches compared hold
         together as many bytes as one records x d array of weights.
 
         The march's whole lambda path is known before it starts, so every
-        eigenpair comes from one pass of the solver over it.
+        eigenpair comes from one pass of the solver over it, and no
+        eigenpairs are kept beyond their chunk.
         """
-        cont, solver = self._cont, self.solver
+        cont, solver, w = self._cont, self.solver, self.weights
         cont.restart()
         # per_interval steps to each record, the last one ending on it exactly
         a, b = self.lambdas[:-1, None], self.lambdas[1:, None]
@@ -448,26 +470,44 @@ class QuasiGibbsSweep:
         path[:, -1] = self.lambdas[1:]
         record_labels = np.empty((self.lambdas.size, solver.dim), dtype=np.int32)
         record_labels[0] = cont.labels
-        # the columns at the records the previous march rotated, to compare sigma there
-        recheck = {} if previous is None else previous[1]
-        rotated, columns, done = {}, {}, 0
+        alongside = None
+        if coarse is None:
+            alongside = copy.copy(cont)
+            alongside.restart()
+            coarse = _March(np.empty_like(record_labels), {}, alongside.ambiguous_steps)
+            coarse.labels[0] = alongside.labels
+        # the HS change of sigma at the records where the coarse march rotated a level
+        rotated, changes, done = {}, {}, 0
         for pairs in solver.eigenpairs(path):
-            labels, rotations = cont.advance(pairs)
             # the steps of this chunk that end a record interval
-            ends = np.arange((per_interval - 1 - done) % per_interval, labels.shape[0], per_interval)
-            records = (done + ends + 1) // per_interval
+            ends = np.arange((per_interval - 1 - done) % per_interval, pairs.lambdas.size,
+                             per_interval)
+            records = ((done + ends + 1) // per_interval).tolist()
+            done += pairs.lambdas.size
+            if alongside is not None and ends.size:
+                at_records = Eigenpairs(
+                    pairs.lambdas[ends], pairs.values[ends], [u[ends] for u in pairs.vectors]
+                )
+                labels, rotations = alongside.advance(at_records)
+                coarse.labels[records] = labels
+                for i, columns in rotations.items():
+                    coarse.rotated[records[i]] = columns
+            labels, rotations = cont.advance(pairs)
             record_labels[records] = labels[ends]
-            for t, k in zip(ends.tolist(), records.tolist()):
+            for t, k in zip(ends.tolist(), records):
                 if t in rotations:
-                    rotated[k] = columns[k] = rotations[t]
-                elif k in recheck:
-                    columns[k] = [u[t] for u in pairs.vectors]
-            done += labels.shape[0]
-        if previous is None:
-            return (record_labels, rotated), math.inf
-        prev_labels, _ = previous
-        w = self.weights
-        # the previous levels carried one weight each where that march rotated
+                    rotated[k] = rotations[t]
+                if k in coarse.rotated:
+                    columns = rotations[t] if t in rotations else [u[t] for u in pairs.vectors]
+                    diff = [
+                        x - y
+                        for x, y in zip(
+                            _sigma(solver, columns, w[record_labels[k]]),
+                            _sigma(solver, coarse.rotated[k], w[coarse.labels[k]]),
+                        )
+                    ]
+                    changes[k] = math.sqrt(block_inner(diff, diff))
+        # the coarse levels carried one weight each where that march rotated
         # none, so its sigma is diagonal in any basis of them, this march's included;
         # the weights are gathered in row chunks of _STACK_BYTES, never as a
         # whole records x d array
@@ -475,17 +515,10 @@ class QuasiGibbsSweep:
         rows = max(1, _STACK_BYTES // w.nbytes)
         for lo in range(0, delta.size, rows):
             at = slice(lo, lo + rows)
-            delta[at] = np.linalg.norm(w[record_labels[at]] - w[prev_labels[at]], axis=1)
-        for k, prev_columns in recheck.items():
-            diff = [
-                a - b
-                for a, b in zip(
-                    _sigma(solver, columns[k], w[record_labels[k]]),
-                    _sigma(solver, prev_columns, w[prev_labels[k]]),
-                )
-            ]
-            delta[k] = math.sqrt(block_inner(diff, diff))
-        return (record_labels, rotated), float(delta.max())
+            delta[at] = np.linalg.norm(w[record_labels[at]] - w[coarse.labels[at]], axis=1)
+        for k, change in changes.items():
+            delta[k] = change
+        return coarse, _March(record_labels, rotated, cont.ambiguous_steps), float(delta.max())
 
     def records(self):
         """Yield the quasi-Gibbs targets at the records, in order, a chunk at a time.

@@ -574,6 +574,23 @@ class TestEntryPoints:
 
 
 class TestErrorPaths:
+    def test_parser_built_once_per_process(self, monkeypatch, tmp_path):
+        import argparse
+
+        build_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for _ in range(2):
+            out = tmp_path / "t.csv"
+            assert main(["threshold", "--model", "tfic", "--n-sites", "3", "--out", str(out)]) == 0
+        assert len(built) == 1
+
     def test_unwritable_output_path(self, tmp_path, capsys):
         code = main(
             ["spectrum", "--model", "tfic", "--n-sites", "2", "--out", str(tmp_path / "no" / "dir.csv")]

@@ -266,6 +266,29 @@ class TestMficTemperatureFactor:
         rel = abs(f_mfic(None, beta, 1.0, b) / f_mfic_asymptotics(beta, 1.0, b, "high") - 1.0)
         assert rel <= 0.05
 
+    def test_finite_n_computes_the_coefficients_once(self, monkeypatch):
+        # f_mfic(N) forms deltaV and chi_F from its one coefficient record, so
+        # a threshold row computes them once per closed-form column
+        import adiatherm.closed_forms as cf
+        from adiatherm.cli import _threshold_row
+        from adiatherm.susceptibility import threshold_sweep
+
+        model = SpinChainModel("mfic", 6, B=0.7)
+        [report] = threshold_sweep(model, [1.0], 1.0)
+        calls = []
+        coefficients = cf.mfic_coefficients
+
+        def counted(*args):
+            calls.append(args)
+            return coefficients(*args)
+
+        monkeypatch.setattr(cf, "mfic_coefficients", counted)
+        f_mfic(6, 1.0, 1.0, 0.7)
+        assert len(calls) == 1
+        calls.clear()
+        _threshold_row(model, report)
+        assert len(calls) == 4
+
     def test_finite_n_is_threshold_ratio(self):
         n, beta, b = 6, 0.8, 1.3
         ratio = delta_v_mfic_closed(n, beta, 1.0, b) / chi_f_mfic_closed(n, beta, 1.0, b)

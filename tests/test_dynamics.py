@@ -10,6 +10,7 @@ from adiatherm.dynamics import (
     MeanFreePath,
     _exp_minus_i,
     _interval_propagators,
+    _run_levels,
     adiabatic_mean_free_path,
     evolve,
 )
@@ -26,6 +27,8 @@ from adiatherm.thermal import (
     BlockEigensolver,
     EigenbasisContinuation,
     QuasiGibbsSweep,
+    _sigma,
+    block_inner,
     gibbs_state,
     thermal_overlap,
 )
@@ -270,6 +273,29 @@ class TestEvolve:
             assert np.abs(getattr(by_default, column) - getattr(by_budget, column)).max() <= 1e-13
 
 
+    @pytest.mark.parametrize("kind,b,lambda_max", [("tfic", None, 0.2), ("qxyc", None, 1.5)])
+    def test_coarse_level_keeps_only_f(self, kind, b, lambda_max):
+        # a two-level pass gives its coarse level F alone, bit for bit the F
+        # of that level run on its own, and its fine level every column of
+        # that level run on its own
+        blocks = symmetry_sectors(SpinChainModel(kind, 4, B=b)).blocks
+        sweep = QuasiGibbsSweep(blocks, np.linspace(0.0, lambda_max, 9), 1.0)
+        coarse, fine = _run_levels(sweep, 2.0, 3, 6)
+        [alone] = _run_levels(sweep, 2.0, 3)
+        [fine_alone] = _run_levels(sweep, 2.0, 6)
+        assert list(coarse) == ["F"]
+        assert np.array_equal(coarse["F"], alone["F"])
+        assert fine.keys() == fine_alone.keys() == {"F", "C", "theta", "purity", "trace", "herm"}
+        for name, column in fine.items():
+            assert np.array_equal(column, fine_alone[name])
+
+    def test_rows_are_python_floats(self, medium_trace):
+        rows = list(medium_trace.rows())
+        assert len(rows) == medium_trace.n_records
+        assert all(type(cell) is float for row in rows for cell in row)
+        assert rows[-1][1] == medium_trace.adiabatic_fidelity[-1]
+
+
 class TestCFM4:
     def test_fourth_order_convergence(self):
         # halving the step must cut the state error by about 2^4; with the
@@ -385,6 +411,117 @@ class TestSigmaSweep:
         for _ in range(2):
             assert sum(chunk[0].shape[0] for chunk in sweep.records()) == 11
         assert len(steps) == marched
+
+
+def separate_march(blocks, lambdas, per_interval):
+    """One march on its own continuation: per-record labels, rotated columns
+    {record: per-group columns} and ambiguous steps."""
+    cont = EigenbasisContinuation(blocks)
+    a, b = lambdas[:-1, None], lambdas[1:, None]
+    path = a + (b - a) * np.arange(1, per_interval + 1) / per_interval
+    path[:, -1] = lambdas[1:]
+    labels, rotated = cont.labels[None], {}
+    if path.size:
+        steps, rotations = cont.advance(cont.solver.solve(path.reshape(-1)))
+        ends = np.arange(per_interval - 1, path.size, per_interval)
+        labels = np.concatenate((labels, steps[ends]))
+        rotated = {(t + 1) // per_interval: cols for t, cols in rotations.items()
+                   if t % per_interval == per_interval - 1}
+    return labels, rotated, cont.ambiguous_steps
+
+
+FUSED_CASES = [
+    (kind, b, n, np.linspace(0.0, 0.2, 11))
+    for kind, b in (("tfic", None), ("mfic", 0.7), ("qxyc", None))
+    for n in (4, 5, 6)
+] + [
+    ("qxyc", None, 4, np.linspace(0.0, 1.5, 7)),  # both marches rotate at lambda = 1
+    ("tfic", None, 4, np.array([0.0, 0.2])),
+    ("tfic", None, 4, np.array([0.0])),
+]
+
+
+class TestFusedRound:
+    @pytest.mark.parametrize(
+        "kind,b,n_sites,lambdas", FUSED_CASES,
+        ids=[f"{k}-{n}-{lam.size}x{lam[-1]:g}" for k, _, n, lam in FUSED_CASES],
+    )
+    def test_matches_two_separate_marches(self, kind, b, n_sites, lambdas):
+        # the first round's 1-step march runs alongside the 2-step one, on
+        # the 2-step path's record points: each must be the march it replaces
+        blocks = symmetry_sectors(SpinChainModel(kind, n_sites, B=b)).blocks
+        sweep = QuasiGibbsSweep(blocks, lambdas, 1.0)
+        coarse, fine, change = sweep._march(2, None)
+        for march, per_interval in ((coarse, 1), (fine, 2)):
+            labels, rotated, ambiguous = separate_march(blocks, lambdas, per_interval)
+            assert np.array_equal(march.labels, labels)
+            assert march.rotated.keys() == rotated.keys()
+            for k, columns in rotated.items():
+                assert all(np.array_equal(x, y) for x, y in zip(march.rotated[k], columns))
+            assert march.ambiguous_steps == ambiguous
+        if lambdas[-1] == 1.5:
+            assert list(coarse.rotated) == list(fine.rotated) == [4]
+
+        # the round's change is the largest HS change of sigma at a record
+        def sigma(march, k):
+            if k in march.rotated:
+                columns = march.rotated[k]
+            else:
+                columns = [u[0] for u in sweep.solver.solve([lambdas[k]]).vectors]
+            return _sigma(sweep.solver, columns, sweep.weights[march.labels[k]])
+
+        def change_at(k):
+            diff = [x - y for x, y in zip(sigma(fine, k), sigma(coarse, k))]
+            return math.sqrt(block_inner(diff, diff))
+
+        expected = max(change_at(k) for k in range(lambdas.size))
+        assert change == pytest.approx(expected, abs=1e-13)
+
+    def test_each_lambda_solved_once_per_round(self, monkeypatch):
+        # accepted at 2 steps: the round solves its 20 path points once for
+        # both marches, and records() the 11 records, after the one
+        # lambda = 0 solve (1 + 10 + 20 + 11 with two separate marches)
+        blocks = symmetry_sectors(SpinChainModel("tfic", 4)).blocks
+        solved = {}
+        eigh = np.linalg.eigh
+
+        def counted(h):
+            solved.setdefault(h.shape[1:], []).append(h.shape[0])
+            return eigh(h)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        sweep = QuasiGibbsSweep(blocks, np.linspace(0.0, 0.2, 11), 1.0)
+        assert sweep.per_interval == 2
+        list(sweep.records())
+        assert len(solved) == 3
+        assert all(counts == [1, 20, 11] for counts in solved.values())
+
+    @pytest.mark.parametrize(
+        "kind,b,n_sites,lambda_max", [("qxyc", None, 4, 1.5), ("mfic", 0.7, 5, 0.2)]
+    )
+    def test_records_do_not_depend_on_the_stack_budget(self, monkeypatch, kind, b, n_sites,
+                                                       lambda_max):
+        # one lambda per stack: many chunks hold no record point of the
+        # 2-step path, and each record's coarse step is its chunk's only one
+        import adiatherm.thermal as thermal
+
+        blocks = symmetry_sectors(SpinChainModel(kind, n_sites, B=b)).blocks
+        lambdas = np.linspace(0.0, lambda_max, 7)
+
+        def run():
+            sweep = QuasiGibbsSweep(blocks, lambdas, 1.0)
+            records = [np.concatenate(stacks) for stacks in zip(*sweep.records())]
+            return sweep, records
+
+        by_default, default_records = run()
+        assert by_default.solver.per_chunk(8) > 2 * lambdas.size
+        monkeypatch.setattr(thermal, "_STACK_BYTES", 1)
+        by_budget, budget_records = run()
+        assert by_budget.solver.per_chunk(8) == 1
+        assert by_budget.per_interval == by_default.per_interval
+        assert by_budget.ambiguous_steps == by_default.ambiguous_steps
+        assert np.array_equal(by_budget._labels, by_default._labels)
+        assert all(np.array_equal(x, y) for x, y in zip(budget_records, default_records))
 
 
 def synthetic_trace(lambdas, fidelities):

@@ -8,9 +8,12 @@ them.  The same functions back both the `adiatherm verify` subcommand and
 the pytest acceptance suite, so the CLI report and the tests can never
 drift apart.
 
+The dense criteria (AC01-AC03) take each model's whole beta grid from one
+dense_sums_sweep, so V is rotated into H0's eigenbasis once per model.
 Criterion 13 compares fixed-N and thermodynamic low-temperature expansions
 at a scale (1e-18) below double resolution, so that single check evaluates
-both sides with 50-digit arithmetic and separately certifies the
+both sides with 50-digit arithmetic (the standard library's decimal, whose
+exp and sqrt are correctly rounded) and separately certifies the
 double-precision implementation against the high-precision value.
 """
 
@@ -19,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +30,13 @@ from . import closed_forms as cf
 from .dynamics import evolve
 from .models import SpinChainModel, build_h0, build_v
 from .operators import eigh, hs_norm
-from .susceptibility import chi_f_thermal, dense_sums, flip_sums, low_temp_coefficients
+from .susceptibility import (
+    chi_f_thermal,
+    dense_sums,
+    dense_sums_sweep,
+    flip_sums,
+    low_temp_coefficients,
+)
 from .thermal import escort_state, gibbs_state, quasi_gibbs_at
 
 
@@ -62,7 +71,18 @@ class CriterionResult:
     checks: list[Check] = field(default_factory=list)
 
     def as_dict(self):
-        return asdict(self)
+        """The JSON record of the result: dataclasses.asdict without its deep copy."""
+        checks = [
+            {"name": c.name, "measured": c.measured, "tolerance": c.tolerance, "ok": c.ok}
+            for c in self.checks
+        ]
+        return {
+            "id": self.id,
+            "label": self.label,
+            "passed": self.passed,
+            "elapsed_s": self.elapsed_s,
+            "checks": checks,
+        }
 
 
 ALL_CRITERIA = {}
@@ -104,10 +124,10 @@ def _dense(model):
 @criterion("AC01", "ED vs closed-form equivalence (TFIC)", runtime_limit=30.0)
 def criterion_01():
     """TFIC: exact diagonalization matches the transfer-matrix closed forms."""
+    betas = (0.1, 0.3, 1.0, 3.0)
     for n in (3, 4, 6, 8):
-        spec, v = _dense(SpinChainModel("tfic", n))
-        for beta in (0.1, 0.3, 1.0, 3.0):
-            sums = dense_sums(spec, v, beta)
+        sweep = dense_sums_sweep(*_dense(SpinChainModel("tfic", n)), betas)
+        for beta, sums in zip(betas, sweep):
             rel_dv = _rel(sums.delta_v, cf.delta_v_tfic_closed(n, beta, 1.0))
             rel_chi = _rel(sums.chi_f, cf.chi_f_tfic_closed(n, beta, 1.0))
             yield Check(f"delta_v N={n} betaJ={beta}", rel_dv, 1e-9)
@@ -117,10 +137,11 @@ def criterion_01():
 @criterion("AC02", "QXYC == TFIC for deltaV and chi_F")
 def criterion_02():
     """QXYC and TFIC give identical deltaV and chi_F at matched (N, beta)."""
+    betas = (0.3, 1.0)
     for n in (3, 4, 6):
-        tfic, qxyc = _dense(SpinChainModel("tfic", n)), _dense(SpinChainModel("qxyc", n))
-        for beta in (0.3, 1.0):
-            t, q = dense_sums(*tfic, beta), dense_sums(*qxyc, beta)
+        tfic = dense_sums_sweep(*_dense(SpinChainModel("tfic", n)), betas)
+        qxyc = dense_sums_sweep(*_dense(SpinChainModel("qxyc", n)), betas)
+        for beta, t, q in zip(betas, tfic, qxyc):
             yield Check(f"delta_v N={n} betaJ={beta}", _rel(q.delta_v, t.delta_v), 1e-9)
             yield Check(f"chi_f N={n} betaJ={beta}", _rel(q.chi_f, t.chi_f), 1e-9)
 
@@ -128,11 +149,11 @@ def criterion_02():
 @criterion("AC03", "ED vs closed-form equivalence (MFIC)", runtime_limit=60.0)
 def criterion_03():
     """MFIC: exact diagonalization matches the transfer-matrix closed forms."""
+    betas = (0.2, 1.0, 3.0)
     for n in (3, 4, 6):
         for b in (0.3, 0.7, 1.3):
-            spec, v = _dense(SpinChainModel("mfic", n, B=b))
-            for beta in (0.2, 1.0, 3.0):
-                sums = dense_sums(spec, v, beta)
+            sweep = dense_sums_sweep(*_dense(SpinChainModel("mfic", n, B=b)), betas)
+            for beta, sums in zip(betas, sweep):
                 rel_dv = _rel(sums.delta_v, cf.delta_v_mfic_closed(n, beta, 1.0, b))
                 rel_chi = _rel(sums.chi_f, cf.chi_f_mfic_closed(n, beta, 1.0, b))
                 yield Check(f"delta_v N={n} B={b} betaJ={beta}", rel_dv, 1e-8)
@@ -298,20 +319,24 @@ def criterion_13():
     the thermodynamic expansion; the remainder is bounded by
     10 N^3 e^{-16 beta J}.
     """
-    import mpmath as mp  # only this criterion needs it, so only it pays the import
+    # only this criterion needs decimal, so only it pays the import
+    from decimal import Decimal, localcontext
 
     n, beta = 6, 3.0
-    with mp.workdps(50):
-        t = mp.tanh(2 * mp.mpf(beta))
-        f_hp = mp.coth(2 * mp.mpf(beta)) * mp.sqrt((1 + t**n) / (1 + t ** (n - 2)))
-        q = mp.e ** (-4 * mp.mpf(beta))
-        series = 1 + q + (n - mp.mpf(1) / 2) * q**2 + (n - mp.mpf(1) / 2) * q**3
+    with localcontext() as ctx:
+        ctx.prec = 50
+        q = (-4 * Decimal(beta)).exp()
+        # tanh(2 beta) and coth(2 beta) from q = e^{-4 beta}
+        t, coth = (1 - q) / (1 + q), (1 + q) / (1 - q)
+        f_hp = coth * ((1 + t**n) / (1 + t ** (n - 2))).sqrt()
+        half = Decimal(1) / 2
+        series = 1 + q + (n - half) * q**2 + (n - half) * q**3
         diff = abs(f_hp - series)
         tol = 10 * n**3 * q**4
-        impl_rel = abs(mp.mpf(cf.f_n_tfic(n, beta, 1.0)) / f_hp - 1)
-    # the 50-digit values compare exactly at any working precision
+        impl_rel = abs(Decimal(cf.f_n_tfic(n, beta, 1.0)) / f_hp - 1)
+    # Decimal(float) is exact, so the 50-digit values compare exactly
     yield Check("series remainder (50-digit)", float(diff), float(tol), diff <= tol)
-    yield Check("float impl vs 50-digit", float(impl_rel), 1e-13, impl_rel <= 1e-13)
+    yield Check("float impl vs 50-digit", float(impl_rel), 1e-13, impl_rel <= Decimal(1e-13))
 
 
 def run_all(ids=None):

@@ -364,6 +364,21 @@ def cmd_dynamics(config: RunConfig) -> int:
     return 0
 
 
+def _margin(check) -> float:
+    """measured / tolerance of one check for verify's worst margin.
+
+    A nan measured value gives nan, and a failed check gives at least 1:
+    against a zero tolerance a failed check gives inf and a passing one 0.
+    """
+    if math.isnan(check.measured):
+        return math.nan
+    if check.tolerance == 0.0:
+        ratio = 0.0 if check.ok else math.inf
+    else:
+        ratio = check.measured / check.tolerance
+    return ratio if check.ok else max(ratio, 1.0)
+
+
 def cmd_verify(config: RunConfig, criteria=None) -> int:
     config_ok, config_error = True, None
     try:
@@ -374,8 +389,8 @@ def cmd_verify(config: RunConfig, criteria=None) -> int:
     print(f"config: {'PASS' if config_ok else 'FAIL'}" + (f" — {config_error}" if config_error else ""))
     for res in results:
         # the wall-clock runtime_s check says nothing about accuracy
-        worst = max((c.measured / c.tolerance if c.tolerance else 0.0)
-                    for c in res.checks if c.name != "runtime_s")
+        margins = [_margin(c) for c in res.checks if c.name != "runtime_s"]
+        worst = math.nan if any(map(math.isnan, margins)) else max(margins)
         print(
             f"{res.id}: {'PASS' if res.passed else 'FAIL'} — {res.label} "
             f"({len(res.checks)} checks, worst margin {worst:.3g}, {res.elapsed_s:.1f}s)"

@@ -12,11 +12,12 @@ flip pairs of V, without building a matrix.  A whole beta grid comes from
 one such preparation (flip_sums_sweep), its weights vectorised over beta
 in chunks; flip_sums and threshold_report are its one-beta cases.  The
 dense oracle that tests and the acceptance criteria compare it against is
-dense_sums: the same FlipSums record from one eigendecomposition of H0 and
-one dense V, rotated once into the eigenbasis.  Its sums run over whole
-degenerate levels, so it takes V in whatever eigenbasis eigh returns and
-never rotates a level.  chi_f_thermal, delta_v_thermal, ground_chi_f and
-ground_delta_v each read one field of it.
+dense_sums_sweep: the same FlipSums records at every beta of a grid, from
+one eigendecomposition of H0 and one dense V, rotated once into the
+eigenbasis for the whole grid.  Its sums run over whole degenerate levels,
+so it takes V in whatever eigenbasis eigh returns and never rotates a
+level.  dense_sums is its one-beta case, and chi_f_thermal,
+delta_v_thermal, ground_chi_f and ground_delta_v each read one field of it.
 """
 
 from __future__ import annotations
@@ -175,41 +176,57 @@ def flip_sums(model: SpinChainModel, beta) -> FlipSums:
     return flip_sums_sweep(model, (beta,))[0]
 
 
-def dense_sums(spec: SpectralDecomposition, v: HermitianOperator, beta) -> FlipSums:
-    """The six flip_sums fields from an H0 spectrum and a dense V: the oracle.
+def dense_sums_sweep(spec: SpectralDecomposition, v: HermitianOperator, betas) -> list[FlipSums]:
+    """The six flip_sums fields at every beta of betas, from an H0 spectrum
+    and a dense V: the oracle.
 
-    V is rotated once into the eigenbasis as eigh returned it, and every sum
-    runs over whole degenerate levels, with weights relative to the ground
-    energy.  (deltaV)^2 = sum_{m != n} |V_mn|^2 (w_m - w_n)^2 / Z0(2 beta)
-    stays accurate where the weights w = e^{-beta E} drop below the
-    eigensolver resolution of an assembled density matrix (large beta), and
+    Every beta is checked before any matrix product.  V is then rotated once
+    into the eigenbasis as eigh returned it, and the degeneracy tolerance,
+    the ground multiplicity and the four beta-independent fields are formed
+    once for the grid.  Every sum runs over whole degenerate levels, with
+    weights relative to the ground energy.
+    (deltaV)^2 = sum_{m != n} |V_mn|^2 (w_m - w_n)^2 / Z0(2 beta) stays
+    accurate where the weights w = e^{-beta E} drop below the eigensolver
+    resolution of an assembled density matrix (large beta), and
     chi_F = (2/Z0(2 beta)) sum (w_m - w_n)^2 |V_mn|^2 / (E_m - E_n)^2 skips
     pairs degenerate within degeneracy_tolerance.  With g0 the ground
     multiplicity and P the ground-level projector, chi_F0 = (4/g0) sum over
     ground g and excited n of |V_ng|^2 / (E_n - E_0)^2 and
-    (deltaV0)^2 = 2 [Tr(P V^2) - Tr(P V P V)] / g0.
+    (deltaV0)^2 = 2 [Tr(P V^2) - Tr(P V P V)] / g0.  Each beta's fields are
+    the same operations on the same arrays as a one-beta call, so a record
+    is bitwise independent of the grid it came in.
     """
-    require_beta(beta)
+    for beta in betas:
+        require_beta(beta)
     e, u = spec.eigenvalues, spec.eigenvectors
     shifted = e - e.min()
     tol = degeneracy_tolerance(e)
-    with np.errstate(over="ignore"):  # as in _flip_pass
-        w = np.exp(-beta * shifted)
-        z2 = float(np.sum(np.exp(-beta * (2.0 * shifted))))
     g0 = int(np.flatnonzero(level_starts(e))[1])
     v2 = np.abs(u.conj().T @ v.mat @ u) ** 2
     de = shifted[:, None] - shifted[None, :]
     gaps = e[g0:] - e[0]
     t1 = float(np.sum(v2[:, :g0]))
     t2 = float(np.sum(v2[:g0, :g0]))
-    return FlipSums(
-        delta_v=math.sqrt(pair_weight_sum(w, v2) / z2),
-        chi_f=2.0 * chi_pair_sum(shifted, w, v2, tol) / z2,
-        ground_delta_v=math.sqrt(max(2.0 * (t1 - t2) / g0, 0.0)),
-        ground_chi_f=float(4.0 / g0 * np.sum(v2[g0:, :g0] / gaps[:, None] ** 2)),
-        offdiag_square_sum=float(np.sum(v2[np.abs(de) > tol])),
-        commutator_norm=math.sqrt(float(np.sum(v2 * de**2))),
+    fixed = (
+        math.sqrt(max(2.0 * (t1 - t2) / g0, 0.0)),
+        float(4.0 / g0 * np.sum(v2[g0:, :g0] / gaps[:, None] ** 2)),
+        float(np.sum(v2[np.abs(de) > tol])),
+        math.sqrt(float(np.sum(v2 * de**2))),
     )
+    del de  # a d x d array; the pair sums below form their own, so free it first
+    records = []
+    for beta in betas:
+        with np.errstate(over="ignore"):  # as in _flip_pass
+            w = np.exp(-beta * shifted)
+            z2 = float(np.sum(np.exp(-beta * (2.0 * shifted))))
+        delta_v = math.sqrt(pair_weight_sum(w, v2) / z2)
+        records.append(FlipSums(delta_v, 2.0 * chi_pair_sum(shifted, w, v2, tol) / z2, *fixed))
+    return records
+
+
+def dense_sums(spec: SpectralDecomposition, v: HermitianOperator, beta) -> FlipSums:
+    """dense_sums_sweep at the one temperature beta."""
+    return dense_sums_sweep(spec, v, (beta,))[0]
 
 
 def chi_f_thermal(spec: SpectralDecomposition, v: HermitianOperator, beta) -> float:

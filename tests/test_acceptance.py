@@ -9,11 +9,17 @@ The law itself is verified by convergence order in
 test_susceptibility.TestHighTempCoefficient.
 """
 
+import dataclasses
 import json
+import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 from adiatherm import acceptance
+from adiatherm import closed_forms as cf
 
 
 def report(result):
@@ -104,3 +110,72 @@ def test_criterion_12_zero_temperature_reference_rates():
 
 def test_criterion_13_non_commuting_limits():
     assert report(acceptance.criterion_13()).passed
+
+
+def test_criterion_13_matches_an_mpmath_reference():
+    # an independent 50-digit route: mpmath's tanh, coth, sqrt and e (the test extra)
+    import mpmath as mp
+
+    n, beta = 6, 3.0
+    with mp.workdps(50):
+        t = mp.tanh(2 * mp.mpf(beta))
+        f_hp = mp.coth(2 * mp.mpf(beta)) * mp.sqrt((1 + t**n) / (1 + t ** (n - 2)))
+        q = mp.e ** (-4 * mp.mpf(beta))
+        series = 1 + q + (n - mp.mpf(1) / 2) * q**2 + (n - mp.mpf(1) / 2) * q**3
+        diff, tol = abs(f_hp - series), 10 * n**3 * q**4
+        impl_rel = abs(mp.mpf(cf.f_n_tfic(n, beta, 1.0)) / f_hp - 1)
+    remainder, impl = acceptance.criterion_13().checks
+    assert (remainder.measured.hex(), remainder.tolerance.hex()) == (
+        float(diff).hex(),
+        float(tol).hex(),
+    )
+    assert impl.measured.hex() == float(impl_rel).hex()
+    assert (remainder.ok, impl.ok) == (diff <= tol, impl_rel <= 1e-13)
+
+
+def test_run_all_loads_no_mpmath():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # AC06 and AC07 import nothing the others do not, and take most of the time
+    ids = [cid for cid in acceptance.ALL_CRITERIA if cid not in ("AC06", "AC07")]
+    code = (
+        "import sys; from adiatherm import acceptance; "
+        f"acceptance.run_all({ids!r}); print('mpmath' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+SYNTHETIC_RESULT = acceptance.CriterionResult(
+    "AC99",
+    "synthetic",
+    False,
+    0.25,
+    [
+        acceptance.Check("nan", math.nan, 1.0),
+        acceptance.Check("zero tolerance", 0.5, 0.0),
+        acceptance.Check("explicit", -1.0, 1.0, False),
+        acceptance.Check("runtime_s", 0.25, 30.0, True),
+    ],
+)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(acceptance.criterion_04, id="AC04"),
+        pytest.param(acceptance.criterion_13, id="AC13"),
+        pytest.param(lambda: SYNTHETIC_RESULT, id="synthetic"),
+        pytest.param(lambda: acceptance.CriterionResult("AC98", "no checks", True, 0.0), id="empty"),
+    ],
+)
+def test_as_dict_equals_dataclasses_asdict(make):
+    result = make()
+    # the same keys in the same order, and nan != nan, so compare the JSON text
+    assert json.dumps(result.as_dict()) == json.dumps(dataclasses.asdict(result))

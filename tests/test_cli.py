@@ -499,6 +499,32 @@ class TestVerifyCommand:
         (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("AC01:")]
         assert f"worst margin {worst:.3g}," in line
 
+    @pytest.mark.parametrize(
+        "checks,margin",
+        [
+            pytest.param([(0.5, 1.0, None), (math.nan, 1.0, None)], "nan", id="nan-not-first"),
+            pytest.param([(math.nan, 1.0, None), (0.5, 1.0, None)], "nan", id="nan-first"),
+            pytest.param([(0.5, 1.0, None), (0.5, 0.0, None)], "inf", id="zero-tolerance"),
+            pytest.param([(0.5, 1.0, None), (0.3, 0.0, True)], "0.5", id="zero-tolerance-pass"),
+            pytest.param([(0.5, 1.0, None), (-0.2, 1.0, False)], "1", id="failed-below-1"),
+        ],
+    )
+    def test_worst_margin_of_synthetic_checks(self, monkeypatch, tmp_path, capsys, checks, margin):
+        from adiatherm import acceptance, cli
+
+        result = acceptance.CriterionResult(
+            "AC99",
+            "synthetic",
+            False,
+            0.0,
+            [acceptance.Check(f"c{k}", *c) for k, c in enumerate(checks)]
+            + [acceptance.Check("runtime_s", 100.0, 1.0)],
+        )
+        monkeypatch.setattr(cli, "run_all", lambda criteria: [result])
+        assert main(["verify", "--out", str(tmp_path / "report.json")]) == 1
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("AC99:")]
+        assert f"worst margin {margin}," in line
+
     @pytest.mark.parametrize("command", ["spectrum", "threshold", "dynamics"])
     def test_criteria_rejected_for_other_commands(self, tmp_path, capsys, command):
         out = tmp_path / "out.csv"

@@ -22,6 +22,7 @@ from adiatherm.susceptibility import (
     chi_f_thermal,
     delta_v_thermal,
     dense_sums,
+    dense_sums_sweep,
     flip_sums,
     flip_sums_sweep,
     ground_chi_f,
@@ -332,7 +333,7 @@ def oracle_sums(model, betas):
     coupled = np.abs(e[:, None] - e[None, :]) > degeneracy_tolerance(e)
     commutator = float(np.linalg.norm(h0 @ vm - vm @ h0))
     fixed = (float(np.sum(np.abs(vm[coupled]) ** 2)), commutator)
-    return [dense_sums(spec, v, b)[:4] + fixed for b in betas]
+    return [sums[:4] + fixed for sums in dense_sums_sweep(spec, v, betas)]
 
 
 def closed_sums(model, beta):
@@ -457,3 +458,27 @@ class TestFlipSumsSweep:
         assert [repr(r) for r in swept] == [
             repr(threshold_report(model, beta, alpha=1.5)) for beta in SWEEP_BETAS
         ]
+
+
+DENSE_SWEEP_BETAS = (0.0, 1e-3, 0.3, 1.0, 3.0, 40.0, 1e308)
+
+
+class TestDenseSumsSweep:
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("kind,b", SWEEP_DRIVES)
+    def test_bitwise_equal_to_one_beta_calls(self, kind, b, n):
+        _, spec, v = setup(kind, n, b)
+        one_by_one = [dense_sums(spec, v, beta) for beta in DENSE_SWEEP_BETAS]
+        swept = dense_sums_sweep(spec, v, DENSE_SWEEP_BETAS)
+        assert float_hexes(swept) == float_hexes(one_by_one)
+
+    @pytest.mark.parametrize("bad,match", [(-1.0, "beta must be >= 0"), (math.nan, "finite")])
+    def test_every_beta_checked_before_rotating(self, bad, match):
+        class UnreadV:
+            @property
+            def mat(self):
+                raise AssertionError("V read before checking every beta")
+
+        _, spec, _ = setup("tfic", 4)
+        with pytest.raises(ValueError, match=match):
+            dense_sums_sweep(spec, UnreadV(), [0.1, 0.5, 1.0, bad, 2.0])

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from . import closed_forms as cf
 from .acceptance import ALL_CRITERIA, run_all
-from .dynamics import evolve
+from .dynamics import evolve, require_evolve_args
 from .models import SpinChainModel, require_finite, symmetry_sectors
 from .susceptibility import threshold_sweep
 from .thermal import BlockEigensolver
@@ -218,11 +218,8 @@ def write_table(path, config, columns, rows, fmt, counters=None):
         )
         payload = text + "\n"
     elif fmt == "json":
-        cols = {name: [] for name in columns}
-        for row in rows:
-            for name, cell in zip(columns, row):
-                cols[name].append(None if (isinstance(cell, float) and math.isnan(cell)) else cell)
-        payload = json.dumps(
+        cols = {name: [row[i] for row in rows] for i, name in enumerate(columns)}
+        payload = _json_text(
             {
                 "tool": "adiatherm",
                 "version": __version__,
@@ -230,13 +227,26 @@ def write_table(path, config, columns, rows, fmt, counters=None):
                 "config": dict(config.echo_items()),
                 **({"counters": counters} if counters else {}),
                 "columns": cols,
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
+            }
+        )
     else:
         raise ValueError(f"unknown output format {fmt!r}")
     _write_text(path, payload)
+
+
+def _json_text(obj):
+    """obj as indented, key-sorted JSON text, with every nan or +-inf float as null."""
+
+    def strict(x):
+        if isinstance(x, float):
+            return x if math.isfinite(x) else None
+        if isinstance(x, dict):
+            return {key: strict(value) for key, value in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [strict(value) for value in x]
+        return x
+
+    return json.dumps(strict(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_text(path, payload):
@@ -356,6 +366,8 @@ def cmd_dynamics(config: RunConfig) -> int:
     model = config.model()
     combos = [(beta, gamma) for beta in config.beta_grid for gamma in config.gamma_grid]
     paths = _dynamics_paths(config.out or "dynamics.csv", combos)
+    for beta, gamma in combos:  # every point is checked before the first file is written
+        require_evolve_args(beta, gamma, config.lambda_max, config.n_records)
     for (beta, gamma), path in zip(combos, paths):
         trace = evolve(model, beta, gamma, config.lambda_max, config.n_records)
         write_table(
@@ -405,7 +417,7 @@ def cmd_verify(config: RunConfig, criteria=None) -> int:
         "passed": passed,
     }
     out = config.out or "verify_report.json"
-    _write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_text(out, _json_text(report))
     print(("PASS" if passed else "FAIL") + f" — report written to {out}")
     return 0 if passed else 1
 

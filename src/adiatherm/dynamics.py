@@ -30,7 +30,7 @@ accumulated propagator W_k of record k is U_k W_(k-1), and
 rho_k = W_k rho0 W_k^dag is formed for a chunk of records at once.  F, C,
 Theta, the purity, the trace and the Hermiticity defect are sums over
 blocks of per-block traces, which the orthogonal change of basis leaves
-unchanged.
+unchanged.  models.stack_slices cuts every chunk.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import SpinChainModel, require_beta, require_finite, require_sectors_fit, symmetry_sectors
+from .models import SpinChainModel, require_beta, require_finite, require_sectors_fit
+from .models import stack_slices, symmetry_sectors
 from .operators import adjoint, hs_angle_from_distance, hs_fidelity_from_overlap
 from .qsl import bound_strong, bound_weak, qsl_radius_constant_rate
 from .susceptibility import flip_sums
@@ -200,13 +201,11 @@ def _interval_propagators(solver, lambdas, gamma, steps):
     lam0 = lambdas[:-1, None] + np.arange(steps) * h  # the start of every step
     nodes = np.stack([lam0 + h / 6.0, lam0 + 5.0 * h / 6.0], axis=-1).reshape(widths.size, -1)
     n_factors = nodes.shape[1]
-    per_chunk = solver.per_chunk(np.dtype(complex).itemsize)
-    intervals, span = max(1, per_chunk // n_factors), min(n_factors, per_chunk)
-    for first in range(0, widths.size, intervals):
-        chunk = slice(first, first + intervals)
+    node_bytes = np.dtype(complex).itemsize * solver.entries
+    for chunk in stack_slices(widths.size, n_factors * node_bytes):
         u = None
-        for start in range(0, n_factors, span):
-            stack = nodes[chunk, start : start + span]  # (intervals, factors) nodes
+        for at in stack_slices(n_factors, node_bytes):
+            stack = nodes[chunk, at]  # (intervals, factors) nodes
             dt = np.repeat(widths[chunk] / (2.0 * gamma), stack.shape[1])[:, None, None, None]
             factors = [
                 _exp_minus_i(dt * ham).reshape(*stack.shape, *ham.shape[1:])
@@ -287,20 +286,11 @@ def _run_levels(sweep, gamma, *level_steps):
     return recs
 
 
-def evolve(
-    model: SpinChainModel,
-    beta,
-    gamma,
-    lambda_max,
-    n_records: int,
-) -> BoundTrace:
-    """Integrate i d(rho)/dt = [H_{lambda(t)}, rho] with lambda = Gamma t.
+def require_evolve_args(beta, gamma, lambda_max, n_records) -> int:
+    """Check evolve's arguments other than the model; return n_records as an int.
 
-    Emits n_records equally spaced records over [0, lambda_max], each
-    carrying the adiabatic fidelity F, thermal-state overlap C, QSL radius R,
-    Hilbert-Schmidt angle Theta, both fidelity bounds, and the purity.
-    Refuses, before allocating, a run whose sectors and records would not
-    fit in physical memory (require_sectors_fit).
+    beta passes require_beta, gamma and lambda_max are finite, gamma > 0,
+    lambda_max >= 0, and n_records is an integer >= 1.
     """
     require_beta(beta)
     for name, value in (("gamma", gamma), ("lambda_max", lambda_max)):
@@ -315,7 +305,26 @@ def evolve(
         raise ValueError(f"n_records must be an integer, got {n_records!r}") from None
     if n_records < 1:
         raise ValueError("n_records must be >= 1")
+    return n_records
 
+
+def evolve(
+    model: SpinChainModel,
+    beta,
+    gamma,
+    lambda_max,
+    n_records: int,
+) -> BoundTrace:
+    """Integrate i d(rho)/dt = [H_{lambda(t)}, rho] with lambda = Gamma t.
+
+    Emits n_records equally spaced records over [0, lambda_max], each
+    carrying the adiabatic fidelity F, thermal-state overlap C, QSL radius R,
+    Hilbert-Schmidt angle Theta, both fidelity bounds, and the purity.
+    Refuses, before allocating, arguments that fail require_evolve_args and
+    a run whose sectors and records would not fit in physical memory
+    (require_sectors_fit).
+    """
+    n_records = require_evolve_args(beta, gamma, lambda_max, n_records)
     n = n_records if lambda_max > 0 else 1
     require_sectors_fit(model, n)
     blocks = symmetry_sectors(model).blocks

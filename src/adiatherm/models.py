@@ -52,9 +52,11 @@ _RECORD_ARRAYS = 2
 # where a beta chunk is one beta: the energies, their shifted copy, the
 # weights, the basis indices, the ground mask, and per flip mask the
 # partners, energy and weight differences, the coupled mask and up to three
-# expression temporaries.  Below that a chunk's stacks fit
-# thermal._STACK_BYTES.
+# expression temporaries.  Below that a chunk's stacks fit _STACK_BYTES.
 _FLIP_ARRAYS = 12
+# Bytes one stack of every stacked loop holds (eigh, CFM4 and flip-sum
+# chunks, the march's weight rows); stack_slices is its only reader.
+_STACK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -205,6 +207,14 @@ def _require_memory(model: SpinChainModel, route, needed, arrays):
             f"{needed / 1e9:.3g} GB ({arrays}), more than the "
             f"{available / 1e9:.3g} GB of physical memory"
         )
+
+
+def stack_slices(count, item_bytes):
+    """Yield consecutive slices of range(count), each of at most _STACK_BYTES
+    at item_bytes an item, or of one item where one is more (never a list)."""
+    step = max(1, _STACK_BYTES // item_bytes)
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
 
 
 def require_dense_fits(model: SpinChainModel):

@@ -29,8 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import chi_pair_sum, pair_weight_sum
-from . import thermal
 from .models import SpinChainModel, classical_energies, flip_terms, require_alpha, require_beta
+from .models import stack_slices
 from .operators import (
     HermitianOperator,
     SpectralDecomposition,
@@ -109,10 +109,10 @@ def flip_sums_sweep(model: SpinChainModel, betas) -> list[FlipSums]:
     four beta-independent fields come from the first pass over the masks.
     The betas go through in chunks: each mask's partners, energy gaps and
     coupled mask are formed once per chunk, and its weights are a
-    (chunk, 2^N) stack reduced row by row.  A chunk's three stacks (the
-    weights, their squared differences and the coupled columns of those)
-    take at most thermal._STACK_BYTES together, or one beta's arrays where
-    that is more, so at large N a chunk is one beta.  Each row is summed
+    (chunk, 2^N) stack reduced row by row.  The chunks are the
+    models.stack_slices of the betas at three 2^N arrays a beta (the
+    weights, their squared differences and the coupled columns of those),
+    so at large N a chunk is one beta.  Each row is summed
     from a C-contiguous stack, in the order a single beta's 1-D arrays are,
     so every field is bitwise independent of the chunking.
     """
@@ -129,7 +129,7 @@ def flip_sums_sweep(model: SpinChainModel, betas) -> list[FlipSums]:
 def _flip_pass(model: SpinChainModel, betas: np.ndarray):
     """The pair sums behind flip_sums_sweep: (deltaV)^2 Z0(2 beta),
     chi_F Z0(2 beta) / 2 and Z0(2 beta) at each beta, and the four
-    beta-independent fields."""
+    beta-independent fields, which the first stack_slices chunk forms."""
     e = classical_energies(model)
     shifted = e - e.min()
     tol = degeneracy_tolerance(e)
@@ -139,14 +139,13 @@ def _flip_pass(model: SpinChainModel, betas: np.ndarray):
     terms = flip_terms(model)
     dv2, chi, z2 = np.zeros(betas.size), np.zeros(betas.size), np.empty(betas.size)
     dv0_2 = chi0 = offdiag = commutator = 0.0
-    rows = max(1, thermal._STACK_BYTES // (3 * e.nbytes))
-    for lo in range(0, betas.size, rows):
-        beta = betas[lo : lo + rows, None]
+    for chunk in stack_slices(betas.size, 3 * e.nbytes):
+        beta = betas[chunk, None]
         # -beta E overflows to -inf only where the weight is 0 anyway
         with np.errstate(over="ignore"):
-            z2[lo : lo + rows] = np.add.reduce(np.exp(-beta * (2.0 * shifted)), axis=1)
+            z2[chunk] = np.add.reduce(np.exp(-beta * (2.0 * shifted)), axis=1)
             w = np.exp(-beta * shifted)
-        dv2_chunk, chi_chunk = dv2[lo : lo + rows], chi[lo : lo + rows]
+        dv2_chunk, chi_chunk = dv2[chunk], chi[chunk]
         for mask, amplitude in terms:
             partner = idx ^ mask
             a2 = amplitude * amplitude
@@ -161,7 +160,7 @@ def _flip_pass(model: SpinChainModel, betas: np.ndarray):
             dw2 = dw2.compress(coupled, axis=1)
             dw2 /= de[coupled] ** 2
             chi_chunk += a2 * np.add.reduce(dw2, axis=1)
-            if lo == 0:
+            if chunk.start == 0:
                 leaves_ground = ground & ~ground[partner]
                 dv0_2 += a2 * float(np.count_nonzero(leaves_ground))
                 chi0 += a2 * float(np.sum(shifted[partner[leaves_ground]] ** -2.0))

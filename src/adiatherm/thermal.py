@@ -46,7 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import SpinChainModel, require_beta, require_dense_fits, require_finite, symmetry_sectors
+from .models import SpinChainModel, require_beta, require_dense_fits, require_finite
+from .models import stack_slices, symmetry_sectors
 from .operators import (
     DensityMatrix,
     SpectralDecomposition,
@@ -58,10 +59,6 @@ from .operators import (
 AMBIGUITY_TOL = 1e-6
 CONTINUATION_STABILITY_TOL = 1e-8
 _MAX_SWEEP_DOUBLINGS = 7
-# bytes of the block matrices of all blocks that one stack holds: the
-# eigensolver's eigh chunks, the continuation's overlaps and evolve's CFM4
-# factors and states
-_STACK_BYTES = 1 << 17
 
 
 class ContinuationWarning(UserWarning):
@@ -138,7 +135,8 @@ class BlockEigensolver:
     solve() diagonalizes every group at every lambda of a chunk in one
     np.linalg.eigh, ascending inside each block; LAPACK runs matrix by
     matrix, so the result does not depend on the chunking.  eigenpairs()
-    cuts a lambda path into chunks of at most _STACK_BYTES of all blocks.
+    cuts a lambda path by models.stack_slices, a lambda taking the entries
+    of all blocks at their dtype.
     """
 
     def __init__(self, blocks):
@@ -152,11 +150,7 @@ class BlockEigensolver:
         ]
         self.edges = np.concatenate(([0], np.cumsum(sizes)))
         self.group_edges = self.edges[runs]
-        self._entries = int(np.sum(sizes**2))
-
-    def per_chunk(self, itemsize):
-        """How many lambdas of all blocks fit one stack, at itemsize bytes an entry."""
-        return max(1, _STACK_BYTES // (itemsize * self._entries))
+        self.entries = int(np.sum(sizes**2))
 
     def split(self, values):
         """Per-group (..., g, m) views of (..., d) values in block order."""
@@ -181,11 +175,10 @@ class BlockEigensolver:
         return Eigenpairs(lams, np.concatenate(values, axis=1), vectors)
 
     def eigenpairs(self, lambdas):
-        """Yield the Eigenpairs along lambdas, one chunk of at most _STACK_BYTES at a time."""
+        """Yield the Eigenpairs along lambdas, one stack_slices chunk at a time."""
         lambdas = np.asarray(lambdas, dtype=float).reshape(-1)
-        chunk = self.per_chunk(self.dtype.itemsize)
-        for start in range(0, lambdas.size, chunk):
-            yield self.solve(lambdas[start : start + chunk])
+        for chunk in stack_slices(lambdas.size, self.dtype.itemsize * self.entries):
+            yield self.solve(lambdas[chunk])
 
     def level_starts(self, values):
         """operators.level_starts of (c, d) eigenvalues in block order, split at every block edge."""
@@ -509,12 +502,10 @@ class QuasiGibbsSweep:
                     changes[k] = math.sqrt(block_inner(diff, diff))
         # the coarse levels carried one weight each where that march rotated
         # none, so its sigma is diagonal in any basis of them, this march's included;
-        # the weights are gathered in row chunks of _STACK_BYTES, never as a
+        # the weights are gathered in stack_slices row chunks, never as a
         # whole records x d array
         delta = np.empty(self.lambdas.size)
-        rows = max(1, _STACK_BYTES // w.nbytes)
-        for lo in range(0, delta.size, rows):
-            at = slice(lo, lo + rows)
+        for at in stack_slices(delta.size, w.nbytes):
             delta[at] = np.linalg.norm(w[record_labels[at]] - w[coarse.labels[at]], axis=1)
         for k, change in changes.items():
             delta[k] = change

@@ -525,6 +525,23 @@ class TestVerifyCommand:
         (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("AC99:")]
         assert f"worst margin {margin}," in line
 
+    @pytest.mark.parametrize("measured", [math.nan, math.inf, -math.inf])
+    def test_report_is_strict_json_with_null_for_non_finite(self, monkeypatch, tmp_path, measured):
+        from adiatherm import acceptance, cli
+
+        result = acceptance.CriterionResult(
+            "AC99", "synthetic", False, 0.0, [acceptance.Check("c", measured, 1.0)]
+        )
+        monkeypatch.setattr(cli, "run_all", lambda criteria: [result])
+        out = tmp_path / "report.json"
+        assert main(["verify", "--out", str(out)]) == 1
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report = json.loads(out.read_text(), parse_constant=refuse)
+        assert report["criteria"][0]["checks"][0]["measured"] is None
+
     @pytest.mark.parametrize("command", ["spectrum", "threshold", "dynamics"])
     def test_criteria_rejected_for_other_commands(self, tmp_path, capsys, command):
         out = tmp_path / "out.csv"
@@ -655,6 +672,15 @@ class TestErrorPaths:
         assert code == 2
         assert capsys.readouterr().err == message + "\n"
         assert not out.exists()
+
+    def test_bad_point_in_a_dynamics_grid_writes_no_file(self, tmp_path, capsys):
+        # the good point (beta=0.5, gamma=0.5) comes first, and is not written
+        code = main(["dynamics", "--n-sites", "4", "--beta", "0.5", "--gamma", "0.5,-1",
+                     "--n-records", "5", "--lambda-max", "0.05",
+                     "--out", str(tmp_path / "d.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: drive rate Gamma must be positive\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["--gamma", "--lambda-max"])
     def test_non_finite_dynamics_input_rejected(self, tmp_path, capsys, flag):

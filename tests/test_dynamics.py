@@ -253,19 +253,22 @@ class TestEvolve:
 
     @pytest.mark.parametrize("kind,b,lambda_max", [("tfic", None, 0.2), ("qxyc", None, 1.5)])
     @pytest.mark.parametrize("lambdas_per_stack", [1, 3])
-    def test_rows_do_not_depend_on_the_stack_budget(self, monkeypatch, kind, b, lambda_max,
-                                                    lambdas_per_stack):
+    def test_rows_do_not_depend_on_the_stack_budget(self, monkeypatch, stacks, kind, b,
+                                                    lambda_max, lambdas_per_stack):
         # every stack runs matrix by matrix and every per-record sum over its
         # own row, so one lambda per stack (or three, which splits a CFM4
         # interval across stacks) gives the default budget's rows
-        import adiatherm.thermal as thermal
+        import adiatherm.models as models
 
         model = SpinChainModel(kind, 4, B=b)
         by_default = evolve(model, 1.0, 2.0, lambda_max, 21)
+        default_stacks = len(stacks)
         complex_bytes = 16 * sum(h0.size for h0, _ in symmetry_sectors(model).blocks)
-        assert thermal._STACK_BYTES >= 2 * by_default.n_substeps_per_interval * complex_bytes
-        monkeypatch.setattr(thermal, "_STACK_BYTES", lambdas_per_stack * complex_bytes)
+        assert models._STACK_BYTES >= 2 * by_default.n_substeps_per_interval * complex_bytes
+        monkeypatch.setattr(models, "_STACK_BYTES", lambdas_per_stack * complex_bytes)
+        stacks.clear()
         by_budget = evolve(model, 1.0, 2.0, lambda_max, 21)
+        assert len(stacks) > default_stacks
         assert by_budget.counters() == by_default.counters()
         for default_row, budget_row in zip(by_default.rows(), by_budget.rows()):
             assert np.abs(np.subtract(default_row, budget_row)).max() <= 1e-13
@@ -499,11 +502,11 @@ class TestFusedRound:
     @pytest.mark.parametrize(
         "kind,b,n_sites,lambda_max", [("qxyc", None, 4, 1.5), ("mfic", 0.7, 5, 0.2)]
     )
-    def test_records_do_not_depend_on_the_stack_budget(self, monkeypatch, kind, b, n_sites,
-                                                       lambda_max):
+    def test_records_do_not_depend_on_the_stack_budget(self, monkeypatch, stacks, kind, b,
+                                                       n_sites, lambda_max):
         # one lambda per stack: many chunks hold no record point of the
         # 2-step path, and each record's coarse step is its chunk's only one
-        import adiatherm.thermal as thermal
+        import adiatherm.models as models
 
         blocks = symmetry_sectors(SpinChainModel(kind, n_sites, B=b)).blocks
         lambdas = np.linspace(0.0, lambda_max, 7)
@@ -514,10 +517,12 @@ class TestFusedRound:
             return sweep, records
 
         by_default, default_records = run()
-        assert by_default.solver.per_chunk(8) > 2 * lambdas.size
-        monkeypatch.setattr(thermal, "_STACK_BYTES", 1)
+        default_stacks = len(stacks)
+        monkeypatch.setattr(models, "_STACK_BYTES", 1)
+        stacks.clear()
         by_budget, budget_records = run()
-        assert by_budget.solver.per_chunk(8) == 1
+        assert len(stacks) > default_stacks
+        assert all(at.stop - at.start == 1 for at in stacks)
         assert by_budget.per_interval == by_default.per_interval
         assert by_budget.ambiguous_steps == by_default.ambiguous_steps
         assert np.array_equal(by_budget._labels, by_default._labels)

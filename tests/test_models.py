@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from adiatherm.models import (
     flip_terms,
     require_dense_fits,
     require_sectors_fit,
+    stack_slices,
     symmetry_sectors,
 )
 from adiatherm.operators import hs_norm
@@ -281,6 +283,31 @@ class TestFlipTerms:
     def test_qxyc_two_site_bonds_merge(self):
         # both bonds of the 2-ring flip sites 1 and 2: |V_mn|^2 = 4 J^2
         assert flip_terms(SpinChainModel("qxyc", 2, J=0.5)) == ((0b11, -1.0),)
+
+
+class TestStackSlices:
+    @pytest.mark.parametrize("count", [1, 2, 7, 1000])
+    @pytest.mark.parametrize(
+        "item_bytes", [1, 8, 3 * 8 * 256, models._STACK_BYTES - 1, models._STACK_BYTES,
+                       models._STACK_BYTES + 1, 5 * models._STACK_BYTES]
+    )
+    def test_slices_cover_the_range_within_the_budget(self, count, item_bytes):
+        slices = list(stack_slices(count, item_bytes))
+        assert [i for at in slices for i in range(count)[at]] == list(range(count))
+        assert all(at.step is None and at.start < at.stop <= count for at in slices)
+        for at in slices:
+            items = at.stop - at.start
+            assert items * item_bytes <= models._STACK_BYTES or items == 1
+        # as many items a slice as fit, so no more slices than needed
+        per_slice = max(1, models._STACK_BYTES // item_bytes)
+        assert len(slices) == -(-count // per_slice)
+
+    def test_no_items_no_slices(self):
+        assert list(stack_slices(0, 8)) == []
+
+    def test_a_generator(self):
+        # a loop of a thousand one-item slices must not hold them all at once
+        assert isinstance(stack_slices(1000, models._STACK_BYTES), types.GeneratorType)
 
 
 class TestMemoryGuards:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiatherm import closed_forms as cf
-from adiatherm import thermal
+from adiatherm import models
 from adiatherm.closed_forms import chi_f_tfic_closed, gamma_n_mfic, gamma_n_tfic
 from adiatherm.models import SpinChainModel, build_h0, build_v
 from adiatherm.operators import (
@@ -432,14 +432,17 @@ class TestFlipSumsSweep:
         assert float_hexes(flip_sums_sweep(model, SWEEP_BETAS)) == float_hexes(one_by_one)
 
     @pytest.mark.parametrize("kind,b", SWEEP_DRIVES)
-    def test_rows_unchanged_at_one_beta_per_chunk(self, monkeypatch, kind, b):
+    def test_rows_unchanged_at_one_beta_per_chunk(self, monkeypatch, stacks, kind, b):
         # at N = 8 the default budget takes 21 betas a chunk, so 50 betas
         # make three chunks, against 50 with the budget patched down
         model = SpinChainModel(kind, 8, B=b)
         betas = np.geomspace(1e-3, 40.0, 50)
         chunked = flip_sums_sweep(model, betas)
-        monkeypatch.setattr(thermal, "_STACK_BYTES", 1)
+        assert len(stacks) == 3
+        monkeypatch.setattr(models, "_STACK_BYTES", 1)
+        stacks.clear()
         assert float_hexes(flip_sums_sweep(model, betas)) == float_hexes(chunked)
+        assert len(stacks) == betas.size
 
     @pytest.mark.parametrize("bad,match", [(-1.0, "beta must be >= 0"), (math.nan, "finite")])
     def test_every_beta_checked_before_allocating(self, monkeypatch, bad, match):

@@ -274,7 +274,7 @@ class TestContinuation:
 class TestBlockEigensolver:
     @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
     def test_eigenpairs_do_not_depend_on_the_stack_size(self, monkeypatch, kind, b):
-        import adiatherm.thermal as thermal
+        import adiatherm.models as models
 
         blocks = symmetry_sectors(SpinChainModel(kind, 6, B=b)).blocks
         lambdas = np.linspace(-0.5, 1.5, 41)
@@ -287,7 +287,7 @@ class TestBlockEigensolver:
 
         n_stacked, stacked = joined(BlockEigensolver(blocks).eigenpairs(lambdas))
         assert n_stacked < lambdas.size  # the default budget stacks several lambdas
-        monkeypatch.setattr(thermal, "_STACK_BYTES", 1)  # one lambda per stack
+        monkeypatch.setattr(models, "_STACK_BYTES", 1)  # one lambda per stack
         n_single, one_by_one = joined(BlockEigensolver(blocks).eigenpairs(lambdas))
         assert n_single == lambdas.size
         for whole, single in zip(stacked, one_by_one):

@@ -27,10 +27,14 @@ of CFM4 nodes come from five stacked real products per group, two more per
 squaring when a factor's 1-norm exceeds 0.05, and the propagators of a
 chunk of record intervals from one stacked product per factor.  The
 accumulated propagator W_k of record k is U_k W_(k-1), and
-rho_k = W_k rho0 W_k^dag is formed for a chunk of records at once.  F, C,
-Theta, the purity, the trace and the Hermiticity defect are sums over
-blocks of per-block traces, which the orthogonal change of basis leaves
-unchanged.  models.stack_slices cuts every chunk.
+rho_k = W_k rho0 W_k^dag is formed for a chunk of records at once.  A
+reflection twin (models.SymmetrySectors) is an orthogonal copy of its
+partner block at every lambda, and so are its rho0, propagators and
+targets, so evolve runs on SymmetrySectors.distinct_blocks() alone.  F, C,
+Theta, the purity and the trace are then sums of per-block traces counted
+by multiplicity (BlockEigensolver.inner and total), which the orthogonal
+change of basis leaves unchanged; the Hermiticity defect is a maximum over
+blocks.  models.stack_slices cuts every chunk.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .models import stack_slices, symmetry_sectors
 from .operators import adjoint, hs_angle_from_distance, hs_fidelity_from_overlap
 from .qsl import bound_strong, bound_weak, qsl_radius_constant_rate
 from .susceptibility import flip_sums
-from .thermal import QuasiGibbsSweep, block_inner
+from .thermal import QuasiGibbsSweep
 
 logger = logging.getLogger(__name__)
 
@@ -228,7 +232,7 @@ def _run_levels(sweep, gamma, *level_steps):
     keeps C, theta, the purity column, and the trace and Hermiticity
     defects; C does not depend on the step count.
     """
-    lambdas, purity = sweep.lambdas, sweep.purity
+    lambdas, purity, solver = sweep.lambdas, sweep.purity, sweep.solver
     n, finest = lambdas.size, len(level_steps) - 1
     recs = [{"F": np.zeros(n)} for _ in level_steps]
     recs[finest].update(
@@ -238,7 +242,7 @@ def _run_levels(sweep, gamma, *level_steps):
         rec["F"][0] = 1.0
     recs[finest]["C"][0] = 1.0
     recs[finest]["purity"][0] = purity
-    propagators = [_interval_propagators(sweep.solver, lambdas, gamma, s) for s in level_steps]
+    propagators = [_interval_propagators(solver, lambdas, gamma, s) for s in level_steps]
     w = [None] * len(level_steps)
     rho0 = None
     done = 0
@@ -247,7 +251,7 @@ def _run_levels(sweep, gamma, *level_steps):
         done = records.stop
         if rho0 is None:
             rho0 = [s[0] for s in sigma]
-            rho0_norm = math.sqrt(block_inner(rho0, rho0))
+            rho0_norm = math.sqrt(solver.inner(rho0, rho0))
             sigma = [s[1:] for s in sigma]
             records = slice(1, records.stop)
         if records.start == records.stop:
@@ -262,23 +266,23 @@ def _run_levels(sweep, gamma, *level_steps):
                 for r, a in zip(rho, w[level]):
                     r[k] = a
             rho = [(a @ r0) @ adjoint(a) for a, r0 in zip(rho, rho0)]
-            rho_purity = block_inner(rho, rho)
+            rho_purity = solver.inner(rho, rho)
             rec["F"][records] = hs_fidelity_from_overlap(
-                block_inner(sigma, rho), purity, rho_purity
+                solver.inner(sigma, rho), purity, rho_purity
             )
             if level < finest:
                 continue
             rec["C"][records] = hs_fidelity_from_overlap(
-                block_inner(sigma, rho0), purity, purity
+                solver.inner(sigma, rho0), purity, purity
             )
             rho_norm = np.sqrt(rho_purity)[:, None, None, None]
             unit_gap = [r0 / rho0_norm - r / rho_norm for r0, r in zip(rho0, rho)]
             rec["theta"][records] = hs_angle_from_distance(
-                np.sqrt(block_inner(unit_gap, unit_gap))
+                np.sqrt(solver.inner(unit_gap, unit_gap))
             )
             del unit_gap
             rec["purity"][records] = rho_purity
-            tr = sum(np.trace(r, axis1=-2, axis2=-1).sum(axis=-1) for r in rho)
+            tr = solver.total([np.trace(r, axis1=-2, axis2=-1) for r in rho])
             rec["trace"][records] = np.abs(tr.real - 1.0) + np.abs(tr.imag)
             rec["herm"][records] = np.max(
                 [np.abs(r - adjoint(r)).max(axis=(-3, -2, -1)) for r in rho], axis=0
@@ -327,11 +331,12 @@ def evolve(
     n_records = require_evolve_args(beta, gamma, lambda_max, n_records)
     n = n_records if lambda_max > 0 else 1
     require_sectors_fit(model, n)
-    blocks = symmetry_sectors(model).blocks
+    # a reflection twin evolves as an orthogonal copy of its partner
+    blocks, multiplicity = symmetry_sectors(model).distinct_blocks()
     dv = flip_sums(model, beta).delta_v
     lambdas = np.linspace(0.0, lambda_max, n)
     # the lambda = 0 record is the Gibbs state, and every target has its purity
-    sweep = QuasiGibbsSweep(blocks, lambdas, beta)
+    sweep = QuasiGibbsSweep(blocks, lambdas, beta, multiplicity)
 
     # a one-record run has no interval and starts at one step
     steps = max(1, math.ceil(lambdas[-1] / max(n - 1, 1) / _INITIAL_DELTA_LAMBDA))

@@ -45,7 +45,8 @@ _SECTOR_ARRAYS = 2
 # take one such array together (their weights are gathered in row chunks),
 # and one more for evolve's per-record columns, the stack temporaries and
 # the march's lambda path (one float64 array of per_interval values a
-# record).  tracemalloc reads 1.53 of them for
+# record).  evolve runs without the reflection twins, so its labels and
+# columns span fewer than 2^N entries: tracemalloc reads 1.35 of them for
 # evolve(tfic, N=6, 5000 records).
 _RECORD_ARRAYS = 2
 # Arrays of 2^N 8-byte values flip_sums_sweep holds at once from N = 12 on,
@@ -278,6 +279,13 @@ class SymmetrySectors:
     Every column lies in one symmetry orbit, whose states share one
     classical energy, so each h0_b is exactly diagonal; H0 and V commute
     with every symmetry, so they have no entry between blocks.
+
+    At 0 < k < pi (0 < 2m < N) the block (m, -1, x) is a twin of its
+    partner (m, +1, x): J = (T - T^-1) / (2 sin k) is a real orthogonal map
+    of the +-k space that commutes with H0, V and prod X and anticommutes
+    with P, so it carries the partner's states onto the twin's at every
+    lambda, and every spectral quantity of the twin is the partner's.
+    distinct_blocks() keeps the partner alone and counts it twice.
     """
 
     labels: tuple
@@ -287,6 +295,24 @@ class SymmetrySectors:
     @property
     def sizes(self):
         return tuple(h0.shape[0] for h0, _ in self.blocks)
+
+    def distinct_blocks(self):
+        """The blocks without their reflection twins, and the multiplicity of each.
+
+        A block (m, -1, x) with 0 < 2m < N is dropped, and its partner
+        (m, +1, x), of the same size and group, counts 2; every other block
+        counts 1, as does a block without a (m, p, x) label (a dense pair).
+        Sum multiplicity x size is 2^N.
+        """
+        n_sites = self.basis.shape[0].bit_length() - 1
+        blocks, multiplicity = [], []
+        for label, block in zip(self.labels, self.blocks):
+            paired = label is not None and 0 < 2 * label[0] < n_sites
+            if paired and label[1] == -1:
+                continue
+            blocks.append(block)
+            multiplicity.append(2 if paired else 1)
+        return tuple(blocks), tuple(multiplicity)
 
 
 def _translate(idx, n_sites):

@@ -35,6 +35,9 @@ different sectors never share a level or exchange labels.  The sweep's
 records are per-block stacks in the sector basis; quasi_gibbs_at assembles
 its state in the computational basis once, and thermal_overlap needs no
 basis, since an orthogonal change of basis leaves every trace unchanged.
+A block may stand for several orthogonal copies of itself (the reflection
+twins of models.SymmetrySectors.distinct_blocks), counted by the solver's
+multiplicity in every sum over blocks; evolve and thermal_overlap run so.
 """
 
 from __future__ import annotations
@@ -65,18 +68,20 @@ class ContinuationWarning(UserWarning):
     """Ambiguous level matching in the accepted march of a QuasiGibbsSweep."""
 
 
-def boltzmann_weights(energies, beta) -> np.ndarray:
+def boltzmann_weights(energies, beta, multiplicity=1) -> np.ndarray:
     """Normalized Gibbs weights exp(-beta(E - E_min)) / Z, overflow-safe.
 
     beta may be 0 (uniform weights) but not negative.  The ground weight is
     exp(0) = 1, so Z >= 1 never underflows, and a weight that underflows to
     zero is below the smallest double relative to the ground weight.
+    multiplicity (a scalar or one count per energy) is how often each
+    energy occurs in Z = sum multiplicity exp(-beta(E - E_min)).
     """
     require_beta(beta)
     e = np.asarray(energies, dtype=float)
     with np.errstate(over="ignore"):  # as in susceptibility._flip_pass
         w = np.exp(-beta * (e - e.min()))
-    return w / w.sum()
+    return w / np.sum(multiplicity * w)
 
 
 def _hermitize(mat):
@@ -108,21 +113,6 @@ class Eigenpairs(NamedTuple):
     vectors: list
 
 
-def block_inner(a, b):
-    """Re Tr(a^dag b) of block-diagonal matrices given as per-group stacks.
-
-    a and b hold one (..., g, m, m) stack per group and broadcast against
-    each other; the result has their leading shape.  Each group sums one
-    contiguous row per leading index, so an entry does not depend on how
-    many others share its stack.
-    """
-    total = 0.0
-    for x, y in zip(a, b):
-        prod = (np.conj(x) * y).real
-        total = total + prod.reshape(*prod.shape[:-3], -1).sum(axis=-1)
-    return total
-
-
 class BlockEigensolver:
     """The eigenpairs of H(lambda) = blockdiag_b(h0_b + lambda v_b), over stacks of lambdas.
 
@@ -137,9 +127,19 @@ class BlockEigensolver:
     matrix, so the result does not depend on the chunking.  eigenpairs()
     cuts a lambda path by models.stack_slices, a lambda taking the entries
     of all blocks at their dtype.
+
+    multiplicity, one count per block (all 1 when None), is how many
+    orthogonal copies of each block the full operator holds, such as the
+    reflection twins SymmetrySectors.distinct_blocks() drops.  Every trace
+    over the full operator is then a sum over the given blocks counted by
+    multiplicity: total() and inner() take it so, group_multiplicity holds
+    each group's (g,) counts, and the d-vector multiplicity each column's
+    count for sums over columns (the partition function, the purity).
+    dense() repeats each block by its count, which gives a matrix
+    orthogonally similar to the full one.
     """
 
-    def __init__(self, blocks):
+    def __init__(self, blocks, multiplicity=None):
         self.dtype = np.result_type(*(mat for pair in blocks for mat in pair))
         sizes = np.array([h0.shape[0] for h0, _ in blocks])
         self.dim = int(sizes.sum())
@@ -151,6 +151,9 @@ class BlockEigensolver:
         self.edges = np.concatenate(([0], np.cumsum(sizes)))
         self.group_edges = self.edges[runs]
         self.entries = int(np.sum(sizes**2))
+        counts = np.ones(sizes.size, dtype=int) if multiplicity is None else np.array(multiplicity)
+        self.multiplicity = np.repeat(counts, sizes).astype(float)
+        self.group_multiplicity = [counts[lo:hi] for lo, hi in zip(runs, runs[1:])]
 
     def split(self, values):
         """Per-group (..., g, m) views of (..., d) values in block order."""
@@ -186,26 +189,48 @@ class BlockEigensolver:
         starts[..., self.edges] = True
         return starts
 
+    def total(self, per_block):
+        """sum_b multiplicity_b x_b of per-group (..., g) values, one per block."""
+        return sum((x * c).sum(axis=-1) for x, c in zip(per_block, self.group_multiplicity))
+
+    def inner(self, a, b):
+        """Re Tr(a^dag b) of block-diagonal matrices given as per-group stacks,
+        each block counted by its multiplicity.
+
+        a and b hold one (..., g, m, m) stack per group and broadcast against
+        each other; the result has their leading shape.  Each block and then
+        each group sums one contiguous row per leading index, so an entry
+        does not depend on how many others share its stack.
+        """
+        per_block = []
+        for x, y in zip(a, b):
+            prod = (np.conj(x) * y).real
+            per_block.append(prod.reshape(*prod.shape[:-2], -1).sum(axis=-1))
+        return self.total(per_block)
+
     def dense(self, stacks):
-        """The d x d block-diagonal matrix of per-group (g, m, m) stacks."""
-        out = np.zeros((self.dim, self.dim), dtype=np.result_type(*stacks))
-        for lo, stack in zip(self.group_edges, stacks):
+        """The block-diagonal matrix of per-group (g, m, m) stacks, each block
+        repeated by its multiplicity (d x d when every block counts once)."""
+        size = int(self.multiplicity.sum())
+        out = np.zeros((size, size), dtype=np.result_type(*stacks))
+        at = 0
+        for stack, counts in zip(stacks, self.group_multiplicity):
             m = stack.shape[-1]
-            for b, block in enumerate(stack):
-                at = slice(lo + b * m, lo + (b + 1) * m)
-                out[at, at] = block
+            for block in np.repeat(stack, counts, axis=0):
+                out[at : at + m, at : at + m] = block
+                at += m
         return out
 
 
 class EigenbasisContinuation:
     """Marches the labeled eigenbasis of H_lambda = h0 + lambda v along a lambda path.
 
-    blocks holds H0 and V as (h0_b, v_b) pairs (see BlockEigensolver): the
-    blocks of SymmetrySectors, or a dense pair as one block.  vectors holds
-    the current columns as the solver's per-group stacks, and labels the
-    lambda = 0 column each carries, in block order.  restart() returns to the
-    labeled eigenbasis of H0, so one continuation serves any number of
-    marches.
+    blocks holds H0 and V as (h0_b, v_b) pairs, counted by multiplicity
+    (see BlockEigensolver): the blocks of SymmetrySectors, or a dense pair
+    as one block.  vectors holds the current columns as the solver's
+    per-group stacks, and labels the lambda = 0 column each carries, in
+    block order.  restart() returns to the labeled eigenbasis of H0, so one
+    continuation serves any number of marches.
 
     Labels are transported level by level, by adiabatic transport of the
     spectral projectors (Kato 1950).  Levels are formed inside the solver's
@@ -221,11 +246,12 @@ class EigenbasisContinuation:
     the level matter.  A level whose g-th and (g+1)-th masses tie within
     AMBIGUITY_TOL between labels of different origin energies, or a step
     that loses a label to another level, is ambiguous and is recorded on
-    ambiguous_steps as (lambda, number of ambiguous matches).
+    ambiguous_steps as (lambda, number of ambiguous matches); a tie counts
+    once per copy of its block (its multiplicity), as in the full operator.
     """
 
-    def __init__(self, blocks):
-        self.solver = BlockEigensolver(blocks)
+    def __init__(self, blocks, multiplicity=None):
+        self.solver = BlockEigensolver(blocks, multiplicity)
         at_zero = self.solver.solve([0.0])
         edges = np.flatnonzero(self.solver.level_starts(at_zero.values[0]))
         self._origin = at_zero.values[0]
@@ -302,8 +328,8 @@ class EigenbasisContinuation:
         n_ambiguous = np.any(np.sort(labels[1:], axis=1) != np.sort(labels[:-1], axis=1), axis=1)
         n_ambiguous = n_ambiguous.astype(int)
         rotating, mixed_levels = steps, []
-        for lo, hi, (overlap, first, mass, order, taken) in zip(
-            solver.group_edges, solver.group_edges[1:], groups
+        for lo, hi, counts, (overlap, first, mass, order, taken) in zip(
+            solver.group_edges, solver.group_edges[1:], solver.group_multiplicity, groups
         ):
             m, width = overlap.shape[-1], hi - lo
             step = first // width
@@ -315,7 +341,10 @@ class EigenbasisContinuation:
             before = step[part]
             differ = (labels[before, block_start[part] + last]
                       != labels[before, block_start[part] + after])
-            n_ambiguous += np.bincount(step[part][tied & differ], minlength=steps)
+            hit = part[tied & differ]
+            n_ambiguous += np.bincount(
+                step[hit], weights=counts[first[hit] % width // m], minlength=steps
+            ).astype(int)
             lab = labels[1:, lo:hi].reshape(-1)
             mixed = np.minimum.reduceat(lab, first) != np.maximum.reduceat(lab, first)
             if mixed.any():
@@ -372,9 +401,10 @@ class QuasiGibbsSweep:
     """Quasi-Gibbs targets at a grid of records from one converged continuation.
 
     The targets keep the Boltzmann weights of H0 at inverse temperature beta
-    on the continued eigenbasis of H0 + lambda V, given as blocks (see
-    BlockEigensolver), at each lambda of the grid lambdas, which must be
-    finite and start at 0; they are per-block stacks in the blocks' basis.
+    on the continued eigenbasis of H0 + lambda V, given as blocks counted
+    by multiplicity (see BlockEigensolver), at each lambda of the grid
+    lambdas, which must be finite and start at 0; they are per-block stacks
+    in the blocks' basis.
     The march follows the records in the order given, so the grid need not
     ascend.  One EigenbasisContinuation is started per sweep, and every
     march restarts from its labeled lambda = 0 basis and advances over the
@@ -383,8 +413,9 @@ class QuasiGibbsSweep:
     eigendecomposition at lambda_k, so the step count only decides whether
     the labels are resolved.  Starting at one step per record interval, the
     count is doubled until sigma at every record is stable to
-    CONTINUATION_STABILITY_TOL in HS norm.  Where the coarser march rotated
-    no level at a record, that change is exactly the 2-norm of the change in
+    CONTINUATION_STABILITY_TOL in HS norm, every block counted by its
+    multiplicity.  Where the coarser march rotated no level at a record,
+    that change is exactly sqrt(sum multiplicity dw^2) of the change dw in
     column weights.  The first round marches 1 and 2 steps per interval in
     one pass of the solver over the 2-step path, whose every second lambda
     is a record, so each of its lambdas is solved once for both marches;
@@ -401,18 +432,20 @@ class QuasiGibbsSweep:
     Only the accepted march counts: its ambiguous steps are kept on
     ambiguous_steps and raise one ContinuationWarning, while a coarser march
     that the doubling rejected is discarded together with its ties.
-    Every target has the purity sum w^2 of the weights (purity).
+    Every target has the purity sum multiplicity w^2 of the weights
+    (purity), whose Z counts every block by its multiplicity too.
     """
 
-    def __init__(self, blocks, lambdas, beta):
+    def __init__(self, blocks, lambdas, beta, multiplicity=None):
         lambdas = np.asarray(lambdas, dtype=float)
         if lambdas.size == 0 or lambdas[0] != 0 or not np.isfinite(lambdas).all():
             raise ValueError(f"record lambdas must be finite and start at 0, got {lambdas}")
         self.lambdas = lambdas
-        self._cont = EigenbasisContinuation(blocks)
+        self._cont = EigenbasisContinuation(blocks, multiplicity)
         self.solver = self._cont.solver
-        self.weights = boltzmann_weights(self._cont._origin, beta)
-        self.purity = float(np.sum(self.weights**2))
+        counts = self.solver.multiplicity
+        self.weights = boltzmann_weights(self._cont._origin, beta, counts)
+        self.purity = float(np.sum(counts * self.weights**2))
         # the first round marches 1 and 2 steps per interval in one pass
         per_interval, coarse = 2, None
         for _ in range(1, _MAX_SWEEP_DOUBLINGS):
@@ -499,14 +532,15 @@ class QuasiGibbsSweep:
                             _sigma(solver, coarse.rotated[k], w[coarse.labels[k]]),
                         )
                     ]
-                    changes[k] = math.sqrt(block_inner(diff, diff))
+                    changes[k] = math.sqrt(solver.inner(diff, diff))
         # the coarse levels carried one weight each where that march rotated
         # none, so its sigma is diagonal in any basis of them, this march's included;
         # the weights are gathered in stack_slices row chunks, never as a
         # whole records x d array
         delta = np.empty(self.lambdas.size)
         for at in stack_slices(delta.size, w.nbytes):
-            delta[at] = np.linalg.norm(w[record_labels[at]] - w[coarse.labels[at]], axis=1)
+            dw = w[record_labels[at]] - w[coarse.labels[at]]
+            delta[at] = np.sqrt(np.sum(dw * dw * solver.multiplicity, axis=1))
         for k, change in changes.items():
             delta[k] = change
         return coarse, _March(record_labels, rotated, cont.ambiguous_steps), float(delta.max())
@@ -528,14 +562,19 @@ class QuasiGibbsSweep:
             done += c
 
 
-def _endpoints(model: SpinChainModel, beta, lam):
+def _endpoints(model: SpinChainModel, beta, lam, distinct):
     """The sector basis, the solver of a two-record sweep over [0, lam], its
-    records as one (2, g, m, m) stack per group, and their purity."""
+    records as one (2, g, m, m) stack per group, and their purity.
+
+    The sweep runs on SymmetrySectors.distinct_blocks() when distinct, and
+    on every block otherwise.
+    """
     require_beta(beta)
     require_finite("lambda", lam)
     require_dense_fits(model)
     sectors = symmetry_sectors(model)
-    sweep = QuasiGibbsSweep(sectors.blocks, np.array([0.0, lam]), beta)
+    blocks, multiplicity = sectors.distinct_blocks() if distinct else (sectors.blocks, None)
+    sweep = QuasiGibbsSweep(blocks, np.array([0.0, lam]), beta, multiplicity)
     records = [np.concatenate(stacks) for stacks in zip(*sweep.records())]
     return sectors.basis, sweep.solver, records, sweep.purity
 
@@ -547,9 +586,10 @@ def quasi_gibbs_at(model: SpinChainModel, beta, lam) -> DensityMatrix:
     symmetry sectors, assembled once in the computational basis; negative
     lambda is allowed (symmetric finite differences of the overlap use it).
     Its purity equals the initial Gibbs purity because the weights never
-    change along the continuation.
+    change along the continuation.  It runs on every block, reflection
+    twins included, since the state needs each twin's own columns.
     """
-    basis, solver, records, _ = _endpoints(model, beta, lam)
+    basis, solver, records, _ = _endpoints(model, beta, lam, distinct=False)
     sigma = solver.dense([stack[1] for stack in records])
     return DensityMatrix(mat=basis @ sigma @ basis.T)
 
@@ -557,15 +597,20 @@ def quasi_gibbs_at(model: SpinChainModel, beta, lam) -> DensityMatrix:
 def thermal_overlap(model: SpinChainModel, beta, lam) -> float:
     """Hilbert-Schmidt fidelity C between Gibbs(beta) and the quasi-Gibbs target.
 
-    Both come from one two-record sweep on the symmetry sectors: its
-    lambda = 0 record is the Gibbs state.  Both are validated as
-    DensityMatrix in the sector basis, which changes no trace, and C is
-    hs_fidelity_from_overlap of their block_inner with the sweep's purity
+    Both come from one two-record sweep on the distinct symmetry sectors
+    (SymmetrySectors.distinct_blocks), as in evolve: its lambda = 0 record
+    is the Gibbs state.  A reflection twin holds an orthogonal copy of its
+    partner's blocks of both states, so every trace is the partner's,
+    counted twice.  Both are validated as DensityMatrix in the form that
+    repeats each block by its multiplicity, which is orthogonally similar to
+    the state and so has its trace, Hermiticity and spectrum.  C is
+    hs_fidelity_from_overlap of their solver.inner with the sweep's purity
     for both, as in evolve, so it equals evolve(...).thermal_overlap[k] at
-    lam = trace.lambdas[k] exactly.
+    lam = trace.lambdas[k] exactly.  quasi_gibbs_at keeps every block,
+    because it assembles the state itself.
     """
-    _, solver, records, purity = _endpoints(model, beta, lam)
+    _, solver, records, purity = _endpoints(model, beta, lam, distinct=True)
     rho0, sigma = [stack[0] for stack in records], [stack[1] for stack in records]
     DensityMatrix(mat=solver.dense(rho0))
     DensityMatrix(mat=solver.dense(sigma))
-    return float(hs_fidelity_from_overlap(block_inner(sigma, rho0), purity, purity))
+    return float(hs_fidelity_from_overlap(solver.inner(sigma, rho0), purity, purity))

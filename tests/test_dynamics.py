@@ -25,10 +25,10 @@ from adiatherm.operators import eigh, hs_norm
 from adiatherm.qsl import qsl_radius_constant_rate
 from adiatherm.thermal import (
     BlockEigensolver,
+    ContinuationWarning,
     EigenbasisContinuation,
     QuasiGibbsSweep,
     _sigma,
-    block_inner,
     gibbs_state,
     thermal_overlap,
 )
@@ -475,7 +475,7 @@ class TestFusedRound:
 
         def change_at(k):
             diff = [x - y for x, y in zip(sigma(fine, k), sigma(coarse, k))]
-            return math.sqrt(block_inner(diff, diff))
+            return math.sqrt(sweep.solver.inner(diff, diff))
 
         expected = max(change_at(k) for k in range(lambdas.size))
         assert change == pytest.approx(expected, abs=1e-13)
@@ -527,6 +527,91 @@ class TestFusedRound:
         assert by_budget.ambiguous_steps == by_default.ambiguous_steps
         assert np.array_equal(by_budget._labels, by_default._labels)
         assert all(np.array_equal(x, y) for x, y in zip(budget_records, default_records))
+
+
+def tie_block():
+    """A 3-level block whose two lowest levels of different weight meet in
+    a narrow avoided crossing at lambda = 0.5, where every march ties."""
+    h0 = np.diag([0.0, 1.0, 3.0])
+    v = np.diag([1.0, -1.0, 0.0])
+    v[0, 1] = v[1, 0] = 5e-9
+    return h0, v
+
+
+class TestMultiplicity:
+    def test_a_doubled_block_is_counted_as_two_copies(self):
+        # one block counted twice must give what two copies of it give:
+        # the partition function, the purity, the doubling test's weight
+        # norm, the trace defect and the tie counts all count copies
+        block, lambdas = tie_block(), np.array([0.0, 0.5, 1.0])
+        with pytest.warns(ContinuationWarning):
+            copies = QuasiGibbsSweep([block, block], lambdas, 1.0)
+        with pytest.warns(ContinuationWarning):
+            doubled = QuasiGibbsSweep([block], lambdas, 1.0, (2,))
+        assert np.array_equal(copies.solver.multiplicity, np.ones(6))
+        assert np.array_equal(doubled.solver.multiplicity, np.full(3, 2.0))
+        assert doubled.weights == pytest.approx(copies.weights[:3], rel=1e-15, abs=0.0)
+        assert doubled.purity == pytest.approx(copies.purity, rel=1e-15, abs=0.0)
+        assert doubled.per_interval == copies.per_interval > 1
+        assert doubled.ambiguous_steps == copies.ambiguous_steps
+        assert [count for _, count in doubled.ambiguous_steps] == [4, 4]
+        # the first round's change, a weight-change norm of about 0.3
+        first_round = [sweep._march(2, None)[2] for sweep in (copies, doubled)]
+        assert first_round[0] > 0.1
+        assert first_round[1] == pytest.approx(first_round[0], rel=1e-15, abs=0.0)
+
+        def traces(sweep):
+            return np.concatenate([
+                sweep.solver.total([np.trace(s, axis1=-2, axis2=-1) for s in chunk])
+                for chunk in sweep.records()
+            ])
+
+        assert np.abs(traces(copies) - 1.0).max() <= 1e-15
+        assert np.abs(traces(doubled) - 1.0).max() <= 1e-15
+        for copies_record, doubled_record in zip(copies.records(), doubled.records()):
+            for k in range(copies_record[0].shape[0]):
+                dense = doubled.solver.dense([s[k] for s in doubled_record])
+                assert dense.shape == (6, 6)
+                expected = copies.solver.dense([s[k] for s in copies_record])
+                assert np.abs(dense - expected).max() <= 1e-15
+        [by_copies] = _run_levels(copies, 1.0, 4)
+        [by_doubling] = _run_levels(doubled, 1.0, 4)
+        assert by_copies.keys() == by_doubling.keys()
+        for name, column in by_copies.items():
+            assert np.abs(by_doubling[name] - column).max() <= 1e-15, name
+
+
+TWIN_EVOLVE_CASES = [
+    (kind, b, n, 1.0, 2.0, 0.2, 21)
+    for kind, b in (("tfic", None), ("qxyc", None), ("mfic", 0.7))
+    for n in (5, 6, 7)
+] + [
+    ("qxyc", None, 6, 1.0, 2.0, 1.5, 31),  # across the exact crossing at lambda = 1
+    ("tfic", None, 6, 5.0, 2.0, 2.5, 26),
+]
+
+
+class TestReflectionTwins:
+    @pytest.mark.parametrize(
+        "kind,b,n_sites,beta,gamma,lambda_max,n_records", TWIN_EVOLVE_CASES,
+        ids=[f"{c[0]}-{c[2]}-{c[5]:g}" for c in TWIN_EVOLVE_CASES],
+    )
+    def test_evolving_each_twin_once_matches_every_block(self, monkeypatch, kind, b, n_sites,
+                                                         beta, gamma, lambda_max, n_records):
+        # the same sectors without labels have no twins, so evolve then runs
+        # every block once
+        model = SpinChainModel(kind, n_sites, B=b)
+        twice = evolve(model, beta, gamma, lambda_max, n_records)
+        sectors = symmetry_sectors(model)
+        unlabeled = SymmetrySectors((None,) * len(sectors.blocks), sectors.basis, sectors.blocks)
+        assert len(unlabeled.distinct_blocks()[0]) > len(sectors.distinct_blocks()[0])
+        monkeypatch.setattr(dynamics, "symmetry_sectors", lambda _: unlabeled)
+        every = evolve(model, beta, gamma, lambda_max, n_records)
+        assert twice.counters() == every.counters()
+        for twice_row, every_row in zip(twice.rows(), every.rows()):
+            assert np.abs(np.subtract(twice_row, every_row)).max() <= 1e-13
+        for column in ("trace_defect", "herm_defect"):
+            assert np.abs(getattr(twice, column) - getattr(every, column)).max() <= 1e-13
 
 
 def synthetic_trace(lambdas, fidelities):

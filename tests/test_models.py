@@ -268,6 +268,46 @@ class TestSymmetrySectors:
         assert len(sectors.blocks) == n_blocks and set(sectors.sizes) == sizes
 
 
+TWIN_CASES = [(kind, b, n) for kind, b in (("tfic", None), ("qxyc", None), ("mfic", 0.7),
+                                            ("mfic", 1.3)) for n in range(2, 11)]
+
+
+class TestReflectionTwins:
+    @pytest.mark.parametrize("kind,b,n_sites", TWIN_CASES)
+    def test_twins_are_orthogonal_copies_of_their_partners(self, kind, b, n_sites):
+        # at 0 < k < pi, J = (T - T^-1) / (2 sin k) carries the partner
+        # (m, +1, x) onto its twin (m, -1, x), which distinct_blocks drops
+        sectors = symmetry_sectors(SpinChainModel(kind, n_sites, B=b))
+        blocks, multiplicity = sectors.distinct_blocks()
+        label_of = {id(block): label for label, block in zip(sectors.labels, sectors.blocks)}
+        kept = [label_of[id(block)] for block in blocks]
+        assert sum(c * h0.shape[0] for c, (h0, _) in zip(multiplicity, blocks)) == 2**n_sites
+        for (m, _, _), count in zip(kept, multiplicity):
+            assert count == (2 if 0 < 2 * m < n_sites else 1)
+
+        block_of = dict(zip(sectors.labels, sectors.blocks))
+        starts = np.cumsum((0,) + sectors.sizes)
+        columns = {label: sectors.basis[:, lo:hi]
+                   for label, lo, hi in zip(sectors.labels, starts, starts[1:])}
+        shifted = models._translate(np.arange(2**n_sites), n_sites)
+        for twin in set(sectors.labels) - set(kept):
+            m, p, x = twin
+            assert p == -1 and 0 < 2 * m < n_sites
+            partner = (m, 1, x)
+            assert partner in kept
+            (h0_p, v_p), (h0_t, v_t) = block_of[partner], block_of[twin]
+            assert h0_p.shape == h0_t.shape
+            for lam in (0.0, 0.37, 1.0, 1.5):
+                assert np.abs(np.linalg.eigvalsh(h0_p + lam * v_p)
+                              - np.linalg.eigvalsh(h0_t + lam * v_t)).max() <= 1e-12
+            q_p, q_t = columns[partner], columns[twin]
+            forward = np.zeros_like(q_p)
+            forward[shifted] = q_p  # T: |s> -> |T s>
+            j_q = (forward - q_p[shifted]) / (2.0 * math.sin(2.0 * math.pi * m / n_sites))
+            assert np.abs(j_q - q_t @ (q_t.T @ j_q)).max() <= 1e-12
+            assert np.abs(j_q.T @ j_q - np.eye(q_p.shape[1])).max() <= 1e-12
+
+
 class TestFlipTerms:
     @pytest.mark.parametrize("kind,b", [("tfic", None), ("mfic", 0.7)])
     def test_single_site_flips(self, kind, b):

@@ -51,7 +51,7 @@ _SECTOR_ARRAYS = 2
 _RECORD_ARRAYS = 2
 # Arrays of 2^N 8-byte values flip_sums_sweep holds at once from N = 12 on,
 # where a beta chunk is one beta: the energies, their shifted copy, the
-# weights, the basis indices, the ground mask, and per flip mask the
+# weights, the basis indices, the ground mask, and per flip orbit the
 # partners, energy and weight differences, the coupled mask and up to three
 # expression temporaries.  Below that a chunk's stacks fit _STACK_BYTES.
 _FLIP_ARRAYS = 12
@@ -197,6 +197,27 @@ def flip_terms(model: SpinChainModel) -> tuple[tuple[int, float], ...]:
         mask = bit[site] if model.kind != "qxyc" else bit[site] | bit[(site + 1) % n]
         amplitudes[mask] = amplitudes.get(mask, 0.0) - model.J
     return tuple(amplitudes.items())
+
+
+def _flip_orbits(model: SpinChainModel) -> tuple[tuple[int, float], ...]:
+    """flip_terms grouped into translation orbits, as (representative, weight).
+
+    The representative is the orbit's smallest rotation of a mask and the
+    weight the sum of amplitude^2 over the orbit's masks.  classical_energies
+    is bitwise invariant under T, so s -> T s carries the pairs (s, s ^ mask)
+    onto (T s, T s ^ T mask) at equal energies: every pair sum of a mask is
+    its representative's.  Every kind has one orbit from N = 3 on, and at
+    N = 2 tfic has one of weight 2 J^2 and qxyc its merged mask 0b11 at 4 J^2.
+    """
+    n = model.n_sites
+    weights = {}
+    for mask, amplitude in flip_terms(model):
+        rotations = [mask]
+        for _ in range(n - 1):
+            rotations.append(_translate(rotations[-1], n))
+        representative = min(rotations)
+        weights[representative] = weights.get(representative, 0.0) + amplitude * amplitude
+    return tuple(weights.items())
 
 
 def _require_memory(model: SpinChainModel, route, needed, arrays):

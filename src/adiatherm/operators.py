@@ -8,9 +8,9 @@ d x d matrix (the operator-level susceptibility functions, quasi_gibbs_at,
 thermal_overlap) run at desk scale (N <= 12, d <= 4096), where full
 eigendecompositions stay cheap, so no sparse or iterative machinery is
 used anywhere.  The threshold route builds no operator at all: it
-enumerates flip pairs (susceptibility.flip_sums) and has been measured up
-to N = 18.  hbar = 1 throughout and the Ising coupling J sets the energy
-unit.
+enumerates flip pairs, one mask per translation orbit and O(2^N) per beta
+(susceptibility.flip_sums), and has been measured up to N = 20.  hbar = 1
+throughout and the Ising coupling J sets the energy unit.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ zero-temperature reference Gamma_N through f_N = Gamma_th / Gamma_N.
 
 Every chain quantity (threshold_sweep and the low- and high-temperature
 coefficients) comes from one preparation, the classical energies and the
-flip pairs of V, without building a matrix.  A whole beta grid comes from
+flip pairs of V, without building a matrix.  The energies are invariant
+under the ring translation, so the pair sums take one mask per
+translation orbit, O(2^N) per beta.  A whole beta grid comes from
 one such preparation (flip_sums_sweep), its weights vectorised over beta
 in chunks; flip_sums and threshold_report are its one-beta cases.  The
 dense oracle that tests and the acceptance criteria compare it against is
@@ -30,7 +32,7 @@ import numpy as np
 
 from ._kernels import chi_pair_sum, pair_weight_sum
 from .models import SpinChainModel, classical_energies, flip_terms, require_alpha, require_beta
-from .models import stack_slices
+from .models import _flip_orbits, stack_slices
 from .operators import (
     HermitianOperator,
     SpectralDecomposition,
@@ -91,8 +93,8 @@ class FlipSums(NamedTuple):
 
 
 def flip_sums_sweep(model: SpinChainModel, betas) -> list[FlipSums]:
-    """Spectral pair sums of a chain at every beta of betas, from its N 2^N
-    flip pairs.
+    """Spectral pair sums of a chain at every beta of betas, from one mask
+    per translation orbit of its flip pairs, O(2^N) per beta.
 
     Every field equals the field of dense_sums on the chain's H0 spectrum
     and V, but no matrix is built.  H0 is diagonal in the
@@ -100,14 +102,17 @@ def flip_sums_sweep(model: SpinChainModel, betas) -> list[FlipSums]:
     the masks of flip_terms.  A pair sum over whole degenerate levels does
     not depend on the basis chosen inside them, so every spectral pair sum
     of the dense route becomes a sum over (s, s ^ mask) with
-    |V|^2 = amplitude^2.  V's diagonal part never enters a pair sum, and it
-    commutes with H0.  Degenerate pairs and the ground level use
-    degeneracy_tolerance as the dense route does.
+    |V|^2 = amplitude^2.  The energies are translation invariant, so a
+    mask's pair sums equal those of its translates, and one pass per
+    translation orbit of the masks (models._flip_orbits), scaled by the
+    orbit's summed amplitude^2, gives them all.  V's diagonal part never
+    enters a pair sum, and it commutes with H0.  Degenerate pairs and the
+    ground level use degeneracy_tolerance as the dense route does.
 
     Every beta is checked before anything is allocated.  The energies, the
     degeneracy tolerance and the ground level are prepared once, and the
-    four beta-independent fields come from the first pass over the masks.
-    The betas go through in chunks: each mask's partners, energy gaps and
+    four beta-independent fields come from the first pass over the orbits.
+    The betas go through in chunks: each orbit's partners, energy gaps and
     coupled mask are formed once per chunk, and its weights are a
     (chunk, 2^N) stack reduced row by row.  The chunks are the
     models.stack_slices of the betas at three 2^N arrays a beta (the
@@ -136,7 +141,7 @@ def _flip_pass(model: SpinChainModel, betas: np.ndarray):
     ground = shifted <= tol
     g0 = int(np.count_nonzero(ground))
     idx = np.arange(model.dim)
-    terms = flip_terms(model)
+    orbits = _flip_orbits(model)
     dv2, chi, z2 = np.zeros(betas.size), np.zeros(betas.size), np.empty(betas.size)
     dv0_2 = chi0 = offdiag = commutator = 0.0
     for chunk in stack_slices(betas.size, 3 * e.nbytes):
@@ -146,9 +151,8 @@ def _flip_pass(model: SpinChainModel, betas: np.ndarray):
             z2[chunk] = np.add.reduce(np.exp(-beta * (2.0 * shifted)), axis=1)
             w = np.exp(-beta * shifted)
         dv2_chunk, chi_chunk = dv2[chunk], chi[chunk]
-        for mask, amplitude in terms:
+        for mask, a2 in orbits:
             partner = idx ^ mask
-            a2 = amplitude * amplitude
             de = shifted[partner] - shifted
             coupled = np.abs(de) > tol
             # take and compress gather into C-contiguous stacks, whose rows
@@ -296,10 +300,11 @@ def high_temp_coefficient(model: SpinChainModel) -> float:
 def threshold_sweep(model: SpinChainModel, betas, alpha: float = 1.0) -> list[ThresholdReport]:
     """Assemble deltaV, chi_F, Gamma_th, Gamma_N and f_N at every beta of betas.
 
-    Every ingredient comes from one flip_sums_sweep over the grid, in
-    O(N 2^N) time per beta and O(2^N) memory.  beta = inf is an error, not
-    the ground limit: that limit is ground_delta_v and ground_chi_f
-    (flip_sums' ground fields), whose ratio times alpha is Gamma_N.
+    Every ingredient comes from one flip_sums_sweep over the grid, one mask
+    per translation orbit, in O(2^N) time per beta and O(2^N) memory.
+    beta = inf is an error, not the ground limit: that limit is
+    ground_delta_v and ground_chi_f (flip_sums' ground fields), whose ratio
+    times alpha is Gamma_N.
     """
     require_alpha(alpha)
     reports = []

@@ -325,6 +325,43 @@ class TestFlipTerms:
         assert flip_terms(SpinChainModel("qxyc", 2, J=0.5)) == ((0b11, -1.0),)
 
 
+ORBIT_CASES = [(kind, b, j, n) for kind, b in (("tfic", None), ("qxyc", None), ("mfic", 0.7),
+                                               ("mfic", 1.3))
+               for j in (1.0, 0.7) for n in range(2, 13)]
+
+
+class TestFlipOrbits:
+    @pytest.mark.parametrize("kind,b,j,n_sites", ORBIT_CASES)
+    def test_one_pass_per_translation_orbit_covers_every_mask(self, kind, b, j, n_sites):
+        # flip_sums_sweep's one pass per orbit rests on E(T s) == E(s) bit for bit
+        model = SpinChainModel(kind, n_sites, J=j, B=b)
+        energies = classical_energies(model)
+        translated = energies[models._translate(np.arange(model.dim), n_sites)]
+        assert translated.tobytes() == energies.tobytes()
+
+        terms, orbits = flip_terms(model), models._flip_orbits(model)
+        covered = []
+        for representative, _ in orbits:
+            rotations = [representative]
+            for _ in range(n_sites - 1):
+                rotations.append(models._translate(rotations[-1], n_sites))
+            assert representative == min(rotations)
+            covered += set(rotations)
+        # the orbits are disjoint and hold every mask
+        assert sorted(covered) == sorted(mask for mask, _ in terms)
+        total = sum(amplitude * amplitude for _, amplitude in terms)
+        assert sum(weight for _, weight in orbits) == pytest.approx(total, rel=1e-15)
+        if n_sites >= 3:
+            assert len(orbits) == 1
+
+    @pytest.mark.parametrize("j", [1.0, 0.7])
+    def test_two_site_orbits(self, j):
+        # tfic's two single flips are one orbit; qxyc's two bonds one merged mask
+        (_, weight), = models._flip_orbits(SpinChainModel("tfic", 2, J=j))
+        assert weight == 2 * (j * j)
+        assert models._flip_orbits(SpinChainModel("qxyc", 2, J=j)) == ((0b11, 4 * (j * j)),)
+
+
 class TestStackSlices:
     @pytest.mark.parametrize("count", [1, 2, 7, 1000])
     @pytest.mark.parametrize(

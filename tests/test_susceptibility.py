@@ -423,6 +423,37 @@ def float_hexes(records):
     return [[x.hex() for x in record] for record in records]
 
 
+def per_mask_sums(model, beta):
+    """The six flip_sums fields at one beta from one pass over the 2^N
+    states per flip_terms mask: the reference for flip_sums_sweep's one
+    pass per translation orbit."""
+    e = models.classical_energies(model)
+    shifted = e - e.min()
+    tol = degeneracy_tolerance(e)
+    ground = shifted <= tol
+    idx = np.arange(model.dim)
+    with np.errstate(over="ignore"):
+        w = np.exp(-beta * shifted)
+        z2 = float(np.sum(np.exp(-beta * (2.0 * shifted))))
+    dv2 = chi = dv0_2 = chi0 = offdiag = commutator = 0.0
+    for mask, amplitude in models.flip_terms(model):
+        a2 = amplitude * amplitude
+        partner = idx ^ mask
+        de = shifted[partner] - shifted
+        coupled = np.abs(de) > tol
+        dw2 = (w[partner] - w) ** 2
+        dv2 += a2 * float(np.sum(dw2))
+        chi += a2 * float(np.sum(dw2[coupled] / de[coupled] ** 2))
+        leaves_ground = ground & ~ground[partner]
+        dv0_2 += a2 * float(np.count_nonzero(leaves_ground))
+        chi0 += a2 * float(np.sum(shifted[partner[leaves_ground]] ** -2.0))
+        offdiag += a2 * float(np.count_nonzero(coupled))
+        commutator += a2 * float(de @ de)
+    g0 = np.count_nonzero(ground)
+    return (math.sqrt(dv2 / z2), 2.0 * chi / z2, math.sqrt(2.0 * dv0_2 / g0),
+            4.0 / g0 * chi0, offdiag, math.sqrt(commutator))
+
+
 class TestFlipSumsSweep:
     @pytest.mark.parametrize("n", range(3, 11))
     @pytest.mark.parametrize("kind,b", SWEEP_DRIVES)
@@ -452,6 +483,15 @@ class TestFlipSumsSweep:
         monkeypatch.setattr(np, "arange", refuse)
         with pytest.raises(ValueError, match=match):
             flip_sums_sweep(SpinChainModel("tfic", 4), [0.1, 0.5, 1.0, bad, 2.0])
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("kind,b", DRIVES)
+    def test_matches_a_pass_per_mask(self, kind, b, n):
+        model = SpinChainModel(kind, n, B=b)
+        betas = SWEEP_BETAS + (1e308,)
+        for beta, got in zip(betas, flip_sums_sweep(model, betas)):
+            for g, e in zip(got, per_mask_sums(model, beta)):
+                assert g == 0.0 if e == 0.0 else abs(g - e) <= 1e-13 * abs(e), (beta, got)
 
     @pytest.mark.parametrize("kind,b", SWEEP_DRIVES)
     def test_threshold_sweep_repeats_threshold_report(self, kind, b):

@@ -1,9 +1,13 @@
 """Dense pair-sum and column-matching kernels, in numpy.
 
-The pair sums give deltaV and chi_F of susceptibility.dense_sums, the
-dense oracle of the flip-sum route.  They take the whole d x d pair array
-at once: the oracle runs at d <= 256, where that is a few megabytes, so
-they carry no row blocking.  The package no longer calls the column
+The pair sums give deltaV and chi_F of susceptibility.dense_sums_sweep,
+the dense oracle of the flip-sum route.  They take the whole d x d pair
+array at once: the oracle runs at d <= 256, where that is a few megabytes,
+so they carry no row blocking.  A call takes one weight vector or a (B, d)
+stack of them, one row per beta of a grid: chi_pair_sum forms its
+degeneracy-masked V2 / dE^2 kernel once per call, and every row is summed
+by the operations of a one-vector call, so its sum does not depend on the
+stack it came in.  The package no longer calls the column
 matching (match_columns, greedy_match): the eigenbasis continuation
 transports whole levels by projector mass.  It stays as a tested
 maximal-overlap assignment whose names perfbench's tracer reports.
@@ -23,21 +27,33 @@ def backend_name():
 def chi_pair_sum(energies, weights, v2, tol):
     """Degeneracy-excluded spectral pair sum behind the fidelity susceptibility:
     sum_{m != n, |E_m - E_n| > tol} (w_m - w_n)^2 V2[m, n] / (E_m - E_n)^2.
+
+    weights is one (d,) vector, which gives a float, or a (B, d) stack, which
+    gives the (B,) sums of its rows.  The masked kernel V2 / (E_m - E_n)^2 is
+    formed once per call and every row is summed with it as _pair_sums does.
     """
     energies = np.asarray(energies, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
     de = energies[:, None] - energies[None, :]
-    dw = weights[:, None] - weights[None, :]
-    contrib = np.zeros_like(de)
-    np.divide(dw * dw * v2, de * de, out=contrib, where=np.abs(de) > tol)
-    return float(contrib.sum())
+    kernel = np.zeros_like(de)
+    np.divide(v2, de * de, out=kernel, where=np.abs(de) > tol)
+    return _pair_sums(weights, kernel)
 
 
 def pair_weight_sum(weights, v2):
-    """Plain weighted pair sum sum_{m,n} (w_m - w_n)^2 V2[m, n]."""
+    """Plain weighted pair sum sum_{m,n} (w_m - w_n)^2 V2[m, n], for one
+    (d,) weight vector (a float) or each row of a (B, d) stack (a (B,) array)."""
+    return _pair_sums(weights, v2)
+
+
+def _pair_sums(weights, kernel):
+    """sum_{m,n} (w_m - w_n)^2 kernel[m, n] of a weight vector, or of each
+    row of a stack of them, every row by the same operations as a vector."""
     weights = np.asarray(weights, dtype=np.float64)
-    dw = weights[:, None] - weights[None, :]
-    return float(np.sum(dw * dw * v2))
+    sums = []
+    for w in np.atleast_2d(weights):
+        dw = w[:, None] - w[None, :]
+        sums.append(float(np.sum(dw * dw * kernel)))
+    return sums[0] if weights.ndim == 1 else np.array(sums)
 
 
 def _greedy_sweep(order_rows, order_cols, d):

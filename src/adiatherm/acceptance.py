@@ -9,7 +9,9 @@ the pytest acceptance suite, so the CLI report and the tests can never
 drift apart.
 
 The dense criteria (AC01-AC03) take each model's whole beta grid from one
-dense_sums_sweep, so V is rotated into H0's eigenbasis once per model.
+dense_sums_sweep, so V is rotated into H0's eigenbasis and the chi_F
+kernel is formed once per model.  AC11 takes its lambda = h, 0, -h states
+from one quasi_gibbs_states sweep per model.
 Criterion 13 compares fixed-N and thermodynamic low-temperature expansions
 at a scale (1e-18) below double resolution, so that single check evaluates
 both sides with 50-digit arithmetic (the standard library's decimal, whose
@@ -37,7 +39,7 @@ from .susceptibility import (
     flip_sums,
     low_temp_coefficients,
 )
-from .thermal import escort_state, gibbs_state, quasi_gibbs_at
+from .thermal import escort_state, gibbs_state, quasi_gibbs_states
 
 
 @dataclass(frozen=True)
@@ -282,12 +284,11 @@ def criterion_11():
         beta = 1.0
         spec, v = _dense(model)
         rho0 = gibbs_state(spec, beta).mat
-
-        def log_s(lam):
-            sigma = quasi_gibbs_at(model, beta, lam).mat
-            return math.log(float(np.real(np.vdot(rho0, sigma))))
-
-        chi_fd = -2.0 * (log_s(h) - 2.0 * log_s(0.0) + log_s(-h)) / h**2
+        log_plus, log_zero, log_minus = (
+            math.log(float(np.real(np.vdot(rho0, sigma.mat))))
+            for sigma in quasi_gibbs_states(model, beta, (h, 0.0, -h))
+        )
+        chi_fd = -2.0 * (log_plus - 2.0 * log_zero + log_minus) / h**2
         chi = chi_f_thermal(spec, v, beta)
         yield Check(f"{model.kind} N=4 betaJ=1", _rel(chi_fd, chi), 1e-3)
 

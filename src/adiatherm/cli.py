@@ -276,43 +276,53 @@ def cmd_spectrum(config: RunConfig) -> int:
     return 0
 
 
+def _closed_forms(model: SpinChainModel, beta, undefined):
+    """The closed-form deltaV, chi_F, f_N and f of a threshold row at beta;
+    f_N and f stay nan on a row that threshold_sweep flags undefined.
+
+    An mfic row takes all four from one transfer-matrix record
+    (closed_forms.mfic_threshold_forms).  Raises ValueError where the
+    closed forms do not apply.
+    """
+    n_sites, j = model.n_sites, model.J
+    if model.kind == "mfic":
+        delta, chi, f_n, f_inf = cf.mfic_threshold_forms(n_sites, beta, j, model.B)
+        return (delta, chi, math.nan, math.nan) if undefined else (delta, chi, f_n, f_inf)
+    delta, chi = cf.delta_v_tfic_closed(n_sites, beta, j), cf.chi_f_tfic_closed(n_sites, beta, j)
+    if undefined:
+        return delta, chi, math.nan, math.nan
+    return delta, chi, cf.f_n_tfic(n_sites, beta, j), cf.f_n_tfic(None, beta, j)
+
+
 def _threshold_row(model: SpinChainModel, report):
     """One CSV row: the flip route's report at one beta beside the closed forms.
 
     A row that threshold_sweep flags undefined leaves f_n_closed, f_inf and
     rel_err_* empty.
     """
-    n_sites, beta, undefined = model.n_sites, report.beta, report.undefined_at_infinite_temperature
-    if model.kind == "mfic":
-        forms, args = (cf.delta_v_mfic_closed, cf.chi_f_mfic_closed, cf.f_mfic), (model.J, model.B)
-    else:
-        forms, args = (cf.delta_v_tfic_closed, cf.chi_f_tfic_closed, cf.f_n_tfic), (model.J,)
-    delta_v, chi_f, f = forms
-    closed = {"delta": math.nan, "chi": math.nan, "f_n": math.nan, "f_inf": math.nan}
+    beta, undefined = report.beta, report.undefined_at_infinite_temperature
+    closed = (math.nan,) * 4
     reason = UNDEFINED_AT_BETA_ZERO if undefined else ""
     try:
-        closed["delta"] = delta_v(n_sites, beta, *args)
-        closed["chi"] = chi_f(n_sites, beta, *args)
-        if not undefined:
-            closed["f_n"] = f(n_sites, beta, *args)
-            closed["f_inf"] = f(None, beta, *args)
+        closed = _closed_forms(model, beta, undefined)
     except ValueError as exc:
         reason = reason or str(exc)
+    delta, chi, f_n, f_inf = closed
     rel_dv = rel_chi = math.nan
-    if not undefined and closed["delta"] > 0:
-        rel_dv = abs(report.delta_v / closed["delta"] - 1.0)
-        rel_chi = abs(report.chi_f / closed["chi"] - 1.0)
+    if not undefined and delta > 0:
+        rel_dv = abs(report.delta_v / delta - 1.0)
+        rel_chi = abs(report.chi_f / chi - 1.0)
     return (
         beta,
         report.delta_v,
-        closed["delta"],
+        delta,
         report.chi_f,
-        closed["chi"],
+        chi,
         report.gamma_th,
         report.gamma_n,
         report.f_n,
-        closed["f_n"],
-        closed["f_inf"],
+        f_n,
+        f_inf,
         rel_dv,
         rel_chi,
         reason,

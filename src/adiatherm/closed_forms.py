@@ -13,7 +13,9 @@ transfer, boundary and flip matrices are built ground-shifted, like every
 Boltzmann weight of the package: each entry carries exp(-2 beta s) with
 s >= 0, so no exponent is positive.  Each trace Tr(T^n M) is split over the
 two eigenvalues of the shifted transfer matrix (_split_coefficients), and
-Lambda^N enters only through r = Lambda_-/Lambda_+ in [0, 1).
+Lambda^N enters only through r = Lambda_-/Lambda_+ in [0, 1).  A threshold
+row of the mixed-field chain takes its deltaV, chi_F, f_N and f from one
+such record (mfic_threshold_forms), bit for bit the four separate forms.
 """
 
 from __future__ import annotations
@@ -207,6 +209,14 @@ def gamma_n_mfic(n_sites, j, b, alpha: float = 1.0) -> float:
     return math.sqrt(2.0) * alpha * (2.0 * j + abs(b)) ** 2 / (math.sqrt(n_sites) * j)
 
 
+def _f_mfic_limit(j, b, coeffs: MficCoefficients) -> float:
+    """The thermodynamic-limit factor of f_mfic from one MficCoefficients record."""
+    scale = (2.0 * j + abs(b)) ** 2
+    lp2 = coeffs.lambda_plus**2
+    q_ratio = 2.0 * math.exp(-2.0 * coeffs.K - coeffs.H) * coeffs.c_plus / lp2
+    return 2.0 * lp2 / (scale * coeffs.d_plus) * math.sqrt(max(1.0 - q_ratio, 0.0))
+
+
 def f_mfic(n_sites, beta, j, b) -> float:
     """Temperature factor Gamma_th / Gamma_N for the mixed-field chain.
 
@@ -217,14 +227,32 @@ def f_mfic(n_sites, beta, j, b) -> float:
     """
     require_beta(beta, positive=True)
     coeffs = mfic_coefficients(beta, j, b)
-    scale = (2.0 * j + abs(b)) ** 2
     if n_sites is None:
-        lp2 = coeffs.lambda_plus**2
-        q_ratio = 2.0 * math.exp(-2.0 * coeffs.K - coeffs.H) * coeffs.c_plus / lp2
-        return 2.0 * lp2 / (scale * coeffs.d_plus) * math.sqrt(max(1.0 - q_ratio, 0.0))
+        return _f_mfic_limit(j, b, coeffs)
     require_ring(n_sites, j, b, min_sites=3)
     dv, chi = _mfic_finite(n_sites, j, coeffs)
     return (dv / chi) / gamma_n_mfic(n_sites, j, b, 1.0)
+
+
+def mfic_threshold_forms(n_sites, beta, j, b) -> tuple[float, float, float, float]:
+    """(deltaV, chi_F, f_N, f) of the N-site mixed-field ring at beta, from
+    one MficCoefficients record.
+
+    Each is bit for bit delta_v_mfic_closed, chi_f_mfic_closed, f_mfic(N)
+    and f_mfic(None) at the same arguments, and the arguments are checked
+    as delta_v_mfic_closed checks them.  Where a factor is undefined it is
+    nan instead of an error: both at beta = 0, f_N where chi_F underflows to
+    0 and f where d_+ does.
+    """
+    require_ring(n_sites, j, b, min_sites=3)
+    require_beta(beta)
+    if beta == 0:
+        return 0.0, 0.0, math.nan, math.nan
+    coeffs = mfic_coefficients(beta, j, b)
+    dv, chi = _mfic_finite(n_sites, j, coeffs)
+    f_n = (dv / chi) / gamma_n_mfic(n_sites, j, b, 1.0) if chi else math.nan
+    f_inf = _f_mfic_limit(j, b, coeffs) if coeffs.d_plus else math.nan
+    return dv, chi, f_n, f_inf
 
 
 def f_mfic_asymptotics(beta, j, b, regime) -> float:

@@ -16,7 +16,8 @@ in chunks; flip_sums and threshold_report are its one-beta cases.  The
 dense oracle that tests and the acceptance criteria compare it against is
 dense_sums_sweep: the same FlipSums records at every beta of a grid, from
 one eigendecomposition of H0 and one dense V, rotated once into the
-eigenbasis for the whole grid.  Its sums run over whole degenerate levels,
+eigenbasis for the whole grid, and one masked chi_F kernel, after which
+each beta costs two d x d sums.  Its sums run over whole degenerate levels,
 so it takes V in whatever eigenbasis eigh returns and never rotates a
 level.  dense_sums is its one-beta case, and chi_f_thermal,
 delta_v_thermal, ground_chi_f and ground_delta_v each read one field of it.
@@ -186,8 +187,11 @@ def dense_sums_sweep(spec: SpectralDecomposition, v: HermitianOperator, betas) -
     Every beta is checked before any matrix product.  V is then rotated once
     into the eigenbasis as eigh returned it, and the degeneracy tolerance,
     the ground multiplicity and the four beta-independent fields are formed
-    once for the grid.  Every sum runs over whole degenerate levels, with
-    weights relative to the ground energy.
+    once for the grid.  The weights of the whole grid are one (betas, d)
+    stack, so each pair sum is one kernel call per model: chi_pair_sum
+    forms its masked |V_mn|^2 / (E_m - E_n)^2 kernel once, and then each
+    beta costs two d x d sums.  Every sum runs over whole degenerate
+    levels, with weights relative to the ground energy.
     (deltaV)^2 = sum_{m != n} |V_mn|^2 (w_m - w_n)^2 / Z0(2 beta) stays
     accurate where the weights w = e^{-beta E} drop below the eigensolver
     resolution of an assembled density matrix (large beta), and
@@ -196,8 +200,9 @@ def dense_sums_sweep(spec: SpectralDecomposition, v: HermitianOperator, betas) -
     multiplicity and P the ground-level projector, chi_F0 = (4/g0) sum over
     ground g and excited n of |V_ng|^2 / (E_n - E_0)^2 and
     (deltaV0)^2 = 2 [Tr(P V^2) - Tr(P V P V)] / g0.  Each beta's fields are
-    the same operations on the same arrays as a one-beta call, so a record
-    is bitwise independent of the grid it came in.
+    the same operations on the same arrays as a one-beta call (the kernels
+    sum each row as a vector, and Z0(2 beta) adds one C-contiguous row), so
+    a record is bitwise independent of the grid it came in.
     """
     for beta in betas:
         require_beta(beta)
@@ -216,15 +221,17 @@ def dense_sums_sweep(spec: SpectralDecomposition, v: HermitianOperator, betas) -
         float(np.sum(v2[np.abs(de) > tol])),
         math.sqrt(float(np.sum(v2 * de**2))),
     )
-    del de  # a d x d array; the pair sums below form their own, so free it first
-    records = []
-    for beta in betas:
-        with np.errstate(over="ignore"):  # as in _flip_pass
-            w = np.exp(-beta * shifted)
-            z2 = float(np.sum(np.exp(-beta * (2.0 * shifted))))
-        delta_v = math.sqrt(pair_weight_sum(w, v2) / z2)
-        records.append(FlipSums(delta_v, 2.0 * chi_pair_sum(shifted, w, v2, tol) / z2, *fixed))
-    return records
+    del de  # a d x d array; chi_pair_sum forms its own, so free it first
+    beta = np.asarray(betas, dtype=float).reshape(-1, 1)
+    with np.errstate(over="ignore"):  # as in _flip_pass
+        w = np.exp(-beta * shifted)
+        z2 = np.add.reduce(np.exp(-beta * (2.0 * shifted)), axis=1)
+    dv2 = pair_weight_sum(w, v2) / z2
+    chi = 2.0 * chi_pair_sum(shifted, w, v2, tol) / z2
+    return [
+        FlipSums(math.sqrt(dv2_b), chi_b, *fixed)
+        for dv2_b, chi_b in zip(dv2.tolist(), chi.tolist())
+    ]
 
 
 def dense_sums(spec: SpectralDecomposition, v: HermitianOperator, beta) -> FlipSums:

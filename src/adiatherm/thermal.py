@@ -14,10 +14,11 @@ eigendecomposition pass, since the records are every second lambda of the
 2-step path.
 Its targets are rebuilt from the accepted march's column labels and one
 eigendecomposition pass over the records, never by marching again.
-quasi_gibbs_at and thermal_overlap are its two-record case over
-[0, lambda], and evolve takes its targets from it.  A tie between labels of
-different weight in the accepted march triggers a ContinuationWarning
-instead of failing silently.
+quasi_gibbs_states is one sweep over [0, *lams] with the sectors built
+once, and quasi_gibbs_at its one-lambda case; thermal_overlap is the
+two-record case over [0, lambda], and evolve takes its targets from it.
+A tie between labels of different weight in the accepted march triggers a
+ContinuationWarning instead of failing silently.
 
 Every eigendecomposition of H_lambda comes from a BlockEigensolver, which
 takes H0 and V as blocks: the symmetry sectors of the ring
@@ -32,9 +33,10 @@ each chunk's Eigenpairs in stacked products: per-block overlaps, level
 masses and argsorts for every step at once, with the labels composed in one
 short integer loop.  Levels are formed inside blocks, so equal energies of
 different sectors never share a level or exchange labels.  The sweep's
-records are per-block stacks in the sector basis; quasi_gibbs_at assembles
-its state in the computational basis once, and thermal_overlap needs no
-basis, since an orthogonal change of basis leaves every trace unchanged.
+records are per-block stacks in the sector basis; quasi_gibbs_states
+assembles each state in the computational basis once, and thermal_overlap
+needs no basis, since an orthogonal change of basis leaves every trace
+unchanged.
 A block may stand for several orthogonal copies of itself (the reflection
 twins of models.SymmetrySectors.distinct_blocks), counted by the solver's
 multiplicity in every sum over blocks; evolve and thermal_overlap run so.
@@ -562,36 +564,60 @@ class QuasiGibbsSweep:
             done += c
 
 
-def _endpoints(model: SpinChainModel, beta, lam, distinct):
-    """The sector basis, the solver of a two-record sweep over [0, lam], its
-    records as one (2, g, m, m) stack per group, and their purity.
+def _endpoints(model: SpinChainModel, beta, lams, distinct):
+    """The sector basis, the solver of one sweep over [0, *lams], its
+    records as one (records, g, m, m) stack per group, and their purity.
 
-    The sweep runs on SymmetrySectors.distinct_blocks() when distinct, and
-    on every block otherwise.
+    beta and every lambda are checked before the sectors are built.  The
+    sweep marches the lambdas in the order given and runs on
+    SymmetrySectors.distinct_blocks() when distinct, and on every block
+    otherwise.
     """
     require_beta(beta)
-    require_finite("lambda", lam)
+    lams = [float(lam) for lam in lams]
+    for lam in lams:
+        require_finite("lambda", lam)
     require_dense_fits(model)
     sectors = symmetry_sectors(model)
     blocks, multiplicity = sectors.distinct_blocks() if distinct else (sectors.blocks, None)
-    sweep = QuasiGibbsSweep(blocks, np.array([0.0, lam]), beta, multiplicity)
+    sweep = QuasiGibbsSweep(blocks, np.array([0.0, *lams]), beta, multiplicity)
     records = [np.concatenate(stacks) for stacks in zip(*sweep.records())]
     return sectors.basis, sweep.solver, records, sweep.purity
+
+
+def quasi_gibbs_states(model: SpinChainModel, beta, lams):
+    """Quasi-Gibbs states at every lambda of lams, from one sweep.
+
+    beta and every lambda are checked first; then symmetry_sectors is built
+    once and one QuasiGibbsSweep runs over [0, *lams] on every block,
+    marched in the order given.  Returns an iterator that assembles each
+    state in the computational basis as it is reached.  A record's sigma
+    depends only on the eigendecomposition at its lambda and on the labels
+    there, so each state equals the quasi_gibbs_at call at its lambda bit
+    for bit unless the march rotates a level there: a level crossing
+    exactly at that lambda is rotated onto the previous step's columns,
+    which differ between the two paths by rounding.
+    """
+    basis, solver, records, _ = _endpoints(model, beta, lams, distinct=False)
+    return (
+        DensityMatrix(mat=basis @ solver.dense([stack[k] for stack in records]) @ basis.T)
+        for k in range(1, records[0].shape[0])
+    )
 
 
 def quasi_gibbs_at(model: SpinChainModel, beta, lam) -> DensityMatrix:
     """Quasi-Gibbs state at lambda: initial Boltzmann weights on the continued basis.
 
-    The last record of a two-record QuasiGibbsSweep over [0, lambda] on the
-    symmetry sectors, assembled once in the computational basis; negative
-    lambda is allowed (symmetric finite differences of the overlap use it).
-    Its purity equals the initial Gibbs purity because the weights never
-    change along the continuation.  It runs on every block, reflection
-    twins included, since the state needs each twin's own columns.
+    quasi_gibbs_states at the one lambda: the last record of a two-record
+    QuasiGibbsSweep over [0, lambda] on the symmetry sectors, assembled
+    once in the computational basis; negative lambda is allowed (symmetric
+    finite differences of the overlap use it).  Its purity equals the
+    initial Gibbs purity because the weights never change along the
+    continuation.  It runs on every block, reflection twins included, since
+    the state needs each twin's own columns.
     """
-    basis, solver, records, _ = _endpoints(model, beta, lam, distinct=False)
-    sigma = solver.dense([stack[1] for stack in records])
-    return DensityMatrix(mat=basis @ sigma @ basis.T)
+    [state] = quasi_gibbs_states(model, beta, (lam,))
+    return state
 
 
 def thermal_overlap(model: SpinChainModel, beta, lam) -> float:
@@ -609,7 +635,7 @@ def thermal_overlap(model: SpinChainModel, beta, lam) -> float:
     lam = trace.lambdas[k] exactly.  quasi_gibbs_at keeps every block,
     because it assembles the state itself.
     """
-    _, solver, records, purity = _endpoints(model, beta, lam, distinct=True)
+    _, solver, records, purity = _endpoints(model, beta, (lam,), distinct=True)
     rho0, sigma = [stack[0] for stack in records], [stack[1] for stack in records]
     DensityMatrix(mat=solver.dense(rho0))
     DensityMatrix(mat=solver.dense(sigma))

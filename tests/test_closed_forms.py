@@ -17,6 +17,7 @@ from adiatherm.closed_forms import (
     gamma_n_mfic,
     gamma_n_tfic,
     mfic_coefficients,
+    mfic_threshold_forms,
 )
 from adiatherm.models import SpinChainModel, build_h0, build_v
 from adiatherm.operators import eigh
@@ -267,8 +268,8 @@ class TestMficTemperatureFactor:
         assert rel <= 0.05
 
     def test_finite_n_computes_the_coefficients_once(self, monkeypatch):
-        # f_mfic(N) forms deltaV and chi_F from its one coefficient record, so
-        # a threshold row computes them once per closed-form column
+        # f_mfic(N) forms deltaV and chi_F from its one coefficient record, and
+        # a threshold row takes all four of its closed forms from one record
         import adiatherm.closed_forms as cf
         from adiatherm.cli import _threshold_row
         from adiatherm.susceptibility import threshold_sweep
@@ -287,7 +288,46 @@ class TestMficTemperatureFactor:
         assert len(calls) == 1
         calls.clear()
         _threshold_row(model, report)
-        assert len(calls) == 4
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("b", [0.3, 0.7, 1.3])
+    @pytest.mark.parametrize("beta", [0.0, 1e-20, 1e-3, 0.1, 1.0, 40.0, 1e308])
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_threshold_forms_equal_the_separate_forms(self, n, beta, b):
+        # f_mfic refuses beta = 0, where the row's factors are nan
+        separate = [delta_v_mfic_closed(n, beta, 1.0, b), chi_f_mfic_closed(n, beta, 1.0, b)]
+        if beta == 0:
+            separate += [math.nan, math.nan]
+        else:
+            separate += [f_mfic(n, beta, 1.0, b), f_mfic(None, beta, 1.0, b)]
+        # float.hex spells every nan "nan", so nan compares equal
+        got = mfic_threshold_forms(n, beta, 1.0, b)
+        assert [x.hex() for x in got] == [x.hex() for x in separate]
+
+    def test_threshold_forms_leave_underflowed_factors_nan(self):
+        # chi_F and d_+ underflow to 0 here, where f_mfic divides by zero
+        n, beta, b = 4, 1e-300, 0.7
+        with pytest.raises(ZeroDivisionError):
+            f_mfic(n, beta, 1.0, b)
+        dv, chi, f_n, f_inf = mfic_threshold_forms(n, beta, 1.0, b)
+        assert (dv, chi) == (delta_v_mfic_closed(n, beta, 1.0, b), chi_f_mfic_closed(n, beta, 1.0, b))
+        assert math.isnan(f_n) and math.isnan(f_inf)
+
+    @pytest.mark.parametrize("b", [2.0, 2.0000000001, -2.0, 1e-12])
+    def test_row_in_excluded_window_keeps_its_reason(self, b):
+        from adiatherm.cli import UNDEFINED_AT_BETA_ZERO, _threshold_row
+        from adiatherm.susceptibility import threshold_sweep
+
+        model = SpinChainModel("mfic", 4, B=b)
+        undefined, row = (_threshold_row(model, r) for r in threshold_sweep(model, [0.0, 1.0]))
+        assert undefined[-1] == UNDEFINED_AT_BETA_ZERO
+        assert row[-1] == (
+            f"B={b} is within 1e-09 of an excluded value; the mixed-field "
+            "closed forms assume B != 0, +-2J"
+        )
+        # every closed-form column of the row (and its relative errors) is empty
+        assert all(math.isnan(row[i]) for i in (2, 4, 8, 9, 10, 11))
+        assert row[1] > 0  # the flip route is unaffected
 
     def test_finite_n_is_threshold_ratio(self):
         n, beta, b = 6, 0.8, 1.3

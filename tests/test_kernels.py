@@ -51,6 +51,33 @@ class TestChiPairSum:
         assert pair_weight_sum(weights, v2) == pytest.approx(loop, rel=1e-12)
 
 
+class TestStackedWeights:
+    """A (B, d) stack of weights gives each row's sum exactly as one vector does."""
+
+    @pytest.mark.parametrize("d", [1, 2, 17, 48])
+    def test_rows_bitwise_equal_to_vector_calls(self, d):
+        rng = np.random.default_rng(40 + d)
+        energies, _, v2 = random_case(d, rng)
+        betas = np.array([0.0, 1e-3, 0.3, 1.0, 3.0, 40.0])
+        stack = np.exp(-betas[:, None] * (energies - energies.min()))
+        chi = chi_pair_sum(energies, stack, v2, 1e-9)
+        plain = pair_weight_sum(stack, v2)
+        assert chi.shape == plain.shape == betas.shape
+        for row, c, p in zip(stack, chi, plain):
+            assert float(c).hex() == chi_pair_sum(energies, row, v2, 1e-9).hex()
+            assert float(p).hex() == pair_weight_sum(row, v2).hex()
+
+    def test_vector_gives_a_float(self):
+        energies, weights, v2 = random_case(6, np.random.default_rng(2))
+        assert type(chi_pair_sum(energies, weights, v2, 1e-9)) is float
+        assert type(pair_weight_sum(weights, v2)) is float
+
+    def test_empty_stack(self):
+        energies, _, v2 = random_case(5, np.random.default_rng(4))
+        assert chi_pair_sum(energies, np.empty((0, 5)), v2, 1e-9).shape == (0,)
+        assert pair_weight_sum(np.empty((0, 5)), v2).shape == (0,)
+
+
 class TestMatching:
     def test_identity_overlap(self):
         perm, n_amb = match_columns(np.eye(5))

@@ -506,6 +506,23 @@ class TestFlipSumsSweep:
 DENSE_SWEEP_BETAS = (0.0, 1e-3, 0.3, 1.0, 3.0, 40.0, 1e308)
 
 
+def per_beta_chi_f(spec, v, beta):
+    """chi_F of the dense route at one beta, every pair divided by its own
+    squared gap: the reference for the kernel formed once per grid."""
+    e, u = spec.eigenvalues, spec.eigenvectors
+    shifted = e - e.min()
+    tol = degeneracy_tolerance(e)
+    v2 = np.abs(u.conj().T @ v.mat @ u) ** 2
+    with np.errstate(over="ignore"):
+        w = np.exp(-beta * shifted)
+        z2 = float(np.sum(np.exp(-beta * (2.0 * shifted))))
+    de = shifted[:, None] - shifted[None, :]
+    dw = w[:, None] - w[None, :]
+    contrib = np.zeros_like(de)
+    np.divide(dw * dw * v2, de * de, out=contrib, where=np.abs(de) > tol)
+    return 2.0 * float(contrib.sum()) / z2
+
+
 class TestDenseSumsSweep:
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("kind,b", SWEEP_DRIVES)
@@ -514,6 +531,18 @@ class TestDenseSumsSweep:
         one_by_one = [dense_sums(spec, v, beta) for beta in DENSE_SWEEP_BETAS]
         swept = dense_sums_sweep(spec, v, DENSE_SWEEP_BETAS)
         assert float_hexes(swept) == float_hexes(one_by_one)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("kind,b", SWEEP_DRIVES)
+    def test_chi_f_matches_the_per_beta_pair_array(self, kind, b, n):
+        # the one-kernel chi_F against chi_F divided pair by pair at each beta
+        _, spec, v = setup(kind, n, b)
+        betas = (0.0, 1e-3, 0.3, 1.0, 3.0, 40.0)
+        for beta, sums in zip(betas, dense_sums_sweep(spec, v, betas)):
+            expected = per_beta_chi_f(spec, v, beta)
+            assert sums.chi_f == 0.0 if expected == 0.0 else (
+                abs(sums.chi_f - expected) <= 1e-14 * abs(expected)
+            ), (beta, sums.chi_f, expected)
 
     @pytest.mark.parametrize("bad,match", [(-1.0, "beta must be >= 0"), (math.nan, "finite")])
     def test_every_beta_checked_before_rotating(self, bad, match):

@@ -11,7 +11,8 @@ from adiatherm.models import (
     classical_energies,
     symmetry_sectors,
 )
-from adiatherm.operators import DensityMatrix, eigh, hs_norm
+from adiatherm.acceptance import criterion_11
+from adiatherm.operators import DensityMatrix, eigh, hs_fidelity_from_overlap, hs_norm
 from adiatherm.susceptibility import chi_f_thermal
 from adiatherm.thermal import (
     ContinuationWarning,
@@ -22,6 +23,7 @@ from adiatherm.thermal import (
     escort_state,
     gibbs_state,
     quasi_gibbs_at,
+    quasi_gibbs_states,
     thermal_overlap,
 )
 
@@ -450,3 +452,109 @@ class TestThermalOverlap:
         s_minus = np.real(np.vdot(rho0, quasi_gibbs_at(model, beta, -h).mat))
         s_zero = np.real(np.vdot(rho0, rho0))
         assert abs(s_plus - s_minus) / (2 * h) <= 1e-8 * s_zero
+
+
+def two_record_sweep(model, beta, lam, distinct):
+    """A QuasiGibbsSweep over [0, lam] on the sectors and its records, one
+    (2, g, m, m) stack per group: a test-only copy of the one-lambda
+    preparation behind quasi_gibbs_at and thermal_overlap."""
+    sectors = symmetry_sectors(model)
+    blocks, multiplicity = sectors.distinct_blocks() if distinct else (sectors.blocks, None)
+    sweep = QuasiGibbsSweep(blocks, np.array([0.0, lam]), beta, multiplicity)
+    return sweep, [np.concatenate(stacks) for stacks in zip(*sweep.records())]
+
+
+def one_lambda_state(model, beta, lam):
+    sweep, records = two_record_sweep(model, beta, lam, distinct=False)
+    sigma = sweep.solver.dense([stack[1] for stack in records])
+    basis = symmetry_sectors(model).basis
+    return basis @ sigma @ basis.T
+
+
+def one_lambda_overlap(model, beta, lam):
+    sweep, records = two_record_sweep(model, beta, lam, distinct=True)
+    rho0, sigma = [stack[0] for stack in records], [stack[1] for stack in records]
+    overlap = sweep.solver.inner(sigma, rho0)
+    return float(hs_fidelity_from_overlap(overlap, sweep.purity, sweep.purity))
+
+
+def rotated_lambdas(model, beta, lams):
+    """The lambdas of lams at which a level was rotated: in the sweep over
+    [0, *lams] or in the two-record sweep of that lambda alone."""
+    blocks = symmetry_sectors(model).blocks
+    grid = np.array([0.0, *lams])
+    rotated = {grid[k] for k in QuasiGibbsSweep(blocks, grid, beta)._rotated}
+    return rotated | {lam for lam in lams if QuasiGibbsSweep(blocks, [0.0, lam], beta)._rotated}
+
+
+STATE_DRIVES = [("tfic", None), ("qxyc", None), ("mfic", 0.7)]
+STATE_LAMBDAS = [(1e-3, 0.0, -1e-3), (0.05, 0.0, -0.05), (0.1, 0.3, 0.5)]
+
+
+class TestQuasiGibbsStates:
+    @pytest.mark.parametrize("lams", STATE_LAMBDAS)
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 5.0])
+    @pytest.mark.parametrize("n_sites", range(3, 7))
+    @pytest.mark.parametrize("kind,b", STATE_DRIVES)
+    def test_equal_to_one_call_per_lambda(self, kind, b, n_sites, beta, lams):
+        model = SpinChainModel(kind, n_sites, B=b)
+        states = list(quasi_gibbs_states(model, beta, lams))
+        assert len(states) == len(lams)
+        rotated = rotated_lambdas(model, beta, lams)
+        for lam, state in zip(lams, states):
+            one = quasi_gibbs_at(model, beta, lam).mat
+            if lam in rotated:
+                # a level crossing exactly at lam is rotated onto the previous
+                # step's columns, which differ between the two paths by rounding
+                assert np.max(np.abs(state.mat - one)) <= 1e-15
+            else:
+                assert np.array_equal(state.mat, one)
+
+    def test_only_the_exact_crossing_is_rotated(self):
+        # qxyc at N=6 has levels crossing exactly at lambda = 0.5; no other
+        # record of the grids above rotates a level
+        for kind, b in STATE_DRIVES:
+            for n_sites in range(3, 7):
+                model = SpinChainModel(kind, n_sites, B=b)
+                for lams in STATE_LAMBDAS:
+                    expected = {0.5} if (kind, n_sites, lams[-1]) == ("qxyc", 6, 0.5) else set()
+                    assert rotated_lambdas(model, 1.0, lams) == expected
+
+    @pytest.mark.parametrize(
+        "lams", [(math.nan,), (0.1, math.inf, 0.2), (0.1, 0.2, -math.inf), (0.0, math.nan, 0.0)]
+    )
+    def test_rejects_non_finite_lambda_before_building_sectors(self, monkeypatch, lams):
+        import adiatherm.thermal as thermal
+
+        def refuse(model):
+            raise AssertionError("symmetry_sectors called")
+
+        monkeypatch.setattr(thermal, "symmetry_sectors", refuse)
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            quasi_gibbs_states(SpinChainModel("tfic", 3), 1.0, lams)
+
+    def test_no_lambdas_give_no_states(self):
+        assert list(quasi_gibbs_states(SpinChainModel("tfic", 3), 1.0, ())) == []
+
+    @pytest.mark.parametrize("lam", [-0.05, 0.0, 1e-3, 0.3])
+    @pytest.mark.parametrize("kind,b", STATE_DRIVES)
+    def test_one_lambda_calls_unchanged(self, kind, b, lam):
+        model = SpinChainModel(kind, 5, B=b)
+        assert np.array_equal(quasi_gibbs_at(model, 1.0, lam).mat, one_lambda_state(model, 1.0, lam))
+        assert thermal_overlap(model, 1.0, lam).hex() == one_lambda_overlap(model, 1.0, lam).hex()
+
+    def test_ac11_value_unchanged(self):
+        # AC11 with one quasi_gibbs_at call per lambda, as it ran before it
+        # took its three states from one sweep
+        h, beta, expected = 1e-3, 1.0, []
+        for model in (SpinChainModel("tfic", 4), SpinChainModel("mfic", 4, B=0.7)):
+            spec = spec_for(model)
+            rho0 = gibbs_state(spec, beta).mat
+            log_s = [
+                math.log(float(np.real(np.vdot(rho0, quasi_gibbs_at(model, beta, lam).mat))))
+                for lam in (h, 0.0, -h)
+            ]
+            chi_fd = -2.0 * (log_s[0] - 2.0 * log_s[1] + log_s[2]) / h**2
+            chi = chi_f_thermal(spec, build_v(model), beta)
+            expected.append(abs(chi_fd / chi - 1.0).hex())
+        assert [check.measured.hex() for check in criterion_11().checks] == expected

@@ -266,9 +266,12 @@ def cmd_spectrum(config: RunConfig) -> int:
     rows = []
     # 0.0 * V adds only signed zeros to the diagonal sector blocks of H0, so
     # lambda = 0 gives H0's classical energies exactly; the stable sort keeps
-    # equal energies (0 and -0 too) in the solver's block order
-    solver = BlockEigensolver(symmetry_sectors(model).blocks)
-    spectra = np.concatenate([pairs.values for pairs in solver.eigenpairs(lambdas)])
+    # equal energies (0 and -0 too) in the solver's block order; a partner's
+    # eigenvalues are repeated for its reflection twin
+    sectors = symmetry_sectors(model)
+    solver = BlockEigensolver(sectors.blocks, sectors.multiplicity)
+    values = np.concatenate([pairs.values for pairs in solver.eigenpairs(lambdas)])
+    spectra = np.repeat(values, solver.multiplicity, axis=1)
     for lam, energies in zip(lambdas, spectra):
         for idx, energy in enumerate(np.sort(energies, kind="stable")):
             rows.append((lam, idx, energy))

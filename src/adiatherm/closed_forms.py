@@ -119,8 +119,13 @@ class MficCoefficients:
 
 
 def _flip_entry(beta, y, s):
-    """8 e^{-2 beta (s + |y|)} sinh^2(beta y) / y^2, written with no positive exponent."""
-    return 2.0 * math.exp(-2.0 * beta * s) * math.expm1(-2.0 * beta * abs(y)) ** 2 / y**2
+    """8 e^{-2 beta (s + |y|)} sinh^2(beta y) / y^2, written with no positive exponent.
+
+    The factor e^{-2 beta s} is exactly 1 at s = 0, also where 2 beta
+    overflows (beta = 1e308), which would give e^{-inf * 0} = nan.
+    """
+    shift = math.exp(-2.0 * beta * s) if s else 1.0
+    return 2.0 * shift * math.expm1(-2.0 * beta * abs(y)) ** 2 / y**2
 
 
 def mfic_coefficients(beta, j, b) -> MficCoefficients:
@@ -222,15 +227,20 @@ def f_mfic(n_sites, beta, j, b) -> float:
 
     n_sites = None selects the thermodynamic limit
     f = 2 Lambda_+^2 (1 - 2 e^{-2K-H} c_+ / Lambda_+^2)^{1/2} / ((2J + |B|)^2 d_+)
-    in the shifted data of MficCoefficients; it is finite at every beta > 0
-    and tends to 1 as beta -> infinity.
+    in the shifted data of MficCoefficients; it tends to 1 as
+    beta -> infinity.  Raises ValueError where the factor's denominator
+    underflows to 0 (beta <~ 1e-200): chi_F for finite N, d_+ for the limit.
     """
     require_beta(beta, positive=True)
     coeffs = mfic_coefficients(beta, j, b)
     if n_sites is None:
+        if not coeffs.d_plus:
+            raise ValueError(f"d_+ underflows to 0 at beta={beta!r}; f is undefined there")
         return _f_mfic_limit(j, b, coeffs)
     require_ring(n_sites, j, b, min_sites=3)
     dv, chi = _mfic_finite(n_sites, j, coeffs)
+    if not chi:
+        raise ValueError(f"chi_F underflows to 0 at beta={beta!r}; f_N is undefined there")
     return (dv / chi) / gamma_n_mfic(n_sites, j, b, 1.0)
 
 

@@ -30,11 +30,12 @@ accumulated propagator W_k of record k is U_k W_(k-1), and
 rho_k = W_k rho0 W_k^dag is formed for a chunk of records at once.  A
 reflection twin (models.SymmetrySectors) is an orthogonal copy of its
 partner block at every lambda, and so are its rho0, propagators and
-targets, so evolve runs on SymmetrySectors.distinct_blocks() alone.  F, C,
-Theta, the purity and the trace are then sums of per-block traces counted
-by multiplicity (BlockEigensolver.inner and total), which the orthogonal
-change of basis leaves unchanged; the Hermiticity defect is a maximum over
-blocks.  models.stack_slices cuts every chunk.
+targets, so the one block list of SymmetrySectors holds no twin and
+evolve runs each partner once.  F, C, Theta, the purity and the trace are
+sums of per-block traces counted by the sectors' multiplicity
+(BlockEigensolver.inner and total), which the orthogonal change of basis
+leaves unchanged; the Hermiticity defect is a maximum over blocks.
+models.stack_slices cuts every chunk.
 """
 
 from __future__ import annotations
@@ -331,12 +332,11 @@ def evolve(
     n_records = require_evolve_args(beta, gamma, lambda_max, n_records)
     n = n_records if lambda_max > 0 else 1
     require_sectors_fit(model, n)
-    # a reflection twin evolves as an orthogonal copy of its partner
-    blocks, multiplicity = symmetry_sectors(model).distinct_blocks()
+    sectors = symmetry_sectors(model)
     dv = flip_sums(model, beta).delta_v
     lambdas = np.linspace(0.0, lambda_max, n)
     # the lambda = 0 record is the Gibbs state, and every target has its purity
-    sweep = QuasiGibbsSweep(blocks, lambdas, beta, multiplicity)
+    sweep = QuasiGibbsSweep(sectors.blocks, lambdas, beta, sectors.multiplicity)
 
     # a one-record run has no interval and starts at one step
     steps = max(1, math.ceil(lambdas[-1] / max(n - 1, 1) / _INITIAL_DELTA_LAMBDA))

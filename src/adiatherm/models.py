@@ -10,8 +10,10 @@ Three drives share the classical Ising part H0 = -J sum_j Z_j Z_{j+1}
 and the driven Hamiltonian is H_lambda = H0 + lambda * V.  build_h0 and
 build_v give the dense matrices of the operator-level oracle;
 symmetry_sectors gives H0 and V block by block in a real symmetry-adapted
-basis of the ring (Sandvik, AIP Conf. Proc. 1297, 135 (2010)), which the
-dynamics route and the spectrum command diagonalize.  V has one
+basis of the ring (Sandvik, AIP Conf. Proc. 1297, 135 (2010)), as one
+block list with a multiplicity per block, which the dynamics route, the
+quasi-Gibbs states and the spectrum command all diagonalize: a reflection
+twin has no block and counts through its partner.  V has one
 construction, _apply_v from flip_terms: build_v applies it to the
 identity and symmetry_sectors to each block's columns.
 """
@@ -37,17 +39,17 @@ _DENSE_MATRICES = 14
 # Real d x d arrays symmetry_sectors holds at its peak: the basis, plus one
 # block's _apply_v output, gathered columns and their scaled copy (d x m_b
 # each, m_b <= 1.5 d / N), plus the blocks (sum m_b^2 <= 1.25 d^2 / N), so
-# 1 + 5.75 / N arrays.  tracemalloc reads 1.8 of them at N = 8 and 1.5 at
-# N = 10.
+# 1 + 5.75 / N arrays.  tracemalloc reads 1.76-1.84 of them at N = 8 and
+# 1.30-1.39 at N = 10 (tfic, qxyc, mfic at B = 0.7).
 _SECTOR_ARRAYS = 2
 # Arrays of n_records x 2^N 8-byte values evolve holds at once: the column
 # labels of the two marches QuasiGibbsSweep compares, 4-byte integers that
 # take one such array together (their weights are gathered in row chunks),
 # and one more for evolve's per-record columns, the stack temporaries and
 # the march's lambda path (one float64 array of per_interval values a
-# record).  evolve runs without the reflection twins, so its labels and
-# columns span fewer than 2^N entries: tracemalloc reads 1.35 of them for
-# evolve(tfic, N=6, 5000 records).
+# record).  The sector blocks hold no reflection twin, so evolve's labels
+# and columns span fewer than 2^N entries: tracemalloc reads 1.35 of them
+# for evolve(tfic, N=6, 5000 records).
 _RECORD_ARRAYS = 2
 # Arrays of 2^N 8-byte values flip_sums_sweep holds at once from N = 12 on,
 # where a beta chunk is one beta: the energies, their shifted copy, the
@@ -294,46 +296,30 @@ class SymmetrySectors:
     prod X.  Block b holds the states of labels[b] = (m, p, x): momentum
     k = 2 pi m / N, m = 0..N//2, with +-k paired into real cos/sin
     combinations, reflection parity p = +-1 and prod X parity x = +-1 (None
-    for mfic).  basis is the d x d orthogonal matrix of the sector states,
-    grouped block by block in order of block size (label order among blocks
-    of one size), and blocks[b] = (h0_b, v_b) are H0 and V on block b.
-    Every column lies in one symmetry orbit, whose states share one
-    classical energy, so each h0_b is exactly diagonal; H0 and V commute
-    with every symmetry, so they have no entry between blocks.
+    for mfic).  blocks[b] = (h0_b, v_b) are H0 and V on block b, in order of
+    block size (label order among blocks of one size).  Every column lies in
+    one symmetry orbit, whose states share one classical energy, so each
+    h0_b is exactly diagonal; H0 and V commute with every symmetry, so they
+    have no entry between blocks.
 
-    At 0 < k < pi (0 < 2m < N) the block (m, -1, x) is a twin of its
+    At 0 < k < pi (0 < 2m < N) the sector (m, -1, x) is a twin of its
     partner (m, +1, x): J = (T - T^-1) / (2 sin k) is a real orthogonal map
     of the +-k space that commutes with H0, V and prod X and anticommutes
     with P, so it carries the partner's states onto the twin's at every
-    lambda, and every spectral quantity of the twin is the partner's.
-    distinct_blocks() keeps the partner alone and counts it twice.
+    lambda.  A twin has no label or block: multiplicity[b] is 2 for its
+    partner and 1 for any other block.  basis is the d x d orthogonal matrix
+    of the sector states, block by block, a twin's columns (J times its
+    partner's) right after its partner's.
     """
 
     labels: tuple
     basis: np.ndarray
     blocks: tuple
+    multiplicity: tuple
 
     @property
     def sizes(self):
         return tuple(h0.shape[0] for h0, _ in self.blocks)
-
-    def distinct_blocks(self):
-        """The blocks without their reflection twins, and the multiplicity of each.
-
-        A block (m, -1, x) with 0 < 2m < N is dropped, and its partner
-        (m, +1, x), of the same size and group, counts 2; every other block
-        counts 1, as does a block without a (m, p, x) label (a dense pair).
-        Sum multiplicity x size is 2^N.
-        """
-        n_sites = self.basis.shape[0].bit_length() - 1
-        blocks, multiplicity = [], []
-        for label, block in zip(self.labels, self.blocks):
-            paired = label is not None and 0 < 2 * label[0] < n_sites
-            if paired and label[1] == -1:
-                continue
-            blocks.append(block)
-            multiplicity.append(2 if paired else 1)
-        return tuple(blocks), tuple(multiplicity)
 
 
 def _translate(idx, n_sites):
@@ -384,10 +370,11 @@ def _apply_v(model: SpinChainModel, columns) -> np.ndarray:
 def symmetry_sectors(model: SpinChainModel) -> SymmetrySectors:
     """The symmetry sectors of the ring, built from classical_energies and flip_terms.
 
-    Per orbit of the symmetry group, the real projector of every label is
-    built on the orbit's states and diagonalized in one stacked eigh; its
-    eigenvectors of eigenvalue 1 are the orbit's states of that label.  At
-    N = 2 and 3 some labels are empty, because T and P partly coincide.
+    Per orbit of the symmetry group, the real projector of every label but
+    a twin is built on the orbit's states and diagonalized in one stacked
+    eigh; its eigenvectors of eigenvalue 1 are the orbit's states of that
+    label, and J_orbit = (T - T^(N-1)) / (2 sin k) carries them onto the
+    twin's.  At N = 2 and 3 some labels are empty, because T and P partly coincide.
     Refuses, before allocating, an N whose sectors would not fit in
     physical memory (require_sectors_fit).
     """
@@ -408,6 +395,8 @@ def symmetry_sectors(model: SpinChainModel) -> SymmetrySectors:
     # in the order of the stacked projectors below: m, then p, then x
     labels = [(m, p, x) for m in range(n // 2 + 1) for p in (1, -1)
               for x in ((1, -1) if flips else (None,))]
+    formed = np.array([p == 1 or not 0 < 2 * m < n for m, p, _ in labels])  # not a twin
+    labels = [label for label, keep in zip(labels, formed) if keep]
     columns = {label: [] for label in labels}
 
     representatives = images.min(axis=0)
@@ -424,23 +413,32 @@ def symmetry_sectors(model: SpinChainModel) -> SymmetrySectors:
         if flips:
             flipped = projectors[..., np.searchsorted(states, states ^ (d - 1)), :]
             projectors = np.stack([projectors + flipped, projectors - flipped], axis=2) / 2.0
-        evals, evecs = np.linalg.eigh(projectors.reshape(-1, size, size))
+        evals, evecs = np.linalg.eigh(projectors.reshape(-1, size, size)[formed])
         kept = evals > 0.5
         for index in np.flatnonzero(kept.any(axis=1)):
-            columns[labels[index]].append((states, evecs[index][:, kept[index]]))
+            m, partner = labels[index][0], evecs[index][:, kept[index]]
+            copies = [partner]
+            if 0 < 2 * m < n:
+                j_orbit = (perms[0, 1] - perms[0, n - 1]) / (2.0 * math.sin(2.0 * math.pi * m / n))
+                copies.append(j_orbit @ partner)
+            columns[labels[index]].append((states, copies))
 
-    widths = {label: sum(c.shape[1] for _, c in columns[label]) for label in labels}
+    widths = {label: sum(c[0].shape[1] for _, c in columns[label]) for label in labels}
     labels = sorted((label for label in labels if widths[label]), key=widths.__getitem__)
     basis = np.zeros((d, d))
-    blocks, start = [], 0
+    blocks, multiplicity, start = [], [], 0
     for label in labels:
-        first, h0_diagonal = start, []
-        for states, coefficients in columns[label]:
-            width = coefficients.shape[1]
-            basis[states, start : start + width] = coefficients
-            h0_diagonal += [energies[states[0]]] * width
-            start += width
-        cols = basis[:, first:start]
-        v_block = cols.T @ _apply_v(model, cols)
-        blocks.append((np.diag(h0_diagonal), 0.5 * (v_block + v_block.T)))
-    return SymmetrySectors(tuple(labels), basis, tuple(blocks))
+        multiplicity.append(len(columns[label][0][1]))
+        # the partner's columns, then its twin's
+        for twin in range(multiplicity[-1]):
+            first, h0_diagonal = start, []
+            for states, copies in columns[label]:
+                width = copies[twin].shape[1]
+                basis[states, start : start + width] = copies[twin]
+                h0_diagonal += [energies[states[0]]] * width
+                start += width
+            if not twin:
+                cols = basis[:, first:start]
+                v_block = cols.T @ _apply_v(model, cols)
+                blocks.append((np.diag(h0_diagonal), 0.5 * (v_block + v_block.T)))
+    return SymmetrySectors(tuple(labels), basis, tuple(blocks), tuple(multiplicity))

@@ -48,8 +48,21 @@ def adjoint(a):
 
 
 def hermiticity_defect(mat):
-    """Largest entrywise deviation |A - A^dag|."""
-    return float(np.abs(mat - mat.conj().T).max())
+    """Largest entrywise deviation |A - A^dag|, over a stack of matrices too."""
+    return float(np.abs(mat - adjoint(mat)).max())
+
+
+def require_density(defect, trace, smallest, purity):
+    """Raise ValueError unless a matrix with this Hermiticity defect, trace,
+    smallest eigenvalue and purity is a density matrix (DensityMatrix's checks)."""
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"density matrix not Hermitian (defect {defect:.3e})")
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace {trace} differs from 1 beyond tolerance")
+    if smallest < EIGENVALUE_FLOOR:
+        raise ValueError(f"negative eigenvalue {smallest:.3e}")
+    if not 0.0 < purity <= 1.0 + TRACE_TOL:
+        raise ValueError(f"purity {purity} outside (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -80,18 +93,13 @@ class DensityMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "mat", _as_square_matrix(self.mat))
-        defect = hermiticity_defect(self.mat)
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"density matrix not Hermitian (defect {defect:.3e})")
-        tr = complex(np.trace(self.mat))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr} differs from 1 beyond tolerance")
         evals = np.linalg.eigvalsh(self.mat)
-        if evals.min() < EIGENVALUE_FLOOR:
-            raise ValueError(f"negative eigenvalue {evals.min():.3e}")
-        pur = float(np.sum(evals**2))
-        if not 0.0 < pur <= 1.0 + TRACE_TOL:
-            raise ValueError(f"purity {pur} outside (0, 1]")
+        require_density(
+            hermiticity_defect(self.mat),
+            complex(np.trace(self.mat)),
+            evals.min(),
+            float(np.sum(evals**2)),
+        )
 
     @property
     def purity(self):

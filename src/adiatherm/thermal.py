@@ -37,9 +37,9 @@ records are per-block stacks in the sector basis; quasi_gibbs_states
 assembles each state in the computational basis once, and thermal_overlap
 needs no basis, since an orthogonal change of basis leaves every trace
 unchanged.
-A block may stand for several orthogonal copies of itself (the reflection
-twins of models.SymmetrySectors.distinct_blocks), counted by the solver's
-multiplicity in every sum over blocks; evolve and thermal_overlap run so.
+A block may stand for several orthogonal copies of itself (a partner of
+models.SymmetrySectors and its reflection twin), counted by the solver's
+multiplicity in every sum over blocks; every route runs so.
 """
 
 from __future__ import annotations
@@ -57,8 +57,10 @@ from .operators import (
     DensityMatrix,
     SpectralDecomposition,
     adjoint,
+    hermiticity_defect,
     hs_fidelity_from_overlap,
     level_starts,
+    require_density,
 )
 
 AMBIGUITY_TOL = 1e-6
@@ -131,14 +133,14 @@ class BlockEigensolver:
     of all blocks at their dtype.
 
     multiplicity, one count per block (all 1 when None), is how many
-    orthogonal copies of each block the full operator holds, such as the
-    reflection twins SymmetrySectors.distinct_blocks() drops.  Every trace
-    over the full operator is then a sum over the given blocks counted by
+    orthogonal copies of each block the full operator holds, such as a
+    partner of SymmetrySectors and its reflection twin.  Every trace over
+    the full operator is then a sum over the given blocks counted by
     multiplicity: total() and inner() take it so, group_multiplicity holds
-    each group's (g,) counts, and the d-vector multiplicity each column's
-    count for sums over columns (the partition function, the purity).
-    dense() repeats each block by its count, which gives a matrix
-    orthogonally similar to the full one.
+    each group's (g,) counts, and the integer d-vector multiplicity each
+    column's count for sums over columns (the partition function, the
+    purity).  dense() repeats each block by its count, in the column order
+    of SymmetrySectors.basis.
     """
 
     def __init__(self, blocks, multiplicity=None):
@@ -154,7 +156,7 @@ class BlockEigensolver:
         self.group_edges = self.edges[runs]
         self.entries = int(np.sum(sizes**2))
         counts = np.ones(sizes.size, dtype=int) if multiplicity is None else np.array(multiplicity)
-        self.multiplicity = np.repeat(counts, sizes).astype(float)
+        self.multiplicity = np.repeat(counts, sizes)
         self.group_multiplicity = [counts[lo:hi] for lo, hi in zip(runs, runs[1:])]
 
     def split(self, values):
@@ -564,14 +566,13 @@ class QuasiGibbsSweep:
             done += c
 
 
-def _endpoints(model: SpinChainModel, beta, lams, distinct):
+def _endpoints(model: SpinChainModel, beta, lams):
     """The sector basis, the solver of one sweep over [0, *lams], its
     records as one (records, g, m, m) stack per group, and their purity.
 
     beta and every lambda are checked before the sectors are built.  The
-    sweep marches the lambdas in the order given and runs on
-    SymmetrySectors.distinct_blocks() when distinct, and on every block
-    otherwise.
+    sweep marches the lambdas in the order given, on the blocks of
+    SymmetrySectors counted by their multiplicity.
     """
     require_beta(beta)
     lams = [float(lam) for lam in lams]
@@ -579,8 +580,7 @@ def _endpoints(model: SpinChainModel, beta, lams, distinct):
         require_finite("lambda", lam)
     require_dense_fits(model)
     sectors = symmetry_sectors(model)
-    blocks, multiplicity = sectors.distinct_blocks() if distinct else (sectors.blocks, None)
-    sweep = QuasiGibbsSweep(blocks, np.array([0.0, *lams]), beta, multiplicity)
+    sweep = QuasiGibbsSweep(sectors.blocks, np.array([0.0, *lams]), beta, sectors.multiplicity)
     records = [np.concatenate(stacks) for stacks in zip(*sweep.records())]
     return sectors.basis, sweep.solver, records, sweep.purity
 
@@ -589,16 +589,17 @@ def quasi_gibbs_states(model: SpinChainModel, beta, lams):
     """Quasi-Gibbs states at every lambda of lams, from one sweep.
 
     beta and every lambda are checked first; then symmetry_sectors is built
-    once and one QuasiGibbsSweep runs over [0, *lams] on every block,
+    once and one QuasiGibbsSweep runs over [0, *lams] on its blocks,
     marched in the order given.  Returns an iterator that assembles each
-    state in the computational basis as it is reached.  A record's sigma
+    state in the computational basis (solver.dense, whose copies of a block
+    are the sector basis's twin columns) as it is reached.  A record's sigma
     depends only on the eigendecomposition at its lambda and on the labels
     there, so each state equals the quasi_gibbs_at call at its lambda bit
     for bit unless the march rotates a level there: a level crossing
     exactly at that lambda is rotated onto the previous step's columns,
     which differ between the two paths by rounding.
     """
-    basis, solver, records, _ = _endpoints(model, beta, lams, distinct=False)
+    basis, solver, records, _ = _endpoints(model, beta, lams)
     return (
         DensityMatrix(mat=basis @ solver.dense([stack[k] for stack in records]) @ basis.T)
         for k in range(1, records[0].shape[0])
@@ -613,30 +614,42 @@ def quasi_gibbs_at(model: SpinChainModel, beta, lam) -> DensityMatrix:
     once in the computational basis; negative lambda is allowed (symmetric
     finite differences of the overlap use it).  Its purity equals the
     initial Gibbs purity because the weights never change along the
-    continuation.  It runs on every block, reflection twins included, since
-    the state needs each twin's own columns.
+    continuation.
     """
     [state] = quasi_gibbs_states(model, beta, (lam,))
     return state
 
 
+def _require_state(solver, stacks):
+    """Raise ValueError unless per-group (g, m, m) stacks, each block counted
+    by its multiplicity, are a density matrix.
+
+    The checks of operators.DensityMatrix on the matrix solver.dense(stacks),
+    from the blocks alone: the largest Hermiticity defect of a block, the
+    trace and the purity (sum multiplicity x lambda^2) counted by
+    multiplicity, and the smallest eigenvalue of a block.
+    """
+    defect = max(hermiticity_defect(x) for x in stacks)
+    trace = solver.total([np.trace(x, axis1=-2, axis2=-1) for x in stacks])
+    evals = [np.linalg.eigvalsh(x) for x in stacks]
+    purity = float(solver.total([np.sum(e * e, axis=-1) for e in evals]))
+    require_density(defect, complex(trace), min(e.min() for e in evals), purity)
+
+
 def thermal_overlap(model: SpinChainModel, beta, lam) -> float:
     """Hilbert-Schmidt fidelity C between Gibbs(beta) and the quasi-Gibbs target.
 
-    Both come from one two-record sweep on the distinct symmetry sectors
-    (SymmetrySectors.distinct_blocks), as in evolve: its lambda = 0 record
-    is the Gibbs state.  A reflection twin holds an orthogonal copy of its
-    partner's blocks of both states, so every trace is the partner's,
-    counted twice.  Both are validated as DensityMatrix in the form that
-    repeats each block by its multiplicity, which is orthogonally similar to
-    the state and so has its trace, Hermiticity and spectrum.  C is
+    Both come from one two-record sweep on the symmetry sectors, as in
+    evolve: its lambda = 0 record is the Gibbs state.  A reflection twin
+    holds an orthogonal copy of its partner's blocks of both states, so
+    every trace is the partner's, counted twice.  Both are validated block
+    by block with the checks of DensityMatrix (_require_state).  C is
     hs_fidelity_from_overlap of their solver.inner with the sweep's purity
     for both, as in evolve, so it equals evolve(...).thermal_overlap[k] at
-    lam = trace.lambdas[k] exactly.  quasi_gibbs_at keeps every block,
-    because it assembles the state itself.
+    lam = trace.lambdas[k] exactly.
     """
-    _, solver, records, purity = _endpoints(model, beta, (lam,), distinct=True)
+    _, solver, records, purity = _endpoints(model, beta, (lam,))
     rho0, sigma = [stack[0] for stack in records], [stack[1] for stack in records]
-    DensityMatrix(mat=solver.dense(rho0))
-    DensityMatrix(mat=solver.dense(sigma))
+    _require_state(solver, rho0)
+    _require_state(solver, sigma)
     return float(hs_fidelity_from_overlap(solver.inner(sigma, rho0), purity, purity))

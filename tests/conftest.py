@@ -33,3 +33,31 @@ def stacks(monkeypatch):
     for module in (dynamics, susceptibility, thermal):
         monkeypatch.setattr(module, "stack_slices", recorded)
     return seen
+
+
+@pytest.fixture
+def every_block():
+    """A function of a model that gives its SymmetrySectors with each
+    reflection twin as a block of its own, counted once: the twin keeps its
+    partner's diagonal h0 and takes its v from its own basis columns and
+    the dense V, so a route run on it evolves every twin for itself."""
+    from adiatherm.models import SymmetrySectors, build_v, symmetry_sectors
+
+    def expand(model):
+        sectors = symmetry_sectors(model)
+        v = build_v(model).mat
+        labels, blocks, lo = [], [], 0
+        for label, block, count in zip(sectors.labels, sectors.blocks, sectors.multiplicity):
+            size = block[0].shape[0]
+            labels.append(label)
+            blocks.append(block)
+            if count == 2:
+                m, p, x = label
+                cols = sectors.basis[:, lo + size : lo + 2 * size]
+                v_twin = cols.T @ v @ cols
+                labels.append((m, -p, x))
+                blocks.append((block[0], 0.5 * (v_twin + v_twin.T)))
+            lo += count * size
+        return SymmetrySectors(tuple(labels), sectors.basis, tuple(blocks), (1,) * len(blocks))
+
+    return expand

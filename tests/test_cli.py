@@ -212,6 +212,26 @@ class TestSpectrumCommand:
         assert [r[0] for r in rows[::8]] == ["0", "-0.29999999999999999", "0.5", "1"]
         assert len(rows) == 32
 
+    @pytest.mark.parametrize("n_sites", range(3, 9))
+    @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7),
+                                        ("mfic", 1.3)])
+    def test_every_eigenvalue_of_the_dense_hamiltonian(self, tmp_path, kind, b, n_sites):
+        # a partner's eigenvalues are printed for its reflection twin too
+        out = tmp_path / "spec.csv"
+        field = [] if b is None else ["--B", str(b)]
+        args = ["spectrum", "--model", kind, "--n-sites", str(n_sites), *field,
+                "--lambda-grid=-1.5,0.37,2", "--out", str(out)]
+        assert main(args) == 0
+        _, _, rows = read_csv(out)
+        d = 2**n_sites
+        assert len(rows) == 4 * d
+        h0, v = oracle.dense_h0(kind, n_sites, b=b or 0.0), oracle.dense_v(kind, n_sites)
+        for k, lam in enumerate((0.0, -1.5, 0.37, 2.0)):
+            energies = [float(r[2]) for r in rows[k * d : (k + 1) * d]]
+            assert [int(r[1]) for r in rows[k * d : (k + 1) * d]] == list(range(d))
+            expected = np.linalg.eigvalsh(h0 + lam * v)
+            assert np.abs(np.array(energies) - expected).max() <= 1e-12
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -268,6 +288,19 @@ class TestThresholdCommand:
         _, header, rows = read_csv(out)
         row = dict(zip(header, rows[0]))
         assert row["rel_err_delta_v"] == row["rel_err_chi_f"] == "0"
+        assert row["reason"] == ""
+
+    def test_mfic_huge_beta_row_has_its_closed_forms(self, tmp_path):
+        out = tmp_path / "thr.csv"
+        args = ["threshold", "--model", "mfic", "--n-sites", "6", "--B", "0.7", "--beta", "1e308"]
+        assert main([*args, "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        for column in ("delta_v_closed", "chi_f_closed", "f_n_closed", "f_inf",
+                       "rel_err_delta_v", "rel_err_chi_f"):
+            assert row[column] != "", column
+        assert float(row["f_n_closed"]) == float(row["f_inf"]) == pytest.approx(1.0, rel=1e-14)
+        assert float(row["rel_err_chi_f"]) <= 1e-14
         assert row["reason"] == ""
 
     def test_mfic_excluded_field_reason(self, tmp_path):

@@ -305,13 +305,33 @@ class TestMficTemperatureFactor:
         assert [x.hex() for x in got] == [x.hex() for x in separate]
 
     def test_threshold_forms_leave_underflowed_factors_nan(self):
-        # chi_F and d_+ underflow to 0 here, where f_mfic divides by zero
+        # chi_F and d_+ underflow to 0 here, where f_mfic refuses
         n, beta, b = 4, 1e-300, 0.7
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match="chi_F underflows to 0"):
             f_mfic(n, beta, 1.0, b)
         dv, chi, f_n, f_inf = mfic_threshold_forms(n, beta, 1.0, b)
         assert (dv, chi) == (delta_v_mfic_closed(n, beta, 1.0, b), chi_f_mfic_closed(n, beta, 1.0, b))
         assert math.isnan(f_n) and math.isnan(f_inf)
+
+    @pytest.mark.parametrize("n", [4, None])
+    def test_underflowed_factor_raises_value_error(self, n):
+        # the denominator of f_N (chi_F) or of f (d_+) is 0 at beta = 1e-300
+        name = "chi_F" if n else "d_\\+"
+        with pytest.raises(ValueError, match=f"{name} underflows to 0 at beta=1e-300"):
+            f_mfic(n, 1e-300, 1.0, 0.7)
+
+    @pytest.mark.parametrize("b", [0.3, 0.7, 1.3])
+    def test_finite_at_the_largest_beta(self, b):
+        # e^{-2 beta s} at s = 0 is 1, not e^{-inf * 0}: every form reaches
+        # its zero-temperature value, chi_F0 = N J^2 / (2J + |B|)^2 and f = 1
+        n, beta = 6, 1e308
+        assert chi_f_mfic_closed(n, beta, 1.0, b) == pytest.approx(n / (2.0 + b) ** 2, rel=1e-14)
+        assert delta_v_mfic_closed(n, beta, 1.0, b) == pytest.approx(math.sqrt(2 * n), rel=1e-14)
+        for sites in (n, None):
+            assert f_mfic(sites, beta, 1.0, b) == pytest.approx(1.0, rel=1e-14)
+        assert chi_f_mfic_closed(n, beta, 1.0, b) == pytest.approx(
+            flip_sums(SpinChainModel("mfic", n, B=b), beta).chi_f, rel=1e-13
+        )
 
     @pytest.mark.parametrize("b", [2.0, 2.0000000001, -2.0, 1e-12])
     def test_row_in_excluded_window_keeps_its_reason(self, b):

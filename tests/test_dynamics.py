@@ -244,6 +244,7 @@ class TestEvolve:
             labels=(None,),
             basis=np.eye(model.dim),
             blocks=((build_h0(model).mat, build_v(model).mat),),
+            multiplicity=(1,),
         )
         monkeypatch.setattr(dynamics, "symmetry_sectors", lambda _: dense)
         by_dense = evolve(model, 1.0, 2.0, lambda_max, 21)
@@ -596,16 +597,15 @@ class TestReflectionTwins:
         "kind,b,n_sites,beta,gamma,lambda_max,n_records", TWIN_EVOLVE_CASES,
         ids=[f"{c[0]}-{c[2]}-{c[5]:g}" for c in TWIN_EVOLVE_CASES],
     )
-    def test_evolving_each_twin_once_matches_every_block(self, monkeypatch, kind, b, n_sites,
-                                                         beta, gamma, lambda_max, n_records):
-        # the same sectors without labels have no twins, so evolve then runs
-        # every block once
+    def test_evolving_each_twin_once_matches_every_block(self, monkeypatch, every_block, kind,
+                                                         b, n_sites, beta, gamma, lambda_max,
+                                                         n_records):
+        # each twin as a block of its own, formed from its derived columns
         model = SpinChainModel(kind, n_sites, B=b)
         twice = evolve(model, beta, gamma, lambda_max, n_records)
-        sectors = symmetry_sectors(model)
-        unlabeled = SymmetrySectors((None,) * len(sectors.blocks), sectors.basis, sectors.blocks)
-        assert len(unlabeled.distinct_blocks()[0]) > len(sectors.distinct_blocks()[0])
-        monkeypatch.setattr(dynamics, "symmetry_sectors", lambda _: unlabeled)
+        expanded = every_block(model)
+        assert len(expanded.blocks) > len(symmetry_sectors(model).blocks)
+        monkeypatch.setattr(dynamics, "symmetry_sectors", lambda _: expanded)
         every = evolve(model, beta, gamma, lambda_max, n_records)
         assert twice.counters() == every.counters()
         for twice_row, every_row in zip(twice.rows(), every.rows()):

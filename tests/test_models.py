@@ -203,19 +203,61 @@ class TestDrive:
         model = SpinChainModel(kind, 5, B=b)
         sectors = symmetry_sectors(model)
         shift = np.array([(s >> 1) | ((s & 1) << 4) for s in range(32)])
-        starts = np.cumsum((0,) + sectors.sizes)
-        for (m, _, _), lo, hi in zip(sectors.labels, starts[:-1], starts[1:]):
+        in_sectors = np.zeros((32, 32), dtype=bool)
+        for (m, _, _), _, lo, hi in sector_columns(sectors):
             cols = sectors.basis[:, lo:hi]
             shifted = np.zeros_like(cols)
             shifted[shift] = cols
             both_ways = shifted + cols[shift]
             assert np.abs(both_ways - 2.0 * math.cos(2.0 * math.pi * m / 5) * cols).max() <= 1e-14
-        in_sectors = np.zeros((32, 32), dtype=bool)
-        for lo, hi in zip(starts[:-1], starts[1:]):
             in_sectors[lo:hi, lo:hi] = True
         q = sectors.basis
         for op in (build_h0(model).mat, build_v(model).mat):
             assert np.abs((q.T @ op @ q)[~in_sectors]).max() <= 1e-14
+
+
+def sector_columns(sectors):
+    """(label, block, lo, hi) for the columns lo:hi of sectors.basis of each
+    sector: a partner's, then its reflection twin's, under the twin's label
+    (m, -1, x) and with the partner's block."""
+    lo = 0
+    for (m, p, x), block, count in zip(sectors.labels, sectors.blocks, sectors.multiplicity):
+        for label in ((m, p, x), (m, -p, x))[:count]:
+            yield label, block, lo, lo + block[0].shape[0]
+            lo += block[0].shape[0]
+
+
+def ring_permutations(n_sites):
+    """T, P and prod X of the ring as d x d permutation matrices, from bit
+    operations on the basis indices: T|s> = |T s>, P reverses the bits and
+    prod X flips them all."""
+    d = 2**n_sites
+    idx = np.arange(d)
+    translated = (idx >> 1) | ((idx & 1) << (n_sites - 1))
+    reflected = np.array([int(format(s, f"0{n_sites}b")[::-1], 2) for s in idx])
+    mats = []
+    for image in (translated, reflected, idx ^ (d - 1)):
+        mat = np.zeros((d, d))
+        mat[image, idx] = 1.0
+        mats.append(mat)
+    return mats
+
+
+def sector_projector(n_sites, label, flips):
+    """The projector onto label (m, p, x): momenta +-2 pi m / N, reflection
+    parity p and, when flips, prod X parity x."""
+    t, p_mat, x_mat = ring_permutations(n_sites)
+    m, p, x = label
+    d = 2**n_sites
+    count = 1.0 if m == 0 or 2 * m == n_sites else 2.0
+    momentum, power = np.zeros((d, d)), np.eye(d)
+    for j in range(n_sites):
+        momentum += count / n_sites * math.cos(2.0 * math.pi * m * j / n_sites) * power
+        power = t @ power
+    projector = momentum @ (np.eye(d) + p * p_mat) / 2.0
+    if flips:
+        projector = projector @ (np.eye(d) + x * x_mat) / 2.0
+    return projector
 
 
 SECTOR_CASES = [(kind, b, n) for kind, b in (("tfic", None), ("qxyc", None), ("mfic", 0.7))
@@ -225,27 +267,35 @@ SECTOR_CASES = [(kind, b, n) for kind, b in (("tfic", None), ("qxyc", None), ("m
 class TestSymmetrySectors:
     @pytest.mark.parametrize("kind,b,n_sites", SECTOR_CASES)
     def test_blocks_match_the_dense_operators(self, kind, b, n_sites):
+        # a twin's columns carry its partner's block
         model = SpinChainModel(kind, n_sites, B=b)
         sectors = symmetry_sectors(model)
         d = model.dim
         q = sectors.basis
-        assert sum(sectors.sizes) == d
+        assert sum(c * size for c, size in zip(sectors.multiplicity, sectors.sizes)) == d
         assert np.abs(q.T @ q - np.eye(d)).max() <= 1e-14
         # each column lies on states of one classical energy: H0 is diagonal
         energies = classical_energies(model)
-        starts = np.cumsum((0,) + sectors.sizes)
-        h0_diag = np.concatenate([np.diag(h0) for h0, _ in sectors.blocks])
-        for col, energy in zip(q.T, h0_diag):
-            assert np.all(energies[col != 0.0] == energy)
-        for h0, _ in sectors.blocks:
+        for _, (h0, _), lo, hi in sector_columns(sectors):
             assert np.array_equal(h0, np.diag(np.diag(h0)))
+            for col, energy in zip(q.T[lo:hi], np.diag(h0)):
+                assert np.all(energies[col != 0.0] == energy)
         # V has no entry between blocks, and its blocks are the oracle's
         v_sector = q.T @ oracle.dense_v(kind, n_sites).real @ q
         in_blocks = np.zeros((d, d), dtype=bool)
-        for (_, v), lo, hi in zip(sectors.blocks, starts[:-1], starts[1:]):
+        for _, (_, v), lo, hi in sector_columns(sectors):
             in_blocks[lo:hi, lo:hi] = True
             assert np.abs(v_sector[lo:hi, lo:hi] - v).max() <= 1e-13
         assert np.abs(v_sector[~in_blocks]).max(initial=0.0) <= 1e-13
+
+    @pytest.mark.parametrize("kind,b,n_sites", SECTOR_CASES)
+    def test_every_column_lies_in_its_sector_projector(self, kind, b, n_sites):
+        # twins (m, -1, x) included, whose columns are J images, not eigh's
+        sectors = symmetry_sectors(SpinChainModel(kind, n_sites, B=b))
+        for label, _, lo, hi in sector_columns(sectors):
+            cols = sectors.basis[:, lo:hi]
+            projector = sector_projector(n_sites, label, kind != "mfic")
+            assert np.abs(projector @ cols - cols).max() <= 1e-12
 
     @pytest.mark.parametrize("kind,b,n_sites", SECTOR_CASES)
     def test_prod_x_splits_only_the_zero_field_chains(self, kind, b, n_sites):
@@ -261,11 +311,13 @@ class TestSymmetrySectors:
             assert all(x <= y for x, y in zip(sizes, sizes[1:]))
 
     @pytest.mark.parametrize("kind,b,n_blocks,sizes", [
-        ("tfic", None, 10, {3, 4}), ("qxyc", None, 10, {3, 4}), ("mfic", 0.7, 5, {6, 8}),
+        ("tfic", None, 6, {3, 4}), ("qxyc", None, 6, {3, 4}), ("mfic", 0.7, 3, {6, 8}),
     ])
     def test_five_site_blocks(self, kind, b, n_blocks, sizes):
+        # the twins of m = 1, 2 have no blocks: 10 sectors of tfic and qxyc, 5 of mfic
         sectors = symmetry_sectors(SpinChainModel(kind, 5, B=b))
         assert len(sectors.blocks) == n_blocks and set(sectors.sizes) == sizes
+        assert len(sectors.labels) == len(sectors.multiplicity) == n_blocks
 
 
 TWIN_CASES = [(kind, b, n) for kind, b in (("tfic", None), ("qxyc", None), ("mfic", 0.7),
@@ -276,36 +328,30 @@ class TestReflectionTwins:
     @pytest.mark.parametrize("kind,b,n_sites", TWIN_CASES)
     def test_twins_are_orthogonal_copies_of_their_partners(self, kind, b, n_sites):
         # at 0 < k < pi, J = (T - T^-1) / (2 sin k) carries the partner
-        # (m, +1, x) onto its twin (m, -1, x), which distinct_blocks drops
-        sectors = symmetry_sectors(SpinChainModel(kind, n_sites, B=b))
-        blocks, multiplicity = sectors.distinct_blocks()
-        label_of = {id(block): label for label, block in zip(sectors.labels, sectors.blocks)}
-        kept = [label_of[id(block)] for block in blocks]
-        assert sum(c * h0.shape[0] for c, (h0, _) in zip(multiplicity, blocks)) == 2**n_sites
-        for (m, _, _), count in zip(kept, multiplicity):
+        # (m, +1, x) onto its twin (m, -1, x), whose columns follow the
+        # partner's and which has no label or block of its own
+        model = SpinChainModel(kind, n_sites, B=b)
+        sectors = symmetry_sectors(model)
+        assert len(sectors.labels) == len(sectors.blocks) == len(sectors.multiplicity)
+        assert sum(c * size for c, size in zip(sectors.multiplicity, sectors.sizes)) == 2**n_sites
+        for (m, p, _), count in zip(sectors.labels, sectors.multiplicity):
             assert count == (2 if 0 < 2 * m < n_sites else 1)
+            assert p == 1 or count == 1
 
-        block_of = dict(zip(sectors.labels, sectors.blocks))
-        starts = np.cumsum((0,) + sectors.sizes)
-        columns = {label: sectors.basis[:, lo:hi]
-                   for label, lo, hi in zip(sectors.labels, starts, starts[1:])}
+        v = build_v(model).mat
+        columns = {label: sectors.basis[:, lo:hi] for label, _, lo, hi in sector_columns(sectors)}
         shifted = models._translate(np.arange(2**n_sites), n_sites)
-        for twin in set(sectors.labels) - set(kept):
-            m, p, x = twin
-            assert p == -1 and 0 < 2 * m < n_sites
-            partner = (m, 1, x)
-            assert partner in kept
-            (h0_p, v_p), (h0_t, v_t) = block_of[partner], block_of[twin]
-            assert h0_p.shape == h0_t.shape
-            for lam in (0.0, 0.37, 1.0, 1.5):
-                assert np.abs(np.linalg.eigvalsh(h0_p + lam * v_p)
-                              - np.linalg.eigvalsh(h0_t + lam * v_t)).max() <= 1e-12
-            q_p, q_t = columns[partner], columns[twin]
+        for (m, _, x), (_, v_p), count in zip(sectors.labels, sectors.blocks, sectors.multiplicity):
+            if count == 1:
+                continue
+            q_p, q_t = columns[(m, 1, x)], columns[(m, -1, x)]
             forward = np.zeros_like(q_p)
             forward[shifted] = q_p  # T: |s> -> |T s>
             j_q = (forward - q_p[shifted]) / (2.0 * math.sin(2.0 * math.pi * m / n_sites))
-            assert np.abs(j_q - q_t @ (q_t.T @ j_q)).max() <= 1e-12
+            assert np.abs(j_q - q_t).max() <= 1e-12
             assert np.abs(j_q.T @ j_q - np.eye(q_p.shape[1])).max() <= 1e-12
+            # the twin's own V block is the partner's
+            assert np.abs(q_t.T @ v @ q_t - v_p).max() <= 1e-12
 
 
 class TestFlipTerms:

@@ -14,11 +14,13 @@ from adiatherm.models import (
 from adiatherm.acceptance import criterion_11
 from adiatherm.operators import DensityMatrix, eigh, hs_fidelity_from_overlap, hs_norm
 from adiatherm.susceptibility import chi_f_thermal
+import adiatherm.thermal as thermal
 from adiatherm.thermal import (
     ContinuationWarning,
     EigenbasisContinuation,
     QuasiGibbsSweep,
     BlockEigensolver,
+    _require_state,
     boltzmann_weights,
     escort_state,
     gibbs_state,
@@ -297,10 +299,11 @@ class TestBlockEigensolver:
 
     @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
     def test_sector_eigenpairs_diagonalize_the_dense_hamiltonian(self, kind, b):
-        # eigenpairs come in block order: ascending inside each block's columns
+        # eigenpairs come in block order: ascending inside each block's
+        # columns; dense() repeats a partner's for its twin, in basis order
         model = SpinChainModel(kind, 5, B=b)
         sectors = symmetry_sectors(model)
-        solver = BlockEigensolver(sectors.blocks)
+        solver = BlockEigensolver(sectors.blocks, sectors.multiplicity)
         edges = solver.edges
         assert edges[0] == 0 and edges[-1] == solver.dim and np.all(np.diff(edges) > 0)
         pairs = solver.solve([0.0, 0.3, -1.2])
@@ -308,12 +311,16 @@ class TestBlockEigensolver:
             evals, vecs = pairs.values[t], solver.dense([u[t] for u in pairs.vectors])
             for lo, hi in zip(edges[:-1], edges[1:]):
                 assert np.all(np.diff(evals[lo:hi]) >= 0)
+            repeated = np.concatenate([
+                np.tile(evals[lo:hi], count)
+                for lo, hi, count in zip(edges[:-1], edges[1:], sectors.multiplicity)
+            ])
             h = oracle.dense_h0(kind, 5, b=b or 0.0) + lam * oracle.dense_v(kind, 5)
-            assert np.allclose(np.sort(evals), np.linalg.eigvalsh(h), rtol=0.0, atol=1e-12)
+            assert np.allclose(np.sort(repeated), np.linalg.eigvalsh(h), rtol=0.0, atol=1e-12)
             states = sectors.basis @ vecs
-            assert np.abs(h @ states - states * evals).max() <= 1e-12
+            assert np.abs(h @ states - states * repeated).max() <= 1e-12
         # lambda = 0 gives H0's classical energies exactly
-        first = pairs.values[0]
+        first = np.repeat(pairs.values[0], solver.multiplicity)
         assert np.array_equal(np.sort(first), np.sort(classical_energies(model)))
 
     def test_blocks_keep_the_given_order(self):
@@ -454,25 +461,24 @@ class TestThermalOverlap:
         assert abs(s_plus - s_minus) / (2 * h) <= 1e-8 * s_zero
 
 
-def two_record_sweep(model, beta, lam, distinct):
+def two_record_sweep(model, beta, lam):
     """A QuasiGibbsSweep over [0, lam] on the sectors and its records, one
     (2, g, m, m) stack per group: a test-only copy of the one-lambda
     preparation behind quasi_gibbs_at and thermal_overlap."""
     sectors = symmetry_sectors(model)
-    blocks, multiplicity = sectors.distinct_blocks() if distinct else (sectors.blocks, None)
-    sweep = QuasiGibbsSweep(blocks, np.array([0.0, lam]), beta, multiplicity)
+    sweep = QuasiGibbsSweep(sectors.blocks, np.array([0.0, lam]), beta, sectors.multiplicity)
     return sweep, [np.concatenate(stacks) for stacks in zip(*sweep.records())]
 
 
 def one_lambda_state(model, beta, lam):
-    sweep, records = two_record_sweep(model, beta, lam, distinct=False)
+    sweep, records = two_record_sweep(model, beta, lam)
     sigma = sweep.solver.dense([stack[1] for stack in records])
     basis = symmetry_sectors(model).basis
     return basis @ sigma @ basis.T
 
 
 def one_lambda_overlap(model, beta, lam):
-    sweep, records = two_record_sweep(model, beta, lam, distinct=True)
+    sweep, records = two_record_sweep(model, beta, lam)
     rho0, sigma = [stack[0] for stack in records], [stack[1] for stack in records]
     overlap = sweep.solver.inner(sigma, rho0)
     return float(hs_fidelity_from_overlap(overlap, sweep.purity, sweep.purity))
@@ -558,3 +564,63 @@ class TestQuasiGibbsStates:
             chi = chi_f_thermal(spec, build_v(model), beta)
             expected.append(abs(chi_fd / chi - 1.0).hex())
         assert [check.measured.hex() for check in criterion_11().checks] == expected
+
+
+class TestTwinsOfTheStates:
+    @pytest.mark.parametrize("lam", [-0.4, 1e-3, 0.7])
+    @pytest.mark.parametrize("kind,b", STATE_DRIVES)
+    def test_equal_to_every_twin_marched_for_itself(self, monkeypatch, every_block, kind, b,
+                                                    lam):
+        # each twin as a block of its own, with its V block from its derived
+        # columns: the assembled state and the overlap move only by rounding
+        model = SpinChainModel(kind, 6, B=b)
+        state, overlap = quasi_gibbs_at(model, 1.0, lam).mat, thermal_overlap(model, 1.0, lam)
+        expanded = every_block(model)
+        monkeypatch.setattr(thermal, "symmetry_sectors", lambda _: expanded)
+        assert np.abs(quasi_gibbs_at(model, 1.0, lam).mat - state).max() <= 1e-12
+        assert abs(thermal_overlap(model, 1.0, lam) - overlap) <= 1e-13
+
+
+BAD_BLOCKS = {
+    "hermiticity": r"density matrix not Hermitian \(defect 1\.000e-09\)",
+    "trace": "differs from 1 beyond tolerance",
+    "eigenvalue": "negative eigenvalue -1.000e-09",
+    "purity": r"purity .* outside \(0, 1\]",
+}
+
+
+class TestStateChecks:
+    @pytest.mark.parametrize("defect", BAD_BLOCKS)
+    def test_one_bad_block_fails_as_the_dense_form(self, defect):
+        # the blocks of the Gibbs state with one block spoiled: the block
+        # checks raise what DensityMatrix raises on the repeated dense form
+        model = SpinChainModel("mfic", 5, B=0.7)
+        beta = 40.0 if defect == "purity" else 1.0
+        sweep, records = two_record_sweep(model, beta, 0.0)
+        solver = sweep.solver
+        state = [stack[0].copy() for stack in records]
+        _require_state(solver, state)
+        DensityMatrix(mat=solver.dense(state))
+        # the first block is a partner, counted twice
+        assert solver.group_multiplicity[0][0] == 2
+        block = state[0][0]
+        if defect == "hermiticity":
+            block[0, 1] += 1e-9
+        elif defect == "trace":
+            # under TRACE_TOL for one copy, over it for the two counted
+            block[0, 0] += 0.7e-12
+        elif defect == "eigenvalue":
+            evals, vecs = np.linalg.eigh(block)
+            shift = evals[0] + 1e-9
+            block += shift * (np.outer(vecs[:, 1], vecs[:, 1]) - np.outer(vecs[:, 0], vecs[:, 0]))
+        else:
+            # the pure ground state, its weight raised within TRACE_TOL: the
+            # purity exceeds 1 + TRACE_TOL
+            group, at = next((g, np.unravel_index(np.argmax(x), x.shape))
+                             for g, x in enumerate(state) if x.max() > 0.5)
+            assert solver.total([np.trace(x, axis1=-2, axis2=-1) for x in state]) == 1.0
+            state[group][at] *= 1.0 + 0.9e-12
+        with pytest.raises(ValueError, match=BAD_BLOCKS[defect]):
+            _require_state(solver, state)
+        with pytest.raises(ValueError, match=BAD_BLOCKS[defect]):
+            DensityMatrix(mat=solver.dense(state))

@@ -11,7 +11,7 @@ evolution.
 
 __version__ = "0.1.0"
 
-from .dynamics import BoundTrace, MeanFreePath, adiabatic_mean_free_path, evolve
+from .dynamics import BoundTrace, evolve
 from .models import SpinChainModel, build_h0, build_v, flip_terms
 from .operators import DensityMatrix, HermitianOperator, SpectralDecomposition, eigh
 from .qsl import bound_strong, bound_weak, qsl_radius_constant_rate
@@ -32,11 +32,9 @@ __all__ = [
     "DensityMatrix",
     "HermitianOperator",
     "LowTempCoefficients",
-    "MeanFreePath",
     "SpectralDecomposition",
     "SpinChainModel",
     "ThresholdReport",
-    "adiabatic_mean_free_path",
     "bound_strong",
     "bound_weak",
     "build_h0",

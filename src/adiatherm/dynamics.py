@@ -12,40 +12,45 @@ The quasi-Gibbs targets come from one thermal.QuasiGibbsSweep, stable to
 1e-8 at every record; its lambda = 0 record is the initial Gibbs state, so
 H0 is diagonalized once.  The first two halving levels always both run, so
 they share one pass over the sweep's records (_run_levels), and each later
-level reads them once.  Only the finest level of a pass can be accepted, so
-the coarse level keeps F alone; the finest fills every column that needs
-sigma or rho, C included, which does not depend on the CFM4 step.  R and
-both bounds need only C, so they are computed once, from the accepted
-level, with one elementwise call each over every record.
+level reads them once.  A pass runs its levels on one leading axis: for
+each chunk of records, _interval_propagators puts every level's CFM4 nodes
+through the same _exp_minus_i stacks and returns each level's interval
+propagators U_k as one (L, c, g, m, m) stack per group; one loop forms the
+accumulated propagators W_k = U_k W_(k-1) of all levels with one product
+per record and group, and rho_k = W_k rho0 W_k^dag and F come from one
+stacked sandwich and one inner product for all levels.  Only the finest
+level of a pass can be accepted, so the coarse level keeps F alone; the
+finest level's rho gives every column that needs sigma or rho, C
+included, which does not depend on the CFM4 step.  R and both bounds need
+only C, so they are computed once, from the accepted level, with one
+elementwise call each over every record.
 
 Everything runs in the real symmetry-adapted basis of
 models.symmetry_sectors, where H0 is diagonal and V block-diagonal, so every
 CFM4 factor, propagator, rho and sigma is block-diagonal too and is kept as
 one (..., g, m, m) stack per group of equal-size blocks (see
-thermal.BlockEigensolver), never as a d x d matrix.  The factors of a chunk
+thermal.BlockEigensolver), never as a d x d matrix.  The factors of a stack
 of CFM4 nodes come from five stacked real products per group, two more per
-squaring when a factor's 1-norm exceeds 0.05, and the propagators of a
-chunk of record intervals from one stacked product per factor.  The
-accumulated propagator W_k of record k is U_k W_(k-1), and
-rho_k = W_k rho0 W_k^dag is formed for a chunk of records at once.  A
-reflection twin (models.SymmetrySectors) is an orthogonal copy of its
-partner block at every lambda, and so are its rho0, propagators and
-targets, so the one block list of SymmetrySectors holds no twin and
-evolve runs each partner once.  F, C, Theta, the purity and the trace are
-sums of per-block traces counted by the sectors' multiplicity
+squaring of each factor whose 1-norm exceeds 0.05, and the stack
+multiplies them into the partial propagators with one stacked product per
+factor index.  A reflection twin (models.SymmetrySectors) is an orthogonal
+copy of its partner block at every lambda, and so are its rho0,
+propagators and targets, so the one block list of SymmetrySectors holds no
+twin and evolve runs each partner once.  F, C, Theta, the purity and the
+trace are sums of per-block traces counted by the sectors' multiplicity
 (BlockEigensolver.inner and total), which the orthogonal change of basis
 leaves unchanged; the Hermiticity defect is a maximum over blocks.
-models.stack_slices cuts every chunk.
+models.stack_slices cuts every stack, and since every product,
+exponential and per-record sum runs matrix by matrix or row by row, the
+rows do not depend on where it cuts.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -132,13 +137,6 @@ class BoundTrace:
         yield from zip(*(column.tolist() for column in columns))
 
 
-class MeanFreePath(NamedTuple):
-    """Largest lambda with F >= 1/e throughout; censored when F never drops."""
-
-    value: float
-    censored: bool
-
-
 # the Taylor coefficients of B to B^4, in B = A^2, of cos A - I and of sin A / A - I
 _COS_TAYLOR = (-1 / 2, 1 / 24, -1 / 720, 1 / 40320)
 _SIN_TAYLOR = (-1 / 6, 1 / 120, -1 / 5040, 1 / 362880)
@@ -165,87 +163,96 @@ def _exp_minus_i(a):
     cos A and sin A are their Taylor series to A^8 and A^9, evaluated
     Paterson-Stockmeyer style in B = A^2 in five stacked real products: B,
     B^2, one tail product each and A times the series of sin A / A - I.
-    The whole stack is first scaled by 2^-s, with s the smallest integer
-    for which the largest 1-norm in the stack is at most _TAYLOR_NORM = 0.05,
-    which bounds the truncation error in 1-norm by the first dropped term,
-    0.05^10 / 10! < 3e-20, before squaring.  The s squarings
+    Each matrix is first scaled by 2^-s, with s the smallest integer for
+    which its 1-norm is at most _TAYLOR_NORM = 0.05, which bounds the
+    truncation error in 1-norm by the first dropped term,
+    0.05^10 / 10! < 3e-20, before squaring.  Its s squarings
     (C, S) -> (C^2 - S^2, 2 C S), exact because C and S commute, then double
-    the angle back.  They are carried on C - I, so the rounding of the
-    identity is not doubled s times: C - I -> 2 (C - I) + (C - I + S)(C - I - S)
-    and S -> 2 (S + (C - I) S), two products per squaring.  A = 0 gives
-    exactly I.
+    the angle back, on the matrices whose s exceeds the squarings done, so a
+    factor does not depend on the other matrices of its stack.  They are
+    carried on C - I, so the rounding of the identity is not doubled s
+    times: C - I -> 2 (C - I) + (C - I + S)(C - I - S) and
+    S -> 2 (S + (C - I) S), two products per squaring.  A = 0 gives exactly I.
     """
-    norm = float(np.abs(a).sum(axis=-2).max())
-    s = math.ceil(math.log2(norm / _TAYLOR_NORM)) if norm > _TAYLOR_NORM else 0
-    if s:
-        a = a * 0.5**s
+    col_sums = np.abs(a).sum(axis=-2)
+    s = np.zeros(col_sums.shape[:-1], dtype=int)
+    # the per-matrix 1-norms, a slow reduction over a short axis, only when one scales
+    if col_sums.max(initial=0.0) > _TAYLOR_NORM:
+        norm = col_sums.max(axis=-1)
+        s = np.ceil(np.log2(np.maximum(norm, _TAYLOR_NORM) / _TAYLOR_NORM)).astype(int)
+        a = a * np.ldexp(1.0, -s)[..., None, None]
     b = a @ a
     b2 = b @ b
     cos_m1 = _taylor(b, b2, _COS_TAYLOR)
     sin = a + a @ _taylor(b, b2, _SIN_TAYLOR)
-    for _ in range(s):
-        cos_m1, sin = 2.0 * cos_m1 + (cos_m1 + sin) @ (cos_m1 - sin), 2.0 * (sin + cos_m1 @ sin)
+    for done in range(s.max(initial=0)):
+        at = s > done
+        c, sn = cos_m1[at], sin[at]
+        cos_m1[at], sin[at] = 2.0 * c + (c + sn) @ (c - sn), 2.0 * (sn + c @ sn)
     return _add_identity(cos_m1, 1.0) - 1j * sin
 
 
-def _interval_propagators(solver, lambdas, gamma, steps):
-    """Yield the CFM4 propagator over each interval of the grid lambdas, in order.
+def _interval_propagators(solver, lambdas, gamma, level_steps):
+    """The CFM4 propagators over every interval of the grid lambdas at each
+    step count of level_steps: one (L, c, g, m, m) stack per group of the
+    BlockEigensolver solver, for L levels and c intervals.
 
     A step of width h from lambda0 applies exp(-i (h / 2 Gamma) H(lambda0 + h/6)),
     then exp(-i (h / 2 Gamma) H(lambda0 + 5h/6)); in the other order the scheme
-    drops to second order.  Each factor comes from _exp_minus_i of the blocks
-    of the BlockEigensolver solver, and each propagator is one (g, m, m)
-    stack per group.  The nodes go in stacks of whole intervals, or of one
-    interval's consecutive factors when an interval does not fit one stack,
-    and a stack's intervals multiply their factors in one stacked product
-    per factor.
+    drops to second order.  The nodes of every level go through the same
+    _exp_minus_i stacks, factor index by factor index, a node taking the
+    entries of all blocks at the solver's dtype, as a lambda of the solver's
+    eigh chunks does.  A stack multiplies each run of one factor index into
+    the partial products of its intervals and levels in one stacked product
+    per group, and a product whose factors span stacks is carried into the
+    next.
     """
     lambdas = np.asarray(lambdas, dtype=float)
-    widths = (lambdas[1:] - lambdas[:-1]) / steps
-    h = widths[:, None]
-    lam0 = lambdas[:-1, None] + np.arange(steps) * h  # the start of every step
-    nodes = np.stack([lam0 + h / 6.0, lam0 + 5.0 * h / 6.0], axis=-1).reshape(widths.size, -1)
-    n_factors = nodes.shape[1]
-    node_bytes = np.dtype(complex).itemsize * solver.entries
-    for chunk in stack_slices(widths.size, n_factors * node_bytes):
-        u = None
-        for at in stack_slices(n_factors, node_bytes):
-            stack = nodes[chunk, at]  # (intervals, factors) nodes
-            dt = np.repeat(widths[chunk] / (2.0 * gamma), stack.shape[1])[:, None, None, None]
-            factors = [
-                _exp_minus_i(dt * ham).reshape(*stack.shape, *ham.shape[1:])
-                for ham in solver.hamiltonians(stack)
-            ]
-            for j in range(stack.shape[1]):
-                u = [f[:, j] for f in factors] if u is None else [
-                    f[:, j] @ v for f, v in zip(factors, u)
-                ]
-        for i in range(u[0].shape[0]):
-            yield [v[i] for v in u]
+    steps = np.asarray(level_steps)
+    widths = (lambdas[1:] - lambdas[:-1]) / steps[:, None]  # (L, c)
+    lam0 = lambdas[:-1] + np.arange(steps.max())[:, None, None] * widths  # every step's start
+    nodes = np.stack([lam0 + widths / 6.0, lam0 + 5.0 * widths / 6.0], axis=1)
+    nodes = nodes.reshape(2 * steps.max(), -1)  # (factor, level x interval)
+    dt = (widths / (2.0 * gamma)).reshape(-1)
+    # the slot (level x interval) of every node, factor by factor
+    factors_per_slot = np.repeat(2 * steps, widths.shape[1])
+    factor, slot = np.nonzero(np.arange(nodes.shape[0])[:, None] < factors_per_slot)
+    u = [np.empty((dt.size, *h.shape[1:]), dtype=complex) for h in solver.hamiltonians([])]
+    for at in stack_slices(factor.size, solver.dtype.itemsize * solver.entries):
+        factors = [
+            _exp_minus_i(dt[slot[at], None, None, None] * ham)
+            for ham in solver.hamiltonians(nodes[factor[at], slot[at]])
+        ]
+        # runs of one factor index over consecutive slots
+        cuts = [0, *(np.flatnonzero(np.diff(slot[at]) != 1) + 1), at.stop - at.start]
+        for lo, hi in zip(cuts, cuts[1:]):
+            to = slice(slot[at][lo], slot[at][lo] + hi - lo)
+            for v, f in zip(u, factors):
+                v[to] = f[lo:hi] if factor[at][lo] == 0 else f[lo:hi] @ v[to]
+    return [v.reshape(*widths.shape, *v.shape[1:]) for v in u]
 
 
 def _run_levels(sweep, gamma, *level_steps):
-    """One record dict per CFM4 step count of level_steps, from one pass over
-    the QuasiGibbsSweep sweep's records at drive rate gamma.
+    """F at every CFM4 step count of level_steps, and every other column at
+    the last, from one pass over the QuasiGibbsSweep sweep's records at
+    drive rate gamma.
 
-    evolve accepts only the finest (last) level of a pass, so every other
-    level keeps F alone, from rho and its purity.  The finest level also
-    keeps C, theta, the purity column, and the trace and Hermiticity
-    defects; C does not depend on the step count.
+    Returns a dict of columns: "F" holds one row per level, and "C",
+    "theta", "purity", "trace" and "herm" are the last level's, the finest
+    of an evolve pass and the only one it can accept (C does not depend on
+    the step count).  The levels run on one leading axis: for each chunk of
+    records one _interval_propagators stack, overwritten in place by the
+    accumulated propagators W_k = U_k W_(k-1) with one product per record
+    and group, then one rho_k = W_k rho0 W_k^dag and one solver.inner for
+    every level's F; the last level's rho gives the rest.
     """
     lambdas, purity, solver = sweep.lambdas, sweep.purity, sweep.solver
-    n, finest = lambdas.size, len(level_steps) - 1
-    recs = [{"F": np.zeros(n)} for _ in level_steps]
-    recs[finest].update(
-        {name: np.zeros(n) for name in ("C", "theta", "purity", "trace", "herm")}
-    )
-    for rec in recs:
-        rec["F"][0] = 1.0
-    recs[finest]["C"][0] = 1.0
-    recs[finest]["purity"][0] = purity
-    propagators = [_interval_propagators(solver, lambdas, gamma, s) for s in level_steps]
-    w = [None] * len(level_steps)
-    rho0 = None
+    n = lambdas.size
+    rec = {"F": np.zeros((len(level_steps), n))}
+    rec.update({name: np.zeros(n) for name in ("C", "theta", "purity", "trace", "herm")})
+    rec["F"][:, 0] = rec["C"][0] = 1.0
+    rec["purity"][0] = purity
+    w = rho0 = None
     done = 0
     for sigma in sweep.records():
         records = slice(done, done + sigma[0].shape[0])
@@ -257,38 +264,35 @@ def _run_levels(sweep, gamma, *level_steps):
             records = slice(1, records.stop)
         if records.start == records.stop:
             continue
-        for level, rec in enumerate(recs):
-            # rho_k = W_k rho0 W_k^dag, with W_k the propagator accumulated up to record k
-            rho = [np.empty(s.shape, dtype=complex) for s in sigma]
-            for k, u in enumerate(
-                itertools.islice(propagators[level], records.stop - records.start)
-            ):
-                w[level] = u if w[level] is None else [a @ b for a, b in zip(u, w[level])]
-                for r, a in zip(rho, w[level]):
-                    r[k] = a
-            rho = [(a @ r0) @ adjoint(a) for a, r0 in zip(rho, rho0)]
-            rho_purity = solver.inner(rho, rho)
-            rec["F"][records] = hs_fidelity_from_overlap(
-                solver.inner(sigma, rho), purity, rho_purity
-            )
-            if level < finest:
-                continue
-            rec["C"][records] = hs_fidelity_from_overlap(
-                solver.inner(sigma, rho0), purity, purity
-            )
-            rho_norm = np.sqrt(rho_purity)[:, None, None, None]
-            unit_gap = [r0 / rho0_norm - r / rho_norm for r0, r in zip(rho0, rho)]
-            rec["theta"][records] = hs_angle_from_distance(
-                np.sqrt(solver.inner(unit_gap, unit_gap))
-            )
-            del unit_gap
-            rec["purity"][records] = rho_purity
-            tr = solver.total([np.trace(r, axis1=-2, axis2=-1) for r in rho])
-            rec["trace"][records] = np.abs(tr.real - 1.0) + np.abs(tr.imag)
-            rec["herm"][records] = np.max(
-                [np.abs(r - adjoint(r)).max(axis=(-3, -2, -1)) for r in rho], axis=0
-            )
-    return recs
+        # each record's interval propagators, overwritten by its accumulated W_k
+        ws = _interval_propagators(
+            solver, lambdas[records.start - 1 : records.stop], gamma, level_steps
+        )
+        for k in range(records.stop - records.start):
+            if w is not None:
+                for x, y in zip(ws, w):
+                    x[:, k] = x[:, k] @ y
+            w = [x[:, k] for x in ws]
+        w = [y.copy() for y in w]  # so this chunk's stacks can go before the next are built
+        rho = [(x @ r0) @ adjoint(x) for x, r0 in zip(ws, rho0)]
+        rho_purity = solver.inner(rho, rho)
+        rec["F"][:, records] = hs_fidelity_from_overlap(
+            solver.inner(sigma, rho), purity, rho_purity
+        )
+        rho, rho_purity = [r[-1] for r in rho], rho_purity[-1]
+        rec["C"][records] = hs_fidelity_from_overlap(solver.inner(sigma, rho0), purity, purity)
+        rho_norm = np.sqrt(rho_purity)[:, None, None, None]
+        unit_gap = [r0 / rho0_norm - r / rho_norm for r0, r in zip(rho0, rho)]
+        rec["theta"][records] = hs_angle_from_distance(np.sqrt(solver.inner(unit_gap, unit_gap)))
+        del unit_gap
+        rec["purity"][records] = rho_purity
+        tr = solver.total([np.trace(r, axis1=-2, axis2=-1) for r in rho])
+        rec["trace"][records] = np.abs(tr.real - 1.0) + np.abs(tr.imag)
+        rec["herm"][records] = np.max(
+            [np.abs(r - adjoint(r)).max(axis=(-3, -2, -1)) for r in rho], axis=0
+        )
+        del rho, ws
+    return rec
 
 
 def require_evolve_args(beta, gamma, lambda_max, n_records) -> int:
@@ -341,15 +345,17 @@ def evolve(
     # a one-record run has no interval and starts at one step
     steps = max(1, math.ceil(lambdas[-1] / max(n - 1, 1) / _INITIAL_DELTA_LAMBDA))
     # the first two levels always both run, so they share one pass over the sweep
-    rec, finer = _run_levels(sweep, gamma, steps, 2 * steps)
-    history = [float(rec["F"][-1])]
+    rec = _run_levels(sweep, gamma, steps, 2 * steps)
+    f = rec["F"][0]
+    history = [float(f[-1])]
     for halving in range(_MAX_HALVINGS):
         steps *= 2
         if halving:
-            [finer] = _run_levels(sweep, gamma, steps)
-        history.append(float(finer["F"][-1]))
-        change = float(np.max(np.abs(finer["F"] - rec["F"])))
-        rec = finer
+            rec = _run_levels(sweep, gamma, steps)
+        finer = rec["F"][-1]
+        history.append(float(finer[-1]))
+        change = float(np.max(np.abs(finer - f)))
+        f = finer
         if change < FINAL_FIDELITY_TOL:
             break
     else:
@@ -364,7 +370,7 @@ def evolve(
 
     trace = BoundTrace(
         lambdas=lambdas,
-        adiabatic_fidelity=rec["F"],
+        adiabatic_fidelity=f,
         thermal_overlap=rec["C"],
         qsl_radius=radius,
         hs_angle=rec["theta"],
@@ -389,24 +395,3 @@ def evolve(
         steps, len(history), trace.sweep_steps_per_interval, trace.n_ambiguous_steps,
     )
     return trace
-
-
-def adiabatic_mean_free_path(trace: BoundTrace) -> MeanFreePath:
-    """Largest lambda* with F(lambda) >= 1/e for all records up to lambda*.
-
-    The crossing is located by linear interpolation between the bracketing
-    records; when F never drops below 1/e the result is the final lambda,
-    tagged censored.
-    """
-    threshold = math.exp(-1.0)
-    f = trace.adiabatic_fidelity
-    below = np.where(f < threshold)[0]
-    if below.size == 0:
-        return MeanFreePath(value=float(trace.lambdas[-1]), censored=True)
-    k = int(below[0])
-    if k == 0:
-        return MeanFreePath(value=0.0, censored=False)
-    lam0, lam1 = trace.lambdas[k - 1], trace.lambdas[k]
-    f0, f1 = f[k - 1], f[k]
-    crossing = lam0 + (f0 - threshold) * (lam1 - lam0) / (f0 - f1)
-    return MeanFreePath(value=float(crossing), censored=False)

@@ -248,10 +248,12 @@ class EigenbasisContinuation:
     labels of different origin energies (an exact crossing) is rotated onto
     the transported old columns, because only there does the basis inside
     the level matter.  A level whose g-th and (g+1)-th masses tie within
-    AMBIGUITY_TOL between labels of different origin energies, or a step
-    that loses a label to another level, is ambiguous and is recorded on
-    ambiguous_steps as (lambda, number of ambiguous matches); a tie counts
-    once per copy of its block (its multiplicity), as in the full operator.
+    AMBIGUITY_TOL between labels of different origin energies is ambiguous
+    and is recorded on ambiguous_steps as (lambda, number of ambiguous
+    matches); a tie counts once per copy of its block (its multiplicity),
+    as in the full operator.  A step that gives one label to two levels
+    loses another: its lambda is recorded on lost_steps, and the march no
+    longer carries every lambda = 0 column once.
     """
 
     def __init__(self, blocks, multiplicity=None):
@@ -269,6 +271,7 @@ class EigenbasisContinuation:
         """Return to the labeled eigenbasis at lambda = 0."""
         self.vectors, self.labels = self._at_zero
         self.ambiguous_steps = []
+        self.lost_steps = []
 
     @property
     def origin_energies(self):
@@ -327,10 +330,10 @@ class EigenbasisContinuation:
         for t in range(steps):
             labels[t + 1] = labels[t][source[t]]
 
-        # ambiguous: a label went to two levels, or a level's g-th and
+        # lost: a label went to two levels; ambiguous: a level's g-th and
         # (g+1)-th masses tie between labels of different origin energy
-        n_ambiguous = np.any(np.sort(labels[1:], axis=1) != np.sort(labels[:-1], axis=1), axis=1)
-        n_ambiguous = n_ambiguous.astype(int)
+        lost = np.any(np.sort(labels[1:], axis=1) != np.sort(labels[:-1], axis=1), axis=1)
+        n_ambiguous = np.zeros(steps, dtype=int)
         rotating, mixed_levels = steps, []
         for lo, hi, counts, (overlap, first, mass, order, taken) in zip(
             solver.group_edges, solver.group_edges[1:], solver.group_multiplicity, groups
@@ -358,6 +361,7 @@ class EigenbasisContinuation:
         taken_steps = min(rotating + 1, steps)
         for t in np.flatnonzero(n_ambiguous[:taken_steps]):
             self.ambiguous_steps.append((float(pairs.lambdas[start + t]), int(n_ambiguous[t])))
+        self.lost_steps.extend(pairs.lambdas[start + np.flatnonzero(lost[:taken_steps])].tolist())
         last_step = taken_steps - 1
         columns = [u[last_step] for u in fresh]
         rotated = None
@@ -394,11 +398,12 @@ def _sigma(solver, vectors, weights):
 class _March(NamedTuple):
     """One march of a QuasiGibbsSweep: the per-record column labels
     (records, d), the rotated columns {record: per-group columns} of the
-    records whose step rotated a level, and its ambiguous steps."""
+    records whose step rotated a level, and its ambiguous and lost steps."""
 
     labels: np.ndarray
     rotated: dict
     ambiguous_steps: list
+    lost_steps: list
 
 
 class QuasiGibbsSweep:
@@ -418,9 +423,11 @@ class QuasiGibbsSweep:
     the labels are resolved.  Starting at one step per record interval, the
     count is doubled until sigma at every record is stable to
     CONTINUATION_STABILITY_TOL in HS norm, every block counted by its
-    multiplicity.  Where the coarser march rotated no level at a record,
-    that change is exactly sqrt(sum multiplicity dw^2) of the change dw in
-    column weights.  The first round marches 1 and 2 steps per interval in
+    multiplicity, and the march lost no label (lost_steps of
+    EigenbasisContinuation), so every target's weights are the Gibbs
+    weights in some order.  Where the coarser march rotated no level at a
+    record, that change is exactly sqrt(sum multiplicity dw^2) of the change
+    dw in column weights.  The first round marches 1 and 2 steps per interval in
     one pass of the solver over the 2-step path, whose every second lambda
     is a record, so each of its lambdas is solved once for both marches;
     each later round marches 2p steps and compares with the previous
@@ -454,7 +461,7 @@ class QuasiGibbsSweep:
         per_interval, coarse = 2, None
         for _ in range(1, _MAX_SWEEP_DOUBLINGS):
             coarse, march, change = self._march(per_interval, coarse)
-            if change <= CONTINUATION_STABILITY_TOL:
+            if change <= CONTINUATION_STABILITY_TOL and not march.lost_steps:
                 break
             coarse = march
             per_interval *= 2
@@ -464,7 +471,7 @@ class QuasiGibbsSweep:
                 f"{CONTINUATION_STABILITY_TOL} at every record"
             )
         self.per_interval = per_interval
-        self._labels, self._rotated, self.ambiguous_steps = march
+        self._labels, self._rotated, self.ambiguous_steps, _ = march
         if self.ambiguous_steps:
             lam, count = self.ambiguous_steps[0]
             warnings.warn(
@@ -504,7 +511,9 @@ class QuasiGibbsSweep:
         if coarse is None:
             alongside = copy.copy(cont)
             alongside.restart()
-            coarse = _March(np.empty_like(record_labels), {}, alongside.ambiguous_steps)
+            coarse = _March(
+                np.empty_like(record_labels), {}, alongside.ambiguous_steps, alongside.lost_steps
+            )
             coarse.labels[0] = alongside.labels
         # the HS change of sigma at the records where the coarse march rotated a level
         rotated, changes, done = {}, {}, 0
@@ -547,7 +556,8 @@ class QuasiGibbsSweep:
             delta[at] = np.sqrt(np.sum(dw * dw * solver.multiplicity, axis=1))
         for k, change in changes.items():
             delta[k] = change
-        return coarse, _March(record_labels, rotated, cont.ambiguous_steps), float(delta.max())
+        march = _March(record_labels, rotated, cont.ambiguous_steps, cont.lost_steps)
+        return coarse, march, float(delta.max())
 
     def records(self):
         """Yield the quasi-Gibbs targets at the records, in order, a chunk at a time.

@@ -5,11 +5,9 @@ PUBLIC_API = [
     "DensityMatrix",
     "HermitianOperator",
     "LowTempCoefficients",
-    "MeanFreePath",
     "SpectralDecomposition",
     "SpinChainModel",
     "ThresholdReport",
-    "adiabatic_mean_free_path",
     "bound_strong",
     "bound_weak",
     "build_h0",

@@ -6,12 +6,9 @@ import pytest
 
 import adiatherm.dynamics as dynamics
 from adiatherm.dynamics import (
-    BoundTrace,
-    MeanFreePath,
     _exp_minus_i,
     _interval_propagators,
     _run_levels,
-    adiabatic_mean_free_path,
     evolve,
 )
 from adiatherm.models import (
@@ -68,39 +65,42 @@ class TestEvolve:
 
     @staticmethod
     def count_passes(monkeypatch):
-        """Record every records() pass and the CFM4 step count of every propagator."""
-        passes, levels = [], []
+        """One list per records() pass, of the CFM4 step counts of every
+        propagator stack built in it."""
+        passes = []
         records, propagators = QuasiGibbsSweep.records, dynamics._interval_propagators
 
         def counted_records(sweep):
-            passes.append(len(levels))
+            passes.append([])
             return records(sweep)
 
-        def counted_propagators(solver, lambdas, gamma, steps):
-            levels.append(steps)
-            return propagators(solver, lambdas, gamma, steps)
+        def counted_propagators(solver, lambdas, gamma, level_steps):
+            passes[-1].append(tuple(level_steps))
+            return propagators(solver, lambdas, gamma, level_steps)
 
         monkeypatch.setattr(QuasiGibbsSweep, "records", counted_records)
         monkeypatch.setattr(dynamics, "_interval_propagators", counted_propagators)
-        return passes, levels
+        return passes
 
     def test_one_sweep_pass_per_halving_level(self, monkeypatch):
         # the first two levels share one pass
-        passes, _ = self.count_passes(monkeypatch)
+        passes = self.count_passes(monkeypatch)
         trace = evolve(SpinChainModel("tfic", 4), 1.0, 1.0, 0.1, 11)
         assert len(passes) == len(trace.fidelity_history) - 1
 
     def test_each_level_after_the_second_costs_one_pass(self, monkeypatch):
         # one step per interval of 0.5 needs several halvings
         monkeypatch.setattr(dynamics, "_INITIAL_DELTA_LAMBDA", 1.0)
-        passes, levels = self.count_passes(monkeypatch)
+        passes = self.count_passes(monkeypatch)
         trace = evolve(SpinChainModel("tfic", 4), 1.0, 1.0, 1.0, 3)
         n_levels = len(trace.fidelity_history)
         assert n_levels >= 3
-        assert levels == [2**k for k in range(n_levels)]
-        assert trace.n_substeps_per_interval == levels[-1]
-        # the first pass runs levels 1 and 2, every later pass one more level
-        assert passes == list(range(2, n_levels + 1))
+        assert trace.n_substeps_per_interval == 2 ** (n_levels - 1)
+        # the first pass runs levels 1 and 2, every later pass one more level,
+        # each in every propagator stack of its pass
+        assert [set(stacks) for stacks in passes] == (
+            [{(1, 2)}] + [{(2**k,)} for k in range(2, n_levels)]
+        )
 
     def test_unconverged_halving_reports_both_first_levels(self, monkeypatch):
         monkeypatch.setattr(dynamics, "_MAX_HALVINGS", 1)
@@ -256,9 +256,10 @@ class TestEvolve:
     @pytest.mark.parametrize("lambdas_per_stack", [1, 3])
     def test_rows_do_not_depend_on_the_stack_budget(self, monkeypatch, stacks, kind, b,
                                                     lambda_max, lambdas_per_stack):
-        # every stack runs matrix by matrix and every per-record sum over its
-        # own row, so one lambda per stack (or three, which splits a CFM4
-        # interval across stacks) gives the default budget's rows
+        # every stack runs matrix by matrix, every factor takes its own
+        # scaling exponent and every per-record sum runs over its own row,
+        # so one lambda per stack (or three, which splits a CFM4 interval
+        # across stacks) gives the default budget's rows bit for bit
         import adiatherm.models as models
 
         model = SpinChainModel(kind, 4, B=b)
@@ -271,27 +272,27 @@ class TestEvolve:
         by_budget = evolve(model, 1.0, 2.0, lambda_max, 21)
         assert len(stacks) > default_stacks
         assert by_budget.counters() == by_default.counters()
-        for default_row, budget_row in zip(by_default.rows(), by_budget.rows()):
-            assert np.abs(np.subtract(default_row, budget_row)).max() <= 1e-13
+        assert list(by_budget.rows()) == list(by_default.rows())
         for column in ("trace_defect", "herm_defect"):
-            assert np.abs(getattr(by_default, column) - getattr(by_budget, column)).max() <= 1e-13
+            assert np.array_equal(getattr(by_default, column), getattr(by_budget, column))
 
 
     @pytest.mark.parametrize("kind,b,lambda_max", [("tfic", None, 0.2), ("qxyc", None, 1.5)])
     def test_coarse_level_keeps_only_f(self, kind, b, lambda_max):
-        # a two-level pass gives its coarse level F alone, bit for bit the F
-        # of that level run on its own, and its fine level every column of
-        # that level run on its own
+        # a two-level pass gives each level's F, bit for bit the F of that
+        # level run on its own, and every other column of its fine level
         blocks = symmetry_sectors(SpinChainModel(kind, 4, B=b)).blocks
         sweep = QuasiGibbsSweep(blocks, np.linspace(0.0, lambda_max, 9), 1.0)
-        coarse, fine = _run_levels(sweep, 2.0, 3, 6)
-        [alone] = _run_levels(sweep, 2.0, 3)
-        [fine_alone] = _run_levels(sweep, 2.0, 6)
-        assert list(coarse) == ["F"]
-        assert np.array_equal(coarse["F"], alone["F"])
-        assert fine.keys() == fine_alone.keys() == {"F", "C", "theta", "purity", "trace", "herm"}
-        for name, column in fine.items():
-            assert np.array_equal(column, fine_alone[name])
+        both = _run_levels(sweep, 2.0, 3, 6)
+        alone = _run_levels(sweep, 2.0, 3)
+        fine_alone = _run_levels(sweep, 2.0, 6)
+        assert both.keys() == alone.keys() == {"F", "C", "theta", "purity", "trace", "herm"}
+        assert both["F"].shape == (2, 9) and alone["F"].shape == (1, 9)
+        assert np.array_equal(both["F"][0], alone["F"][0])
+        assert np.array_equal(both["F"][1], fine_alone["F"][0])
+        for name, column in both.items():
+            if name != "F":
+                assert np.array_equal(column, fine_alone[name])
 
     def test_rows_are_python_floats(self, medium_trace):
         rows = list(medium_trace.rows())
@@ -310,8 +311,8 @@ class TestCFM4:
         rho0 = gibbs_state(eigh(build_h0(model)), 0.5).mat
 
         def evolved(steps):
-            [u] = next(_interval_propagators(BlockEigensolver([(h0, v)]), [0.0, 0.4], 0.5, steps))
-            u = u[0]  # the one block's propagator
+            [u] = _interval_propagators(BlockEigensolver([(h0, v)]), [0.0, 0.4], 0.5, [steps])
+            u = u[0, 0, 0]  # the one level's one interval's one block
             return u @ rho0 @ u.conj().T
 
         reference = evolved(512)
@@ -332,6 +333,32 @@ class TestCFM4:
         assert np.abs(u - exp_minus_i(a)).max() <= 1e-13
         assert np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(m)).max() <= 1e-13
 
+    def test_each_factor_as_if_computed_alone(self):
+        # every matrix takes its own scaling exponent and squarings (0, 0,
+        # 5 and 10 here), so a factor's bits do not depend on its stack
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((4, 6, 6))
+        a += a.swapaxes(-1, -2)
+        a *= (np.array([1e-6, 0.05, 1.0, 50.0]) / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
+        stacked = _exp_minus_i(a)
+        for k in range(4):
+            assert np.array_equal(stacked[k], _exp_minus_i(a[k : k + 1])[0])
+
+    def test_levels_share_their_factor_stacks(self, monkeypatch):
+        # both first levels in the same _exp_minus_i stacks: one builder per
+        # level took 210 calls for this run
+        calls = []
+        exp = dynamics._exp_minus_i
+
+        def counted(a):
+            calls.append(a.shape[0])
+            return exp(a)
+
+        monkeypatch.setattr(dynamics, "_exp_minus_i", counted)
+        trace = evolve(SpinChainModel("tfic", 6), 0.5, 0.5, 0.2, 200)
+        assert len(trace.fidelity_history) == 2
+        assert len(calls) <= 210 // 2
+
     def test_zero_factor_is_the_identity(self):
         identity = np.broadcast_to(np.eye(5), (2, 3, 5, 5))
         assert np.array_equal(_exp_minus_i(np.zeros((2, 3, 5, 5))), identity)
@@ -343,14 +370,15 @@ class TestCFM4:
             raise AssertionError("eigh called")
 
         monkeypatch.setattr(np.linalg, "eigh", refused)
-        assert len(list(_interval_propagators(solver, np.linspace(0.0, 0.2, 5), 1.0, 2))) == 4
+        stacks = _interval_propagators(solver, np.linspace(0.0, 0.2, 5), 1.0, [2])
+        assert all(u.shape[:2] == (1, 4) for u in stacks)
 
     def test_propagator_is_unitary(self):
         model = SpinChainModel("mfic", 4, B=0.7)
         h0 = build_h0(model).mat
         v = build_v(model).mat
-        [u] = next(_interval_propagators(BlockEigensolver([(h0, v)]), [0.1, 0.3], 0.7, 3))
-        u = u[0]  # the one block's propagator
+        [u] = _interval_propagators(BlockEigensolver([(h0, v)]), [0.1, 0.3], 0.7, [3])
+        u = u[0, 0, 0]  # the one level's one interval's one block
         assert np.abs(u.conj().T @ u - np.eye(16)).max() <= 1e-13
 
 
@@ -575,8 +603,8 @@ class TestMultiplicity:
                 assert dense.shape == (6, 6)
                 expected = copies.solver.dense([s[k] for s in copies_record])
                 assert np.abs(dense - expected).max() <= 1e-15
-        [by_copies] = _run_levels(copies, 1.0, 4)
-        [by_doubling] = _run_levels(doubled, 1.0, 4)
+        by_copies = _run_levels(copies, 1.0, 4)
+        by_doubling = _run_levels(doubled, 1.0, 4)
         assert by_copies.keys() == by_doubling.keys()
         for name, column in by_copies.items():
             assert np.abs(by_doubling[name] - column).max() <= 1e-15, name
@@ -613,47 +641,3 @@ class TestReflectionTwins:
         for column in ("trace_defect", "herm_defect"):
             assert np.abs(getattr(twice, column) - getattr(every, column)).max() <= 1e-13
 
-
-def synthetic_trace(lambdas, fidelities):
-    n = len(lambdas)
-    zeros = np.zeros(n)
-    return BoundTrace(
-        lambdas=np.asarray(lambdas, dtype=float),
-        adiabatic_fidelity=np.asarray(fidelities, dtype=float),
-        thermal_overlap=np.ones(n),
-        qsl_radius=zeros.copy(),
-        hs_angle=zeros.copy(),
-        bound_weak=zeros.copy(),
-        bound_strong=zeros.copy(),
-        purity=np.ones(n),
-        trace_defect=zeros.copy(),
-        herm_defect=zeros.copy(),
-        beta=1.0,
-        gamma=1.0,
-        delta_v_value=1.0,
-    )
-
-
-class TestMeanFreePath:
-    def test_censored_when_fidelity_never_drops(self):
-        trace = evolve(SpinChainModel("tfic", 3), 0.0, 1.0, 0.1, 11)
-        result = adiabatic_mean_free_path(trace)
-        assert result == MeanFreePath(value=0.1, censored=True)
-
-    def test_linear_interpolation_between_records(self):
-        e1 = math.exp(-1.0)
-        trace = synthetic_trace([0.0, 0.1, 0.2], [1.0, e1 + 0.1, e1 - 0.1])
-        result = adiabatic_mean_free_path(trace)
-        assert not result.censored
-        assert result.value == pytest.approx(0.15)
-
-    def test_monotonicity_sweep_logged(self):
-        # direction of lambda* vs Gamma depends on the regime; the sweep is
-        # recorded as a diagnostic, not asserted
-        model = SpinChainModel("tfic", 4)
-        values = {}
-        for gamma in (0.5, 1.0, 2.0, 4.0):
-            trace = evolve(model, 5.0, gamma, 2.5, 26)
-            values[gamma] = adiabatic_mean_free_path(trace)
-            assert 0.0 < values[gamma].value <= 2.5
-        logger.info("mean-free-path sweep over Gamma: %s", values)

@@ -201,12 +201,13 @@ class TestContinuation:
         assert not cont.ambiguous_steps
 
     @pytest.mark.parametrize(
-        "case", ["tfic", "qxyc", "mfic", "qxyc-crossing", "exact-crossing", "tie", "mfic-tie"]
+        "case", ["tfic", "qxyc", "mfic", "qxyc-crossing", "exact-crossing", "tie", "mfic-lost"]
     )
     def test_chunked_advance_matches_single_steps(self, case):
         # a whole path in one solve and one advance takes the same march as
         # one lambda per solve and advance: the same labels and rotated flag
-        # after every step, the same ambiguous steps and the same final columns
+        # after every step, the same ambiguous and lost steps and the same
+        # final columns
         if case in ("tfic", "qxyc", "mfic"):
             blocks = symmetry_sectors(SpinChainModel(case, 4, B=0.7)).blocks
             path = np.linspace(0.0, 1.2, 49)[1:]
@@ -227,7 +228,7 @@ class TestContinuation:
             h0 = np.diag([0.0, 1.0, 3.0])
             blocks = [(h0, h1 - h0)]
             path = np.array([1.0, 0.5, 1.0, 1.5])
-        else:  # the one-step mfic march that ties (test_rejected_coarse_march_does_not_warn)
+        else:  # test_rejected_coarse_march_does_not_warn's march, which loses a label
             model = SpinChainModel("mfic", 5, B=0.7)
             blocks = [(build_h0(model).mat, build_v(model).mat)]
             path = np.array([0.3, 0.6, 0.3])
@@ -245,13 +246,16 @@ class TestContinuation:
             assert (t in rotations) == expected_rotated
         assert np.array_equal(chunked.labels, single.labels)
         assert chunked.ambiguous_steps == single.ambiguous_steps
+        assert chunked.lost_steps == single.lost_steps
         for a, b in zip(chunked.vectors, single.vectors):
             assert np.array_equal(a, b)
         if case in ("qxyc-crossing", "exact-crossing"):
             crossing = 1.0 if case == "qxyc-crossing" else 0.5
             assert [path[t] for t in rotations] == [pytest.approx(crossing, abs=1e-12)]
-        if case in ("tie", "mfic-tie"):
-            assert chunked.ambiguous_steps
+        if case == "tie":
+            assert chunked.ambiguous_steps and not chunked.lost_steps
+        if case == "mfic-lost":
+            assert chunked.lost_steps == [0.3] and not chunked.ambiguous_steps
 
     @pytest.mark.parametrize("n_sites", [4, 5, 6])
     @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
@@ -399,15 +403,31 @@ class TestQuasiGibbs:
 
     @pytest.mark.parametrize("n_sites,lam", [(5, 0.3), (6, 0.25), (6, 0.3)])
     def test_rejected_coarse_march_does_not_warn(self, n_sites, lam):
-        # the one-step march ties here and is rejected; the accepted
-        # two-step march has no tie, so no ContinuationWarning may escape
+        # the one-step march loses a label here and is rejected; the
+        # accepted march has no tie, so no ContinuationWarning may escape
         model = SpinChainModel("mfic", n_sites, B=0.7)
         one_step = continuation_for(model)
         one_step.advance(one_step.solver.solve([lam]))
-        assert one_step.ambiguous_steps
+        assert one_step.lost_steps == [lam]
         with warnings.catch_warnings():
             warnings.simplefilter("error", ContinuationWarning)
             quasi_gibbs_at(model, 1.0, lam)
+
+    @pytest.mark.parametrize("b,n_sites,beta,lam", [(0.7, 7, 0.5, 0.37), (0.3, 4, 5.0, 1.0)])
+    def test_march_that_loses_a_label_is_not_accepted(self, b, n_sites, beta, lam):
+        # the 2-step march gives one label to two levels here, yet its
+        # change from the 1-step march is within the stability tolerance (0
+        # at the first point, where both lose the same label): the doubling
+        # goes on to a march that carries every label
+        model = SpinChainModel("mfic", n_sites, B=b)
+        sectors = symmetry_sectors(model)
+        sweep = QuasiGibbsSweep(sectors.blocks, [0.0, lam], beta, sectors.multiplicity)
+        _, two_step, change = sweep._march(2, None)
+        assert two_step.lost_steps and change <= thermal.CONTINUATION_STABILITY_TOL
+        assert sweep.per_interval > 2
+        assert np.array_equal(np.sort(sweep._labels[1]), np.sort(sweep._labels[0]))
+        # trace 0.99962 and 1 + 2.9e-10 with the lost label
+        assert 0.0 < thermal_overlap(model, beta, lam) < 1.0
 
     @pytest.mark.parametrize("func", [quasi_gibbs_at, thermal_overlap])
     def test_rejects_negative_beta_before_building_sectors(self, monkeypatch, func):

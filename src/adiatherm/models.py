@@ -20,6 +20,7 @@ identity and symmetry_sectors to each block's columns.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -32,8 +33,8 @@ from .operators import HermitianOperator
 KINDS = ("tfic", "qxyc", "mfic")
 
 # d x d matrices, counted at complex size, budgeted for the routes that form
-# a dense operator (build_h0, build_v, quasi_gibbs_at, thermal_overlap, and
-# eigh and dense_sums on their results): the operator, its eigenvectors, and
+# a dense operator (build_h0, build_v, quasi_gibbs_states and quasi_gibbs_at,
+# and eigh and dense_sums on their results): the operator, its eigenvectors, and
 # products and validation temporaries.  A budget, not a measured peak.
 _DENSE_MATRICES = 14
 # Real d x d arrays symmetry_sectors holds at its peak: the basis, plus one
@@ -51,11 +52,12 @@ _SECTOR_ARRAYS = 2
 # and columns span fewer than 2^N entries: tracemalloc reads 1.35 of them
 # for evolve(tfic, N=6, 5000 records).
 _RECORD_ARRAYS = 2
-# Arrays of 2^N 8-byte values flip_sums_sweep holds at once from N = 12 on,
-# where a beta chunk is one beta: the energies, their shifted copy, the
-# weights, the basis indices, the ground mask, and per flip orbit the
-# partners, energy and weight differences, the coupled mask and up to three
-# expression temporaries.  Below that a chunk's stacks fit _STACK_BYTES.
+# Arrays of 2^N 8-byte values flip_sums_sweep holds at once: classical_energies'
+# bit counts and temporaries, then the energies, their level indices and one
+# flip orbit's level codes with a temporary.  The beta loop holds arrays over
+# the H0 levels and level-pair classes only, in chunks of _STACK_BYTES.
+# tracemalloc reads 4.0 of them (tfic, qxyc) and 5.1 (mfic at B = 0.7) at
+# N = 16, and 8.3 at N = 12 with 1000 betas, whose records hold the rest.
 _FLIP_ARRAYS = 12
 # Bytes one stack of every stacked loop holds (eigh, CFM4 and flip-sum
 # chunks, the march's weight rows); stack_slices is its only reader.
@@ -205,21 +207,18 @@ def _flip_orbits(model: SpinChainModel) -> tuple[tuple[int, float], ...]:
     """flip_terms grouped into translation orbits, as (representative, weight).
 
     The representative is the orbit's smallest rotation of a mask and the
-    weight the sum of amplitude^2 over the orbit's masks.  classical_energies
-    is bitwise invariant under T, so s -> T s carries the pairs (s, s ^ mask)
-    onto (T s, T s ^ T mask) at equal energies: every pair sum of a mask is
-    its representative's.  Every kind has one orbit from N = 3 on, and at
-    N = 2 tfic has one of weight 2 J^2 and qxyc its merged mask 0b11 at 4 J^2.
+    weight the sum of amplitude^2 over the orbit's masks, in flip_terms
+    order.  classical_energies is bitwise invariant under T, so s -> T s
+    carries the pairs (s, s ^ mask) onto (T s, T s ^ T mask) at equal
+    energies: every pair sum of a mask is its representative's.  Every
+    kind's masks are the translates of one mask for every N >= 2 (one site,
+    or one bond; qxyc's two bonds at N = 2 merge into 0b11), so there is one
+    orbit: the smallest mask, and at N = 2 tfic's weight is 2 J^2 and
+    qxyc's 4 J^2.
     """
-    n = model.n_sites
-    weights = {}
-    for mask, amplitude in flip_terms(model):
-        rotations = [mask]
-        for _ in range(n - 1):
-            rotations.append(_translate(rotations[-1], n))
-        representative = min(rotations)
-        weights[representative] = weights.get(representative, 0.0) + amplitude * amplitude
-    return tuple(weights.items())
+    terms = flip_terms(model)
+    weight = functools.reduce(operator.add, (amplitude * amplitude for _, amplitude in terms), 0.0)
+    return ((min(mask for mask, _ in terms), weight),)
 
 
 def _require_memory(model: SpinChainModel, route, needed, arrays):

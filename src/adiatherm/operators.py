@@ -4,11 +4,11 @@ Every operator is a dense matrix that keeps the dtype it is built with:
 the chain Hamiltonians and drives are real (models.build_h0, build_v), so
 their eigendecompositions, Gibbs states and oracle sums run in real
 arithmetic, while evolved states are complex.  The routes that form a
-d x d matrix (the operator-level susceptibility functions, quasi_gibbs_at,
-thermal_overlap) run at desk scale (N <= 12, d <= 4096), where full
-eigendecompositions stay cheap, so no sparse or iterative machinery is
-used anywhere.  The threshold route builds no operator at all: it
-enumerates flip pairs, one mask per translation orbit and O(2^N) per beta
+d x d matrix (the operator-level susceptibility functions, quasi_gibbs_at)
+run at desk scale (N <= 12, d <= 4096), where full eigendecompositions
+stay cheap, so no sparse or iterative machinery is used anywhere.  The
+threshold route builds no operator at all: it counts the flip pairs by
+the H0 levels they join, one O(2^N) count, then O(classes) per beta
 (susceptibility.flip_sums), and has been measured up to N = 20.  hbar = 1
 throughout and the Ising coupling J sets the energy unit.
 """

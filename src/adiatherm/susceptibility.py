@@ -10,12 +10,14 @@ Every chain quantity (threshold_sweep and the low- and high-temperature
 coefficients) comes from one preparation, the classical energies and the
 flip pairs of V, without building a matrix.  The energies are invariant
 under the ring translation, so the pair sums take one mask per
-translation orbit, O(2^N) per beta.  A whole beta grid comes from
-one such preparation (flip_sums_sweep), its weights vectorised over beta
-in chunks; flip_sums and threshold_report are its one-beta cases.  The
-dense oracle that tests and the acceptance criteria compare it against is
-dense_sums_sweep: the same FlipSums records at every beta of a grid, from
-one eigendecomposition of H0 and one dense V, rotated once into the
+translation orbit, and a pair enters them only through the H0 levels of
+its two ends: one O(2^N) count of the pairs by level pair, then
+O(classes) per beta.  A whole beta grid comes from one such count
+(flip_sums_sweep), its weights vectorised over beta in chunks; flip_sums
+and threshold_report are its one-beta cases.  The dense oracle that
+tests and the acceptance criteria compare it against is dense_sums_sweep:
+the same FlipSums records at every beta of a grid, from one
+eigendecomposition of H0 and one dense V, rotated once into the
 eigenbasis for the whole grid, and one masked chi_F kernel, after which
 each beta costs two d x d sums.  Its sums run over whole degenerate levels,
 so it takes V in whatever eigenbasis eigh returns and never rotates a
@@ -94,8 +96,9 @@ class FlipSums(NamedTuple):
 
 
 def flip_sums_sweep(model: SpinChainModel, betas) -> list[FlipSums]:
-    """Spectral pair sums of a chain at every beta of betas, from one mask
-    per translation orbit of its flip pairs, O(2^N) per beta.
+    """Spectral pair sums of a chain at every beta of betas, from one count
+    of its flip pairs by the H0 levels they join: one O(2^N) count, then
+    O(classes) per beta.
 
     Every field equals the field of dense_sums on the chain's H0 spectrum
     and V, but no matrix is built.  H0 is diagonal in the
@@ -110,17 +113,11 @@ def flip_sums_sweep(model: SpinChainModel, betas) -> list[FlipSums]:
     enters a pair sum, and it commutes with H0.  Degenerate pairs and the
     ground level use degeneracy_tolerance as the dense route does.
 
-    Every beta is checked before anything is allocated.  The energies, the
-    degeneracy tolerance and the ground level are prepared once, and the
-    four beta-independent fields come from the first pass over the orbits.
-    The betas go through in chunks: each orbit's partners, energy gaps and
-    coupled mask are formed once per chunk, and its weights are a
-    (chunk, 2^N) stack reduced row by row.  The chunks are the
-    models.stack_slices of the betas at three 2^N arrays a beta (the
-    weights, their squared differences and the coupled columns of those),
-    so at large N a chunk is one beta.  Each row is summed
-    from a C-contiguous stack, in the order a single beta's 1-D arrays are,
-    so every field is bitwise independent of the chunking.
+    A pair enters every sum only through the energies of its two ends, so
+    the pass counts the pairs once by class, a pair (i, j) of H0 levels
+    weighted by the amplitude^2 of the pairs from level i to level j, and
+    each beta then sums over levels and classes alone (_flip_pass).  Every
+    beta is checked before anything is allocated.
     """
     for beta in betas:
         require_beta(beta)
@@ -135,43 +132,60 @@ def flip_sums_sweep(model: SpinChainModel, betas) -> list[FlipSums]:
 def _flip_pass(model: SpinChainModel, betas: np.ndarray):
     """The pair sums behind flip_sums_sweep: (deltaV)^2 Z0(2 beta),
     chi_F Z0(2 beta) / 2 and Z0(2 beta) at each beta, and the four
-    beta-independent fields, which the first stack_slices chunk forms."""
+    beta-independent fields.
+
+    The levels are the distinct shifted classical_energies; energies within
+    the degeneracy tolerance but not bitwise equal are distinct levels, as
+    they are distinct states' energies in a pass per state.  They come from
+    np.sort and one comparison, not np.unique, whose Python-level steps cost
+    about 0.1 ms a call in a fresh process at N = 10.  One bincount
+    per translation orbit counts its pairs by (level, partner level), and
+    the classes are the level pairs with a nonzero count.  The four
+    beta-independent fields and each class's chi_F weight are formed once.
+    The betas go through in the models.stack_slices chunks of three class
+    arrays a beta, each row gathered with take and compress into a
+    C-contiguous stack that add.reduce sums in the order np.sum sums one
+    beta's 1-D array, so every field is bitwise independent of the chunking.
+    """
     e = classical_energies(model)
-    shifted = e - e.min()
-    tol = degeneracy_tolerance(e)
-    ground = shifted <= tol
-    g0 = int(np.count_nonzero(ground))
-    idx = np.arange(model.dim)
-    orbits = _flip_orbits(model)
-    dv2, chi, z2 = np.zeros(betas.size), np.zeros(betas.size), np.empty(betas.size)
-    dv0_2 = chi0 = offdiag = commutator = 0.0
-    for chunk in stack_slices(betas.size, 3 * e.nbytes):
+    levels = np.sort(e)
+    levels = levels[np.concatenate(([True], levels[1:] != levels[:-1]))]
+    tol = degeneracy_tolerance(levels)
+    level = levels.searchsorted(e)
+    multiplicity = np.bincount(level)
+    levels -= levels[0]  # e - e.min() level by level, bitwise as state by state
+    size = levels.size
+    counts = np.zeros(size * size)
+    for mask, a2 in _flip_orbits(model):
+        codes = level[np.arange(model.dim) ^ mask]  # the partners' levels
+        codes += level * size
+        counts += a2 * np.bincount(codes, minlength=size * size)
+    classes = counts.nonzero()[0]
+    weight = counts[classes]
+    start, end = np.divmod(classes, size)
+    de = levels[end] - levels[start]
+    coupled = np.abs(de) > tol
+    chi_weight = weight[coupled] / de[coupled] ** 2
+    ground = levels <= tol
+    leaves = ground[start] & ~ground[end]
+    g0 = int(multiplicity[ground].sum())
+    del e, level, codes  # the beta loop holds no 2^N array
+    leaving = weight[leaves]
+    fixed = (math.sqrt(2.0 * float(leaving.sum()) / g0),
+             4.0 / g0 * float(leaving @ levels[end[leaves]] ** -2.0),
+             float(weight[coupled].sum()), math.sqrt(float(weight @ de**2)))
+    dv2, chi, z2 = np.empty(betas.size), np.empty(betas.size), np.empty(betas.size)
+    for chunk in stack_slices(betas.size, 3 * weight.nbytes):
         beta = betas[chunk, None]
         # -beta E overflows to -inf only where the weight is 0 anyway
         with np.errstate(over="ignore"):
-            z2[chunk] = np.add.reduce(np.exp(-beta * (2.0 * shifted)), axis=1)
-            w = np.exp(-beta * shifted)
-        dv2_chunk, chi_chunk = dv2[chunk], chi[chunk]
-        for mask, a2 in orbits:
-            partner = idx ^ mask
-            de = shifted[partner] - shifted
-            coupled = np.abs(de) > tol
-            # take and compress gather into C-contiguous stacks, whose rows
-            # add.reduce sums in the order np.sum sums one beta's 1-D array
-            dw2 = w.take(partner, axis=1)
-            dw2 -= w
-            np.square(dw2, out=dw2)
-            dv2_chunk += a2 * np.add.reduce(dw2, axis=1)
-            dw2 = dw2.compress(coupled, axis=1)
-            dw2 /= de[coupled] ** 2
-            chi_chunk += a2 * np.add.reduce(dw2, axis=1)
-            if chunk.start == 0:
-                leaves_ground = ground & ~ground[partner]
-                dv0_2 += a2 * float(np.count_nonzero(leaves_ground))
-                chi0 += a2 * float(np.sum(shifted[partner[leaves_ground]] ** -2.0))
-                offdiag += a2 * float(np.count_nonzero(coupled))
-                commutator += a2 * float(de @ de)
-    fixed = (math.sqrt(2.0 * dv0_2 / g0), 4.0 / g0 * chi0, offdiag, math.sqrt(commutator))
+            z2[chunk] = np.add.reduce(np.exp(-beta * (2.0 * levels)) * multiplicity, axis=1)
+            w = np.exp(-beta * levels)
+        dw2 = w.take(end, axis=1)
+        dw2 -= w.take(start, axis=1)
+        np.square(dw2, out=dw2)
+        dv2[chunk] = np.add.reduce(dw2 * weight, axis=1)
+        chi[chunk] = np.add.reduce(dw2.compress(coupled, axis=1) * chi_weight, axis=1)
     return dv2, chi, z2, fixed
 
 
@@ -307,8 +321,9 @@ def high_temp_coefficient(model: SpinChainModel) -> float:
 def threshold_sweep(model: SpinChainModel, betas, alpha: float = 1.0) -> list[ThresholdReport]:
     """Assemble deltaV, chi_F, Gamma_th, Gamma_N and f_N at every beta of betas.
 
-    Every ingredient comes from one flip_sums_sweep over the grid, one mask
-    per translation orbit, in O(2^N) time per beta and O(2^N) memory.
+    Every ingredient comes from one flip_sums_sweep over the grid: one
+    O(2^N) count of the flip pairs by the H0 levels they join, in O(2^N)
+    memory, then O(classes) per beta.
     beta = inf is an error, not the ground limit: that limit is
     ground_delta_v and ground_chi_f (flip_sums' ground fields), whose ratio
     times alpha is Gamma_N.

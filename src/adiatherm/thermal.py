@@ -576,19 +576,24 @@ class QuasiGibbsSweep:
             done += c
 
 
-def _endpoints(model: SpinChainModel, beta, lams):
-    """The sector basis, the solver of one sweep over [0, *lams], its
-    records as one (records, g, m, m) stack per group, and their purity.
-
-    beta and every lambda are checked before the sectors are built.  The
-    sweep marches the lambdas in the order given, on the blocks of
-    SymmetrySectors counted by their multiplicity.
-    """
+def _require_path(beta, lams) -> list[float]:
+    """The lambdas as floats, after checking beta and every lambda."""
     require_beta(beta)
     lams = [float(lam) for lam in lams]
     for lam in lams:
         require_finite("lambda", lam)
-    require_dense_fits(model)
+    return lams
+
+
+def _endpoints(model: SpinChainModel, beta, lams):
+    """The sector basis, the solver of one sweep over [0, *lams], its
+    records as one (records, g, m, m) stack per group, and their purity.
+
+    The caller checks beta and lams (_require_path); symmetry_sectors
+    checks its own guard before it allocates.  The sweep marches the
+    lambdas in the order given, on the blocks of SymmetrySectors counted by
+    their multiplicity.
+    """
     sectors = symmetry_sectors(model)
     sweep = QuasiGibbsSweep(sectors.blocks, np.array([0.0, *lams]), beta, sectors.multiplicity)
     records = [np.concatenate(stacks) for stacks in zip(*sweep.records())]
@@ -598,9 +603,10 @@ def _endpoints(model: SpinChainModel, beta, lams):
 def quasi_gibbs_states(model: SpinChainModel, beta, lams):
     """Quasi-Gibbs states at every lambda of lams, from one sweep.
 
-    beta and every lambda are checked first; then symmetry_sectors is built
-    once and one QuasiGibbsSweep runs over [0, *lams] on its blocks,
-    marched in the order given.  Returns an iterator that assembles each
+    beta and every lambda are checked first, then the dense route's guard
+    (require_dense_fits: each state is a d x d matrix); then
+    symmetry_sectors is built once and one QuasiGibbsSweep runs over
+    [0, *lams] on its blocks, marched in the order given.  Returns an iterator that assembles each
     state in the computational basis (solver.dense, whose copies of a block
     are the sector basis's twin columns) as it is reached.  A record's sigma
     depends only on the eigendecomposition at its lambda and on the labels
@@ -609,6 +615,8 @@ def quasi_gibbs_states(model: SpinChainModel, beta, lams):
     exactly at that lambda is rotated onto the previous step's columns,
     which differ between the two paths by rounding.
     """
+    lams = _require_path(beta, lams)
+    require_dense_fits(model)
     basis, solver, records, _ = _endpoints(model, beta, lams)
     return (
         DensityMatrix(mat=basis @ solver.dense([stack[k] for stack in records]) @ basis.T)
@@ -656,9 +664,10 @@ def thermal_overlap(model: SpinChainModel, beta, lam) -> float:
     by block with the checks of DensityMatrix (_require_state).  C is
     hs_fidelity_from_overlap of their solver.inner with the sweep's purity
     for both, as in evolve, so it equals evolve(...).thermal_overlap[k] at
-    lam = trace.lambdas[k] exactly.
+    lam = trace.lambdas[k] exactly.  It forms no d x d matrix, so
+    symmetry_sectors' guard is the only memory guard it checks.
     """
-    _, solver, records, purity = _endpoints(model, beta, (lam,))
+    _, solver, records, purity = _endpoints(model, beta, _require_path(beta, (lam,)))
     rho0, sigma = [stack[0] for stack in records], [stack[1] for stack in records]
     _require_state(solver, rho0)
     _require_state(solver, sigma)

@@ -464,12 +464,13 @@ class TestFlipSumsSweep:
 
     @pytest.mark.parametrize("kind,b", SWEEP_DRIVES)
     def test_rows_unchanged_at_one_beta_per_chunk(self, monkeypatch, stacks, kind, b):
-        # at N = 8 the default budget takes 21 betas a chunk, so 50 betas
-        # make three chunks, against 50 with the budget patched down
+        # at N = 8 a beta costs three arrays of 11 classes (tfic, qxyc) or
+        # 64 (mfic), so the default budget takes 496 or 85 betas a chunk and
+        # 1000 betas make 3 or 12 chunks, against 1000 with the budget patched down
         model = SpinChainModel(kind, 8, B=b)
-        betas = np.geomspace(1e-3, 40.0, 50)
+        betas = np.geomspace(1e-3, 40.0, 1000)
         chunked = flip_sums_sweep(model, betas)
-        assert len(stacks) == 3
+        assert 1 < len(stacks) < betas.size
         monkeypatch.setattr(models, "_STACK_BYTES", 1)
         stacks.clear()
         assert float_hexes(flip_sums_sweep(model, betas)) == float_hexes(chunked)
@@ -485,7 +486,7 @@ class TestFlipSumsSweep:
             flip_sums_sweep(SpinChainModel("tfic", 4), [0.1, 0.5, 1.0, bad, 2.0])
 
     @pytest.mark.parametrize("n", range(2, 11))
-    @pytest.mark.parametrize("kind,b", DRIVES)
+    @pytest.mark.parametrize("kind,b", DRIVES + [("mfic", 1e-12), ("mfic", 2 - 1e-12)])
     def test_matches_a_pass_per_mask(self, kind, b, n):
         model = SpinChainModel(kind, n, B=b)
         betas = SWEEP_BETAS + (1e308,)

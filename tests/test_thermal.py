@@ -442,6 +442,22 @@ class TestQuasiGibbs:
 
 
 class TestThermalOverlap:
+    def test_held_only_by_the_sector_guard(self, monkeypatch):
+        # at 8 GB of physical memory, a dense budget of 2^20 complex 64x64
+        # matrices (69 GB) refuses N = 6 while the sectors' two real 64x64
+        # arrays fit: thermal_overlap forms no d x d matrix, quasi_gibbs_at does
+        from adiatherm import models
+
+        model = SpinChainModel("mfic", 6, B=0.7)
+        expected = thermal_overlap(model, 1.0, 0.2)
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 8 * 2**30 // 4096}
+        monkeypatch.setattr(models.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(models, "_DENSE_MATRICES", 1 << 20)
+        models.require_sectors_fit(model)
+        assert thermal_overlap(model, 1.0, 0.2).hex() == expected.hex()
+        with pytest.raises(ValueError, match="N=6 is too large for the dense route"):
+            quasi_gibbs_at(model, 1.0, 0.2)
+
     def test_unity_at_lambda_zero(self):
         assert thermal_overlap(SpinChainModel("tfic", 3), 1.0, 0.0) == pytest.approx(
             1.0, abs=1e-12

@@ -9,7 +9,7 @@ as its oracle (and vice versa).
 The zero-field chains (tfic, qxyc) reduce to powers of t = tanh(2 beta J).
 The mixed-field forms are even in B, because the global flip prod X maps B
 to -B and commutes with V, so they take H = 2 beta |B| >= 0.  Their
-transfer, boundary and flip matrices are built ground-shifted, like every
+transfer and flip matrices are built ground-shifted, like every
 Boltzmann weight of the package: each entry carries exp(-2 beta s) with
 s >= 0, so no exponent is positive.  Each trace Tr(T^n M) is split over the
 two eigenvalues of the shifted transfer matrix (_split_coefficients), and
@@ -103,29 +103,33 @@ class MficCoefficients:
     K = 2 beta J and H = 2 beta |B|.  The transfer matrix
     T_{s,s'} = exp(K s s' - (H/2)(s + s')), s = +1 first, is taken as
     T~ = T e^{-(K+H)} = [[e^{-2H}, e^{-2K-H}], [e^{-2K-H}, 1]], and
-    Lambda_pm are its eigenvalues (so Lambda_+ <= 1 + e^{-2H}).  c_pm split
-    the boundary matrix u u^T e^{-H} = [[e^{-2H}, e^{-H}], [e^{-H}, 1]] and
-    d_pm the local-flip matrix M e^{-2(K+H)} (units 1/energy^2) over T~.
+    Lambda_pm are its eigenvalues (so Lambda_+ <= 1 + e^{-2H}).  d_pm split
+    the local-flip matrix M e^{-2(K+H)} (units 1/energy^2) over T~, and e_pm
+    the same matrix with each entry times its squared flip gap (2y)^2
+    (dimensionless): chi_F's pair sum and deltaV^2's, which lacks the
+    1/gap^2.
     """
 
     K: float
     H: float
     lambda_plus: float
     lambda_minus: float
-    c_plus: float
-    c_minus: float
     d_plus: float
     d_minus: float
+    e_plus: float
+    e_minus: float
 
 
-def _flip_entry(beta, y, s):
-    """8 e^{-2 beta (s + |y|)} sinh^2(beta y) / y^2, written with no positive exponent.
+def _flip_weight(beta, y, s):
+    """8 e^{-2 beta (s + |y|)} sinh^2(beta y), written with no positive exponent.
 
-    The factor e^{-2 beta s} is exactly 1 at s = 0, also where 2 beta
-    overflows (beta = 1e308), which would give e^{-inf * 0} = nan.
+    A local-flip entry of chi_F's matrix is this over y^2, and of deltaV^2's
+    this times 4, the entry times its squared flip gap (2y)^2.  The factor
+    e^{-2 beta s} is exactly 1 at s = 0, also where 2 beta overflows
+    (beta = 1e308), which would give e^{-inf * 0} = nan.
     """
     shift = math.exp(-2.0 * beta * s) if s else 1.0
-    return 2.0 * shift * math.expm1(-2.0 * beta * abs(y)) ** 2 / y**2
+    return 2.0 * shift * math.expm1(-2.0 * beta * abs(y)) ** 2
 
 
 def mfic_coefficients(beta, j, b) -> MficCoefficients:
@@ -149,44 +153,45 @@ def mfic_coefficients(beta, j, b) -> MficCoefficients:
     t = (math.exp(-2.0 * h), math.exp(-2.0 * k - h), 1.0)
     lam_plus = (t[0] + 1.0) / 2.0 + math.hypot(math.expm1(-2.0 * h) / 2.0, t[1])
     lam_minus = -t[0] * math.expm1(-4.0 * k) / lam_plus
-    c_plus, c_minus = _split_coefficients(t, (t[0], math.exp(-h), 1.0), lam_plus, lam_minus)
     # shifts s = 2(J + |B|) - |y| + (|B|, 0, -|B|); the first, 3|B| + 2J - |B - 2J|,
     # is written as 2|B| + min(2|B|, 4J) to avoid cancellation
-    flip = (
-        _flip_entry(beta, b - 2 * j, 2 * b + min(2 * b, 4 * j)),
-        _flip_entry(beta, b, 2 * j + b),
-        _flip_entry(beta, b + 2 * j, 0.0),
+    ys = (b - 2 * j, b, b + 2 * j)
+    shifts = (2 * b + min(2 * b, 4 * j), 2 * j + b, 0.0)
+    weights = [_flip_weight(beta, y, s) for y, s in zip(ys, shifts)]
+    d_plus, d_minus = _split_coefficients(
+        t, tuple(w / y**2 for w, y in zip(weights, ys)), lam_plus, lam_minus
     )
-    d_plus, d_minus = _split_coefficients(t, flip, lam_plus, lam_minus)
+    e_plus, e_minus = _split_coefficients(t, tuple(4.0 * w for w in weights), lam_plus, lam_minus)
     return MficCoefficients(
         K=k,
         H=h,
         lambda_plus=lam_plus,
         lambda_minus=lam_minus,
-        c_plus=c_plus,
-        c_minus=c_minus,
         d_plus=d_plus,
         d_minus=d_minus,
+        e_plus=e_plus,
+        e_minus=e_minus,
     )
 
 
 def _mfic_finite(n_sites, j, coeffs: MficCoefficients):
     """(deltaV, chi_F) of the N-site ring from one MficCoefficients record.
 
-    They come from 2 Q / Z0 and chi_F / (N J^2); only the boundary terms
-    carry e^{-2K-H}.
+    Both are sums of positive flip entries over the same transfer matrix,
+    deltaV^2 = (N J^2 / 4) Tr(T^{N-2} M_e) / Tr(T^N) and
+    chi_F = (N J^2 / 2) Tr(T^{N-2} M) / Tr(T^N), with no difference of
+    nearly equal terms at any beta.
     """
     r = coeffs.lambda_minus / coeffs.lambda_plus
     denom = coeffs.lambda_plus**2 * (1.0 + r**n_sites)
-    boundary = math.exp(-2.0 * coeffs.K - coeffs.H)
-    q_ratio = 2.0 * boundary * (coeffs.c_plus + coeffs.c_minus * r ** (n_sites - 2)) / denom
-    chi_over_nj2 = 0.5 * (coeffs.d_plus + coeffs.d_minus * r ** (n_sites - 2)) / denom
-    delta_v = math.sqrt(2.0 * n_sites) * j * math.sqrt(max(1.0 - q_ratio, 0.0))
+    tail = r ** (n_sites - 2)
+    delta_v = math.sqrt(0.25 * n_sites * j * j * (coeffs.e_plus + coeffs.e_minus * tail) / denom)
+    chi_over_nj2 = 0.5 * (coeffs.d_plus + coeffs.d_minus * tail) / denom
     return delta_v, n_sites * j * j * chi_over_nj2
 
 
 def delta_v_mfic_closed(n_sites, beta, j, b) -> float:
-    """sqrt(2N) J (1 - 2 Q^{(B)}_{N-1}(2 beta) / Z0(2 beta))^{1/2}."""
+    """[(N J^2 / 4) Tr(T^{N-2} M_e) / (Lambda_+^N + Lambda_-^N)]^{1/2}, shifted matrices."""
     require_ring(n_sites, j, b, min_sites=3)
     require_beta(beta)
     if beta == 0:
@@ -217,16 +222,14 @@ def gamma_n_mfic(n_sites, j, b, alpha: float = 1.0) -> float:
 def _f_mfic_limit(j, b, coeffs: MficCoefficients) -> float:
     """The thermodynamic-limit factor of f_mfic from one MficCoefficients record."""
     scale = (2.0 * j + abs(b)) ** 2
-    lp2 = coeffs.lambda_plus**2
-    q_ratio = 2.0 * math.exp(-2.0 * coeffs.K - coeffs.H) * coeffs.c_plus / lp2
-    return 2.0 * lp2 / (scale * coeffs.d_plus) * math.sqrt(max(1.0 - q_ratio, 0.0))
+    return math.sqrt(0.5 * coeffs.e_plus) * coeffs.lambda_plus / (scale * coeffs.d_plus)
 
 
 def f_mfic(n_sites, beta, j, b) -> float:
     """Temperature factor Gamma_th / Gamma_N for the mixed-field chain.
 
     n_sites = None selects the thermodynamic limit
-    f = 2 Lambda_+^2 (1 - 2 e^{-2K-H} c_+ / Lambda_+^2)^{1/2} / ((2J + |B|)^2 d_+)
+    f = (e_+ / 2)^{1/2} Lambda_+ / ((2J + |B|)^2 d_+)
     in the shifted data of MficCoefficients; it tends to 1 as
     beta -> infinity.  Raises ValueError where the factor's denominator
     underflows to 0 (beta <~ 1e-200): chi_F for finite N, d_+ for the limit.

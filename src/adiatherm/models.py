@@ -13,9 +13,13 @@ symmetry_sectors gives H0 and V block by block in a real symmetry-adapted
 basis of the ring (Sandvik, AIP Conf. Proc. 1297, 135 (2010)), as one
 block list with a multiplicity per block, which the dynamics route, the
 quasi-Gibbs states and the spectrum command all diagonalize: a reflection
-twin has no block and counts through its partner.  V has one
-construction, _apply_v from flip_terms: build_v applies it to the
-identity and symmetry_sectors to each block's columns.
+twin has no block and counts through its partner.  H0 has one
+construction: each state's level code from two bit counts (_level_codes)
+and each code's energy (_code_energies), which classical_energies, and so
+build_h0 and symmetry_sectors, and the flip route's pair count
+(_pair_classes) all read.  V has one construction, _apply_v from
+flip_terms: build_v applies it to the identity and symmetry_sectors to
+each block's columns.
 """
 
 from __future__ import annotations
@@ -52,13 +56,11 @@ _SECTOR_ARRAYS = 2
 # and columns span fewer than 2^N entries: tracemalloc reads 1.35 of them
 # for evolve(tfic, N=6, 5000 records).
 _RECORD_ARRAYS = 2
-# Arrays of 2^N 8-byte values flip_sums_sweep holds at once: classical_energies'
-# bit counts and temporaries, then the energies, their level indices and one
-# flip orbit's level codes with a temporary.  The beta loop holds arrays over
-# the H0 levels and level-pair classes only, in chunks of _STACK_BYTES.
-# tracemalloc reads 4.0 of them (tfic, qxyc) and 5.1 (mfic at B = 0.7) at
-# N = 16, and 8.3 at N = 12 with 1000 betas, whose records hold the rest.
-_FLIP_ARRAYS = 12
+# The largest ring the flip route counts.  Its two passes over the 2^N
+# states hold only chunks of _STACK_BYTES, so the limit is time, not
+# memory: a count took 16 s at N = 30 (tfic, one core of a 2-core VM),
+# and each site doubles it.
+_MAX_FLIP_SITES = 30
 # Bytes one stack of every stacked loop holds (eigh, CFM4 and flip-sum
 # chunks, the march's weight rows); stack_slices is its only reader.
 _STACK_BYTES = 1 << 17
@@ -159,30 +161,89 @@ def _bond_products(n_sites):
         yield 1 - 2 * (differ & 1)
 
 
-def classical_energies(model: SpinChainModel) -> np.ndarray:
-    """Diagonal of H0 in the computational Z-product basis, from two bit counts.
+def _level_codes(model: SpinChainModel, states) -> np.ndarray:
+    """The H0 level code of each basis index in states, from its bit counts.
 
     Basis index bit k (from the most significant bit) is site k+1, the
     tensor order of a Pauli string with site 1 leftmost, and s = 1 - 2 * bit,
-    so sum_j s_j s_{j+1} = N - 2 popcount(s ^ T s) and sum_j s_j = N - 2 popcount(s).
-
-    Refuses, before allocating, an N whose flip route (flip_sums_sweep, with
-    _FLIP_ARRAYS arrays of 2^N values) would not fit in physical memory.
+    so sum_j s_j s_{j+1} = N - 2a with a = popcount(s ^ T s) and
+    sum_j s_j = N - 2c with c = popcount(s).  The code is a, and
+    a (N + 1) + c for mfic: an index into _code_energies.
     """
-    _require_memory(
-        model,
-        "flip route",
-        _FLIP_ARRAYS * 8 * model.dim,
-        f"{_FLIP_ARRAYS} arrays of {model.dim} 8-byte values",
-    )
-    n = model.n_sites
-    idx = np.arange(model.dim, dtype=np.int64)
-    # the counts are uint8: as int64, n - 2 * count cannot wrap
-    bonds = n - 2 * np.bitwise_count(idx ^ _translate(idx, n)).astype(np.int64)
-    energies = -model.J * bonds.astype(float)
+    walls = _translate(states, model.n_sites)
+    walls ^= states
+    codes = np.bitwise_count(walls).astype(np.intp)
     if model.kind == "mfic":
-        energies = energies + model.B * (n - 2 * np.bitwise_count(idx).astype(np.int64))
+        codes *= model.n_sites + 1
+        codes += np.bitwise_count(states)
+    return codes
+
+
+def _code_energies(model: SpinChainModel) -> np.ndarray:
+    """The H0 energy of every level code of _level_codes, occurring or not."""
+    n = model.n_sites
+    counts = np.arange(n + 1, dtype=np.int64)
+    # the counts are int64, so n - 2 * count cannot wrap
+    energies = -model.J * (n - 2 * counts).astype(float)
+    if model.kind == "mfic":
+        energies = (energies[:, None] + model.B * (n - 2 * counts)).ravel()
     return energies
+
+
+def classical_energies(model: SpinChainModel) -> np.ndarray:
+    """Diagonal of H0 in the computational Z-product basis: the energy of
+    each basis index's level code (_level_codes)."""
+    return _code_energies(model)[_level_codes(model, np.arange(model.dim, dtype=np.int64))]
+
+
+def _pair_classes(model: SpinChainModel):
+    """The flip pairs of the one translation orbit counted by the H0 levels
+    they join, as (levels, multiplicity, start, end, weight).
+
+    levels are the energies of the level codes that occur, in ascending
+    order and shifted by the ground energy, and multiplicity the number of
+    states of each.  Class k is the level pair (start[k], end[k]) with a
+    nonzero count of pairs (s, s ^ mask), s in level start[k], and weight[k]
+    is that count times the orbit's weight (_flip_orbits).
+
+    Two passes over stack_slices chunks of the basis indices, so no array
+    spans the 2^N states: the first counts the states of every level code
+    and compacts the codes that occur into a dense level index, in
+    ascending energy, and the second bincounts (level, partner level) of
+    the orbit's mask into integer counts, multiplied once by the orbit's
+    weight.  Codes with bitwise equal energies (mfic at B = J or 2J) stay
+    separate levels; every sum over levels or classes is the same for them.
+    Refuses an N above _MAX_FLIP_SITES before allocating.
+    """
+    if model.n_sites > _MAX_FLIP_SITES:
+        raise ValueError(
+            f"N={model.n_sites} is too large for the flip route: it counts the "
+            f"pairs of at most N={_MAX_FLIP_SITES} sites"
+        )
+    energies = _code_energies(model)
+    population = np.zeros(energies.size, dtype=np.int64)
+    for at in stack_slices(model.dim, 8):
+        codes = _level_codes(model, np.arange(at.start, at.stop, dtype=np.int64))
+        population += np.bincount(codes, minlength=energies.size)
+    present = population.nonzero()[0]
+    present = present[np.argsort(energies[present], kind="stable")]
+    size = present.size
+    level = np.zeros(energies.size, dtype=np.intp)
+    level[present] = np.arange(size)
+    mask, weight = _flip_orbits(model)
+    counts = np.zeros(size * size, dtype=np.int64)
+    for at in stack_slices(model.dim, 8):
+        states = np.arange(at.start, at.stop, dtype=np.int64)
+        pairs = level[_level_codes(model, states)]
+        pairs *= size
+        states ^= mask  # the partners
+        pairs += level[_level_codes(model, states)]
+        counts += np.bincount(pairs, minlength=size * size)
+    classes = counts.nonzero()[0]
+    start, end = np.divmod(classes, size)
+    levels = energies[present]
+    levels -= levels[0]
+    return levels, population[present], start, end, weight * counts[classes]
 
 
 def flip_terms(model: SpinChainModel) -> tuple[tuple[int, float], ...]:
@@ -203,8 +264,8 @@ def flip_terms(model: SpinChainModel) -> tuple[tuple[int, float], ...]:
     return tuple(amplitudes.items())
 
 
-def _flip_orbits(model: SpinChainModel) -> tuple[tuple[int, float], ...]:
-    """flip_terms grouped into translation orbits, as (representative, weight).
+def _flip_orbits(model: SpinChainModel) -> tuple[int, float]:
+    """flip_terms as one translation orbit, (representative, weight).
 
     The representative is the orbit's smallest rotation of a mask and the
     weight the sum of amplitude^2 over the orbit's masks, in flip_terms
@@ -218,7 +279,7 @@ def _flip_orbits(model: SpinChainModel) -> tuple[tuple[int, float], ...]:
     """
     terms = flip_terms(model)
     weight = functools.reduce(operator.add, (amplitude * amplitude for _, amplitude in terms), 0.0)
-    return ((min(mask for mask, _ in terms), weight),)
+    return min(mask for mask, _ in terms), weight
 
 
 def _require_memory(model: SpinChainModel, route, needed, arrays):
@@ -322,8 +383,15 @@ class SymmetrySectors:
 
 
 def _translate(idx, n_sites):
-    """T on basis indices: |s_1 ... s_N> -> |s_N s_1 ... s_{N-1}>."""
-    return (idx >> 1) | ((idx & 1) << (n_sites - 1))
+    """T on basis indices: |s_1 ... s_N> -> |s_N s_1 ... s_{N-1}>.
+
+    Formed in place in one new array, so a chunk of _pair_classes holds one
+    temporary less (ints work too: their augmented assignments rebind).
+    """
+    out = idx & 1
+    out <<= n_sites - 1
+    out |= idx >> 1
+    return out
 
 
 def _reflect(idx, n_sites):

@@ -8,8 +8,9 @@ d x d matrix (the operator-level susceptibility functions, quasi_gibbs_at)
 run at desk scale (N <= 12, d <= 4096), where full eigendecompositions
 stay cheap, so no sparse or iterative machinery is used anywhere.  The
 threshold route builds no operator at all: it counts the flip pairs by
-the H0 levels they join, one O(2^N) count, then O(classes) per beta
-(susceptibility.flip_sums), and has been measured up to N = 20.  hbar = 1
+the H0 levels they join, one O(2^N) count in chunks of the states, then
+O(classes) per beta (susceptibility.flip_sums), and runs up to N = 30 in
+memory bounded by the stack budget (models._pair_classes).  hbar = 1
 throughout and the Ising coupling J sets the energy unit.
 """
 

@@ -7,12 +7,13 @@ threshold rate Gamma_th = alpha deltaV / chi_F compares against its
 zero-temperature reference Gamma_N through f_N = Gamma_th / Gamma_N.
 
 Every chain quantity (threshold_sweep and the low- and high-temperature
-coefficients) comes from one preparation, the classical energies and the
-flip pairs of V, without building a matrix.  The energies are invariant
-under the ring translation, so the pair sums take one mask per
-translation orbit, and a pair enters them only through the H0 levels of
-its two ends: one O(2^N) count of the pairs by level pair, then
-O(classes) per beta.  A whole beta grid comes from one such count
+coefficients) comes from one preparation, the flip pairs of V counted by
+the H0 levels they join (models._pair_classes), without building a
+matrix.  The levels are bit-count codes of the states, not sorted
+energies, and the energies are invariant under the ring translation, so
+the pair sums take one mask per translation orbit: one O(2^N) count in
+chunks of the states, no array of 2^N values, then O(classes) per beta.
+A whole beta grid comes from one such count
 (flip_sums_sweep), its weights vectorised over beta in chunks; flip_sums
 and threshold_report are its one-beta cases.  The dense oracle that
 tests and the acceptance criteria compare it against is dense_sums_sweep:
@@ -34,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import chi_pair_sum, pair_weight_sum
-from .models import SpinChainModel, classical_energies, flip_terms, require_alpha, require_beta
-from .models import _flip_orbits, stack_slices
+from .models import SpinChainModel, require_alpha, require_beta, stack_slices
+from .models import _pair_classes
 from .operators import (
     HermitianOperator,
     SpectralDecomposition,
@@ -114,62 +115,41 @@ def flip_sums_sweep(model: SpinChainModel, betas) -> list[FlipSums]:
     ground level use degeneracy_tolerance as the dense route does.
 
     A pair enters every sum only through the energies of its two ends, so
-    the pass counts the pairs once by class, a pair (i, j) of H0 levels
-    weighted by the amplitude^2 of the pairs from level i to level j, and
-    each beta then sums over levels and classes alone (_flip_pass).  Every
-    beta is checked before anything is allocated.
+    models._pair_classes counts the pairs once by class, a pair (i, j) of
+    H0 levels weighted by the amplitude^2 of the pairs from level i to
+    level j, in chunks of the states, and each beta then sums over levels
+    and classes alone (_flip_pass).  Every beta is checked before anything
+    is allocated, and an N above models._MAX_FLIP_SITES is refused.
     """
     for beta in betas:
         require_beta(beta)
-    # the pass's 2^N arrays are gone before the records are built
-    dv2, chi, z2, fixed = _flip_pass(model, np.asarray(betas, dtype=float))
+    dv2, chi, z2, fixed = _flip_pass(_pair_classes(model), np.asarray(betas, dtype=float))
     return [
         FlipSums(math.sqrt(dv2_b / z2_b), 2.0 * chi_b / z2_b, *fixed)
         for dv2_b, chi_b, z2_b in zip(dv2.tolist(), chi.tolist(), z2.tolist())
     ]
 
 
-def _flip_pass(model: SpinChainModel, betas: np.ndarray):
+def _flip_pass(classes, betas: np.ndarray):
     """The pair sums behind flip_sums_sweep: (deltaV)^2 Z0(2 beta),
     chi_F Z0(2 beta) / 2 and Z0(2 beta) at each beta, and the four
-    beta-independent fields.
+    beta-independent fields, from the pair classes of models._pair_classes.
 
-    The levels are the distinct shifted classical_energies; energies within
-    the degeneracy tolerance but not bitwise equal are distinct levels, as
-    they are distinct states' energies in a pass per state.  They come from
-    np.sort and one comparison, not np.unique, whose Python-level steps cost
-    about 0.1 ms a call in a fresh process at N = 10.  One bincount
-    per translation orbit counts its pairs by (level, partner level), and
-    the classes are the level pairs with a nonzero count.  The four
-    beta-independent fields and each class's chi_F weight are formed once.
-    The betas go through in the models.stack_slices chunks of three class
-    arrays a beta, each row gathered with take and compress into a
-    C-contiguous stack that add.reduce sums in the order np.sum sums one
-    beta's 1-D array, so every field is bitwise independent of the chunking.
+    The four beta-independent fields and each class's chi_F weight are
+    formed once.  The betas go through in the models.stack_slices chunks
+    of three class arrays a beta, each row gathered with take and compress
+    into a C-contiguous stack that add.reduce sums in the order np.sum sums
+    one beta's 1-D array, so every field is bitwise independent of the
+    chunking.
     """
-    e = classical_energies(model)
-    levels = np.sort(e)
-    levels = levels[np.concatenate(([True], levels[1:] != levels[:-1]))]
+    levels, multiplicity, start, end, weight = classes
     tol = degeneracy_tolerance(levels)
-    level = levels.searchsorted(e)
-    multiplicity = np.bincount(level)
-    levels -= levels[0]  # e - e.min() level by level, bitwise as state by state
-    size = levels.size
-    counts = np.zeros(size * size)
-    for mask, a2 in _flip_orbits(model):
-        codes = level[np.arange(model.dim) ^ mask]  # the partners' levels
-        codes += level * size
-        counts += a2 * np.bincount(codes, minlength=size * size)
-    classes = counts.nonzero()[0]
-    weight = counts[classes]
-    start, end = np.divmod(classes, size)
     de = levels[end] - levels[start]
     coupled = np.abs(de) > tol
     chi_weight = weight[coupled] / de[coupled] ** 2
     ground = levels <= tol
     leaves = ground[start] & ~ground[end]
     g0 = int(multiplicity[ground].sum())
-    del e, level, codes  # the beta loop holds no 2^N array
     leaving = weight[leaves]
     fixed = (math.sqrt(2.0 * float(leaving.sum()) / g0),
              4.0 / g0 * float(leaving @ levels[end[leaves]] ** -2.0),
@@ -276,27 +256,28 @@ def ground_delta_v(spec: SpectralDecomposition, v: HermitianOperator) -> float:
 def low_temp_coefficients(model: SpinChainModel) -> LowTempCoefficients:
     """Extract a, b, W, c1 and the coupled gap Delta of a chain.
 
-    Needs a unique ground state g.  V couples g only to its flip partners
-    g ^ mask, so Delta is the smallest partner gap, and |V_10|^2 pools the
-    partners of the whole level at Delta, whatever basis is chosen inside
-    it.  deltaV0 and chi_F0 are the ground fields of flip_sums.
+    Needs a unique ground state g, read from the pair classes
+    (models._pair_classes), which also give deltaV0 and chi_F0 as
+    flip_sums does.  V couples g only to its flip partners g ^ mask, so
+    Delta is the smallest gap of a class leaving the ground level, and
+    |V_10|^2 pools the classes at Delta, whatever basis is chosen inside
+    that level.
     """
-    e = classical_energies(model)
-    shifted = e - e.min()
-    tol = degeneracy_tolerance(e)
-    ground = np.flatnonzero(shifted <= tol)
-    if ground.size != 1:
+    classes = _pair_classes(model)
+    levels, multiplicity, start, end, weight = classes
+    tol = degeneracy_tolerance(levels)
+    if multiplicity[levels <= tol].sum() != 1:
         raise ValueError("degenerate ground state: low-temperature coefficients undefined")
-    terms = flip_terms(model)
-    gaps = np.array([shifted[ground[0] ^ mask] for mask, _ in terms])
-    v2 = np.array([amplitude * amplitude for _, amplitude in terms])
+    leaving = start == 0  # the levels ascend, so the ground level is level 0
+    gaps, v2 = levels[end[leaving]], weight[leaving]
     delta = float(gaps.min())
     v10_sq = float(np.sum(v2[gaps <= delta + tol]))
     above = gaps[gaps > delta + tol]
     delta2 = float(above.min()) if above.size else None
-    sums = flip_sums(model, 0.0)  # the ground fields do not depend on beta
-    a = v10_sq / sums.ground_delta_v**2
-    b = v10_sq / (sums.ground_chi_f * delta**2)
+    # the ground fields need no beta
+    ground_delta_v, ground_chi_f = _flip_pass(classes, np.empty(0))[3][:2]
+    a = v10_sq / ground_delta_v**2
+    b = v10_sq / (ground_chi_f * delta**2)
     w = -a + 4.0 * b
     return LowTempCoefficients(a=a, b=b, W=w, c1=2.0 * w, gap_delta=delta, gap_delta2=delta2)
 
@@ -322,8 +303,8 @@ def threshold_sweep(model: SpinChainModel, betas, alpha: float = 1.0) -> list[Th
     """Assemble deltaV, chi_F, Gamma_th, Gamma_N and f_N at every beta of betas.
 
     Every ingredient comes from one flip_sums_sweep over the grid: one
-    O(2^N) count of the flip pairs by the H0 levels they join, in O(2^N)
-    memory, then O(classes) per beta.
+    O(2^N) count of the flip pairs by the H0 levels they join, in memory
+    bounded by the stack budget, then O(classes) per beta.
     beta = inf is an error, not the ground limit: that limit is
     ground_delta_v and ground_chi_f (flip_sums' ground fields), whose ratio
     times alpha is Gamma_N.

@@ -327,6 +327,19 @@ class TestThresholdCommand:
             assert float(row["rel_err_delta_v"]) <= 1e-12
             assert float(row["rel_err_chi_f"]) <= 1e-12
 
+    def test_mfic_tiny_beta_rows_match_the_flip_route(self, tmp_path):
+        # the mfic deltaV closed form has no 1 - Q / Z0 difference, so it
+        # stays positive and close to the flip route as beta -> 0
+        out = tmp_path / "thr.csv"
+        args = ["--model", "mfic", "--n-sites", "6", "--B", "0.7", "--beta", "1e-10,1e-8"]
+        assert main(["threshold", *args, "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert len(rows) == 2
+        for row in (dict(zip(header, r)) for r in rows):
+            assert float(row["delta_v_closed"]) > 0
+            assert row["rel_err_delta_v"] != ""
+            assert float(row["rel_err_delta_v"]) < 1e-6
+
     def test_parallel_jobs_identical_output(self, tmp_path):
         serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
         args = ["threshold", "--model", "tfic", "--n-sites", "4", "--beta", "0.2,0.5,1,2"]

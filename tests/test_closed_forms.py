@@ -21,7 +21,13 @@ from adiatherm.closed_forms import (
 )
 from adiatherm.models import SpinChainModel, build_h0, build_v
 from adiatherm.operators import eigh
-from adiatherm.susceptibility import chi_f_thermal, delta_v_thermal, flip_sums, ground_chi_f
+from adiatherm.susceptibility import (
+    chi_f_thermal,
+    delta_v_thermal,
+    flip_sums,
+    flip_sums_sweep,
+    ground_chi_f,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -179,10 +185,14 @@ class TestTwoEigTrace:
 class TestMficCoefficients:
     """The coefficients belong to the ground-shifted matrices, T e^{-(K+H)}."""
 
-    def test_boundary_vector_trace(self):
-        co = mfic_coefficients(0.8, 1.0, 0.7)
-        # c+ + c- = Tr(u u^T e^{-H}) = 1 + e^{-2H}
-        assert co.c_plus + co.c_minus == pytest.approx(1 + math.exp(-2 * co.H), rel=1e-12)
+    def test_gapped_flip_matrix_trace(self):
+        beta, j, b = 0.8, 1.0, 0.7
+        co = mfic_coefficients(beta, j, b)
+        # e+ + e- = Tr(M_e), the diagonal flip entries times (2y)^2: y = B - 2J
+        # at shift 2|B| + min(2|B|, 4J) and y = B + 2J at shift 0
+        entry = [32.0 * math.exp(-2 * beta * (s + abs(y))) * math.sinh(beta * y) ** 2
+                 for y, s in ((b - 2 * j, 2 * b + min(2 * b, 4 * j)), (b + 2 * j, 0.0))]
+        assert co.e_plus + co.e_minus == pytest.approx(sum(entry), rel=1e-12)
 
     def test_determinant_identity(self):
         co = mfic_coefficients(1.1, 1.0, 1.3)
@@ -193,7 +203,6 @@ class TestMficCoefficients:
         co = mfic_coefficients(0.9, 1.0, 1e-6)
         # 2 cosh(K) e^{-K} = 1 + e^{-2K}
         assert co.lambda_plus == pytest.approx(1 + math.exp(-2 * co.K), abs=1e-5)
-        assert co.c_plus == pytest.approx(2.0, abs=1e-5)
 
     @pytest.mark.parametrize("bad", [0.0, 2.0, -2.0, 1e-10])
     def test_excluded_fields_rejected(self, bad):
@@ -238,6 +247,17 @@ class TestMficClosedForms:
                     assert dv == pytest.approx(sums.delta_v, rel=1e-12)
                     assert chi == pytest.approx(sums.chi_f, rel=1e-12)
 
+    @pytest.mark.parametrize("b", [0.3, 0.7, 1.3])
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_delta_v_matches_flip_sums_at_small_beta(self, n, b):
+        # deltaV^2 is a sum of positive flip entries, with no 1 - Q / Z0
+        # difference, so it keeps its digits as beta -> 0; 1e-12 at
+        # beta = 1e-4 leaves room for the flip route's own w_m - w_n
+        betas = (1e-4, 1e-2, 1.0, 40.0)
+        for beta, sums in zip(betas, flip_sums_sweep(SpinChainModel("mfic", n, B=b), betas)):
+            rel = abs(delta_v_mfic_closed(n, beta, 1.0, b) / sums.delta_v - 1.0)
+            assert rel <= (1e-12 if beta < 1e-3 else 1e-13), (beta, rel)
+
     def test_chi_ground_limit(self):
         model = SpinChainModel("mfic", 5, B=0.7)
         spec = eigh(build_h0(model))
@@ -266,6 +286,11 @@ class TestMficTemperatureFactor:
         beta, b = 0.01, 0.7
         rel = abs(f_mfic(None, beta, 1.0, b) / f_mfic_asymptotics(beta, 1.0, b, "high") - 1.0)
         assert rel <= 0.05
+
+    def test_high_temperature_asymptote_at_tiny_beta(self):
+        beta, b = 1e-10, 0.7
+        rel = abs(f_mfic(None, beta, 1.0, b) / f_mfic_asymptotics(beta, 1.0, b, "high") - 1.0)
+        assert rel <= 1e-8
 
     def test_finite_n_computes_the_coefficients_once(self, monkeypatch):
         # f_mfic(N) forms deltaV and chi_F from its one coefficient record, and

@@ -98,14 +98,22 @@ class TestFlipMemoryGuard:
             monkeypatch.setattr(np, name, no_allocation)
         model = SpinChainModel("mfic", 40, B=0.7)
         for route in (
-            classical_energies,
             lambda m: flip_sums(m, 1.0),
             lambda m: threshold_report(m, 1.0),
             low_temp_coefficients,
             high_temp_coefficient,
         ):
-            with pytest.raises(ValueError, match=r"N=40 .* flip route: .* GB \(12 arrays"):
+            with pytest.raises(ValueError, match=r"N=40 .* flip route: .* at most N=30 sites"):
                 route(model)
+
+    def test_refuses_one_site_past_the_limit(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated an array")
+
+        for name in ("arange", "zeros", "empty"):
+            monkeypatch.setattr(np, name, no_allocation)
+        with pytest.raises(ValueError, match=r"N=31 is too large .* at most N=30 sites"):
+            flip_sums(SpinChainModel("tfic", 31), 1.0)
 
 
 class TestH0:
@@ -385,27 +393,23 @@ class TestFlipOrbits:
         translated = energies[models._translate(np.arange(model.dim), n_sites)]
         assert translated.tobytes() == energies.tobytes()
 
-        terms, orbits = flip_terms(model), models._flip_orbits(model)
-        covered = []
-        for representative, _ in orbits:
-            rotations = [representative]
-            for _ in range(n_sites - 1):
-                rotations.append(models._translate(rotations[-1], n_sites))
-            assert representative == min(rotations)
-            covered += set(rotations)
-        # the orbits are disjoint and hold every mask
-        assert sorted(covered) == sorted(mask for mask, _ in terms)
+        terms = flip_terms(model)
+        representative, weight = models._flip_orbits(model)
+        rotations = [representative]
+        for _ in range(n_sites - 1):
+            rotations.append(models._translate(rotations[-1], n_sites))
+        assert representative == min(rotations)
+        # the one orbit holds every mask
+        assert sorted(set(rotations)) == sorted(mask for mask, _ in terms)
         total = sum(amplitude * amplitude for _, amplitude in terms)
-        assert sum(weight for _, weight in orbits) == pytest.approx(total, rel=1e-15)
-        if n_sites >= 3:
-            assert len(orbits) == 1
+        assert weight == pytest.approx(total, rel=1e-15)
 
     @pytest.mark.parametrize("j", [1.0, 0.7])
     def test_two_site_orbits(self, j):
         # tfic's two single flips are one orbit; qxyc's two bonds one merged mask
-        (_, weight), = models._flip_orbits(SpinChainModel("tfic", 2, J=j))
+        _, weight = models._flip_orbits(SpinChainModel("tfic", 2, J=j))
         assert weight == 2 * (j * j)
-        assert models._flip_orbits(SpinChainModel("qxyc", 2, J=j)) == ((0b11, 4 * (j * j)),)
+        assert models._flip_orbits(SpinChainModel("qxyc", 2, J=j)) == (0b11, 4 * (j * j))
 
 
 class TestStackSlices:
@@ -460,17 +464,19 @@ class TestMemoryGuards:
             tracemalloc.stop()
         assert peak <= models._RECORD_ARRAYS * n_records * model.dim * 8
 
-    def test_flip_sweep_peak_within_its_budget(self):
-        # a beta chunk's stacks fit the package's stack budget, one beta at
-        # N = 12, so a long grid holds what one beta does plus its records
-        model, betas = SpinChainModel("tfic", 12), np.linspace(0.0, 40.0, 1000)
+    @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
+    def test_flip_sweep_peak_within_its_budget(self, kind, b):
+        # the count passes hold chunks of the states and the beta loop
+        # chunks of the classes, so no array spans the 2^20 states, which
+        # at 8 bytes a state would take 64 stack budgets
+        model, betas = SpinChainModel(kind, 20, B=b), np.geomspace(1e-3, 40.0, 24)
         tracemalloc.start()
         try:
             flip_sums_sweep(model, betas)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= models._FLIP_ARRAYS * model.dim * 8
+        assert peak <= 8 * models._STACK_BYTES
 
     @pytest.mark.parametrize("kind,b", [("tfic", None), ("qxyc", None), ("mfic", 0.7)])
     def test_sector_peak_within_its_budget(self, kind, b):

@@ -1,13 +1,11 @@
-"""Dense pair-sum and column-matching kernels, in numpy.
+"""Pair-class sums and column-matching kernels, in numpy.
 
-The pair sums give deltaV and chi_F of susceptibility.dense_sums_sweep,
-the dense oracle of the flip-sum route.  They take the whole d x d pair
-array at once: the oracle runs at d <= 256, where that is a few megabytes,
-so they carry no row blocking.  A call takes one weight vector or a (B, d)
-stack of them, one row per beta of a grid: chi_pair_sum forms its
-degeneracy-masked V2 / dE^2 kernel once per call, and every row is summed
-by the operations of a one-vector call, so its sum does not depend on the
-stack it came in.  The package no longer calls the column
+The pair sums give deltaV and chi_F of both exact routes: the one
+reduction of susceptibility (_class_sums) sums a (B, K) stack of squared
+weight differences, one row per beta of a grid, against the K pair classes
+of the flip route or of the dense oracle.  A row is summed by add.reduce
+along a C-contiguous axis, the order of a one-vector call, so its sum does
+not depend on the stack it came in.  The package no longer calls the column
 matching (match_columns, greedy_match): the eigenbasis continuation
 transports whole levels by projector mass.  It stays as a tested
 maximal-overlap assignment whose names perfbench's tracer reports.
@@ -24,36 +22,20 @@ def backend_name():
     return "numpy"
 
 
-def chi_pair_sum(energies, weights, v2, tol):
-    """Degeneracy-excluded spectral pair sum behind the fidelity susceptibility:
-    sum_{m != n, |E_m - E_n| > tol} (w_m - w_n)^2 V2[m, n] / (E_m - E_n)^2.
-
-    weights is one (d,) vector, which gives a float, or a (B, d) stack, which
-    gives the (B,) sums of its rows.  The masked kernel V2 / (E_m - E_n)^2 is
-    formed once per call and every row is summed with it as _pair_sums does.
-    """
-    energies = np.asarray(energies, dtype=np.float64)
-    de = energies[:, None] - energies[None, :]
-    kernel = np.zeros_like(de)
-    np.divide(v2, de * de, out=kernel, where=np.abs(de) > tol)
-    return _pair_sums(weights, kernel)
+def pair_weight_sum(dw2, weight):
+    """sum_k dw2[k] weight[k] over the pair classes k: a float for one (K,)
+    vector of squared weight differences, the (B,) row sums of a (B, K) stack."""
+    sums = np.add.reduce(dw2 * weight, axis=-1)
+    return float(sums) if dw2.ndim == 1 else sums
 
 
-def pair_weight_sum(weights, v2):
-    """Plain weighted pair sum sum_{m,n} (w_m - w_n)^2 V2[m, n], for one
-    (d,) weight vector (a float) or each row of a (B, d) stack (a (B,) array)."""
-    return _pair_sums(weights, v2)
-
-
-def _pair_sums(weights, kernel):
-    """sum_{m,n} (w_m - w_n)^2 kernel[m, n] of a weight vector, or of each
-    row of a stack of them, every row by the same operations as a vector."""
-    weights = np.asarray(weights, dtype=np.float64)
-    sums = []
-    for w in np.atleast_2d(weights):
-        dw = w[:, None] - w[None, :]
-        sums.append(float(np.sum(dw * dw * kernel)))
-    return sums[0] if weights.ndim == 1 else np.array(sums)
+def chi_pair_sum(dw2, chi_weight, coupled):
+    """Degeneracy-excluded pair sum behind the fidelity susceptibility:
+    sum over the classes k with coupled[k] of dw2[k] chi_weight, where
+    chi_weight holds weight / gap^2 of the coupled classes in order.  A
+    float for one (K,) vector, the (B,) row sums of a (B, K) stack."""
+    sums = np.add.reduce(dw2.compress(coupled, axis=-1) * chi_weight, axis=-1)
+    return float(sums) if dw2.ndim == 1 else sums
 
 
 def _greedy_sweep(order_rows, order_cols, d):

@@ -9,9 +9,10 @@ the pytest acceptance suite, so the CLI report and the tests can never
 drift apart.
 
 The dense criteria (AC01-AC03) take each model's whole beta grid from one
-dense_sums_sweep, so V is rotated into H0's eigenbasis and the chi_F
-kernel is formed once per model.  AC11 takes its lambda = h, 0, -h states
-from one quasi_gibbs_states sweep per model.
+dense_sums_sweep, so V is rotated into H0's eigenbasis once per model,
+and AC14 takes each model's beta ladder from one sweep per exact route.
+AC11 takes its lambda = h, 0, -h states from one quasi_gibbs_states sweep
+per model.
 Criterion 13 compares fixed-N and thermodynamic low-temperature expansions
 at a scale (1e-18) below double resolution, so that single check evaluates
 both sides with 50-digit arithmetic (the standard library's decimal, whose
@@ -37,6 +38,7 @@ from .susceptibility import (
     dense_sums,
     dense_sums_sweep,
     flip_sums,
+    flip_sums_sweep,
     low_temp_coefficients,
 )
 from .thermal import escort_state, gibbs_state, quasi_gibbs_states
@@ -338,6 +340,40 @@ def criterion_13():
     # Decimal(float) is exact, so the 50-digit values compare exactly
     yield Check("series remainder (50-digit)", float(diff), float(tol), diff <= tol)
     yield Check("float impl vs 50-digit", float(impl_rel), 1e-13, impl_rel <= Decimal(1e-13))
+
+
+def _closed_sums(n, beta, b):
+    """Closed-form deltaV and chi_F at J = 1: mfic at field b, or the tfic
+    forms, which qxyc shares, for b None."""
+    if b is None:
+        return cf.delta_v_tfic_closed(n, beta, 1.0), cf.chi_f_tfic_closed(n, beta, 1.0)
+    return cf.delta_v_mfic_closed(n, beta, 1.0, b), cf.chi_f_mfic_closed(n, beta, 1.0, b)
+
+
+@criterion("AC14", "both exact routes vs closed forms on a beta ladder")
+def criterion_14():
+    """The flip route (N = 3..12) and the dense oracle (N = 3..8) match the
+    closed forms from beta J = 1e-12 to 1e308, each check the worst N.
+
+    At small beta every Boltzmann weight is near 1, so a weight difference
+    formed as a plain difference would lose digits as eps / (beta dE).
+    """
+    betas = (1e-12, 1e-8, 1e-4, 1e-2, 1.0, 40.0, 1e308)
+    routes = (
+        ("flip", 12, lambda model: flip_sums_sweep(model, betas)),
+        ("dense", 8, lambda model: dense_sums_sweep(*_dense(model), betas)),
+    )
+    for kind, b in (("tfic", None), ("qxyc", None), ("mfic", 0.3), ("mfic", 0.7), ("mfic", 1.3)):
+        tag = kind if b is None else f"{kind} B={b}"
+        for route, n_max, sweep in routes:
+            worst = np.zeros((len(betas), 2))  # np.maximum keeps a nan
+            for n in range(3, n_max + 1):
+                for row, beta, sums in zip(worst, betas, sweep(SpinChainModel(kind, n, B=b))):
+                    dv, chi = _closed_sums(n, beta, b)
+                    np.maximum(row, (_rel(sums.delta_v, dv), _rel(sums.chi_f, chi)), out=row)
+            for beta, (rel_dv, rel_chi) in zip(betas, worst):
+                yield Check(f"{route} delta_v {tag} betaJ={beta}", rel_dv, 1e-13)
+                yield Check(f"{route} chi_f {tag} betaJ={beta}", rel_chi, 1e-13)
 
 
 def run_all(ids=None):

@@ -19,11 +19,16 @@ and threshold_report are its one-beta cases.  The dense oracle that
 tests and the acceptance criteria compare it against is dense_sums_sweep:
 the same FlipSums records at every beta of a grid, from one
 eigendecomposition of H0 and one dense V, rotated once into the
-eigenbasis for the whole grid, and one masked chi_F kernel, after which
-each beta costs two d x d sums.  Its sums run over whole degenerate levels,
-so it takes V in whatever eigenbasis eigh returns and never rotates a
-level.  dense_sums is its one-beta case, and chi_f_thermal,
-delta_v_thermal, ground_chi_f and ground_delta_v each read one field of it.
+eigenbasis for the whole grid, whose nonzero |V_mn|^2 are the classes of
+the eigenvalues.  Both routes are one producer of pair classes and the
+same reduction (_class_sums), which forms each weight difference as
+w_low expm1(-beta dE) and, below beta = 1, sums (dw / beta)^2, so no
+digit is lost to cancellation or to subnormal squares at small beta;
+the oracle's independence lies in its classes, from a dense V and eigh,
+and tests/oracle.py checks the reduction itself against a brute-force
+chi_F and the Wigner-Yanase deltaV.  dense_sums is the oracle's one-beta
+case, and chi_f_thermal, delta_v_thermal, ground_chi_f and ground_delta_v
+each read one field of it.
 """
 
 from __future__ import annotations
@@ -37,12 +42,7 @@ import numpy as np
 from ._kernels import chi_pair_sum, pair_weight_sum
 from .models import SpinChainModel, require_alpha, require_beta, stack_slices
 from .models import _pair_classes
-from .operators import (
-    HermitianOperator,
-    SpectralDecomposition,
-    degeneracy_tolerance,
-    level_starts,
-)
+from .operators import HermitianOperator, SpectralDecomposition, degeneracy_tolerance
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,10 @@ class ThresholdReport:
 
     beta = 0 leaves Gamma_th and f_N undefined (the threshold can be taken
     arbitrarily large at infinite temperature); the flag marks that case
-    explicitly instead of producing 0/0.  A beta > 0 so small that every
-    Boltzmann weight rounds to 1 gives chi_F = 0 too and is reported the same.
+    explicitly instead of producing 0/0.  A beta > 0 so small that chi_F,
+    which scales as beta^2, is subnormal or 0 (beta below about 1e-154) is
+    reported the same: such a chi_F has lost its digits.  deltaV stays exact
+    there.
     """
 
     beta: float
@@ -118,55 +120,64 @@ def flip_sums_sweep(model: SpinChainModel, betas) -> list[FlipSums]:
     models._pair_classes counts the pairs once by class, a pair (i, j) of
     H0 levels weighted by the amplitude^2 of the pairs from level i to
     level j, in chunks of the states, and each beta then sums over levels
-    and classes alone (_flip_pass).  Every beta is checked before anything
+    and classes alone (_class_sums).  Every beta is checked before anything
     is allocated, and an N above models._MAX_FLIP_SITES is refused.
     """
     for beta in betas:
         require_beta(beta)
-    dv2, chi, z2, fixed = _flip_pass(_pair_classes(model), np.asarray(betas, dtype=float))
-    return [
-        FlipSums(math.sqrt(dv2_b / z2_b), 2.0 * chi_b / z2_b, *fixed)
-        for dv2_b, chi_b, z2_b in zip(dv2.tolist(), chi.tolist(), z2.tolist())
-    ]
+    return _class_sums(_pair_classes(model), betas)
 
 
-def _flip_pass(classes, betas: np.ndarray):
-    """The pair sums behind flip_sums_sweep: (deltaV)^2 Z0(2 beta),
-    chi_F Z0(2 beta) / 2 and Z0(2 beta) at each beta, and the four
-    beta-independent fields, from the pair classes of models._pair_classes.
+def _class_sums(classes, betas) -> list[FlipSums]:
+    """The FlipSums records at each beta of betas from pair classes
+    (levels, multiplicity, start, end, weight) as models._pair_classes gives
+    them: the one reduction of flip_sums_sweep and dense_sums_sweep.
 
-    The four beta-independent fields and each class's chi_F weight are
-    formed once.  The betas go through in the models.stack_slices chunks
-    of three class arrays a beta, each row gathered with take and compress
-    into a C-contiguous stack that add.reduce sums in the order np.sum sums
-    one beta's 1-D array, so every field is bitwise independent of the
-    chunking.
+    The levels ascend from 0, so a class's lower-energy end is its smaller
+    level index, and w_m - w_n = w_low expm1(-beta |E_m - E_n|) keeps every
+    digit at small beta, where both weights are near 1.  Below beta = 1 the
+    sums take dw / beta, which tends to -w_low |E_m - E_n| as beta -> 0, and
+    deltaV and chi_F get their factors of beta back last, so no dw^2 is a
+    subnormal number at tiny beta: each field keeps its digits wherever it
+    is itself a normal float (chi_F ~ beta^2 is not below beta ~ 1e-154).
+    The four beta-independent fields and the chi_F weights are formed once.
+    The betas go through in the models.stack_slices chunks of three class
+    arrays a beta, and each row of a C-contiguous stack is summed by
+    add.reduce in the order np.sum sums one beta's 1-D array, so every
+    record is bitwise independent of the chunking.
     """
     levels, multiplicity, start, end, weight = classes
     tol = degeneracy_tolerance(levels)
-    de = levels[end] - levels[start]
-    coupled = np.abs(de) > tol
-    chi_weight = weight[coupled] / de[coupled] ** 2
+    low = np.minimum(start, end)
+    gap = np.abs(levels[end] - levels[start])
+    coupled = gap > tol
+    chi_weight = weight[coupled] / gap[coupled] ** 2
     ground = levels <= tol
     leaves = ground[start] & ~ground[end]
     g0 = int(multiplicity[ground].sum())
     leaving = weight[leaves]
     fixed = (math.sqrt(2.0 * float(leaving.sum()) / g0),
              4.0 / g0 * float(leaving @ levels[end[leaves]] ** -2.0),
-             float(weight[coupled].sum()), math.sqrt(float(weight @ de**2)))
+             float(weight[coupled].sum()), math.sqrt(float(weight @ gap**2)))
+    betas = np.asarray(betas, dtype=float)
+    # the floor keeps w / scale finite at beta = 0 and at a subnormal beta
+    scale = np.maximum(np.minimum(betas, 1.0), np.finfo(float).tiny)
     dv2, chi, z2 = np.empty(betas.size), np.empty(betas.size), np.empty(betas.size)
     for chunk in stack_slices(betas.size, 3 * weight.nbytes):
         beta = betas[chunk, None]
         # -beta E overflows to -inf only where the weight is 0 anyway
         with np.errstate(over="ignore"):
             z2[chunk] = np.add.reduce(np.exp(-beta * (2.0 * levels)) * multiplicity, axis=1)
-            w = np.exp(-beta * levels)
-        dw2 = w.take(end, axis=1)
-        dw2 -= w.take(start, axis=1)
+            dw2 = (np.exp(-beta * levels) / scale[chunk, None]).take(low, axis=1)
+            dw2 *= np.expm1(-beta * gap)
         np.square(dw2, out=dw2)
-        dv2[chunk] = np.add.reduce(dw2 * weight, axis=1)
-        chi[chunk] = np.add.reduce(dw2.compress(coupled, axis=1) * chi_weight, axis=1)
-    return dv2, chi, z2, fixed
+        dv2[chunk] = pair_weight_sum(dw2, weight)
+        chi[chunk] = chi_pair_sum(dw2, chi_weight, coupled)
+    rows = zip(scale.tolist(), dv2.tolist(), chi.tolist(), z2.tolist())
+    return [
+        FlipSums(s * math.sqrt(dv2_b / z2_b), s * (s * (2.0 * chi_b / z2_b)), *fixed)
+        for s, dv2_b, chi_b, z2_b in rows
+    ]
 
 
 def flip_sums(model: SpinChainModel, beta) -> FlipSums:
@@ -179,53 +190,21 @@ def dense_sums_sweep(spec: SpectralDecomposition, v: HermitianOperator, betas) -
     and a dense V: the oracle.
 
     Every beta is checked before any matrix product.  V is then rotated once
-    into the eigenbasis as eigh returned it, and the degeneracy tolerance,
-    the ground multiplicity and the four beta-independent fields are formed
-    once for the grid.  The weights of the whole grid are one (betas, d)
-    stack, so each pair sum is one kernel call per model: chi_pair_sum
-    forms its masked |V_mn|^2 / (E_m - E_n)^2 kernel once, and then each
-    beta costs two d x d sums.  Every sum runs over whole degenerate
-    levels, with weights relative to the ground energy.
-    (deltaV)^2 = sum_{m != n} |V_mn|^2 (w_m - w_n)^2 / Z0(2 beta) stays
-    accurate where the weights w = e^{-beta E} drop below the eigensolver
-    resolution of an assembled density matrix (large beta), and
-    chi_F = (2/Z0(2 beta)) sum (w_m - w_n)^2 |V_mn|^2 / (E_m - E_n)^2 skips
-    pairs degenerate within degeneracy_tolerance.  With g0 the ground
-    multiplicity and P the ground-level projector, chi_F0 = (4/g0) sum over
-    ground g and excited n of |V_ng|^2 / (E_n - E_0)^2 and
-    (deltaV0)^2 = 2 [Tr(P V^2) - Tr(P V P V)] / g0.  Each beta's fields are
-    the same operations on the same arrays as a one-beta call (the kernels
-    sum each row as a vector, and Z0(2 beta) adds one C-contiguous row), so
-    a record is bitwise independent of the grid it came in.
+    into the eigenbasis as eigh returned it, and every nonzero |V_mn|^2 is a
+    class (m, n) of the ascending eigenvalues, each a level of multiplicity
+    1, summed by the reduction flip_sums_sweep uses (_class_sums).  A sum
+    over the eigenvalues of a degenerate level is a sum over the whole
+    level, so V may come in whatever basis eigh returns inside a level.  H0
+    is diagonal for the chains, so eigh returns unit eigenvectors and the
+    classes are V's at most (N + 1) d nonzero entries, not d^2.  Each record
+    is bitwise independent of the grid it came in.
     """
     for beta in betas:
         require_beta(beta)
     e, u = spec.eigenvalues, spec.eigenvectors
-    shifted = e - e.min()
-    tol = degeneracy_tolerance(e)
-    g0 = int(np.flatnonzero(level_starts(e))[1])
     v2 = np.abs(u.conj().T @ v.mat @ u) ** 2
-    de = shifted[:, None] - shifted[None, :]
-    gaps = e[g0:] - e[0]
-    t1 = float(np.sum(v2[:, :g0]))
-    t2 = float(np.sum(v2[:g0, :g0]))
-    fixed = (
-        math.sqrt(max(2.0 * (t1 - t2) / g0, 0.0)),
-        float(4.0 / g0 * np.sum(v2[g0:, :g0] / gaps[:, None] ** 2)),
-        float(np.sum(v2[np.abs(de) > tol])),
-        math.sqrt(float(np.sum(v2 * de**2))),
-    )
-    del de  # a d x d array; chi_pair_sum forms its own, so free it first
-    beta = np.asarray(betas, dtype=float).reshape(-1, 1)
-    with np.errstate(over="ignore"):  # as in _flip_pass
-        w = np.exp(-beta * shifted)
-        z2 = np.add.reduce(np.exp(-beta * (2.0 * shifted)), axis=1)
-    dv2 = pair_weight_sum(w, v2) / z2
-    chi = 2.0 * chi_pair_sum(shifted, w, v2, tol) / z2
-    return [
-        FlipSums(math.sqrt(dv2_b), chi_b, *fixed)
-        for dv2_b, chi_b in zip(dv2.tolist(), chi.tolist())
-    ]
+    start, end = v2.nonzero()
+    return _class_sums((e - e[0], np.ones(e.size), start, end, v2[start, end]), betas)
 
 
 def dense_sums(spec: SpectralDecomposition, v: HermitianOperator, beta) -> FlipSums:
@@ -274,8 +253,8 @@ def low_temp_coefficients(model: SpinChainModel) -> LowTempCoefficients:
     v10_sq = float(np.sum(v2[gaps <= delta + tol]))
     above = gaps[gaps > delta + tol]
     delta2 = float(above.min()) if above.size else None
-    # the ground fields need no beta
-    ground_delta_v, ground_chi_f = _flip_pass(classes, np.empty(0))[3][:2]
+    # the ground fields are the same at every beta
+    ground_delta_v, ground_chi_f = _class_sums(classes, (0.0,))[0][2:4]
     a = v10_sq / ground_delta_v**2
     b = v10_sq / (ground_chi_f * delta**2)
     w = -a + 4.0 * b
@@ -317,9 +296,9 @@ def threshold_sweep(model: SpinChainModel, betas, alpha: float = 1.0) -> list[Th
                 "V does not couple the ground level to any other level; Gamma_N undefined"
             )
         gamma_n = alpha * sums.ground_delta_v / sums.ground_chi_f
-        # at beta = 0, or a beta too small to resolve any weight difference, every
-        # weight is 1 and flip_sums gives deltaV = chi_F = 0 exactly
-        undefined = beta == 0 or sums.chi_f == 0
+        # chi_F = 0 at beta = 0, and chi_F ~ beta^2 is subnormal, so short of
+        # digits, below beta ~ 1e-154 and 0 below ~ 1e-162
+        undefined = beta == 0 or sums.chi_f < np.finfo(float).tiny
         gamma_th = math.nan if undefined else alpha * sums.delta_v / sums.chi_f
         reports.append(
             ThresholdReport(

@@ -83,7 +83,7 @@ def boltzmann_weights(energies, beta, multiplicity=1) -> np.ndarray:
     """
     require_beta(beta)
     e = np.asarray(energies, dtype=float)
-    with np.errstate(over="ignore"):  # as in susceptibility._flip_pass
+    with np.errstate(over="ignore"):  # as in susceptibility._class_sums
         w = np.exp(-beta * (e - e.min()))
     return w / np.sum(multiplicity * w)
 

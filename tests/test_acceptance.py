@@ -133,6 +133,10 @@ def test_criterion_13_matches_an_mpmath_reference():
     assert (remainder.ok, impl.ok) == (diff <= tol, impl_rel <= 1e-13)
 
 
+def test_criterion_14_both_routes_on_a_beta_ladder():
+    assert report(acceptance.criterion_14()).passed
+
+
 def test_run_all_loads_no_mpmath():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

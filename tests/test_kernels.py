@@ -20,9 +20,20 @@ def random_case(d, rng):
     return energies, weights, v2
 
 
+def as_classes(energies, weights, v2, tol=1e-9):
+    """Every ordered pair (m, n) as a class: its squared weight difference
+    and |V_mn|^2, then the chi_F weights |V_mn|^2 / (E_m - E_n)^2 of the
+    classes whose gap exceeds tol, and the mask of those classes."""
+    m, n = np.indices(v2.shape).reshape(2, -1)
+    gap = np.abs(energies[m] - energies[n])
+    coupled = gap > tol
+    weight = v2[m, n]
+    return (weights[m] - weights[n]) ** 2, weight, weight[coupled] / gap[coupled] ** 2, coupled
+
+
 class TestChiPairSum:
     def test_backends_agree(self):
-        # the row-blocked kernel against a plain double loop
+        # the class-form kernel against a plain double loop
         rng = np.random.default_rng(13)
         energies, weights, v2 = random_case(48, rng)
         loop = sum(
@@ -31,51 +42,56 @@ class TestChiPairSum:
             for n in range(48)
             if abs(energies[m] - energies[n]) > 1e-9
         )
-        assert chi_pair_sum(energies, weights, v2, 1e-9) == pytest.approx(loop, rel=1e-12)
+        dw2, _, chi_weight, coupled = as_classes(energies, weights, v2)
+        assert chi_pair_sum(dw2, chi_weight, coupled) == pytest.approx(loop, rel=1e-12)
 
     def test_excludes_degenerate_pairs(self):
         energies = np.array([0.0, 0.0, 1.0])
         weights = np.exp(-energies)
-        v2 = np.ones((3, 3))
-        got = chi_pair_sum(energies, weights, v2, 1e-9)
+        dw2, _, chi_weight, coupled = as_classes(energies, weights, np.ones((3, 3)))
+        got = chi_pair_sum(dw2, chi_weight, coupled)
         expected = 4 * (weights[0] - weights[2]) ** 2  # 4 ordered pairs across the gap
         assert got == pytest.approx(expected, rel=1e-14)
 
     def test_pair_weight_sum_backends_agree(self):
-        # the row-blocked kernel against a plain double loop
+        # the class-form kernel against a plain double loop
         rng = np.random.default_rng(5)
-        _, weights, v2 = random_case(32, rng)
+        energies, weights, v2 = random_case(32, rng)
         loop = sum(
             (weights[m] - weights[n]) ** 2 * v2[m, n] for m in range(32) for n in range(32)
         )
-        assert pair_weight_sum(weights, v2) == pytest.approx(loop, rel=1e-12)
+        dw2, weight, _, _ = as_classes(energies, weights, v2)
+        assert pair_weight_sum(dw2, weight) == pytest.approx(loop, rel=1e-12)
 
 
 class TestStackedWeights:
-    """A (B, d) stack of weights gives each row's sum exactly as one vector does."""
+    """A (B, K) stack of squared weight differences gives each row's sum
+    exactly as one vector does."""
 
     @pytest.mark.parametrize("d", [1, 2, 17, 48])
     def test_rows_bitwise_equal_to_vector_calls(self, d):
         rng = np.random.default_rng(40 + d)
         energies, _, v2 = random_case(d, rng)
         betas = np.array([0.0, 1e-3, 0.3, 1.0, 3.0, 40.0])
-        stack = np.exp(-betas[:, None] * (energies - energies.min()))
-        chi = chi_pair_sum(energies, stack, v2, 1e-9)
-        plain = pair_weight_sum(stack, v2)
+        rows = [as_classes(energies, np.exp(-b * (energies - energies.min())), v2) for b in betas]
+        stack = np.array([row[0] for row in rows])
+        _, weight, chi_weight, coupled = rows[0]
+        chi = chi_pair_sum(stack, chi_weight, coupled)
+        plain = pair_weight_sum(stack, weight)
         assert chi.shape == plain.shape == betas.shape
         for row, c, p in zip(stack, chi, plain):
-            assert float(c).hex() == chi_pair_sum(energies, row, v2, 1e-9).hex()
-            assert float(p).hex() == pair_weight_sum(row, v2).hex()
+            assert float(c).hex() == chi_pair_sum(row, chi_weight, coupled).hex()
+            assert float(p).hex() == pair_weight_sum(row, weight).hex()
 
     def test_vector_gives_a_float(self):
-        energies, weights, v2 = random_case(6, np.random.default_rng(2))
-        assert type(chi_pair_sum(energies, weights, v2, 1e-9)) is float
-        assert type(pair_weight_sum(weights, v2)) is float
+        dw2, weight, chi_weight, coupled = as_classes(*random_case(6, np.random.default_rng(2)))
+        assert type(chi_pair_sum(dw2, chi_weight, coupled)) is float
+        assert type(pair_weight_sum(dw2, weight)) is float
 
     def test_empty_stack(self):
-        energies, _, v2 = random_case(5, np.random.default_rng(4))
-        assert chi_pair_sum(energies, np.empty((0, 5)), v2, 1e-9).shape == (0,)
-        assert pair_weight_sum(np.empty((0, 5)), v2).shape == (0,)
+        _, weight, chi_weight, coupled = as_classes(*random_case(5, np.random.default_rng(4)))
+        assert chi_pair_sum(np.empty((0, 25)), chi_weight, coupled).shape == (0,)
+        assert pair_weight_sum(np.empty((0, 25)), weight).shape == (0,)
 
 
 class TestMatching:

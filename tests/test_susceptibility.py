@@ -252,11 +252,15 @@ class TestThresholdReport:
         assert math.isnan(report.gamma_th) and math.isnan(report.f_n)
 
     def test_unresolvable_tiny_beta_marked_like_infinite_temperature(self):
-        # every Boltzmann weight rounds to 1 at beta = 1e-20, as at beta = 0
-        report = threshold_report(SpinChainModel("tfic", 6), 1e-20)
-        assert report.undefined_at_infinite_temperature
-        assert report.delta_v == 0.0 and report.chi_f == 0.0
-        assert math.isnan(report.gamma_th) and math.isnan(report.f_n)
+        # chi_F ~ beta^2 is subnormal at beta = 1e-160 and 0 at 1e-200, so
+        # both rows are undefined as at beta = 0, while deltaV keeps its digits
+        sub, zero = threshold_sweep(SpinChainModel("tfic", 6), (1e-160, 1e-200))
+        assert 0.0 < sub.chi_f < sys.float_info.min and zero.chi_f == 0.0
+        for report in (sub, zero):
+            assert report.undefined_at_infinite_temperature
+            closed = cf.delta_v_tfic_closed(6, report.beta, 1.0)
+            assert report.delta_v == pytest.approx(closed, rel=1e-15)
+            assert math.isnan(report.gamma_th) and math.isnan(report.f_n)
 
     def test_zero_temperature_reference_values(self):
         for n in (4, 6):
@@ -508,8 +512,8 @@ DENSE_SWEEP_BETAS = (0.0, 1e-3, 0.3, 1.0, 3.0, 40.0, 1e308)
 
 
 def per_beta_chi_f(spec, v, beta):
-    """chi_F of the dense route at one beta, every pair divided by its own
-    squared gap: the reference for the kernel formed once per grid."""
+    """chi_F of the dense route at one beta from the d x d pair arrays: the
+    reference for the reduction over eigenvalue classes."""
     e, u = spec.eigenvalues, spec.eigenvectors
     shifted = e - e.min()
     tol = degeneracy_tolerance(e)
@@ -518,7 +522,8 @@ def per_beta_chi_f(spec, v, beta):
         w = np.exp(-beta * shifted)
         z2 = float(np.sum(np.exp(-beta * (2.0 * shifted))))
     de = shifted[:, None] - shifted[None, :]
-    dw = w[:, None] - w[None, :]
+    # the weight of the lower end times expm1 of minus beta the gap
+    dw = np.maximum(w[:, None], w[None, :]) * np.expm1(-beta * np.abs(de))
     contrib = np.zeros_like(de)
     np.divide(dw * dw * v2, de * de, out=contrib, where=np.abs(de) > tol)
     return 2.0 * float(contrib.sum()) / z2
@@ -536,7 +541,7 @@ class TestDenseSumsSweep:
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("kind,b", SWEEP_DRIVES)
     def test_chi_f_matches_the_per_beta_pair_array(self, kind, b, n):
-        # the one-kernel chi_F against chi_F divided pair by pair at each beta
+        # the class reduction's chi_F against the d x d pair sum at each beta
         _, spec, v = setup(kind, n, b)
         betas = (0.0, 1e-3, 0.3, 1.0, 3.0, 40.0)
         for beta, sums in zip(betas, dense_sums_sweep(spec, v, betas)):
